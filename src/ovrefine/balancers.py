@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box7DoF, iou3d
+from .geometry import Box7DoF, footprint_circles, iou3d, may_overlap
 
 __all__ = [
     "PseudoLabel2D",
@@ -323,12 +323,15 @@ def assign_foreground_labels(
     y = np.zeros(n, dtype=int)
     if m == 0 or n == 0:
         return y
+    # only pairs whose footprint circles meet can have nonzero IoU
     iou = np.zeros((n, m))
-    for i, box in enumerate(proposals):
-        for j, gt in enumerate(labels):
-            iou[i, j] = iou3d(box, gt)
+    cx, cy, radius = footprint_circles(proposals)
+    for j, gt in enumerate(labels):
+        for i in may_overlap(gt, cx, cy, radius).tolist():
+            iou[i, j] = iou3d(proposals[i], gt)
+    rows, cols = np.nonzero(iou > 0.0)
     pairs = sorted(
-        ((iou[i, j], i, j) for i in range(n) for j in range(m) if iou[i, j] > 0.0),
+        zip(iou[rows, cols].tolist(), rows.tolist(), cols.tolist()),
         key=lambda t: (-t[0], t[1], t[2]),
     )
     matched_iou: dict[int, float] = {}

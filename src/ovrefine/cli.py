@@ -27,7 +27,7 @@ from .commonsense import (
     StaticKnowledgeProvider,
     load_knowledge_base,
 )
-from .geometry import ScoredBox, soft_nms
+from .geometry import ScoredBox, parse_box, soft_nms
 from .psl import ConstraintVector, SelectionPolicy, build_decision_rules, decide, solve
 
 __all__ = ["RunConfig", "main", "entry_point"]
@@ -264,16 +264,18 @@ def cmd_baol(config: RunConfig, proposals_path: str) -> int:
         raise ValueError("missing required option --lambda-baol (it has no default)")
     with open(proposals_path, encoding="utf-8") as fh:
         scenes = [json.loads(line) for line in fh if line.strip()]
-    from .geometry import Box7DoF
-
     for index, data in enumerate(scenes):
-        boxes = tuple(Box7DoF(*b) for b in data["boxes"])
+        boxes = tuple(
+            parse_box(b, f"scene {index} proposal {i}") for i, b in enumerate(data["boxes"])
+        )
         proposals = balancers.ProposalSet(
             boxes, np.asarray(data["class_scores"], float), np.asarray(data["fg_scores"], float)
         )
         k_pro = min(config.k_pro, proposals.class_scores.size)
         compressed = balancers.baol_compress(proposals, k_pro)
-        labels = tuple(Box7DoF(*b) for b in data.get("labels", []))
+        labels = tuple(
+            parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
+        )
         y = balancers.assign_foreground_labels(
             boxes, labels, config.iou_lo, config.iou_hi
         )

@@ -26,7 +26,7 @@ from .commonsense import (
     constraint_vector,
     size_constraint,
 )
-from .geometry import Box7DoF, iou3d
+from .geometry import Box7DoF, iou3d, parse_box
 from .psl import (
     ConstraintVector,
     Decision,
@@ -518,19 +518,20 @@ def load_scenes(path) -> list[SceneRecord]:
     """Read scene records; missing scores (ground-truth files) default to 1."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             data = json.loads(line)
+            scene = f"{path}:{lineno}: scene {data.get('scene_id')}"
             detections = tuple(
                 Detection(
-                    Box7DoF(*entry["box"]),
+                    parse_box(entry["box"], f"{scene} detection {k}"),
                     entry["label"],
                     float(entry.get("score", 1.0)),
                     entry.get("class_scores"),
                 )
-                for entry in data.get("detections", [])
+                for k, entry in enumerate(data.get("detections", []))
             )
             records.append(
                 SceneRecord(

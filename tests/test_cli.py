@@ -8,6 +8,29 @@ from ovrefine.pipeline import generate_synthetic_scenes, load_scenes, save_scene
 from ovrefine.commonsense import default_knowledge_base
 
 
+def write_short_box_scene(tmp_path):
+    """A scene whose second detection has a 5-number box."""
+    scene = {
+        "scene_id": "s0",
+        "scene_type": "living room",
+        "detections": [
+            {"box": [0, 0, 0.5, 1, 1, 1, 0], "label": "sofa", "score": 0.9},
+            {"box": [0, 0, 0.5, 1, 1], "label": "toilet", "score": 0.9},
+        ],
+    }
+    path = tmp_path / "short.jsonl"
+    path.write_text(json.dumps(scene) + "\n")
+    return path
+
+
+def assert_short_box_error(code, capsys, where):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert where in err and "box must be 7 numbers" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def case_files(tmp_path):
     detections = tmp_path / "detections.jsonl"
@@ -47,6 +70,24 @@ class TestRefine:
         code = main(["refine", "--detections", str(empty), "--out", str(tmp_path / "o.jsonl")])
         assert code == 0
         assert "kept 0, removed 0, reclassified 0" in capsys.readouterr().out
+
+    def test_nan_box_is_input_error(self, tmp_path, capsys):
+        # a NaN extent used to pass as a perfect size fit
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"scene_id": "s0", "scene_type": "living room", "detections": '
+            '[{"box": [0, 0, 0.5, NaN, 1, 1, 0], "label": "toilet", "score": 0.9}]}\n'
+        )
+        code = main(["refine", "--detections", str(path), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "scene s0 detection 0" in err and "finite" in err
+
+    def test_wrong_arity_box_is_input_error(self, tmp_path, capsys):
+        path = write_short_box_scene(tmp_path)
+        code = main(["refine", "--detections", str(path), "--out", str(tmp_path / "o.jsonl")])
+        assert_short_box_error(code, capsys, "scene s0 detection 1")
 
     def test_missing_kb_entry_names_class(self, tmp_path, capsys):
         kb = default_knowledge_base().to_dict()
@@ -257,6 +298,17 @@ class TestBaol:
         assert code == 0
         assert "foreground" in capsys.readouterr().out
 
+    def test_wrong_arity_box_is_input_error(self, tmp_path, capsys):
+        scene = {
+            "boxes": [[0, 0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 1]],
+            "class_scores": [[0.9, 0.1], [0.8, 0.2]],
+            "fg_scores": [0.9, 0.85],
+        }
+        path = tmp_path / "proposals.jsonl"
+        path.write_text(json.dumps(scene) + "\n")
+        code = main(["baol", "--proposals", str(path), "--lambda-baol", "1.0"])
+        assert_short_box_error(code, capsys, "scene 0 proposal 1")
+
     def test_lambda_required(self, tmp_path, capsys):
         path = tmp_path / "proposals.jsonl"
         path.write_text("{}\n")
@@ -277,6 +329,12 @@ class TestEval:
         data = json.loads(report.read_text())
         assert data["mean"] == 1.0
         assert all(ap == 1.0 for ap in data["per_class"].values())
+
+
+    def test_wrong_arity_box_is_input_error(self, tmp_path, capsys):
+        path = write_short_box_scene(tmp_path)
+        code = main(["eval", "--detections", str(path), "--gt", str(path)])
+        assert_short_box_error(code, capsys, "scene s0 detection 1")
 
 
 class TestGenSynthetic:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ovrefine.geometry import Box7DoF, ScoredBox, iou3d, soft_nms
+from ovrefine.geometry import Box7DoF, ScoredBox, iou3d, parse_box, soft_nms
 
 
 def unit_cube(cx=0.0, cy=0.0, cz=0.0, theta=0.0):
@@ -48,6 +48,25 @@ class TestBox7DoF:
         with pytest.raises(ValueError):
             Box7DoF(0, 0, 0, 1, -0.5, 1)
 
+    @pytest.mark.parametrize("field", range(7))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        values = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Box7DoF(*values)
+
+    def test_parse_box(self):
+        assert parse_box([1, 2, 3, 1, 1, 1, 0], "x") == Box7DoF(1, 2, 3, 1, 1, 1, 0)
+        for bad in ([0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 0, 0],
+                    ["a", 0, 0, 1, 1, 1, 0], None, 3.0, {"cx": 0}):
+            with pytest.raises(ValueError, match=r"^scene s detection 4: box must be 7 numbers"):
+                parse_box(bad, "scene s detection 4")
+        with pytest.raises(ValueError, match=r"^scene s detection 4: box fields must be finite"):
+            parse_box([0, 0, 0, math.nan, 1, 1, 0], "scene s detection 4")
+        with pytest.raises(ValueError, match=r"^p 1: box extents must be positive"):
+            parse_box([0, 0, 0, 0, 1, 1, 0], "p 1")
+
     def test_theta_normalized(self):
         assert Box7DoF(0, 0, 0, 1, 1, 1, theta=3 * math.pi / 2).theta == pytest.approx(
             -math.pi / 2
@@ -81,6 +100,14 @@ class TestIou3d:
         inter = 2 * (math.sqrt(2) - 1)
         expected = inter / (2 - inter)
         assert abs(iou3d(a, b) - expected) < 1e-9
+
+    def test_coincident_parallel_edges(self):
+        # shared long edges: the clip meets parallel lines, which used to
+        # divide by zero
+        a = Box7DoF(1.0, 0.99999, 0.0, 23.0, 12.0, 1.0, 0.99999)
+        b = Box7DoF(1.0, 0.99999, 0.0, 0.99999, 12.0, 1.0, 0.99999)
+        assert iou3d(a, b) == pytest.approx(0.99999 / 23.0, abs=1e-9)
+        assert iou3d(b, a) == pytest.approx(0.99999 / 23.0, abs=1e-9)
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
