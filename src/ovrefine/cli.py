@@ -16,11 +16,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import balancers, commonsense, pipeline, psl
+from . import balancers, commonsense, pipeline
 from .commonsense import (
     KnowledgeBase,
     LlmClient,
-    MissingSizePriorError,
     ProviderError,
     RemoteKnowledgeProvider,
     SizeConstraintConfig,
@@ -73,7 +72,6 @@ class RunConfig:
     dbc_w_lo: float = 0.5
     dbc_w_hi: float = 1.5
     # proposal scoring
-    n_pro: int = 1200
     k_pro: int = 1000
     iou_lo: float = 0.25
     iou_hi: float = 0.85
@@ -422,10 +420,9 @@ def main(argv=None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return 2
-    except (MissingSizePriorError, psl.RuleSyntaxError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    # rule-syntax and JSON errors are ValueErrors; a missing size prior is a
+    # LookupError
+    except (OSError, ValueError, LookupError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

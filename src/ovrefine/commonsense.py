@@ -74,10 +74,10 @@ class SizePrior:
     height: float
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.width <= 0 or self.height <= 0:
-            raise ValueError(
-                f"size prior must be positive, got ({self.length}, {self.width}, {self.height})"
-            )
+        dims = (self.length, self.width, self.height)
+        # NaN would pass a `<= 0` test and then score every box a perfect fit
+        if not all(math.isfinite(d) and d > 0 for d in dims):
+            raise ValueError(f"size prior must be finite and positive, got {dims}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,10 @@ class KnowledgeBase:
 
 def load_knowledge_base(path) -> KnowledgeBase:
     with open(path, encoding="utf-8") as fh:
-        return KnowledgeBase.from_dict(json.load(fh))
+        try:
+            return KnowledgeBase.from_dict(json.load(fh))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def default_knowledge_base() -> KnowledgeBase:
@@ -269,7 +272,8 @@ def parse_size_reply(text: str) -> SizePrior | None:
     unit = (match.group(4) or "m").lower().rstrip("s")
     scale = _UNIT_SCALE.get(unit, 1.0)
     dims = [float(g) * scale for g in match.groups()[:3]]
-    if any(d <= 0 for d in dims):
+    # a digit run past float range parses as inf, which no SizePrior accepts
+    if not all(0 < d < math.inf for d in dims):
         return None
     return SizePrior(*dims)
 
@@ -292,37 +296,50 @@ def parse_yes_no(text: str) -> int | None:
 
 
 def llm_query_size(label: str, client: LlmClient, kb: KnowledgeBase | None = None) -> SizePrior:
-    """Ask the model for a class's common size; parse failures fall back to the KB."""
-    reply = client.complete(size_prompt(label))
-    prior = parse_size_reply(reply)
-    if prior is not None:
+    """Ask the model for a class's common size.
+
+    A failed request or an unparseable reply falls back to the KB entry when
+    there is one, and raises ProviderError otherwise.
+    """
+    try:
+        reply = client.complete(size_prompt(label))
+        prior = parse_size_reply(reply)
+        if prior is None:
+            raise ProviderError(f"unparseable size reply for {label!r}: {reply!r}")
         return prior
-    if kb is not None and label in kb.sizes:
-        return kb.sizes[label]
-    raise ProviderError(f"unparseable size reply for {label!r}: {reply!r}")
+    except ProviderError:
+        if kb is not None and label in kb.sizes:
+            return kb.sizes[label]
+        raise
 
 
 def llm_query_scene(
     label: str, scene_type: str, client: LlmClient, kb: KnowledgeBase | None = None
 ) -> int:
-    """Ask whether a class belongs in a scene; ambiguity falls back to the KB."""
-    reply = client.complete(scene_prompt(label, scene_type))
-    verdict = parse_yes_no(reply)
-    if verdict is not None:
+    """Ask whether a class belongs in a scene.
+
+    A failed request or an ambiguous reply falls back to the KB when one is
+    given, and raises ProviderError otherwise.
+    """
+    try:
+        reply = client.complete(scene_prompt(label, scene_type))
+        verdict = parse_yes_no(reply)
+        if verdict is None:
+            raise ProviderError(f"ambiguous scene reply for {label!r} in {scene_type!r}: {reply!r}")
         return verdict
-    if kb is not None:
-        return StaticKnowledgeProvider(kb).scene_compatible(label, scene_type)
-    raise ProviderError(
-        f"ambiguous scene reply for {label!r} in {scene_type!r}: {reply!r}"
-    )
+    except ProviderError:
+        if kb is not None:
+            return StaticKnowledgeProvider(kb).scene_compatible(label, scene_type)
+        raise
 
 
 class RemoteKnowledgeProvider:
     """Knowledge provider backed by the LLM endpoint.
 
     Answers are cached per (class) and (scene, class) for the life of the
-    provider; on remote failure the knowledge base, when given, answers
-    instead. Novel-class gating always comes from the knowledge base.
+    provider; `llm_query_size` and `llm_query_scene` fall back to the
+    knowledge base, when given, on remote failure. Novel-class gating always
+    comes from the knowledge base.
     """
 
     def __init__(self, client: LlmClient, kb: KnowledgeBase | None = None):
@@ -337,13 +354,7 @@ class RemoteKnowledgeProvider:
             cached = self._size_cache.get(label)
         if cached is not None:
             return cached
-        try:
-            prior = llm_query_size(label, self.client, self.kb)
-        except ProviderError:
-            if self.kb is not None and label in self.kb.sizes:
-                prior = self.kb.sizes[label]
-            else:
-                raise
+        prior = llm_query_size(label, self.client, self.kb)
         with self._lock:
             return self._size_cache.setdefault(label, prior)
 
@@ -353,13 +364,7 @@ class RemoteKnowledgeProvider:
             cached = self._scene_cache.get(key)
         if cached is not None:
             return cached
-        try:
-            verdict = llm_query_scene(label, scene_type, self.client, self.kb)
-        except ProviderError:
-            if self.kb is not None:
-                verdict = StaticKnowledgeProvider(self.kb).scene_compatible(label, scene_type)
-            else:
-                raise
+        verdict = llm_query_scene(label, scene_type, self.client, self.kb)
         with self._lock:
             return self._scene_cache.setdefault(key, verdict)
 

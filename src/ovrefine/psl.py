@@ -14,9 +14,10 @@ propagating a cell complex (convex polygons, each carrying an affine
 function) through the expression trees and scanning cell vertices. A grid
 scanner (`brute_force_solve`) serves as an independent oracle.
 
-`eval_expr` is duck-typed over the number type: floats, Fractions, and
-numpy arrays all work, which the tests use for exact-arithmetic identity
-checks.
+`eval_expr` is duck-typed over scalar number types: floats and Fractions
+both work, which the tests use for exact-arithmetic identity checks. Its
+builtin ``max``/``min`` reject numpy arrays; `_eval_array` is the numpy twin
+that the grid oracle uses.
 """
 
 from __future__ import annotations
@@ -140,65 +141,40 @@ def eval_expr(expr: SoftExpr, bindings: Mapping[str, float]):
     raise TypeError(f"not a soft-logic expression: {expr!r}")
 
 
-def _eval_array(expr: SoftExpr, bindings: Mapping[str, object]):
+def _eval_array(expr: SoftExpr, bindings: Mapping[str, object], cache=None, tag=None):
     # numpy twin of eval_expr, used by the grid scanner; broadcasting keeps
-    # single-variable subtrees cheap when bindings are row/column vectors
-    value, _owned = _eval_array_owned(expr, bindings)
-    return value
-
-
-def _add_reusing(a, b, a_owned, b_owned):
-    # add, writing into an owned full-shape operand to avoid a fresh buffer
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-    if a_owned and isinstance(a, np.ndarray) and a.shape == shape:
-        return np.add(a, b, out=a)
-    if b_owned and isinstance(b, np.ndarray) and b.shape == shape:
-        return np.add(b, a, out=b)
-    return a + b
-
-
-def _eval_array_owned(expr, bindings, cache=None, tag=None):
-    # returns (value, owned); owned arrays are scratch and may be overwritten.
+    # single-variable subtrees cheap when bindings are row/column vectors.
     # `cache` (keyed by (expr, tag)) memoizes subtrees that mention free grid
     # variables only, which are identical across rule sets that differ just
-    # in their bindings; cached arrays come back not-owned, so they survive.
+    # in their bindings. No array is ever written in place, so cached grids
+    # are safe to share.
     if isinstance(expr, Const):
-        return expr.value, False
+        return expr.value
     if isinstance(expr, Var):
         try:
-            return bindings[expr.name], False
+            return bindings[expr.name]
         except KeyError:
             raise UnboundVariableError(expr.name) from None
     if cache is not None and not _depends_on(expr, cache["bound"]):
         key = (expr, tag)
         hit = cache["grids"].get(key)
         if hit is None:
-            hit, _ = _eval_array_owned(expr, bindings)
+            hit = _eval_array(expr, bindings)
             if len(cache["grids"]) >= _GRID_CACHE_CAP:
                 cache["grids"].clear()
             cache["grids"][key] = hit
-        return hit, False
+        return hit
     if isinstance(expr, Not):
-        value, owned = _eval_array_owned(expr.operand, bindings, cache, tag)
-        if owned:
-            return np.subtract(1.0, value, out=value), True
-        if isinstance(value, np.ndarray):
-            return 1.0 - value, True
+        value = _eval_array(expr.operand, bindings, cache, tag)
         # keep scalars weakly typed so they do not promote array dtypes
-        return 1.0 - float(value), False
+        return 1.0 - value if isinstance(value, np.ndarray) else 1.0 - float(value)
     if isinstance(expr, (And, Or)):
-        left, left_owned = _eval_array_owned(expr.left, bindings, cache, tag)
-        right, right_owned = _eval_array_owned(expr.right, bindings, cache, tag)
-        s = _add_reusing(left, right, left_owned, right_owned)
-        if isinstance(s, np.ndarray):
-            if isinstance(expr, And):
-                np.subtract(s, 1.0, out=s)
-                np.maximum(s, 0.0, out=s)
-            else:
-                np.minimum(s, 1.0, out=s)
-            return s, True
-        s = float(s)
-        return (max(s - 1.0, 0.0) if isinstance(expr, And) else min(s, 1.0)), False
+        left = _eval_array(expr.left, bindings, cache, tag)
+        s = left + _eval_array(expr.right, bindings, cache, tag)
+        if not isinstance(s, np.ndarray):
+            s = float(s)
+            return max(s - 1.0, 0.0) if isinstance(expr, And) else min(s, 1.0)
+        return np.maximum(s - 1.0, 0.0) if isinstance(expr, And) else np.minimum(s, 1.0)
     raise TypeError(f"not a soft-logic expression: {expr!r}")
 
 
@@ -642,29 +618,12 @@ class SelectionPolicy(Enum):
 
 @dataclass(frozen=True)
 class SolverOutput:
-    """Chosen maximizer, its objective, and the faces attaining the optimum.
-
-    Each cell in ``maximizer_cells`` is a tuple of inequalities
-    ``(a, b, c)`` meaning ``a*y_keep + b*y_recls <= c``; the returned point
-    lies in at least one cell.
-    """
+    """The maximizer ``(y_keep, y_recls)`` picked by the selection policy and
+    the objective value it attains."""
 
     y_keep: float
     y_recls: float
     objective: float
-    maximizer_cells: tuple[tuple[tuple[float, float, float], ...], ...] = ()
-
-
-def _edge_inequalities(poly):
-    ineqs = []
-    n = len(poly)
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        # interior of a CCW polygon is left of each edge
-        a, b = by - ay, ax - bx
-        ineqs.append((a, b, a * ax + b * ay))
-    return tuple(ineqs)
 
 
 def solve(
@@ -709,18 +668,7 @@ def solve(
         pool = [(x, y) for x, y in candidates if x <= k_star + _TIE]
         chosen = min(pool, key=lambda p: (p[1], p[0]))
 
-    cells = []
-    for poly, (a, b, c) in complex_:
-        piece_max = max(a * x + b * y + c for x, y in poly)
-        if piece_max < best - _TIE:
-            continue
-        ineqs = _edge_inequalities(poly)
-        if abs(a) > _EPS or abs(b) > _EPS:
-            # restrict to the face where the affine attains the optimum
-            ineqs = ineqs + ((a, b, best - c), (-a, -b, c - best))
-        cells.append(ineqs)
-
-    return SolverOutput(chosen[0], chosen[1], best, tuple(cells))
+    return SolverOutput(chosen[0], chosen[1], best)
 
 
 def brute_force_solve(
@@ -741,20 +689,10 @@ def brute_force_solve(
     cache = {"bound": frozenset(ruleset.bindings), "grids": _GRID_CACHE}
 
     def total(bindings, tag):
-        acc, acc_owned = None, False
-        for rule in ruleset.rules:
-            value, owned = _eval_array_owned(rule.expr, bindings, cache, tag)
-            if owned:
-                np.multiply(value, rule.weight, out=value)
-            else:
-                value = rule.weight * value
-                owned = isinstance(value, np.ndarray)
-            if acc is None:
-                acc, acc_owned = value, owned
-            else:
-                acc = _add_reusing(acc, value, acc_owned, owned)
-                acc_owned = isinstance(acc, np.ndarray)
-        return acc if acc is not None else 0.0
+        return sum(
+            (rule.weight * _eval_array(rule.expr, bindings, cache, tag) for rule in ruleset.rules),
+            0.0,
+        )
 
     n = int(round(1.0 / resolution)) + 1
     axis = np.linspace(0.0, 1.0, n, dtype=dtype)
@@ -763,7 +701,7 @@ def brute_force_solve(
 
     if not free:
         value = float(total(dict(ruleset.bindings), None))
-        return SolverOutput(0.0, 0.0, value, (_point_cell(0.0, 0.0),))
+        return SolverOutput(0.0, 0.0, value)
 
     if len(free) == 1:
         (name,) = free
@@ -771,12 +709,7 @@ def brute_force_solve(
         values = np.broadcast_to(total({**ruleset.bindings, name: axis}, tag), axis.shape)
         idx = int(np.argmax(values))
         point[name] = float(axis[idx])
-        return SolverOutput(
-            point[KEEP_VAR],
-            point[RECLS_VAR],
-            float(values[idx]),
-            (_point_cell(point[KEEP_VAR], point[RECLS_VAR]),),
-        )
+        return SolverOutput(point[KEEP_VAR], point[RECLS_VAR], float(values[idx]))
 
     # Full 2-D scan, in column strips so temporaries stay cache-resident.
     col = axis[:, None]
@@ -793,16 +726,7 @@ def brute_force_solve(
             flat = int(values.argmax())
             point[KEEP_VAR] = float(axis[flat // row.shape[1]])
             point[RECLS_VAR] = float(axis[j0 + flat % row.shape[1]])
-    return SolverOutput(
-        point[KEEP_VAR],
-        point[RECLS_VAR],
-        best,
-        (_point_cell(point[KEEP_VAR], point[RECLS_VAR]),),
-    )
-
-
-def _point_cell(x, y):
-    return ((1.0, 0.0, x), (-1.0, 0.0, -x), (0.0, 1.0, y), (0.0, -1.0, -y))
+    return SolverOutput(point[KEEP_VAR], point[RECLS_VAR], best)
 
 
 # --------------------------------------------------------------------------

@@ -89,6 +89,22 @@ class TestRefine:
         code = main(["refine", "--detections", str(path), "--out", str(tmp_path / "o.jsonl")])
         assert_short_box_error(code, capsys, "scene s0 detection 1")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_size_prior_is_input_error(self, case_files, tmp_path, capsys, bad):
+        # a NaN length used to score every chair a perfect length fit
+        kb = default_knowledge_base().to_dict()
+        kb["sizes"]["chair"][0] = bad
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_text(json.dumps(kb))
+        code = main(
+            ["refine", "--detections", case_files["detections"], "--kb", str(kb_path),
+             "--out", case_files["out"]]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {kb_path}:")
+        assert "finite" in err
+
     def test_missing_kb_entry_names_class(self, tmp_path, capsys):
         kb = default_knowledge_base().to_dict()
         kb["novel_classes"].append("gryphon")
@@ -133,7 +149,7 @@ class TestRefine:
     def test_remote_mode_degrades_to_kb_when_endpoint_dead(
         self, case_files, tmp_path, monkeypatch, capsys
     ):
-        # the provider falls back remote -> cache -> KB, so an unreachable
+        # every remote query falls back to the KB, so an unreachable
         # endpoint still yields the offline result
         monkeypatch.delenv("GLRD_LLM_ENDPOINT", raising=False)
         code = main(
@@ -374,8 +390,19 @@ class TestConfigFile:
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"frobnicate": 1}))
-        assert main(["solve-psl", "1", "1", "1", "--config", str(config)]) == 1
+        for key in ("frobnicate", "n_pro"):
+            config.write_text(json.dumps({key: 1}))
+            assert main(["solve-psl", "1", "1", "1", "--config", str(config)]) == 1
+
+    def test_mistyped_config_value_is_input_error(self, case_files, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": "2"}))
+        code = main(
+            ["refine", "--config", str(config), "--detections", case_files["detections"],
+             "--out", case_files["out"]]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 class TestUsageErrors:

@@ -208,6 +208,8 @@ class TestReplyParsing:
     def test_no_triple(self):
         assert parse_size_reply("it depends") is None
         assert parse_size_reply("about 2 by 3") is None
+        # past float range: parses as inf, which no size prior accepts
+        assert parse_size_reply("1" + "0" * 400 + "*1*1") is None
 
     def test_yes_no(self):
         assert parse_yes_no("Yes, commonly.") == 1
@@ -288,6 +290,14 @@ class TestLlmQueries:
         kb = default_knowledge_base()
         client = make_client(StubTransport({"common size": "it depends"}))
         assert llm_query_size("desk", client, kb) == kb.sizes["desk"]
+
+    def test_failed_request_falls_back_to_kb(self):
+        kb = default_knowledge_base()
+        client = make_client(StubTransport(fail_first=99))
+        assert llm_query_size("desk", client, kb) == kb.sizes["desk"]
+        assert llm_query_scene("toilet", "living room", client, kb) == 0
+        with pytest.raises(ProviderError):
+            llm_query_size("gargoyle", client, kb)
 
     def test_unparseable_without_kb_raises(self):
         client = make_client(StubTransport({"common size": "it depends"}))
