@@ -8,7 +8,7 @@ State objects are immutable; every step returns a new state.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .geometry import Box7DoF, footprint_circles, iou3d, may_overlap
+from .jsonl import read_jsonl
 
 __all__ = [
     "PseudoLabel2D",
@@ -375,36 +376,26 @@ def baol_loss(y: Sequence[int], o: Sequence[float], lam: float) -> float:
 
 
 def load_pseudo_labels(path) -> list[tuple[str, list[PseudoLabel2D]]]:
-    """Pseudo-label records, one JSON object per image per line."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            labels = [
-                PseudoLabel2D(
-                    tuple(entry["bbox"]),
-                    entry["label"],
-                    float(entry["confidence"]),
-                    float(entry["sim_pos"]),
-                    float(entry["sim_neg"]),
-                )
-                for entry in data.get("labels", [])
-            ]
-            records.append((str(data.get("image_id", len(records))), labels))
-    return records
+    """Pseudo-label records, one JSON object per image per line; an image
+    without an ``image_id`` is named by its record's position."""
+    position = itertools.count()
+
+    def record(data: dict) -> tuple[str, list[PseudoLabel2D]]:
+        labels = [
+            PseudoLabel2D(
+                tuple(entry["bbox"]),
+                entry["label"],
+                float(entry["confidence"]),
+                float(entry["sim_pos"]),
+                float(entry["sim_neg"]),
+            )
+            for entry in data.get("labels", [])
+        ]
+        return str(data.get("image_id", next(position))), labels
+
+    return read_jsonl(path, record)
 
 
 def load_loss_stream(path) -> list[dict[str, float]]:
     """Loss-stream records: one class-to-loss JSON mapping per line."""
-    stream = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            stream.append({str(k): float(v) for k, v in record.items()})
-    return stream
+    return read_jsonl(path, lambda record: {str(k): float(v) for k, v in record.items()})

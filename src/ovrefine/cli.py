@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -32,6 +33,8 @@ from .psl import ConstraintVector, SelectionPolicy, build_decision_rules, decide
 __all__ = ["RunConfig", "main", "entry_point"]
 
 _POLICIES = {policy.value: policy for policy in SelectionPolicy}
+# the values a RunConfig field of each type accepts: a float field takes an int
+_ACCEPTS = {str: str, int: int, float: (int, float)}
 
 
 @dataclass
@@ -86,15 +89,35 @@ class RunConfig:
     llm_retries: int = 2
     llm_max_in_flight: int = 4
 
+    def __post_init__(self) -> None:
+        for name, hint in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            allowed = typing.get_args(hint) or (hint,)
+            if value is None and type(None) in allowed:
+                continue
+            # JSON true is no number, though bool subclasses int
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[allowed[0]]):
+                raise ValueError(
+                    f"{name} must be {allowed[0].__name__}, got {type(value).__name__} {value!r}"
+                )
+        for name in ("workers", "llm_max_in_flight"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
     @classmethod
     def load(cls, path) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+            try:
+                data = json.load(fh)
+                if not isinstance(data, dict):
+                    raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+                unknown = set(data) - {f.name for f in fields(cls)}
+                if unknown:
+                    raise ValueError(f"unknown config keys: {sorted(unknown)}")
+                return cls(**data)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
     def override(self, args: argparse.Namespace) -> "RunConfig":
         updates = {}
@@ -353,7 +376,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file")
         p.add_argument("--log", help="refinement log output file (JSONL)")
         p.add_argument("--policy", choices=sorted(_POLICIES))
-        p.add_argument("--workers", type=int, help="scene-level worker count (default: cores)")
+        p.add_argument(
+            "--workers",
+            type=int,
+            metavar="N",
+            help="refine: N solver processes plus N provider I/O threads (default: cores); "
+            "outputs are byte-identical for any N",
+        )
         p.add_argument("--seed", type=int)
         p.add_argument("--llm", choices=["off", "remote"])
 

@@ -118,6 +118,18 @@ class ProviderError(RuntimeError):
     """A knowledge provider failed to answer."""
 
 
+_ARRAY = (list, tuple)
+
+
+def _expect(value, kind, what: str):
+    """``value``, if it is the JSON ``kind`` (``Mapping`` for an object,
+    ``_ARRAY`` for an array) that a KB entry needs."""
+    if not isinstance(value, kind):
+        name = "object" if kind is Mapping else "array"
+        raise ValueError(f"{what} must be a JSON {name}, got {type(value).__name__}")
+    return value
+
+
 @dataclass
 class KnowledgeBase:
     """Offline stand-in for LLM answers: sizes, scene compatibility, novel set."""
@@ -133,13 +145,17 @@ class KnowledgeBase:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "KnowledgeBase":
+        _expect(data, Mapping, "knowledge base")
         sizes = {
-            label: SizePrior(*map(float, dims)) for label, dims in data.get("sizes", {}).items()
+            label: SizePrior(*map(float, _expect(dims, _ARRAY, f"sizes[{label!r}]")))
+            for label, dims in _expect(data.get("sizes", {}), Mapping, "sizes").items()
         }
         compat = {
-            scene: set(classes) for scene, classes in data.get("compat", {}).items()
+            scene: set(_expect(classes, _ARRAY, f"compat[{scene!r}]"))
+            for scene, classes in _expect(data.get("compat", {}), Mapping, "compat").items()
         }
-        return cls(sizes, compat, set(data.get("novel_classes", [])))
+        novel = _expect(data.get("novel_classes", []), _ARRAY, "novel_classes")
+        return cls(sizes, compat, set(novel))
 
     def to_dict(self) -> dict:
         return {
@@ -230,6 +246,9 @@ class LlmClient:
         self.backoff = backoff
         self.max_tokens = max_tokens
         self._transport = transport or _http_post
+        if max_in_flight < 1:
+            # a semaphore of 0 would admit no request and hang every caller
+            raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight}")
         self._gate = threading.BoundedSemaphore(max_in_flight)
 
     def complete(self, prompt: str, max_tokens: int | None = None) -> str:

@@ -4,17 +4,21 @@ synthetic-scene generator used for end-to-end checks.
 
 Base-class detections pass through untouched; each novel-class detection is
 scored against the knowledge provider, solved, and kept, removed, or
-reclassified. Scenes are independent units of work and refinement is pure,
-so scene-level parallelism is safe.
+reclassified. Scenes are independent units of work, and each solve is a pure
+function of one detection's constraints, so solves can run in worker
+processes while provider lookups and debates run on threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .commonsense import (
     size_constraint,
 )
 from .geometry import Box7DoF, iou3d, parse_box
+from .jsonl import read_jsonl
 from .psl import (
     ConstraintVector,
     Decision,
@@ -209,28 +214,53 @@ def debate(
     return DebateOutcome(candidates, winner, strengths, tuple(transcript))
 
 
-def refine_scene(
-    record: SceneRecord,
-    provider,
-    cfg: RefinementConfig = RefinementConfig(),
-    client: LlmClient | None = None,
-) -> tuple[SceneRecord, RefinementLog]:
-    """Refine one scene: keep, remove, or reclassify each novel detection.
+def _assemble(
+    record: SceneRecord, provider, cfg: RefinementConfig
+) -> list[ConstraintVector | None]:
+    """The constraint vector of each detection, None for a base-class one."""
+    return [
+        constraint_vector(d.box, d.label, d.score, record.scene, provider, cfg.size)
+        if provider.is_novel(d.label)
+        else None
+        for d in record.detections
+    ]
 
-    Base-class detections pass through unchanged and unlogged. Failures
-    propagate before anything is returned, so a scene is never partially
-    mutated.
+
+def _solve_chunk(
+    weights: tuple[float, float, float],
+    policy: SelectionPolicy,
+    xs: Sequence[tuple[float, float, float]],
+) -> list[tuple[float, float, float]]:
+    """``(y_keep, y_recls, objective)`` of the decision program of each
+    ``(conf, size, scene)`` triple.
+
+    It uses only its arguments, so a worker process can run it under any
+    start method; pickle carries the floats both ways exactly.
     """
+    out = []
+    for x in xs:
+        solution = solve(build_decision_rules(ConstraintVector(*x), weights), policy)
+        out.append((solution.y_keep, solution.y_recls, solution.objective))
+    return out
+
+
+def _finish(
+    record: SceneRecord,
+    vectors: Sequence[ConstraintVector | None],
+    solutions: Sequence[tuple[float, float, float]],
+    provider,
+    cfg: RefinementConfig,
+    client: LlmClient | None,
+) -> tuple[SceneRecord, RefinementLog]:
+    """Decide each novel detection from its solution, debating the contested ones."""
     kept: list[Detection] = []
     objects: list[ObjectRecord] = []
-    for index, detection in enumerate(record.detections):
-        if not provider.is_novel(detection.label):
+    solved = iter(solutions)
+    for index, (detection, x) in enumerate(zip(record.detections, vectors)):
+        if x is None:
             kept.append(detection)
             continue
-        x = constraint_vector(
-            detection.box, detection.label, detection.score, record.scene, provider, cfg.size
-        )
-        solution = solve(build_decision_rules(x, cfg.rule_weights), cfg.policy)
+        solution = SolverOutput(*next(solved))
         decision = decide(solution, cfg.phi_keep, cfg.phi_recls)
         final_label: str | None = detection.label
         transcript: tuple[tuple[str, str], ...] = ()
@@ -250,6 +280,78 @@ def refine_scene(
     return refined, RefinementLog(record.scene_id, tuple(objects))
 
 
+def _novel_triples(vectors: Sequence[ConstraintVector | None]) -> list[tuple[float, float, float]]:
+    return [x.as_tuple() for x in vectors if x is not None]
+
+
+def refine_scene(
+    record: SceneRecord,
+    provider,
+    cfg: RefinementConfig = RefinementConfig(),
+    client: LlmClient | None = None,
+) -> tuple[SceneRecord, RefinementLog]:
+    """Refine one scene: keep, remove, or reclassify each novel detection.
+
+    Base-class detections pass through unchanged and unlogged. Failures
+    propagate before anything is returned, so a scene is never partially
+    mutated.
+    """
+    vectors = _assemble(record, provider, cfg)
+    solutions = _solve_chunk(cfg.rule_weights, cfg.policy, _novel_triples(vectors))
+    return _finish(record, vectors, solutions, provider, cfg, client)
+
+
+# Scenes per unit of pipelined work: enough solves (about 150 at the synthetic
+# workload's density) to amortise a round trip to a solver process.
+_CHUNK_SCENES = 32
+
+
+class _InlineExecutor(Executor):
+    """Runs each submitted call at once, in the submitting thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _solver_pool(workers: int) -> Executor:
+    """``workers`` solver processes, all started before the caller starts a thread.
+
+    A fork copies only the forking thread, so it must not happen while other
+    threads run: a lock one of them holds would stay held in the child. A
+    pool over fork starts all of its processes at its first submit, so the
+    no-op submit below forks them while the caller's thread is the only one.
+    A caller that already runs other threads gets spawned processes instead.
+    """
+    # imported here, not with the module, so that commands and runs that
+    # start no process do not pay for loading multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context()
+    if context.get_start_method() == "fork" and threading.active_count() > 1:
+        context = multiprocessing.get_context("spawn")
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    pool.submit(int)
+    return pool
+
+
+def _in_order(futures: Iterable[Future], ahead: int) -> Iterator:
+    """The results of ``futures`` in order, with at most ``ahead`` of them
+    drawn from the iterable and not yet returned."""
+    pending: deque[Future] = deque()
+    for future in futures:
+        pending.append(future)
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def refine_scenes(
     records: Sequence[SceneRecord],
     provider,
@@ -257,23 +359,55 @@ def refine_scenes(
     client: LlmClient | None = None,
     workers: int = 1,
 ) -> list[tuple[SceneRecord, RefinementLog]]:
-    """Refine many scenes, optionally in parallel; order follows the input.
+    """Refine many scenes; order follows the input, output is identical for
+    any worker count.
 
-    A provider failure skips that scene: the original record is passed
-    through with an error log entry. Output is identical for any worker
-    count.
+    Scenes go through in chunks of ``_CHUNK_SCENES``, at most
+    ``2 * workers`` chunks at a time. ``workers`` threads assemble each
+    chunk's constraint vectors from the provider, so that remote lookups
+    overlap; ``workers`` processes solve them (one worker solves inline,
+    and no process starts for input without a novel detection); the
+    threads then decide and debate each scene's objects. A provider
+    failure skips that scene: the original record is passed through with
+    an error log entry.
     """
+    novel = any(provider.is_novel(d.label) for record in records for d in record.detections)
+    solver = _solver_pool(workers) if workers > 1 and novel else _InlineExecutor()
 
-    def one(record: SceneRecord):
-        try:
-            return refine_scene(record, provider, cfg, client)
-        except ProviderError as exc:
-            return record, RefinementLog(record.scene_id, (), error=str(exc))
+    def start(chunk):
+        parts: list[list[ConstraintVector | None] | ProviderError] = []
+        for record in chunk:
+            try:
+                parts.append(_assemble(record, provider, cfg))
+            except ProviderError as exc:
+                parts.append(exc)
+        xs = [x for part in parts if isinstance(part, list) for x in _novel_triples(part)]
+        return chunk, parts, solver.submit(_solve_chunk, cfg.rule_weights, cfg.policy, xs)
 
-    if workers <= 1:
-        return [one(record) for record in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, records))
+    def skip(record, exc):
+        return record, RefinementLog(record.scene_id, (), error=str(exc))
+
+    def finish(chunk, parts, solutions):
+        solved = iter(solutions)
+        out = []
+        for record, part in zip(chunk, parts):
+            if isinstance(part, ProviderError):
+                out.append(skip(record, part))
+                continue
+            own = list(islice(solved, sum(x is not None for x in part)))
+            try:
+                out.append(_finish(record, part, own, provider, cfg, client))
+            except ProviderError as exc:
+                out.append(skip(record, exc))
+        return out
+
+    chunks = (records[i : i + _CHUNK_SCENES] for i in range(0, len(records), _CHUNK_SCENES))
+    with solver, ThreadPoolExecutor(max_workers=workers) as io:
+        started = _in_order((io.submit(start, chunk) for chunk in chunks), workers)
+        finished = (
+            io.submit(finish, chunk, parts, solving.result()) for chunk, parts, solving in started
+        )
+        return [result for results in _in_order(finished, workers) for result in results]
 
 
 # --------------------------------------------------------------------------
@@ -516,31 +650,25 @@ def save_scenes(records: Sequence[SceneRecord], path, include_scores: bool = Tru
 
 def load_scenes(path) -> list[SceneRecord]:
     """Read scene records; missing scores (ground-truth files) default to 1."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            scene = f"{path}:{lineno}: scene {data.get('scene_id')}"
-            detections = tuple(
-                Detection(
-                    parse_box(entry["box"], f"{scene} detection {k}"),
-                    entry["label"],
-                    float(entry.get("score", 1.0)),
-                    entry.get("class_scores"),
-                )
-                for k, entry in enumerate(data.get("detections", []))
+
+    def scene(data: dict) -> SceneRecord:
+        where = f"scene {data.get('scene_id')}"
+        detections = tuple(
+            Detection(
+                parse_box(entry["box"], f"{where} detection {k}"),
+                entry["label"],
+                float(entry.get("score", 1.0)),
+                entry.get("class_scores"),
             )
-            records.append(
-                SceneRecord(
-                    str(data["scene_id"]),
-                    SceneContext(data["scene_type"], data.get("description", "")),
-                    detections,
-                )
-            )
-    return records
+            for k, entry in enumerate(data.get("detections", []))
+        )
+        return SceneRecord(
+            str(data["scene_id"]),
+            SceneContext(data["scene_type"], data.get("description", "")),
+            detections,
+        )
+
+    return read_jsonl(path, scene)
 
 
 def save_logs(logs: Sequence[RefinementLog], path) -> None:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,47 @@ class TestRefine:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {kb_path}:")
         assert "finite" in err
+
+    def test_workers_below_one_is_input_error(self, case_files, capsys):
+        # a pool of no workers cannot run; it must not quietly mean one
+        code = main(
+            ["refine", "--detections", case_files["detections"], "--out", case_files["out"],
+             "--workers", "0"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "input error: workers must be at least 1, got 0\n"
+
+    @pytest.mark.parametrize("kb", [[], {"sizes": []}, {"compat": {"library": "chair"}}])
+    def test_kb_of_the_wrong_shape_is_input_error(self, case_files, tmp_path, capsys, kb):
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_text(json.dumps(kb))
+        code = main(
+            ["refine", "--detections", case_files["detections"], "--kb", str(kb_path),
+             "--out", case_files["out"]]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {kb_path}: ") and "must be a JSON" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "Expecting property name"),
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('{"scene_id": "s1", "detections": []}', "missing field 'scene_type'"),
+            ('{"scene_id": "s1", "scene_type": "library", "detections": [{"box": '
+             '[0, 0, 0.5, 1, 1, 1, 0], "label": "chair", "score": 2}]}', "score must be in [0, 1]"),
+        ],
+        ids=["json", "array", "field", "value"],
+    )
+    def test_bad_detections_line_names_file_and_line(self, case_files, capsys, line, message):
+        path = case_files["detections"]
+        first = Path(path).read_text().splitlines()[0]
+        Path(path).write_text(first + "\n" + line + "\n")
+        code = main(["refine", "--detections", path, "--out", case_files["out"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}:2: ") and message in err
 
     def test_missing_kb_entry_names_class(self, tmp_path, capsys):
         kb = default_knowledge_base().to_dict()
@@ -271,6 +313,17 @@ class TestBalance:
         # the over-represented class is pushed to the upper clamp
         assert trace["phi_by_class"]["chair"] == pytest.approx(0.9)
 
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(
+            json.dumps({"image_id": "i", "labels": []}) + "\n\n"
+            + json.dumps({"labels": [{"bbox": [0, 0, 5, 5], "label": "chair"}]}) + "\n"
+        )
+        assert main(["balance", "--labels", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"input error: {path}:3: missing field 'confidence'\n"
+        )
+
     def test_no_novel_labels(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text(json.dumps({"image_id": "i", "labels": []}) + "\n")
@@ -285,6 +338,18 @@ class TestDbcSim:
         assert code == 0
         out = capsys.readouterr().out
         assert "final: A=1.05 B=0.95 C=1.00" in out
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("{", "Expecting property name"), ('{"A": "high"}', "could not convert string to float")],
+        ids=["json", "value"],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, line, message):
+        path = tmp_path / "losses.jsonl"
+        path.write_text(json.dumps({"A": 5.0}) + "\n" + line + "\n")
+        assert main(["dbc-sim", "--losses", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}:2: ") and message in err
 
     def test_trace_file(self, tmp_path):
         path = tmp_path / "losses.jsonl"
@@ -402,7 +467,41 @@ class TestConfigFile:
              "--out", case_files["out"]]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("input error:")
+        assert capsys.readouterr().err == (
+            f"input error: {config}: workers must be int, got str '2'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("workers", 2.0, "workers must be int, got float 2.0"),
+            ("workers", True, "workers must be int, got bool True"),
+            ("workers", 0, "workers must be at least 1, got 0"),
+            ("alpha1", "1", "alpha1 must be float, got str '1'"),
+            ("policy", None, "policy must be str, got NoneType None"),
+            # a semaphore of 0 admits no request, so `refine --llm remote` would hang
+            ("llm_max_in_flight", 0, "llm_max_in_flight must be at least 1, got 0"),
+            ("llm_max_in_flight", -1, "llm_max_in_flight must be at least 1, got -1"),
+        ],
+    )
+    def test_bad_config_value_is_input_error(
+        self, case_files, tmp_path, capsys, key, value, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code = main(
+            ["refine", "--config", str(config), "--detections", case_files["detections"],
+             "--out", case_files["out"], "--llm", "remote"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"input error: {config}: {message}\n"
+
+    def test_config_value_types_accepted(self, tmp_path, capsys):
+        # an int where a float is expected, null where None is allowed
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha1": 1, "phi_recls": 0, "lambda_baol": None}))
+        assert main(["solve-psl", "0.9", "0.5419", "1", "--config", str(config)]) == 0
+        assert "decision=reclassify" in capsys.readouterr().out
 
 
 class TestUsageErrors:

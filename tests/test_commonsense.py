@@ -125,6 +125,21 @@ class TestKnowledgeBase:
         assert again.compat == kb.compat
         assert again.novel_classes == kb.novel_classes
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "knowledge base must be a JSON object, got list"),
+            ({"sizes": [["chair", 1, 1, 1]]}, "sizes must be a JSON object, got list"),
+            ({"sizes": {"chair": "0.5"}}, "sizes['chair'] must be a JSON array, got str"),
+            ({"compat": {"library": "chair"}}, "compat['library'] must be a JSON array, got str"),
+            ({"novel_classes": "chair"}, "novel_classes must be a JSON array, got str"),
+        ],
+    )
+    def test_from_dict_requires_objects_and_arrays(self, data, message):
+        with pytest.raises(ValueError) as err:
+            KnowledgeBase.from_dict(data)
+        assert str(err.value) == message
+
     def test_shipped_kb_covers_case_studies(self):
         kb = default_knowledge_base()
         assert "toilet" not in kb.compat["living room"]
@@ -257,6 +272,11 @@ class TestLlmClient:
         )
         assert size_prompt("desk") == transport.calls[0]["prompt"]
         assert scene_prompt("desk", "kitchen") == "Is it normal to see a desk in a kitchen?"
+
+    @pytest.mark.parametrize("max_in_flight", [0, -1])
+    def test_max_in_flight_below_one_rejected(self, max_in_flight):
+        with pytest.raises(ValueError, match="max_in_flight must be at least 1"):
+            LlmClient(endpoint="http://llm.test", max_in_flight=max_in_flight)
 
     def test_retry_then_success(self):
         transport = StubTransport({"common size": "2.0*0.9*0.75"}, fail_first=2)
