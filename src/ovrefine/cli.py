@@ -9,7 +9,9 @@ plus flags, with flags winning. Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 import typing
@@ -28,6 +30,7 @@ from .commonsense import (
     load_knowledge_base,
 )
 from .geometry import ScoredBox, parse_box, soft_nms
+from .jsonl import read_jsonl
 from .psl import ConstraintVector, SelectionPolicy, build_decision_rules, decide, solve
 
 __all__ = ["RunConfig", "main", "entry_point"]
@@ -100,10 +103,12 @@ class RunConfig:
                 raise ValueError(
                     f"{name} must be {allowed[0].__name__}, got {type(value).__name__} {value!r}"
                 )
-        for name in ("workers", "llm_max_in_flight"):
+        for name, least in (("workers", 1), ("llm_max_in_flight", 1), ("llm_retries", 0)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not 0 < self.llm_timeout < math.inf:
+            raise ValueError(f"llm_timeout must be a finite number above 0, got {self.llm_timeout}")
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -283,20 +288,26 @@ def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
 def cmd_baol(config: RunConfig, proposals_path: str) -> int:
     if config.lambda_baol is None:
         raise ValueError("missing required option --lambda-baol (it has no default)")
-    with open(proposals_path, encoding="utf-8") as fh:
-        scenes = [json.loads(line) for line in fh if line.strip()]
-    for index, data in enumerate(scenes):
+    indices = itertools.count()
+
+    def scene(data: dict) -> tuple[balancers.ProposalSet, tuple]:
+        index = next(indices)
         boxes = tuple(
             parse_box(b, f"scene {index} proposal {i}") for i, b in enumerate(data["boxes"])
         )
         proposals = balancers.ProposalSet(
             boxes, np.asarray(data["class_scores"], float), np.asarray(data["fg_scores"], float)
         )
-        k_pro = min(config.k_pro, proposals.class_scores.size)
-        compressed = balancers.baol_compress(proposals, k_pro)
         labels = tuple(
             parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
         )
+        return proposals, labels
+
+    # every line is checked before the first scene's result is printed
+    for index, (proposals, labels) in enumerate(read_jsonl(proposals_path, scene)):
+        boxes = proposals.boxes
+        k_pro = min(config.k_pro, proposals.class_scores.size)
+        compressed = balancers.baol_compress(proposals, k_pro)
         y = balancers.assign_foreground_labels(
             boxes, labels, config.iou_lo, config.iou_hi
         )
@@ -380,8 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             metavar="N",
-            help="refine: N solver processes plus N provider I/O threads (default: cores); "
-            "outputs are byte-identical for any N",
+            help="refine: N solver processes plus 2N provider I/O threads, each thread "
+            "taking one chunk of scenes at a time (default: cores); outputs are "
+            "byte-identical for any N",
         )
         p.add_argument("--seed", type=int)
         p.add_argument("--llm", choices=["off", "remote"])

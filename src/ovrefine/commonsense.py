@@ -15,6 +15,7 @@ import re
 import threading
 import time
 import urllib.request
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -249,6 +250,12 @@ class LlmClient:
         if max_in_flight < 1:
             # a semaphore of 0 would admit no request and hang every caller
             raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight}")
+        # a negative retry count would make no attempt, and a timeout of 0 or
+        # less fail every request, each quietly ending in the KB fallback
+        if retries < 0:
+            raise ValueError(f"retries must be at least 0, got {retries}")
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number above 0, got {timeout}")
         self._gate = threading.BoundedSemaphore(max_in_flight)
 
     def complete(self, prompt: str, max_tokens: int | None = None) -> str:
@@ -356,36 +363,43 @@ class RemoteKnowledgeProvider:
     """Knowledge provider backed by the LLM endpoint.
 
     Answers are cached per (class) and (scene, class) for the life of the
-    provider; `llm_query_size` and `llm_query_scene` fall back to the
-    knowledge base, when given, on remote failure. Novel-class gating always
-    comes from the knowledge base.
+    provider, and each is asked once: a thread that looks up a query already
+    in flight waits for that request and shares its answer or its error. A
+    failed query is not remembered, so a later lookup asks again.
+    `llm_query_size` and `llm_query_scene` fall back to the knowledge base,
+    when given, on remote failure. Novel-class gating always comes from the
+    knowledge base.
     """
 
     def __init__(self, client: LlmClient, kb: KnowledgeBase | None = None):
         self.client = client
         self.kb = kb
-        self._size_cache: dict[str, SizePrior] = {}
-        self._scene_cache: dict[tuple[str, str], int] = {}
+        self._answers: dict[str | tuple[str, str], Future] = {}
         self._lock = threading.Lock()
 
+    def _answer(self, key: str | tuple[str, str], query: Callable[[], object]):
+        with self._lock:
+            answer = self._answers.get(key)
+            ask = answer is None
+            if ask:
+                answer = self._answers[key] = Future()
+        if ask:
+            try:
+                answer.set_result(query())
+            except BaseException as exc:
+                with self._lock:
+                    del self._answers[key]
+                answer.set_exception(exc)
+                raise
+        return answer.result()
+
     def size_prior(self, label: str) -> SizePrior:
-        with self._lock:
-            cached = self._size_cache.get(label)
-        if cached is not None:
-            return cached
-        prior = llm_query_size(label, self.client, self.kb)
-        with self._lock:
-            return self._size_cache.setdefault(label, prior)
+        return self._answer(label, lambda: llm_query_size(label, self.client, self.kb))
 
     def scene_compatible(self, label: str, scene_type: str) -> int:
-        key = (scene_type, label)
-        with self._lock:
-            cached = self._scene_cache.get(key)
-        if cached is not None:
-            return cached
-        verdict = llm_query_scene(label, scene_type, self.client, self.kb)
-        with self._lock:
-            return self._scene_cache.setdefault(key, verdict)
+        return self._answer(
+            (scene_type, label), lambda: llm_query_scene(label, scene_type, self.client, self.kb)
+        )
 
     def is_novel(self, label: str) -> bool:
         if self.kb is None:

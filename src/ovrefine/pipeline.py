@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 import math
 import threading
-from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -306,18 +305,6 @@ def refine_scene(
 _CHUNK_SCENES = 32
 
 
-class _InlineExecutor(Executor):
-    """Runs each submitted call at once, in the submitting thread."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 def _solver_pool(workers: int) -> Executor:
     """``workers`` solver processes, all started before the caller starts a thread.
 
@@ -340,18 +327,6 @@ def _solver_pool(workers: int) -> Executor:
     return pool
 
 
-def _in_order(futures: Iterable[Future], ahead: int) -> Iterator:
-    """The results of ``futures`` in order, with at most ``ahead`` of them
-    drawn from the iterable and not yet returned."""
-    pending: deque[Future] = deque()
-    for future in futures:
-        pending.append(future)
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def refine_scenes(
     records: Sequence[SceneRecord],
     provider,
@@ -362,19 +337,20 @@ def refine_scenes(
     """Refine many scenes; order follows the input, output is identical for
     any worker count.
 
-    Scenes go through in chunks of ``_CHUNK_SCENES``, at most
-    ``2 * workers`` chunks at a time. ``workers`` threads assemble each
-    chunk's constraint vectors from the provider, so that remote lookups
-    overlap; ``workers`` processes solve them (one worker solves inline,
-    and no process starts for input without a novel detection); the
-    threads then decide and debate each scene's objects. A provider
-    failure skips that scene: the original record is passed through with
-    an error log entry.
+    Scenes go through in chunks of ``_CHUNK_SCENES`` on ``2 * workers``
+    provider I/O threads, each taking one chunk at a time, so at most that
+    many chunks are in flight and remote lookups overlap. A thread assembles
+    its chunk's constraint vectors, has one of ``workers`` solver processes
+    solve them (one worker solves inline, and no process starts for input
+    without a novel detection), then decides and debates each scene's
+    objects. A provider failure skips that scene: the original record is
+    passed through with an error log entry. Any other error propagates, and
+    no chunk starts once it has reached the caller.
     """
     novel = any(provider.is_novel(d.label) for record in records for d in record.detections)
-    solver = _solver_pool(workers) if workers > 1 and novel else _InlineExecutor()
+    solver = _solver_pool(workers) if workers > 1 and novel else None
 
-    def start(chunk):
+    def run_chunk(chunk: Sequence[SceneRecord]) -> list[tuple[SceneRecord, RefinementLog]]:
         parts: list[list[ConstraintVector | None] | ProviderError] = []
         for record in chunk:
             try:
@@ -382,32 +358,28 @@ def refine_scenes(
             except ProviderError as exc:
                 parts.append(exc)
         xs = [x for part in parts if isinstance(part, list) for x in _novel_triples(part)]
-        return chunk, parts, solver.submit(_solve_chunk, cfg.rule_weights, cfg.policy, xs)
-
-    def skip(record, exc):
-        return record, RefinementLog(record.scene_id, (), error=str(exc))
-
-    def finish(chunk, parts, solutions):
-        solved = iter(solutions)
+        args = (cfg.rule_weights, cfg.policy, xs)
+        solved = iter(
+            _solve_chunk(*args) if solver is None else solver.submit(_solve_chunk, *args).result()
+        )
         out = []
         for record, part in zip(chunk, parts):
-            if isinstance(part, ProviderError):
-                out.append(skip(record, part))
-                continue
-            own = list(islice(solved, sum(x is not None for x in part)))
             try:
+                if isinstance(part, ProviderError):
+                    raise part
+                own = list(islice(solved, sum(x is not None for x in part)))
                 out.append(_finish(record, part, own, provider, cfg, client))
             except ProviderError as exc:
-                out.append(skip(record, exc))
+                out.append((record, RefinementLog(record.scene_id, (), error=str(exc))))
         return out
 
-    chunks = (records[i : i + _CHUNK_SCENES] for i in range(0, len(records), _CHUNK_SCENES))
-    with solver, ThreadPoolExecutor(max_workers=workers) as io:
-        started = _in_order((io.submit(start, chunk) for chunk in chunks), workers)
-        finished = (
-            io.submit(finish, chunk, parts, solving.result()) for chunk, parts, solving in started
-        )
-        return [result for results in _in_order(finished, workers) for result in results]
+    chunks = [records[i : i + _CHUNK_SCENES] for i in range(0, len(records), _CHUNK_SCENES)]
+    try:
+        with ThreadPoolExecutor(2 * workers) as io:
+            return [result for results in io.map(run_chunk, chunks) for result in results]
+    finally:
+        if solver is not None:
+            solver.shutdown()
 
 
 # --------------------------------------------------------------------------

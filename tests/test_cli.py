@@ -32,6 +32,14 @@ def assert_short_box_error(code, capsys, where):
     assert "Traceback" not in err
 
 
+def chair_line(fields):
+    """A detections line with one library chair, given its score fields."""
+    return (
+        '{"scene_id": "s1", "scene_type": "library", "detections": [{"box": '
+        '[0, 0, 0.5, 1, 1, 1, 0], "label": "chair", ' + fields + "}]}"
+    )
+
+
 @pytest.fixture
 def case_files(tmp_path):
     detections = tmp_path / "detections.jsonl"
@@ -133,10 +141,23 @@ class TestRefine:
             ("{not json", "Expecting property name"),
             ("[1, 2]", "expected a JSON object, got list"),
             ('{"scene_id": "s1", "detections": []}', "missing field 'scene_type'"),
-            ('{"scene_id": "s1", "scene_type": "library", "detections": [{"box": '
-             '[0, 0, 0.5, 1, 1, 1, 0], "label": "chair", "score": 2}]}', "score must be in [0, 1]"),
+            (chair_line('"score": 2'), "score must be in [0, 1]"),
+            # JSON NaN and Infinity parse as floats, and no comparison admits NaN
+            (chair_line('"score": NaN'), "score must be in [0, 1], got nan"),
+            (chair_line('"score": Infinity'), "score must be in [0, 1], got inf"),
+            (chair_line('"score": -Infinity'), "score must be in [0, 1], got -inf"),
+            *[
+                (
+                    chair_line(f'"score": 0.9, "class_scores": {{"chair": {bad}}}'),
+                    f"class score for 'chair' is {shown}, outside [0, 1]",
+                )
+                for bad, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"))
+            ],
         ],
-        ids=["json", "array", "field", "value"],
+        ids=[
+            "json", "array", "field", "value", "score-NaN", "score-Infinity", "score--Infinity",
+            "class-score-NaN", "class-score-Infinity", "class-score--Infinity",
+        ],
     )
     def test_bad_detections_line_names_file_and_line(self, case_files, capsys, line, message):
         path = case_files["detections"]
@@ -390,6 +411,26 @@ class TestBaol:
         code = main(["baol", "--proposals", str(path), "--lambda-baol", "1.0"])
         assert_short_box_error(code, capsys, "scene 0 proposal 1")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "Expecting property name"),
+            ('{"boxes": [], "fg_scores": []}', "missing field 'class_scores'"),
+        ],
+        ids=["json", "field"],
+    )
+    def test_bad_line_names_file_and_line_before_any_output(
+        self, tmp_path, capsys, line, message
+    ):
+        scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
+        path = tmp_path / "proposals.jsonl"
+        path.write_text(json.dumps(scene) + "\n" + line + "\n")
+        code = main(["baol", "--proposals", str(path), "--lambda-baol", "1.0"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"input error: {path}:2: ") and message in err
+
     def test_lambda_required(self, tmp_path, capsys):
         path = tmp_path / "proposals.jsonl"
         path.write_text("{}\n")
@@ -482,6 +523,11 @@ class TestConfigFile:
             # a semaphore of 0 admits no request, so `refine --llm remote` would hang
             ("llm_max_in_flight", 0, "llm_max_in_flight must be at least 1, got 0"),
             ("llm_max_in_flight", -1, "llm_max_in_flight must be at least 1, got -1"),
+            # no attempt, or one that cannot wait, would quietly answer from the KB
+            ("llm_retries", -1, "llm_retries must be at least 0, got -1"),
+            ("llm_timeout", 0, "llm_timeout must be a finite number above 0, got 0"),
+            ("llm_timeout", -1, "llm_timeout must be a finite number above 0, got -1"),
+            ("llm_timeout", float("nan"), "llm_timeout must be a finite number above 0, got nan"),
         ],
     )
     def test_bad_config_value_is_input_error(

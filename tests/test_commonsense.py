@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -278,6 +281,23 @@ class TestLlmClient:
         with pytest.raises(ValueError, match="max_in_flight must be at least 1"):
             LlmClient(endpoint="http://llm.test", max_in_flight=max_in_flight)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"retries": -1}, "retries must be at least 0, got -1"),
+            ({"timeout": 0}, "timeout must be a finite number above 0, got 0"),
+            ({"timeout": -1.0}, "timeout must be a finite number above 0, got -1.0"),
+            ({"timeout": math.nan}, "timeout must be a finite number above 0, got nan"),
+            ({"timeout": math.inf}, "timeout must be a finite number above 0, got inf"),
+        ],
+        ids=["retries-1", "timeout0", "timeout-1", "timeoutNaN", "timeoutInf"],
+    )
+    def test_no_attempt_or_no_wait_rejected(self, kwargs, message):
+        # either would fail every request, which the KB fallback hides
+        with pytest.raises(ValueError) as err:
+            LlmClient(endpoint="http://llm.test", **kwargs)
+        assert str(err.value) == message
+
     def test_retry_then_success(self):
         transport = StubTransport({"common size": "2.0*0.9*0.75"}, fail_first=2)
         client = make_client(transport, retries=2)
@@ -339,7 +359,75 @@ class TestLlmQueries:
             llm_query_scene("toilet", "living room", client)
 
 
+class HoldingTransport:
+    """Holds every request until ``n`` have arrived or ``hold`` seconds pass,
+    so that lookups made at once overlap; then replies ``text``, or fails
+    when it is None."""
+
+    def __init__(self, n, text=None, hold=0.2):
+        self.n, self.text, self.hold = n, text, hold
+        self.calls = 0
+        self._lock = threading.Lock()
+        self._all_in = threading.Event()
+
+    def __call__(self, url, api_key, payload, timeout):
+        with self._lock:
+            self.calls += 1
+            if self.calls >= self.n:
+                self._all_in.set()
+        self._all_in.wait(self.hold)
+        if self.text is None:
+            raise OSError("connection refused")
+        return {"text": self.text}
+
+
+def look_up_at_once(n, lookup):
+    """``lookup(i)`` on threads ``i`` in ``range(n)`` started together: each
+    one's result or error."""
+    start = threading.Barrier(n)
+    out = [None] * n
+
+    def run(i):
+        start.wait(30)
+        try:
+            out[i] = lookup(i)
+        except Exception as exc:
+            out[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads)
+    return out
+
+
 class TestRemoteProvider:
+    @pytest.mark.parametrize(
+        "text, lookup, answer",
+        [
+            ("0.5*0.5*0.9", lambda p: p.size_prior("chair"), SizePrior(0.5, 0.5, 0.9)),
+            ("Yes.", lambda p: p.scene_compatible("chair", "library"), 1),
+        ],
+        ids=["size", "scene"],
+    )
+    def test_lookups_at_once_share_one_request(self, text, lookup, answer):
+        transport = HoldingTransport(4, text)
+        provider = RemoteKnowledgeProvider(make_client(transport))
+        assert look_up_at_once(4, lambda _: lookup(provider)) == [answer] * 4
+        assert transport.calls == 1
+
+    def test_lookups_at_once_share_a_failure_that_is_not_remembered(self):
+        transport = HoldingTransport(4)
+        provider = RemoteKnowledgeProvider(make_client(transport, retries=0))
+        errors = look_up_at_once(4, lambda _: provider.size_prior("chair"))
+        assert all(isinstance(e, ProviderError) for e in errors)
+        assert transport.calls == 1
+        with pytest.raises(ProviderError):
+            provider.size_prior("chair")
+        assert transport.calls == 2
+
     def test_caches_per_class(self):
         transport = StubTransport({"common size of a desk": "1.4*0.7*0.75"})
         provider = RemoteKnowledgeProvider(make_client(transport))
@@ -355,6 +443,35 @@ class TestRemoteProvider:
         provider.scene_compatible("chair", "library")
         provider.scene_compatible("chair", "office")
         assert len(transport.calls) == 2
+
+    def test_many_threads_ask_each_query_once(self):
+        kb = default_knowledge_base()
+        labels = sorted(kb.sizes)
+        asked = []
+        lock = threading.Lock()
+
+        def transport(url, api_key, payload, timeout):
+            with lock:
+                asked.append(payload["prompt"])
+            time.sleep(0.001)  # a round trip, during which other threads look up
+            return {"text": "Yes."}
+
+        provider = RemoteKnowledgeProvider(make_client(transport))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # each thread walks the labels from its own offset
+            answers = look_up_at_once(
+                16,
+                lambda i: [
+                    provider.scene_compatible(labels[(i + j) % len(labels)], "office")
+                    for j in range(len(labels))
+                ],
+            )
+        finally:
+            sys.setswitchinterval(switch)
+        assert answers == [[1] * len(labels)] * 16
+        assert sorted(asked) == sorted(scene_prompt(label, "office") for label in labels)
 
     def test_network_failure_falls_back_to_kb(self):
         kb = default_knowledge_base()

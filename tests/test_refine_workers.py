@@ -10,6 +10,7 @@ from conftest import case_study_scenes
 from ovrefine import pipeline
 from ovrefine.commonsense import (
     LlmClient,
+    MissingSizePriorError,
     ProviderError,
     RemoteKnowledgeProvider,
     SceneContext,
@@ -32,7 +33,7 @@ WORKER_COUNTS = (1, 2, 3)
 
 @pytest.fixture(scope="module")
 def scenes():
-    # more chunks than the largest window (2 x 3 workers) holds at once
+    # more chunks than the 2 x 3 threads of the largest worker count take at once
     _, detections = generate_synthetic_scenes(
         default_knowledge_base(), seed=7, n_scenes=2 * max(WORKER_COUNTS) * CHUNK + CHUNK // 2
     )
@@ -119,6 +120,50 @@ class TestWorkerCounts:
                 library, RefinementLog(library.scene_id, (), "coffee tables unknown")
             )
             assert_same([refined], [refine_scene(living_room, provider)])
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_other_errors_propagate_and_stop_the_run(self, scenes, monkeypatch, workers):
+        chunk = 4
+        monkeypatch.setattr(pipeline, "_CHUNK_SCENES", chunk)
+        # the failing chunk comes after the first 2 * workers chunks the
+        # threads take; the last chunk lies more than that many beyond it
+        failing = 2 * max(WORKER_COUNTS) + 1
+        n_chunks = failing + 2 * max(WORKER_COUNTS) + 2
+        release = threading.Event()
+        seen = set()
+
+        class Gryphons(StaticKnowledgeProvider):
+            def is_novel(self, label):
+                return label == "gryphon" or super().is_novel(label)
+
+            def scene_compatible(self, label, scene_type):
+                # scenes after the failing chunk wait until refine_scenes
+                # shuts its threads down, so none can finish and free a
+                # thread for a further chunk before the error arrives
+                if scene_type.startswith("later "):
+                    seen.add(int(scene_type.removeprefix("later ")))
+                    assert release.wait(60)
+                return super().scene_compatible(label, scene_type)
+
+        class Releasing(concurrent.futures.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                release.set()
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Releasing)
+        provider = Gryphons(default_knowledge_base())
+        records = list(scenes[: n_chunks * chunk])
+        first = records[failing * chunk]
+        gryphon = Detection(first.detections[0].box, "gryphon", 0.9)
+        records[failing * chunk] = replace(first, detections=(gryphon, *first.detections))
+        for i in range((failing + 1) * chunk, len(records)):
+            records[i] = replace(records[i], scene=SceneContext(f"later {i}"))
+        last = range((n_chunks - 1) * chunk, len(records))
+        assert any(provider.is_novel(d.label) for i in last for d in records[i].detections)
+
+        with pytest.raises(MissingSizePriorError, match="gryphon"):
+            refine_scenes(records, provider, workers=workers)
+        assert seen.isdisjoint(last)
 
     def test_remote_provider_and_judge(self, scenes):
         kb = default_knowledge_base()
