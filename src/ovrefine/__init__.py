@@ -73,6 +73,7 @@ from .psl import (
     implies,
     parse_rules,
     solve,
+    solve_decisions,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .commonsense import (
 )
 from .geometry import ScoredBox, parse_box, soft_nms
 from .jsonl import read_jsonl
-from .psl import ConstraintVector, SelectionPolicy, build_decision_rules, decide, solve
+from .psl import SelectionPolicy, decide, solve_decisions
 
 __all__ = ["RunConfig", "main", "entry_point"]
 
@@ -121,7 +121,8 @@ class RunConfig:
                 if unknown:
                     raise ValueError(f"unknown config keys: {sorted(unknown)}")
                 return cls(**data)
-            except ValueError as exc:
+            # a document nested past the recursion limit makes the decoder raise
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}: {exc}") from None
 
     def override(self, args: argparse.Namespace) -> "RunConfig":
@@ -202,9 +203,8 @@ def cmd_refine(config: RunConfig) -> int:
 
 
 def cmd_solve_psl(config: RunConfig, x_conf: float, x_size: float, x_scene: float) -> int:
-    x = ConstraintVector(x_conf, x_size, x_scene)
-    rules = build_decision_rules(x, (config.alpha1, config.alpha2, config.alpha3))
-    solution = solve(rules, _POLICIES[config.policy])
+    weights = (config.alpha1, config.alpha2, config.alpha3)
+    (solution,) = solve_decisions([(x_conf, x_size, x_scene)], weights, _POLICIES[config.policy])
     decision = decide(solution, config.phi_keep, config.phi_recls)
     print(
         f"y_keep={solution.y_keep:.6f} y_recls={solution.y_recls:.6f} "

@@ -34,7 +34,6 @@ __all__ = [
     "StaticKnowledgeProvider",
     "RemoteKnowledgeProvider",
     "LlmClient",
-    "SCENE_DESCRIBE_PROMPT",
     "size_prompt",
     "scene_prompt",
     "parse_size_reply",
@@ -51,10 +50,8 @@ __all__ = [
 ENDPOINT_ENV = "GLRD_LLM_ENDPOINT"
 API_KEY_ENV = "GLRD_LLM_KEY"
 
+
 # Prompt templates sent verbatim to the language model.
-SCENE_DESCRIBE_PROMPT = "What kind of scene is it mostly like? Describe the scene."
-
-
 def size_prompt(label: str) -> str:
     return (
         f"What is the common size of a {label}? "
@@ -173,7 +170,8 @@ def load_knowledge_base(path) -> KnowledgeBase:
     with open(path, encoding="utf-8") as fh:
         try:
             return KnowledgeBase.from_dict(json.load(fh))
-        except (ValueError, TypeError) as exc:
+        # a document nested past the recursion limit makes the decoder raise
+        except (ValueError, TypeError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

@@ -11,9 +11,9 @@ T = TypeVar("T")
 def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
     """``parse`` of each non-blank line of ``path``, each line a JSON object.
 
-    A line that is not a JSON object, or whose object ``parse`` rejects with
-    a ``ValueError``, ``TypeError`` or ``KeyError``, raises ``ValueError``
-    prefixed ``path:line:``.
+    A line that is not a JSON object, that nests too deeply for the decoder,
+    or whose object ``parse`` rejects with a ``ValueError``, ``TypeError`` or
+    ``KeyError``, raises ``ValueError`` prefixed ``path:line:``.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -27,6 +27,6 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
                 out.append(parse(data))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

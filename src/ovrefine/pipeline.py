@@ -31,15 +31,10 @@ from .commonsense import (
 )
 from .geometry import Box7DoF, iou3d, parse_box
 from .jsonl import read_jsonl
-from .psl import (
-    ConstraintVector,
-    Decision,
-    SelectionPolicy,
-    SolverOutput,
-    build_decision_rules,
-    decide,
-    solve,
-)
+from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
+
+# perfbench/tracecli.py wraps these by attribute on this module; they are not called here
+from .psl import build_decision_rules, solve  # noqa: F401
 
 __all__ = [
     "Detection",
@@ -225,28 +220,10 @@ def _assemble(
     ]
 
 
-def _solve_chunk(
-    weights: tuple[float, float, float],
-    policy: SelectionPolicy,
-    xs: Sequence[tuple[float, float, float]],
-) -> list[tuple[float, float, float]]:
-    """``(y_keep, y_recls, objective)`` of the decision program of each
-    ``(conf, size, scene)`` triple.
-
-    It uses only its arguments, so a worker process can run it under any
-    start method; pickle carries the floats both ways exactly.
-    """
-    out = []
-    for x in xs:
-        solution = solve(build_decision_rules(ConstraintVector(*x), weights), policy)
-        out.append((solution.y_keep, solution.y_recls, solution.objective))
-    return out
-
-
 def _finish(
     record: SceneRecord,
     vectors: Sequence[ConstraintVector | None],
-    solutions: Sequence[tuple[float, float, float]],
+    solutions: Sequence[SolverOutput],
     provider,
     cfg: RefinementConfig,
     client: LlmClient | None,
@@ -259,7 +236,7 @@ def _finish(
         if x is None:
             kept.append(detection)
             continue
-        solution = SolverOutput(*next(solved))
+        solution = next(solved)
         decision = decide(solution, cfg.phi_keep, cfg.phi_recls)
         final_label: str | None = detection.label
         transcript: tuple[tuple[str, str], ...] = ()
@@ -296,7 +273,7 @@ def refine_scene(
     mutated.
     """
     vectors = _assemble(record, provider, cfg)
-    solutions = _solve_chunk(cfg.rule_weights, cfg.policy, _novel_triples(vectors))
+    solutions = solve_decisions(_novel_triples(vectors), cfg.rule_weights, cfg.policy)
     return _finish(record, vectors, solutions, provider, cfg, client)
 
 
@@ -358,9 +335,11 @@ def refine_scenes(
             except ProviderError as exc:
                 parts.append(exc)
         xs = [x for part in parts if isinstance(part, list) for x in _novel_triples(part)]
-        args = (cfg.rule_weights, cfg.policy, xs)
+        args = (xs, cfg.rule_weights, cfg.policy)
         solved = iter(
-            _solve_chunk(*args) if solver is None else solver.submit(_solve_chunk, *args).result()
+            solve_decisions(*args)
+            if solver is None
+            else solver.submit(solve_decisions, *args).result()
         )
         out = []
         for record, part in zip(chunk, parts):

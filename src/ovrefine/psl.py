@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "SelectionPolicy",
     "SolverOutput",
     "solve",
+    "solve_decisions",
     "brute_force_solve",
     "Decision",
     "decide",
@@ -234,7 +235,7 @@ class Rule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", float(self.weight))
-        if self.weight < 0:
+        if not self.weight >= 0:
             raise ValueError(f"rule weight must be nonnegative, got {self.weight}")
 
 
@@ -444,12 +445,29 @@ class ConstraintVector:
     scene: float
 
     def __post_init__(self) -> None:
-        for name, value in (("conf", self.conf), ("size", self.size), ("scene", self.scene)):
-            if not 0 <= value <= 1:
-                raise ValueError(f"constraint {name}={value} outside [0, 1]")
+        _constraint_bindings(self.conf, self.size, self.scene)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.conf, self.size, self.scene)
+
+
+def _constraint_bindings(conf: float, size: float, scene: float) -> dict[str, float]:
+    """The bound variables of the decision rules, each checked to lie in [0, 1]."""
+    for name, value in (("conf", conf), ("size", size), ("scene", scene)):
+        if not 0 <= value <= 1:
+            raise ValueError(f"constraint {name}={value} outside [0, 1]")
+    return {CONF_VAR: conf, SIZE_VAR: size, SCENE_VAR: scene}
+
+
+def _decision_rules(weights: tuple[float, float, float]) -> tuple[Rule, ...]:
+    conf, size, scene = Var(CONF_VAR), Var(SIZE_VAR), Var(SCENE_VAR)
+    keep, recls = Var(KEEP_VAR), Var(RECLS_VAR)
+    w1, w2, w3 = weights
+    return (
+        Rule(w1, implies(And(And(conf, size), scene), And(keep, Not(recls)))),
+        Rule(w2, implies(And(conf, Not(And(size, scene))), Or(Not(keep), recls))),
+        Rule(w3, implies(Not(conf), Not(keep))),
+    )
 
 
 def build_decision_rules(
@@ -461,16 +479,8 @@ def build_decision_rules(
     - confident but a bad fit   ->  drop or reclassify
     - not confident             ->  drop
     """
-    conf, size, scene = Var(CONF_VAR), Var(SIZE_VAR), Var(SCENE_VAR)
-    keep, recls = Var(KEEP_VAR), Var(RECLS_VAR)
-    w1, w2, w3 = weights
-    rules = (
-        Rule(w1, implies(And(And(conf, size), scene), And(keep, Not(recls)))),
-        Rule(w2, implies(And(conf, Not(And(size, scene))), Or(Not(keep), recls))),
-        Rule(w3, implies(Not(conf), Not(keep))),
-    )
-    bindings = {CONF_VAR: x.conf, SIZE_VAR: x.size, SCENE_VAR: x.scene}
-    return RuleSet(rules, (KEEP_VAR, RECLS_VAR), bindings)
+    bindings = _constraint_bindings(*x.as_tuple())
+    return RuleSet(_decision_rules(weights), (KEEP_VAR, RECLS_VAR), bindings)
 
 
 # --------------------------------------------------------------------------
@@ -594,15 +604,16 @@ def _pwl(expr: SoftExpr, bindings: Mapping[str, float]):
     return pieces
 
 
-def _objective_complex(ruleset: RuleSet):
+def _objective_complex(rules: Sequence[Rule], bindings: Mapping[str, float]):
     total = [(list(_UNIT_SQUARE), (0.0, 0.0, 0.0))]
-    for rule in ruleset.rules:
+    for rule in rules:
+        pieces = _pwl(rule.expr, bindings)
+        w = rule.weight
         merged = []
         for poly_t, (at, bt, ct) in total:
-            for poly_r, (ar, br, cr) in _pwl(rule.expr, ruleset.bindings):
+            for poly_r, (ar, br, cr) in pieces:
                 poly = _poly_intersect(poly_t, poly_r)
                 if len(poly) >= 3 and abs(_poly_area(poly)) > 1e-14:
-                    w = rule.weight
                     merged.append((poly, (at + w * ar, bt + w * br, ct + w * cr)))
         total = merged
     return total
@@ -640,7 +651,40 @@ def solve(
             f"solver requires free variables {{{KEEP_VAR!r}, {RECLS_VAR!r}}}, "
             f"got {sorted(ruleset.free_vars)}"
         )
-    complex_ = _objective_complex(ruleset)
+    return _solve(ruleset.rules, ruleset.bindings, policy)
+
+
+def solve_decisions(
+    xs: Iterable[tuple[float, float, float]],
+    weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
+    policy: SelectionPolicy = SelectionPolicy.SCENE_CONSERVATIVE,
+) -> list[SolverOutput]:
+    """The solution of the decision program for each ``(conf, size, scene)``.
+
+    The three decision rules are built once per call and solved under each
+    triple's bindings, with no `RuleSet` per object. Raises ``ValueError``,
+    before any solve, for a constraint outside [0, 1] or NaN, then for a
+    negative or NaN weight.
+
+    Each result is bit for bit
+    ``solve(build_decision_rules(ConstraintVector(*x), weights), policy)``:
+    the benchmark's reference digest of the refine log pins the solver's
+    last-bit rounding, so this runs the same cell-complex arithmetic in the
+    same order. A faster closed form has to wait until that check compares
+    the solver's floats within a tolerance.
+
+    It uses only its arguments, so a worker process can run it under any
+    start method; pickle carries the floats both ways exactly.
+    """
+    bindings = [_constraint_bindings(*x) for x in xs]
+    rules = _decision_rules(weights)
+    return [_solve(rules, bound, policy) for bound in bindings]
+
+
+def _solve(
+    rules: Sequence[Rule], bindings: Mapping[str, float], policy: SelectionPolicy
+) -> SolverOutput:
+    complex_ = _objective_complex(rules, bindings)
     best = -float("inf")
     vertices = []  # (value, x, y)
     for poly, (a, b, c) in complex_:
@@ -654,7 +698,7 @@ def solve(
 
     effective = policy
     if policy is SelectionPolicy.SCENE_CONSERVATIVE:
-        scene = ruleset.bindings.get(SCENE_VAR, 1.0)
+        scene = bindings.get(SCENE_VAR, 1.0)
         effective = (
             SelectionPolicy.MIN_KEEP if scene == 0 else SelectionPolicy.MAX_KEEP_MIN_RECLS
         )

@@ -66,7 +66,7 @@ class TestRefine:
         refined = load_scenes(case_files["out"])
         labels = sorted(d.label for r in refined for d in r.detections)
         assert labels == ["chair", "chair", "coffee table", "sofa"]
-        log_lines = [json.loads(l) for l in open(case_files["log"])]
+        log_lines = [json.loads(l) for l in Path(case_files["log"]).read_text().splitlines()]
         assert [entry["scene_id"] for entry in log_lines] == ["living-room-case", "library-case"]
         book = log_lines[1]["objects"][0]
         assert book["decision"] == "reclassify"
@@ -227,7 +227,7 @@ class TestRefine:
         assert "kept 2, removed 1, reclassified 1" in capsys.readouterr().out
         offline_out = tmp_path / "offline.jsonl"
         main(["refine", "--detections", case_files["detections"], "--out", str(offline_out)])
-        assert open(case_files["out"]).read() == offline_out.read_text()
+        assert Path(case_files["out"]).read_text() == offline_out.read_text()
 
     def test_unabsorbed_provider_failure_exits_2(self, case_files, monkeypatch, capsys):
         # a provider failure the fallback chain cannot absorb skips the
@@ -260,7 +260,7 @@ class TestRefine:
         assert sorted(d.label for r in refined for d in r.detections) == [
             "book", "chair", "chair", "sofa", "toilet",
         ]
-        logs = [json.loads(l) for l in open(case_files["log"])]
+        logs = [json.loads(l) for l in Path(case_files["log"]).read_text().splitlines()]
         assert all(entry.get("error") for entry in logs)
 
     def test_worker_count_determinism(self, tmp_path):

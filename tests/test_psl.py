@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ovrefine import psl
 from ovrefine.psl import (
     And,
     Const,
@@ -24,6 +27,7 @@ from ovrefine.psl import (
     implies,
     parse_rules,
     solve,
+    solve_decisions,
     UnboundVariableError,
 )
 
@@ -303,6 +307,102 @@ class TestSolve:
                 out = solve(rs, policy)
                 at_point = rs.total_value({"y_keep": out.y_keep, "y_recls": out.y_recls})
                 assert at_point == pytest.approx(out.objective, abs=1e-9)
+
+
+def floats(out):
+    return repr((out.y_keep, out.y_recls, out.objective))
+
+
+def reference_floats(x, weights, policy):
+    return floats(solve(build_decision_rules(ConstraintVector(*x), weights), policy))
+
+
+class TestSolveDecisions:
+    """`solve_decisions` is bit for bit the general solver on the decision rules."""
+
+    WEIGHTS = [(1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (2.0, 0.0, 0.5), (0.0, 0.0, 0.0)]
+
+    def instances(self):
+        rng = np.random.default_rng(20261018)
+        corners = [(c, s, k) for c in (0, 1) for s in (0, 1) for k in (0, 1)]
+        xs = [tuple(float(v) for v in rng.uniform(0.0, 1.0, 3)) for _ in range(500)]
+        # scene exactly 0 switches the scene-conservative policy to min-keep
+        xs += [(float(c), float(s), 0.0) for c, s in rng.uniform(0.0, 1.0, (200, 2))]
+        xs += [tuple(float(v) for v in rng.choice([0.0, 0.5, 1.0], 3)) for _ in range(132)]
+        return xs + corners
+
+    def test_matches_solve_bit_for_bit(self):
+        xs = self.instances()
+        checked = 0
+        for policy in SelectionPolicy:
+            for weights in self.WEIGHTS:
+                got = solve_decisions(xs, weights, policy)
+                assert len(got) == len(xs)
+                for x, out in zip(xs, got):
+                    expected = reference_floats(x, weights, policy)
+                    assert floats(out) == expected, (x, weights, policy)
+                checked += len(xs)
+        assert checked >= 10_000
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        weights=st.tuples(*[st.floats(0.0, 10.0)] * 3),
+        policy=st.sampled_from(list(SelectionPolicy)),
+    )
+    def test_matches_solve_property(self, x, weights, policy):
+        (out,) = solve_decisions([x], weights, policy)
+        assert floats(out) == reference_floats(x, weights, policy)
+
+    def test_defaults(self):
+        x = (0.9, 0.5419, 1.0)
+        (out,) = solve_decisions([x])
+        assert floats(out) == reference_floats(
+            x, (1.0, 1.0, 1.0), SelectionPolicy.SCENE_CONSERVATIVE
+        )
+        assert solve_decisions([]) == []
+
+    @pytest.mark.parametrize(
+        "x", [(float("nan"), 0.5, 0.5), (0.5, -0.1, 0.5), (0.5, 0.5, 1.1), (0.5, 0.5, float("inf"))]
+    )
+    def test_rejects_bad_constraints(self, x):
+        with pytest.raises(ValueError, match="outside"):
+            solve_decisions([(0.5, 0.5, 0.5), x])
+
+    @pytest.mark.parametrize("weights", [(1.0, -0.5, 1.0), (1.0, 1.0, float("nan"))])
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_decisions([(0.5, 0.5, 0.5)], weights)
+
+    def test_rule_sets_built_do_not_grow_with_input(self, monkeypatch):
+        built = []
+        original = RuleSet.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(RuleSet, "__post_init__", counting)
+        counts = []
+        for n in (1, 50):
+            built.clear()
+            solve_decisions([(0.8, 0.6, 1.0)] * n)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    def test_builds_each_rule_complex_once_per_solve(self, monkeypatch):
+        calls = []
+        original = psl._pwl
+
+        def counting(expr, bindings):
+            calls.append(expr)
+            return original(expr, bindings)
+
+        monkeypatch.setattr(psl, "_pwl", counting)
+        solve_decisions([(0.8, 0.6, 1.0)])
+        rules = build_decision_rules(ConstraintVector(0.8, 0.6, 1.0)).rules
+        rule_exprs = [rule.expr for rule in rules]
+        assert [expr for expr in calls if expr in rule_exprs] == rule_exprs
 
 
 class TestBruteForceSolve:
