@@ -17,7 +17,6 @@ from ovrefine import (
     decide,
     eval_expr,
     implies,
-    parse_rules,
     solve,
 )
 
@@ -36,14 +35,6 @@ print("!(a & b) with vars =", eval_expr(Not(And(Var("a"), Var("b"))), {"a": 0.9,
 x = ConstraintVector(conf=0.9, size=0.5419, scene=1.0)
 rules = build_decision_rules(x)
 print("\nrules over free", rules.free_vars, "with bindings", rules.bindings)
-
-# The same rule set can come from the text DSL.
-text = """
-1.0 : x_conf & x_size & x_scene -> y_keep & !y_recls
-1.0 : x_conf & !(x_size & x_scene) -> !y_keep | y_recls
-1.0 : !x_conf -> !y_keep
-"""
-assert parse_rules(text).bind(x_conf=0.9, x_size=0.5419, x_scene=1.0) == rules
 
 # --- Exact maximization vs. the grid oracle ----------------------------------
 # The weighted rule sum is piecewise linear in (y_keep, y_recls), so the

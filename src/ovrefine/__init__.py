@@ -71,7 +71,6 @@ from .psl import (
     decide,
     eval_expr,
     implies,
-    parse_rules,
     solve,
     solve_decisions,
 )

@@ -397,5 +397,20 @@ def load_pseudo_labels(path) -> list[tuple[str, list[PseudoLabel2D]]]:
 
 
 def load_loss_stream(path) -> list[dict[str, float]]:
-    """Loss-stream records: one class-to-loss JSON mapping per line."""
-    return read_jsonl(path, lambda record: {str(k): float(v) for k, v in record.items()})
+    """Loss-stream records: one class-to-loss JSON mapping per line.
+
+    Each loss must be a finite number at least 0: a NaN would rank first in
+    the weight update, and `dbc_accumulate` rejects a negative one too late
+    to name the line.
+    """
+
+    def record(data: dict) -> dict[str, float]:
+        losses = {str(k): float(v) for k, v in data.items()}
+        for label, value in losses.items():
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"loss for {label!r} must be a finite number at least 0, got {value}"
+                )
+        return losses
+
+    return read_jsonl(path, record)

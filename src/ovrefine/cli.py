@@ -36,6 +36,7 @@ from .psl import SelectionPolicy, decide, solve_decisions
 __all__ = ["RunConfig", "main", "entry_point"]
 
 _POLICIES = {policy.value: policy for policy in SelectionPolicy}
+_LLM_MODES = ("off", "remote")
 # the values a RunConfig field of each type accepts: a float field takes an int
 _ACCEPTS = {str: str, int: int, float: (int, float)}
 
@@ -109,6 +110,14 @@ class RunConfig:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         if not 0 < self.llm_timeout < math.inf:
             raise ValueError(f"llm_timeout must be a finite number above 0, got {self.llm_timeout}")
+        for name in ("alpha1", "alpha2", "alpha3"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number at least 0, got {value}")
+        for name, allowed in (("policy", sorted(_POLICIES)), ("llm", _LLM_MODES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -134,10 +143,6 @@ class RunConfig:
         return replace(self, **updates)
 
     def refinement(self) -> pipeline.RefinementConfig:
-        if self.policy not in _POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}, expected one of {sorted(_POLICIES)}"
-            )
         return pipeline.RefinementConfig(
             rule_weights=(self.alpha1, self.alpha2, self.alpha3),
             phi_keep=self.phi_keep,
@@ -162,8 +167,6 @@ def _make_provider(config: RunConfig):
             max_in_flight=config.llm_max_in_flight,
         )
         return RemoteKnowledgeProvider(client, kb), client
-    if config.llm != "off":
-        raise ValueError(f"--llm must be 'off' or 'remote', got {config.llm!r}")
     return StaticKnowledgeProvider(kb), None
 
 
@@ -396,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "byte-identical for any N",
         )
         p.add_argument("--seed", type=int)
-        p.add_argument("--llm", choices=["off", "remote"])
+        p.add_argument("--llm", choices=_LLM_MODES)
 
     p = sub.add_parser("refine", help="refine a detections file")
     common(p)
@@ -461,8 +464,8 @@ def main(argv=None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return 2
-    # rule-syntax and JSON errors are ValueErrors; a missing size prior is a
-    # LookupError
+    # JSON errors and rejected values are ValueErrors; a missing size prior is
+    # a LookupError
     except (OSError, ValueError, LookupError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

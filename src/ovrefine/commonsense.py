@@ -86,6 +86,10 @@ class SceneContext:
     description: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("scene_type", "description"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"{name} must be a string, got {type(value).__name__}")
         if not self.scene_type:
             raise ValueError("scene_type must be non-empty")
 

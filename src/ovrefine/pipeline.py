@@ -65,6 +65,8 @@ class Detection:
     class_scores: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a string, got {type(self.label).__name__}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.class_scores is not None:

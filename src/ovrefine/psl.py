@@ -1,12 +1,15 @@
-"""Lukasiewicz soft logic: expression trees, a small rule DSL, and exact
-maximization of weighted rule sets over the two decision variables.
+"""Lukasiewicz soft logic: expression trees, weighted rule sets, and exact
+maximization of a rule set over the two decision variables.
 
 Semantics on [0, 1]:
 
     x & y  =  max(x + y - 1, 0)
     x | y  =  min(x + y, 1)
     !x     =  1 - x
-    x -> y =  !x | y          (desugared at construction)
+    x -> y =  !x | y          (desugared at construction, by `implies`)
+
+Rules are built from the constructors `Var`, `Const`, `Not`, `And`, `Or` and
+`implies`; the infix forms above are notation only.
 
 A weighted rule set over the free variables ``y_keep`` and ``y_recls`` is a
 piecewise-linear function of the pair, so its exact maximum is found by
@@ -23,7 +26,6 @@ that the grid oracle uses.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
@@ -39,13 +41,9 @@ __all__ = [
     "SoftExpr",
     "implies",
     "eval_expr",
-    "format_expr",
     "UnboundVariableError",
     "Rule",
     "RuleSet",
-    "RuleSyntaxError",
-    "parse_rules",
-    "format_rules",
     "ConstraintVector",
     "KEEP_VAR",
     "RECLS_VAR",
@@ -193,26 +191,6 @@ def _depends_on(expr, bound: frozenset) -> bool:
     return _depends_on(expr.left, bound) or _depends_on(expr.right, bound)
 
 
-_PRECEDENCE = {Or: 1, And: 2, Not: 3}
-
-
-def format_expr(expr: SoftExpr) -> str:
-    """Pretty-print an expression in the rule-DSL syntax (round-trips)."""
-
-    def fmt(node, parent_prec):
-        if isinstance(node, Const):
-            return repr(float(node.value)) if isinstance(node.value, float) else str(node.value)
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Not):
-            return "!" + fmt(node.operand, _PRECEDENCE[Not])
-        op, prec = ("&", _PRECEDENCE[And]) if isinstance(node, And) else ("|", _PRECEDENCE[Or])
-        text = f"{fmt(node.left, prec)} {op} {fmt(node.right, prec + 1)}"
-        return f"({text})" if prec < parent_prec else text
-
-    return fmt(expr, 0)
-
-
 def _expr_vars(expr: SoftExpr, acc: set[str]) -> set[str]:
     if isinstance(expr, Var):
         acc.add(expr.name)
@@ -235,8 +213,8 @@ class Rule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", float(self.weight))
-        if not self.weight >= 0:
-            raise ValueError(f"rule weight must be nonnegative, got {self.weight}")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(f"rule weight must be nonnegative and finite, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -269,167 +247,10 @@ class RuleSet:
             _expr_vars(rule.expr, acc)
         return acc
 
-    def bind(self, **values: float) -> "RuleSet":
-        """Move free variables into the bindings, returning a new rule set."""
-        unknown = set(values) - set(self.free_vars)
-        if unknown:
-            raise ValueError(f"not free variables: {sorted(unknown)}")
-        free = tuple(v for v in self.free_vars if v not in values)
-        return RuleSet(self.rules, free, {**self.bindings, **values})
-
     def total_value(self, assignment: Mapping[str, float]):
         """Weighted sum of rule values at a full assignment of free variables."""
         env = {**self.bindings, **assignment}
         return sum(rule.weight * eval_expr(rule.expr, env) for rule in self.rules)
-
-
-def format_rules(ruleset: RuleSet) -> str:
-    return "\n".join(f"{rule.weight!r} : {format_expr(rule.expr)}" for rule in ruleset.rules)
-
-
-# --------------------------------------------------------------------------
-# Rule DSL parser
-
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>->|[&|!():])"
-)
-
-
-class RuleSyntaxError(ValueError):
-    """Rule-DSL syntax error carrying 1-based line and column."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-
-
-def _tokenize_line(text: str, line_no: int):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise RuleSyntaxError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
-
-
-class _LineParser:
-    def __init__(self, tokens, line_no):
-        self.tokens = tokens
-        self.line = line_no
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message):
-        kind, text, col = self.peek()
-        shown = "end of line" if kind == "end" else repr(text)
-        raise RuleSyntaxError(f"{message}, found {shown}", self.line, col)
-
-    def expect(self, op):
-        kind, text, _col = self.peek()
-        if kind == "op" and text == op:
-            return self.advance()
-        self.fail(f"expected {op!r}")
-
-    def parse_rule(self):
-        kind, text, col = self.peek()
-        if kind != "num":
-            self.fail("expected a rule weight")
-        self.advance()
-        weight = float(text)
-        self.expect(":")
-        expr = self.parse_implies()
-        kind, text, col = self.peek()
-        if kind != "end":
-            self.fail("expected end of rule")
-        return Rule(weight, expr)
-
-    def parse_implies(self):
-        left = self.parse_or()
-        kind, text, _col = self.peek()
-        if kind == "op" and text == "->":
-            self.advance()
-            return implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self):
-        node = self.parse_and()
-        while True:
-            kind, text, _col = self.peek()
-            if kind == "op" and text == "|":
-                self.advance()
-                node = Or(node, self.parse_and())
-            else:
-                return node
-
-    def parse_and(self):
-        node = self.parse_unary()
-        while True:
-            kind, text, _col = self.peek()
-            if kind == "op" and text == "&":
-                self.advance()
-                node = And(node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self):
-        kind, text, _col = self.peek()
-        if kind == "op" and text == "!":
-            self.advance()
-            return Not(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self):
-        kind, text, col = self.peek()
-        if kind == "ident":
-            self.advance()
-            return Var(text)
-        if kind == "num":
-            self.advance()
-            try:
-                return Const(float(text))
-            except ValueError as exc:
-                raise RuleSyntaxError(str(exc), self.line, col) from None
-        if kind == "op" and text == "(":
-            self.advance()
-            node = self.parse_implies()
-            self.expect(")")
-            return node
-        self.fail("expected a variable, constant, or '('")
-
-
-def parse_rules(text: str) -> RuleSet:
-    """Parse rule-DSL source: one ``weight : expr`` rule per line.
-
-    Blank lines and ``#`` comments are skipped. All variables come back
-    free; use :meth:`RuleSet.bind` to fix known values.
-    """
-    rules = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        parser = _LineParser(_tokenize_line(line, line_no), line_no)
-        rules.append(parser.parse_rule())
-    names: set[str] = set()
-    for rule in rules:
-        _expr_vars(rule.expr, names)
-    return RuleSet(tuple(rules), tuple(sorted(names)))
 
 
 # --------------------------------------------------------------------------
@@ -664,7 +485,7 @@ def solve_decisions(
     The three decision rules are built once per call and solved under each
     triple's bindings, with no `RuleSet` per object. Raises ``ValueError``,
     before any solve, for a constraint outside [0, 1] or NaN, then for a
-    negative or NaN weight.
+    negative, infinite or NaN weight.
 
     Each result is bit for bit
     ``solve(build_decision_rules(ConstraintVector(*x), weights), policy)``:

@@ -153,10 +153,18 @@ class TestRefine:
                 )
                 for bad, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"))
             ],
+            # a list label or scene type would fail later as an unhashable dict key
+            (chair_line('"score": 0.9').replace('"chair"', '["chair"]'),
+             "label must be a string, got list"),
+            ('{"scene_id": "s1", "scene_type": ["office"], "detections": []}',
+             "scene_type must be a string, got list"),
+            ('{"scene_id": "s1", "scene_type": "office", "description": 3, "detections": []}',
+             "description must be a string, got int"),
         ],
         ids=[
             "json", "array", "field", "value", "score-NaN", "score-Infinity", "score--Infinity",
             "class-score-NaN", "class-score-Infinity", "class-score--Infinity",
+            "label-list", "scene-type-list", "description-int",
         ],
     )
     def test_bad_detections_line_names_file_and_line(self, case_files, capsys, line, message):
@@ -314,6 +322,12 @@ class TestSolvePsl:
                      "--policy", "max-keep-min-recls"]) == 0
         assert "y_keep=1.000000" in capsys.readouterr().out
 
+    def test_infinite_weight_flag_names_key(self, capsys):
+        assert main(["solve-psl", "0.9", "0.5", "1", "--weights", "inf", "1", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "input error: alpha1 must be a finite number at least 0, got inf\n"
+        )
+
 
 class TestBalance:
     def test_threshold_circulation(self, tmp_path, capsys):
@@ -362,8 +376,16 @@ class TestDbcSim:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("{", "Expecting property name"), ('{"A": "high"}', "could not convert string to float")],
-        ids=["json", "value"],
+        [
+            ("{", "Expecting property name"),
+            ('{"A": "high"}', "could not convert string to float"),
+            # a NaN loss would rank first and have its weight raised
+            ('{"A": NaN}', "loss for 'A' must be a finite number at least 0, got nan"),
+            ('{"A": "nan"}', "loss for 'A' must be a finite number at least 0, got nan"),
+            ('{"A": Infinity}', "loss for 'A' must be a finite number at least 0, got inf"),
+            ('{"A": -1.5}', "loss for 'A' must be a finite number at least 0, got -1.5"),
+        ],
+        ids=["json", "value", "NaN", "nan-string", "Infinity", "negative"],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, line, message):
         path = tmp_path / "losses.jsonl"
@@ -528,6 +550,17 @@ class TestConfigFile:
             ("llm_timeout", 0, "llm_timeout must be a finite number above 0, got 0"),
             ("llm_timeout", -1, "llm_timeout must be a finite number above 0, got -1"),
             ("llm_timeout", float("nan"), "llm_timeout must be a finite number above 0, got nan"),
+            # an infinite weight times a zero coefficient leaves the solver only NaNs
+            ("alpha1", float("inf"), "alpha1 must be a finite number at least 0, got inf"),
+            ("alpha2", float("nan"), "alpha2 must be a finite number at least 0, got nan"),
+            ("alpha3", -1, "alpha3 must be a finite number at least 0, got -1"),
+            (
+                "policy",
+                "bogus",
+                "policy must be one of max-keep-min-recls, min-keep, scene-conservative, "
+                "got 'bogus'",
+            ),
+            ("llm", "bogus", "llm must be one of off, remote, got 'bogus'"),
         ],
     )
     def test_bad_config_value_is_input_error(

@@ -15,27 +15,28 @@ from ovrefine.psl import (
     Or,
     Rule,
     RuleSet,
-    RuleSyntaxError,
     SelectionPolicy,
     Var,
     brute_force_solve,
     build_decision_rules,
     decide,
     eval_expr,
-    format_expr,
-    format_rules,
     implies,
-    parse_rules,
     solve,
     solve_decisions,
     UnboundVariableError,
 )
 
-DECISION_RULES_TEXT = """
-1.0 : x_conf & x_size & x_scene -> y_keep & !y_recls
-1.0 : x_conf & !(x_size & x_scene) -> !y_keep | y_recls
-1.0 : !x_conf -> !y_keep
-"""
+
+def paper_rules():
+    """The paper's three decision rules at unit weights, written out."""
+    conf, size, scene = Var("x_conf"), Var("x_size"), Var("x_scene")
+    keep, recls = Var("y_keep"), Var("y_recls")
+    return (
+        Rule(1.0, implies(And(And(conf, size), scene), And(keep, Not(recls)))),
+        Rule(1.0, implies(And(conf, Not(And(size, scene))), Or(Not(keep), recls))),
+        Rule(1.0, implies(Not(conf), Not(keep))),
+    )
 
 
 class TestEvalExpr:
@@ -120,85 +121,6 @@ class TestLukasiewiczIdentities:
                     assert 0 <= value <= 1
 
 
-class TestParser:
-    def test_smallest_rule(self):
-        rs = parse_rules("1.0 : a & b -> !c")
-        assert len(rs.rules) == 1
-        assert rs.rules[0].weight == 1.0
-        assert rs.rules[0].expr == implies(And(Var("a"), Var("b")), Not(Var("c")))
-        assert rs.free_vars == ("a", "b", "c")
-
-    def test_dangling_operator(self):
-        with pytest.raises(RuleSyntaxError) as err:
-            parse_rules("1.0 : a &")
-        assert err.value.line == 1
-        assert err.value.column == 10
-
-    def test_error_positions_multiline(self):
-        with pytest.raises(RuleSyntaxError) as err:
-            parse_rules("1 : a\n2 : (b | \n")
-        assert err.value.line == 2
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(RuleSyntaxError):
-            parse_rules("-1.0 : a")
-        with pytest.raises(ValueError):
-            Rule(-0.5, Var("a"))
-
-    def test_constant_out_of_range_rejected(self):
-        with pytest.raises(RuleSyntaxError):
-            parse_rules("1 : a & 1.5")
-
-    def test_comments_and_blank_lines(self):
-        rs = parse_rules("# header\n\n1 : a | b  # trailing\n")
-        assert len(rs.rules) == 1
-
-    def test_precedence(self):
-        rs = parse_rules("1 : !a & b | c -> d")
-        expected = implies(Or(And(Not(Var("a")), Var("b")), Var("c")), Var("d"))
-        assert rs.rules[0].expr == expected
-
-    def test_matches_programmatic_construction(self):
-        x = ConstraintVector(0.7, 0.8, 1.0)
-        parsed = parse_rules(DECISION_RULES_TEXT).bind(x_conf=0.7, x_size=0.8, x_scene=1.0)
-        assert parsed == build_decision_rules(x)
-
-    def test_round_trip_random_asts(self):
-        rng = np.random.default_rng(19)
-        names = ["a", "b", "c", "long_name"]
-
-        def gen(depth):
-            kind = rng.integers(0, 6 if depth < 4 else 2)
-            if kind == 0:
-                return Var(names[rng.integers(len(names))])
-            if kind == 1:
-                return Const(float(rng.uniform(0, 1)))
-            if kind == 2:
-                return Not(gen(depth + 1))
-            if kind == 3:
-                return And(gen(depth + 1), gen(depth + 1))
-            if kind == 4:
-                return Or(gen(depth + 1), gen(depth + 1))
-            return implies(gen(depth + 1), gen(depth + 1))
-
-        for _ in range(200):
-            expr = gen(0)
-            again = parse_rules("1 : " + format_expr(expr)).rules[0].expr
-            assert again == expr
-
-    def test_rules_round_trip(self):
-        rs = parse_rules(DECISION_RULES_TEXT)
-        assert parse_rules(format_rules(rs)) == rs
-
-    def test_numpy_weights_round_trip(self):
-        weights = np.random.default_rng(3).uniform(0, 2, 3)
-        rs = build_decision_rules(ConstraintVector(0.5, 0.5, 0.5), tuple(weights))
-        assert all(type(rule.weight) is float for rule in rs.rules)
-        again = parse_rules(format_rules(rs))
-        assert [r.weight for r in again.rules] == [r.weight for r in rs.rules]
-        assert [r.expr for r in again.rules] == [r.expr for r in rs.rules]
-
-
 class TestRuleSet:
     def test_partition_enforced(self):
         with pytest.raises(ValueError):
@@ -210,13 +132,14 @@ class TestRuleSet:
         with pytest.raises(ValueError):
             RuleSet((Rule(1.0, Var("a")),), (), {"a": 1.2})
 
-    def test_bind(self):
-        rs = parse_rules("1 : a & b")
-        bound = rs.bind(a=0.5)
-        assert bound.free_vars == ("b",)
-        assert bound.bindings == {"a": 0.5}
+    def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            bound.bind(a=0.1)
+            Rule(-0.5, Var("a"))
+
+    def test_infinite_weight_rejected(self):
+        # inf * 0 is NaN, which leaves the solver no vertex value to compare
+        with pytest.raises(ValueError, match="nonnegative and finite, got inf"):
+            Rule(float("inf"), Var("a"))
 
 
 class TestBuildDecisionRules:
@@ -238,6 +161,18 @@ class TestBuildDecisionRules:
     def test_weights_pass_through(self):
         rs = build_decision_rules(ConstraintVector(0.5, 0.5, 0.5), weights=(1.0, 2.0, 0.25))
         assert [rule.weight for rule in rs.rules] == [1.0, 2.0, 0.25]
+
+    def test_matches_paper_rules(self):
+        rs = build_decision_rules(ConstraintVector(0.7, 0.8, 1.0))
+        bindings = {"x_conf": 0.7, "x_size": 0.8, "x_scene": 1.0}
+        assert rs == RuleSet(paper_rules(), ("y_keep", "y_recls"), bindings)
+
+    def test_numpy_weights_coerced_to_float(self):
+        weights = np.random.default_rng(3).uniform(0, 2, 3)
+        rs = build_decision_rules(ConstraintVector(0.5, 0.5, 0.5), tuple(weights))
+        assert all(type(rule.weight) is float for rule in rs.rules)
+        assert [rule.weight for rule in rs.rules] == weights.tolist()
+        assert [rule.expr for rule in rs.rules] == [rule.expr for rule in paper_rules()]
 
 
 class TestSolve:
@@ -277,10 +212,12 @@ class TestSolve:
         assert abs(out.objective - 3.0) < 1e-9
 
     def test_rejects_other_free_variables(self):
-        rs = parse_rules("1 : a | b")
+        rs = RuleSet((Rule(1.0, Or(Var("a"), Var("b"))),), ("a", "b"))
         with pytest.raises(ValueError):
             solve(rs)
-        partially = parse_rules(DECISION_RULES_TEXT).bind(x_conf=1.0, x_size=1.0)
+        partially = RuleSet(
+            paper_rules(), ("x_scene", "y_keep", "y_recls"), {"x_conf": 1.0, "x_size": 1.0}
+        )
         with pytest.raises(ValueError):
             solve(partially)
 
@@ -369,7 +306,9 @@ class TestSolveDecisions:
         with pytest.raises(ValueError, match="outside"):
             solve_decisions([(0.5, 0.5, 0.5), x])
 
-    @pytest.mark.parametrize("weights", [(1.0, -0.5, 1.0), (1.0, 1.0, float("nan"))])
+    @pytest.mark.parametrize(
+        "weights", [(1.0, -0.5, 1.0), (1.0, 1.0, float("nan")), (float("inf"), 1.0, 1.0)]
+    )
     def test_rejects_bad_weights(self, weights):
         with pytest.raises(ValueError, match="nonnegative"):
             solve_decisions([(0.5, 0.5, 0.5)], weights)
@@ -412,7 +351,8 @@ class TestBruteForceSolve:
         assert abs(out.objective - 3.0) <= 1e-3
 
     def test_constant_rules_flat(self):
-        rs = parse_rules("1 : a & b\n0.5 : !a").bind(a=0.9, b=0.8)
+        a, b = Var("a"), Var("b")
+        rs = RuleSet((Rule(1.0, And(a, b)), Rule(0.5, Not(a))), (), {"a": 0.9, "b": 0.8})
         out = brute_force_solve(rs, 0.05)
         expected = 1.0 * max(0.9 + 0.8 - 1, 0) + 0.5 * (1 - 0.9)
         assert out.objective == pytest.approx(expected, abs=1e-12)
