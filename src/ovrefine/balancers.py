@@ -54,11 +54,25 @@ class PseudoLabel2D:
     sim_neg: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a string, got {type(self.label).__name__}")
+        # isfinite raises TypeError on a non-number, such as a character of a string
+        try:
+            finite = len(self.bbox) == 4 and all(map(math.isfinite, self.bbox))
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValueError(f"bbox must be 4 finite numbers, got {self.bbox!r}")
+        object.__setattr__(self, "bbox", tuple(self.bbox))
         x1, y1, x2, y2 = self.bbox
         if not (x1 < x2 and y1 < y2):
             raise ValueError(f"degenerate bbox {self.bbox}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+        # reflect_filter would drop a label with a NaN similarity without a word
+        for name in ("sim_pos", "sim_neg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def positive_similarity(label: PseudoLabel2D) -> float:
@@ -95,8 +109,8 @@ class SbcState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi_by_class", dict(self.phi_by_class))
-        if self.delta_phi <= 0:
-            raise ValueError(f"delta_phi must be positive, got {self.delta_phi}")
+        if not 0 < self.delta_phi < math.inf:
+            raise ValueError(f"delta_phi must be positive and finite, got {self.delta_phi}")
         if self.phi_lo > self.phi_hi:
             raise ValueError(f"phi_lo {self.phi_lo} exceeds phi_hi {self.phi_hi}")
         for label, phi in self.phi_by_class.items():
@@ -181,6 +195,8 @@ class DbcState:
         object.__setattr__(self, "w_by_class", dict(self.w_by_class))
         sums = {label: float(self.sum_by_class.get(label, 0.0)) for label in self.w_by_class}
         object.__setattr__(self, "sum_by_class", sums)
+        if not 0 < self.delta_w < math.inf:
+            raise ValueError(f"delta_w must be positive and finite, got {self.delta_w}")
         if self.w_lo > self.w_hi:
             raise ValueError(f"w_lo {self.w_lo} exceeds w_hi {self.w_hi}")
         for label, w in self.w_by_class.items():
@@ -357,8 +373,8 @@ def baol_loss(y: Sequence[int], o: Sequence[float], lam: float) -> float:
     -(1/N) * sum_i [ y_i*log(o_i) + lam*(1 - y_i)*log(1 - o_i) ], with the
     probabilities clamped to [1e-7, 1 - 1e-7].
     """
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     y_arr = np.asarray(y, dtype=float)
     o_arr = np.asarray(o, dtype=float)
     if y_arr.shape != o_arr.shape or y_arr.ndim != 1:
@@ -383,7 +399,7 @@ def load_pseudo_labels(path) -> list[tuple[str, list[PseudoLabel2D]]]:
     def record(data: dict) -> tuple[str, list[PseudoLabel2D]]:
         labels = [
             PseudoLabel2D(
-                tuple(entry["bbox"]),
+                entry["bbox"],
                 entry["label"],
                 float(entry["confidence"]),
                 float(entry["sim_pos"]),

@@ -104,15 +104,18 @@ class RunConfig:
                 raise ValueError(
                     f"{name} must be {allowed[0].__name__}, got {type(value).__name__} {value!r}"
                 )
+            # a NaN slips past every `value < least` check, and an infinity defeats a clamp
+            if allowed[0] is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         for name, least in (("workers", 1), ("llm_max_in_flight", 1), ("llm_retries", 0)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        if not 0 < self.llm_timeout < math.inf:
+        if self.llm_timeout <= 0:
             raise ValueError(f"llm_timeout must be a finite number above 0, got {self.llm_timeout}")
         for name in ("alpha1", "alpha2", "alpha3"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
+            if value < 0:
                 raise ValueError(f"{name} must be a finite number at least 0, got {value}")
         for name, allowed in (("policy", sorted(_POLICIES)), ("llm", _LLM_MODES)):
             value = getattr(self, name)
@@ -375,65 +378,63 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# every argument a subcommand can take, each defined once
+_ARGUMENTS = {
+    "--config": {"help": "JSON config file; flags override it"},
+    "--detections": {"help": "detections file (JSONL)"},
+    "--kb": {"help": "knowledge-base file (JSON); defaults to the built-in KB"},
+    "--gt": {"help": "ground-truth scenes file (JSONL)"},
+    "--out": {"help": "output file"},
+    "--log": {"help": "refinement log output file (JSONL)"},
+    "--policy": {"choices": sorted(_POLICIES)},
+    "--workers": {
+        "type": int,
+        "metavar": "N",
+        "help": "N solver processes plus 2N provider I/O threads, each thread taking one chunk "
+        "of scenes at a time (default: cores); outputs are byte-identical for any N",
+    },
+    "--seed": {"type": int},
+    "--llm": {"choices": _LLM_MODES},
+    # a tuple metavar on a positional breaks argparse's --help
+    "x": {"type": float, "nargs": 3, "metavar": "X", "help": "x_conf x_size x_scene in [0, 1]"},
+    "--weights": {"type": float, "nargs": 3, "metavar": ("A1", "A2", "A3")},
+    "--labels": {"required": True, "help": "pseudo-label file (JSONL)"},
+    "--phi-init": {"dest": "sbc_phi_init", "type": float},
+    "--losses": {"required": True, "help": "loss-stream file (JSONL)"},
+    "--interval": {"dest": "dbc_interval", "type": int},
+    "--top-k": {"dest": "dbc_k", "type": int},
+    "--proposals": {"required": True, "help": "proposal file (JSONL)"},
+    "--lambda-baol": {"dest": "lambda_baol", "type": float},
+    "--k-pro": {"dest": "k_pro", "type": int},
+    "--scenes": {"type": int},
+    "--corruption": {"type": float},
+}
+
+# each subcommand's help and the arguments it reads besides --config; no other is accepted
+_COMMANDS = {
+    "refine": ("refine a detections file", "--detections --kb --out --log --policy --workers --llm"),
+    "solve-psl": ("solve one constraint vector", "x --weights --policy"),
+    "balance": ("run the threshold circulation on pseudo labels", "--labels --phi-init --kb --out"),
+    "dbc-sim": ("replay a loss stream through the weight scheduler", "--losses --interval --top-k --out"),
+    "baol": ("compress proposals, assign labels, compute the loss", "--proposals --lambda-baol --k-pro"),
+    "eval": ("mAP@0.25 of detections against ground truth", "--detections --gt --out"),
+    "gen-synthetic": (
+        "write a synthetic ground-truth/detections pair",
+        "--seed --scenes --corruption --kb --out --gt",
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ovrefine",
         description="Soft-logic refinement of open-vocabulary 3D detections",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--detections", help="detections file (JSONL)")
-        p.add_argument("--kb", help="knowledge-base file (JSON); defaults to the built-in KB")
-        p.add_argument("--gt", help="ground-truth scenes file (JSONL)")
-        p.add_argument("--out", help="output file")
-        p.add_argument("--log", help="refinement log output file (JSONL)")
-        p.add_argument("--policy", choices=sorted(_POLICIES))
-        p.add_argument(
-            "--workers",
-            type=int,
-            metavar="N",
-            help="refine: N solver processes plus 2N provider I/O threads, each thread "
-            "taking one chunk of scenes at a time (default: cores); outputs are "
-            "byte-identical for any N",
-        )
-        p.add_argument("--seed", type=int)
-        p.add_argument("--llm", choices=_LLM_MODES)
-
-    p = sub.add_parser("refine", help="refine a detections file")
-    common(p)
-
-    p = sub.add_parser("solve-psl", help="solve one constraint vector")
-    common(p)
-    p.add_argument("x", type=float, nargs=3, metavar=("X_CONF", "X_SIZE", "X_SCENE"))
-    p.add_argument("--weights", type=float, nargs=3, metavar=("A1", "A2", "A3"))
-
-    p = sub.add_parser("balance", help="run the threshold circulation on pseudo labels")
-    common(p)
-    p.add_argument("--labels", required=True, help="pseudo-label file (JSONL)")
-    p.add_argument("--phi-init", dest="sbc_phi_init", type=float)
-
-    p = sub.add_parser("dbc-sim", help="replay a loss stream through the weight scheduler")
-    common(p)
-    p.add_argument("--losses", required=True, help="loss-stream file (JSONL)")
-    p.add_argument("--interval", dest="dbc_interval", type=int)
-    p.add_argument("--top-k", dest="dbc_k", type=int)
-
-    p = sub.add_parser("baol", help="compress proposals, assign labels, compute the loss")
-    common(p)
-    p.add_argument("--proposals", required=True, help="proposal file (JSONL)")
-    p.add_argument("--lambda-baol", dest="lambda_baol", type=float)
-    p.add_argument("--k-pro", dest="k_pro", type=int)
-
-    p = sub.add_parser("eval", help="mAP@0.25 of detections against ground truth")
-    common(p)
-
-    p = sub.add_parser("gen-synthetic", help="write a synthetic ground-truth/detections pair")
-    common(p)
-    p.add_argument("--scenes", type=int)
-    p.add_argument("--corruption", type=float)
-
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in ("--config", *names.split()):
+            p.add_argument(name, **_ARGUMENTS[name])
     return parser
 
 
@@ -446,9 +447,8 @@ def main(argv=None) -> int:
             return cmd_refine(config)
         if args.command == "solve-psl":
             if args.weights is not None:
-                config = replace(
-                    config, alpha1=args.weights[0], alpha2=args.weights[1], alpha3=args.weights[2]
-                )
+                alpha1, alpha2, alpha3 = args.weights
+                config = replace(config, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3)
             return cmd_solve_psl(config, *args.x)
         if args.command == "balance":
             return cmd_balance(config, args.labels)

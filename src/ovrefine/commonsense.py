@@ -49,6 +49,9 @@ __all__ = [
 
 ENDPOINT_ENV = "GLRD_LLM_ENDPOINT"
 API_KEY_ENV = "GLRD_LLM_KEY"
+# the completion length every request asks for; replies need only a size
+# triple or a yes/no and a class name
+MAX_TOKENS = 64
 
 
 # Prompt templates sent verbatim to the language model.
@@ -102,8 +105,8 @@ class SizeConstraintConfig:
     phi_size: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
         if not 0 <= self.phi_size < 1:
             raise ValueError(f"phi_size must be in [0, 1), got {self.phi_size}")
 
@@ -224,7 +227,7 @@ def _http_post(url: str, api_key: str | None, payload: dict, timeout: float) -> 
 class LlmClient:
     """Minimal client for the remote completion endpoint.
 
-    The wire format is a POST of ``{"prompt": ..., "max_tokens": ...}``
+    The wire format is a POST of ``{"prompt": ..., "max_tokens": MAX_TOKENS}``
     answered by ``{"text": ...}``. Endpoint and key default to the
     GLRD_LLM_ENDPOINT / GLRD_LLM_KEY environment variables. At most
     ``max_in_flight`` requests run concurrently; failures are retried
@@ -239,7 +242,6 @@ class LlmClient:
         retries: int = 2,
         backoff: float = 0.5,
         max_in_flight: int = 4,
-        max_tokens: int = 64,
         transport: Callable[[str, str | None, dict, float], dict] | None = None,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
@@ -247,7 +249,6 @@ class LlmClient:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.max_tokens = max_tokens
         self._transport = transport or _http_post
         if max_in_flight < 1:
             # a semaphore of 0 would admit no request and hang every caller
@@ -260,10 +261,10 @@ class LlmClient:
             raise ValueError(f"timeout must be a finite number above 0, got {timeout}")
         self._gate = threading.BoundedSemaphore(max_in_flight)
 
-    def complete(self, prompt: str, max_tokens: int | None = None) -> str:
+    def complete(self, prompt: str) -> str:
         if not self.endpoint:
             raise ProviderError(f"no LLM endpoint configured (set {ENDPOINT_ENV})")
-        payload = {"prompt": prompt, "max_tokens": max_tokens or self.max_tokens}
+        payload = {"prompt": prompt, "max_tokens": MAX_TOKENS}
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt and self.backoff > 0:

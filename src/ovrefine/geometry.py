@@ -232,8 +232,8 @@ def soft_nms(
     per survivor whose circle meets the pick's, instead of an O(n) Python
     scan and an ``iou3d`` call per same-class survivor.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not boxes:
         return []
     # -inf marks a box already picked or dropped; argmax returns the first

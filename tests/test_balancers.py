@@ -61,6 +61,27 @@ class TestReflectFilter:
         with pytest.raises(ValueError):
             PseudoLabel2D((5.0, 0.0, 1.0, 10.0), "chair", 0.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "bbox, cls, sims, error, message",
+        [
+            ((0, 0, 1, 1), ["chair"], (0.0, 0.0), TypeError, "label must be a string, got list"),
+            # unpacked, a string of four characters would pass as a box
+            ("0123", "chair", (0.0, 0.0), ValueError, "bbox must be 4 finite numbers, got '0123'"),
+            ((0, 0, 1), "chair", (0.0, 0.0), ValueError, "bbox must be 4 finite numbers"),
+            ((0, 0, 1, math.inf), "chair", (0.0, 0.0), ValueError, "bbox must be 4 finite numbers"),
+            ((0, 0, 1, 1), "chair", (math.nan, 0.0), ValueError, "sim_pos must be finite, got nan"),
+            ((0, 0, 1, 1), "chair", (0.0, -math.inf), ValueError, "sim_neg must be finite, got -inf"),
+        ],
+        ids=["label-list", "bbox-string", "bbox-short", "bbox-inf", "sim_pos-nan", "sim_neg-inf"],
+    )
+    def test_invalid_fields(self, bbox, cls, sims, error, message):
+        with pytest.raises(error) as err:
+            PseudoLabel2D(bbox, cls, 0.5, *sims)
+        assert str(err.value).startswith(message)
+
+    def test_bbox_list_stored_as_tuple(self):
+        assert PseudoLabel2D([0, 0, 1, 1], "chair", 0.5, 0.0, 0.0).bbox == (0, 0, 1, 1)
+
 
 class TestSbcStep:
     def test_worked_example(self):
@@ -95,6 +116,11 @@ class TestSbcStep:
     def test_counts_must_cover_classes(self):
         with pytest.raises(ValueError):
             sbc_step({"A": 1}, SbcState({"A": 0.5, "B": 0.5}))
+
+    @pytest.mark.parametrize("delta_phi", [0.0, -0.05, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, delta_phi):
+        with pytest.raises(ValueError, match="delta_phi must be positive and finite"):
+            SbcState({"A": 0.5}, delta_phi=delta_phi)
 
     def test_steps_stay_in_bounds_and_quantized(self):
         rng = np.random.default_rng(3)
@@ -221,6 +247,12 @@ class TestDbc:
             for c in moved:
                 assert abs(after[c] - before[c]) <= 0.05 + 1e-12
             assert all(0.5 <= w <= 1.5 for w in after.values())
+
+    @pytest.mark.parametrize("delta_w", [0.0, -0.05, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, delta_w):
+        # a NaN step sends the moved weights straight to their clamps
+        with pytest.raises(ValueError, match="delta_w must be positive and finite"):
+            DbcState.initial(["A", "B"], delta_w=delta_w)
 
     def test_scale_loss(self):
         state = DbcState({"A": 1.05, "B": 1.0}, w_lo=0.5, w_hi=1.5)
@@ -349,6 +381,11 @@ class TestBaolLoss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             baol_loss([1, 0], [0.5], lam=1.0)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_lambda_must_be_nonnegative_and_finite(self, lam):
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            baol_loss([1, 0], [0.5, 0.5], lam=lam)
 
     def test_nonnegative_and_monotone(self):
         rng = np.random.default_rng(47)

@@ -1,10 +1,13 @@
 import json
+import math
+import re
+import typing
 from pathlib import Path
 
 import pytest
 
 from conftest import case_study_scenes
-from ovrefine.cli import main
+from ovrefine.cli import RunConfig, _build_parser, main
 from ovrefine.pipeline import generate_synthetic_scenes, load_scenes, save_scenes
 from ovrefine.commonsense import default_knowledge_base
 
@@ -325,7 +328,7 @@ class TestSolvePsl:
     def test_infinite_weight_flag_names_key(self, capsys):
         assert main(["solve-psl", "0.9", "0.5", "1", "--weights", "inf", "1", "1"]) == 1
         assert capsys.readouterr().err == (
-            "input error: alpha1 must be a finite number at least 0, got inf\n"
+            "input error: alpha1 must be a finite number, got inf\n"
         )
 
 
@@ -358,6 +361,29 @@ class TestBalance:
         assert capsys.readouterr().err == (
             f"input error: {path}:3: missing field 'confidence'\n"
         )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"label": ["chair"]}, "label must be a string, got list"),
+            ({"bbox": "abcd"}, "bbox must be 4 finite numbers, got 'abcd'"),
+            ({"bbox": [0, 0, 5]}, "bbox must be 4 finite numbers, got [0, 0, 5]"),
+            ({"bbox": [0, 0, 5, math.nan]}, "bbox must be 4 finite numbers, got [0, 0, 5, nan]"),
+            # reflect_filter would drop the label without a word
+            ({"sim_pos": math.nan}, "sim_pos must be finite, got nan"),
+            ({"sim_neg": math.inf}, "sim_neg must be finite, got inf"),
+        ],
+        ids=["label-list", "bbox-string", "bbox-short", "bbox-nan", "sim_pos-nan", "sim_neg-inf"],
+    )
+    def test_bad_label_names_file_and_line(self, tmp_path, capsys, fields, message):
+        good = {"bbox": [0, 0, 5, 5], "label": "lamp", "confidence": 0.9,
+                "sim_pos": 2.0, "sim_neg": 0.0}
+        path = tmp_path / "labels.jsonl"
+        path.write_text(
+            json.dumps({"labels": [good]}) + "\n" + json.dumps({"labels": [{**good, **fields}]}) + "\n"
+        )
+        assert main(["balance", "--labels", str(path)]) == 1
+        assert capsys.readouterr().err == f"input error: {path}:2: {message}\n"
 
     def test_no_novel_labels(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -452,6 +478,15 @@ class TestBaol:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"input error: {path}:2: ") and message in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_names_key(self, tmp_path, capsys, value):
+        path = tmp_path / "proposals.jsonl"
+        path.write_text("{}\n")
+        assert main(["baol", "--proposals", str(path), "--lambda-baol", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: lambda_baol must be a finite number, got {value}\n"
 
     def test_lambda_required(self, tmp_path, capsys):
         path = tmp_path / "proposals.jsonl"
@@ -549,10 +584,10 @@ class TestConfigFile:
             ("llm_retries", -1, "llm_retries must be at least 0, got -1"),
             ("llm_timeout", 0, "llm_timeout must be a finite number above 0, got 0"),
             ("llm_timeout", -1, "llm_timeout must be a finite number above 0, got -1"),
-            ("llm_timeout", float("nan"), "llm_timeout must be a finite number above 0, got nan"),
+            ("llm_timeout", float("nan"), "llm_timeout must be a finite number, got nan"),
             # an infinite weight times a zero coefficient leaves the solver only NaNs
-            ("alpha1", float("inf"), "alpha1 must be a finite number at least 0, got inf"),
-            ("alpha2", float("nan"), "alpha2 must be a finite number at least 0, got nan"),
+            ("alpha1", float("inf"), "alpha1 must be a finite number, got inf"),
+            ("alpha2", float("nan"), "alpha2 must be a finite number, got nan"),
             ("alpha3", -1, "alpha3 must be a finite number at least 0, got -1"),
             (
                 "policy",
@@ -575,6 +610,42 @@ class TestConfigFile:
         assert code == 1
         assert capsys.readouterr().err == f"input error: {config}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "key",
+        [name for name, hint in typing.get_type_hints(RunConfig).items()
+         if (typing.get_args(hint) or (hint,))[0] is float],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_key_rejected(self, key, value):
+        with pytest.raises(ValueError) as err:
+            RunConfig(**{key: value})
+        assert str(err.value) == f"{key} must be a finite number, got {value}"
+
+    @pytest.mark.parametrize(
+        "key, argv",
+        [
+            # the weights would jump to their clamps: `iter 1: a=0.50 b=1.50`
+            ("dbc_delta_w", ["dbc-sim", "--losses", "{losses}", "--interval", "1", "--top-k", "1"]),
+            ("size_alpha", ["refine", "--detections", "{detections}", "--out", "{out}"]),
+            ("nms_sigma", ["baol", "--proposals", "{proposals}", "--lambda-baol", "1"]),
+        ],
+    )
+    def test_non_finite_config_float_names_key(self, case_files, tmp_path, capsys, key, argv):
+        losses = tmp_path / "losses.jsonl"
+        losses.write_text('{"a": 2.0, "b": 1.0}\n')
+        proposals = tmp_path / "proposals.jsonl"
+        proposals.write_text(
+            '{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}\n'
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: math.nan}))
+        paths = {**case_files, "losses": losses, "proposals": proposals}
+        code = main([arg.format(**paths) for arg in argv] + ["--config", str(config)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {config}: {key} must be a finite number, got nan\n"
+
     def test_config_value_types_accepted(self, tmp_path, capsys):
         # an int where a float is expected, null where None is allowed
         config = tmp_path / "config.json"
@@ -593,3 +664,111 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["balance"])
         assert err.value.code == 1
+
+
+# the flags each subcommand reads, besides --config and its own flags below
+READ_FLAGS = {
+    "refine": ["--detections", "--kb", "--out", "--log", "--policy", "--workers", "--llm"],
+    "solve-psl": ["--policy"],
+    "balance": ["--kb", "--out"],
+    "dbc-sim": ["--out"],
+    "baol": [],
+    "eval": ["--detections", "--gt", "--out"],
+    "gen-synthetic": ["--kb", "--out", "--gt", "--seed"],
+}
+# each subcommand's own flags, with the attributes they set
+OWN_FLAGS = {
+    "refine": {},
+    "solve-psl": {"--weights": "weights"},
+    "balance": {"--labels": "labels", "--phi-init": "sbc_phi_init"},
+    "dbc-sim": {"--losses": "losses", "--interval": "dbc_interval", "--top-k": "dbc_k"},
+    "baol": {"--proposals": "proposals", "--lambda-baol": "lambda_baol", "--k-pro": "k_pro"},
+    "eval": {},
+    "gen-synthetic": {"--scenes": "scenes", "--corruption": "corruption"},
+}
+# the flags every subcommand used to accept, whether its command read them or not
+COMMON_FLAGS = [
+    "--config", "--detections", "--kb", "--gt", "--out", "--log", "--policy", "--workers",
+    "--seed", "--llm",
+]
+# what a subcommand needs to parse at all
+REQUIRED = {
+    "refine": [],
+    "solve-psl": ["0.9", "0.5", "1"],
+    "balance": ["--labels", "labels.jsonl"],
+    "dbc-sim": ["--losses", "losses.jsonl"],
+    "baol": ["--proposals", "proposals.jsonl"],
+    "eval": [],
+    "gen-synthetic": [],
+}
+FLAG_VALUES = {"--policy": "min-keep", "--workers": "2", "--seed": "7", "--llm": "remote"}
+IGNORED = [
+    (command, flag)
+    for command, read in READ_FLAGS.items()
+    for flag in COMMON_FLAGS
+    if flag != "--config" and flag not in read
+]
+READ = [(command, flag) for command, read in READ_FLAGS.items() for flag in ["--config", *read]]
+
+
+def help_flags(command, capsys):
+    """The flags a subcommand's --help lists."""
+    with pytest.raises(SystemExit) as err:
+        _build_parser().parse_args([command, "--help"])
+    assert err.value.code == 0
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+
+
+class TestFlagsPerSubcommand:
+    def test_pair_counts(self):
+        assert len(IGNORED) == 45
+        assert len(READ) == 25
+
+    @pytest.mark.parametrize("command, flag", IGNORED)
+    def test_ignored_flag_is_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, *REQUIRED[command], flag, FLAG_VALUES.get(flag, "file.json")])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: ovrefine")
+        assert f"error: unrecognized arguments: {flag} " in stderr
+
+    @pytest.mark.parametrize("command, flag", READ)
+    def test_read_flag_is_accepted(self, command, flag):
+        value = FLAG_VALUES.get(flag, "file.json")
+        args = _build_parser().parse_args([command, *REQUIRED[command], flag, value])
+        assert str(getattr(args, flag[2:])) == value
+
+    @pytest.mark.parametrize(
+        "command, flag, dest",
+        [(command, flag, dest) for command, own in OWN_FLAGS.items() for flag, dest in own.items()],
+    )
+    def test_own_flag_is_accepted(self, command, flag, dest):
+        values = ["3"] * (3 if flag == "--weights" else 1)
+        args = _build_parser().parse_args([command, *REQUIRED[command], flag, *values])
+        assert getattr(args, dest) in ("3", 3, [3, 3, 3])
+
+    @pytest.mark.parametrize("command", sorted(READ_FLAGS))
+    def test_help_lists_only_the_flags_read(self, capsys, command):
+        expected = {"--help", "--config", *READ_FLAGS[command], *OWN_FLAGS[command]}
+        assert help_flags(command, capsys) == expected
+
+
+def readme_commands():
+    """(subcommand, flags shown) for each line of the README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [
+        (line.split()[1], set(re.findall(r"--[a-z][a-z-]*", line)))
+        for line in lines
+        if line.startswith("ovrefine ")
+    ]
+
+
+def test_readme_shows_the_flags_each_subcommand_takes(capsys):
+    shown = readme_commands()
+    assert sorted(command for command, _ in shown) == sorted(READ_FLAGS)
+    for command, flags in shown:
+        # every command takes --config; the README says so once, above the block
+        assert flags == help_flags(command, capsys) - {"--help", "--config"}, command

@@ -9,6 +9,7 @@ import pytest
 from ovrefine.commonsense import (
     KnowledgeBase,
     LlmClient,
+    MAX_TOKENS,
     MissingSizePriorError,
     ProviderError,
     RemoteKnowledgeProvider,
@@ -63,6 +64,10 @@ class TestSizeFit:
             SizeConstraintConfig(alpha=-0.1)
         with pytest.raises(ValueError):
             SizeConstraintConfig(phi_size=1.0)
+        # a NaN alpha makes every size constraint NaN
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+                SizeConstraintConfig(alpha=alpha)
 
 
 class TestSizeConstraint:
@@ -275,6 +280,12 @@ class TestLlmClient:
         )
         assert size_prompt("desk") == transport.calls[0]["prompt"]
         assert scene_prompt("desk", "kitchen") == "Is it normal to see a desk in a kitchen?"
+
+    def test_payload_asks_for_fixed_max_tokens(self):
+        transport = StubTransport()
+        make_client(transport).complete("hello")
+        assert transport.calls == [{"prompt": "hello", "max_tokens": MAX_TOKENS}]
+        assert MAX_TOKENS == 64
 
     @pytest.mark.parametrize("max_in_flight", [0, -1])
     def test_max_in_flight_below_one_rejected(self, max_in_flight):

@@ -183,5 +183,6 @@ class TestSoftNms:
         assert len(out) == 1
 
     def test_sigma_validation(self):
-        with pytest.raises(ValueError):
-            soft_nms([], sigma=0.0)
+        for sigma in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                soft_nms([], sigma=sigma)
