@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .geometry import Box7DoF, footprint_circles, iou3d, may_overlap
-from .jsonl import read_jsonl
+from .jsonl import number, read_jsonl
 
 __all__ = [
     "PseudoLabel2D",
@@ -56,9 +56,12 @@ class PseudoLabel2D:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
             raise TypeError(f"label must be a string, got {type(self.label).__name__}")
-        # isfinite raises TypeError on a non-number, such as a character of a string
+        # isfinite raises TypeError on a non-number, such as a character of a
+        # string, and takes a JSON true or false as 1 or 0
         try:
-            finite = len(self.bbox) == 4 and all(map(math.isfinite, self.bbox))
+            finite = len(self.bbox) == 4 and all(
+                not isinstance(v, bool) and math.isfinite(v) for v in self.bbox
+            )
         except TypeError:
             finite = False
         if not finite:
@@ -401,9 +404,9 @@ def load_pseudo_labels(path) -> list[tuple[str, list[PseudoLabel2D]]]:
             PseudoLabel2D(
                 entry["bbox"],
                 entry["label"],
-                float(entry["confidence"]),
-                float(entry["sim_pos"]),
-                float(entry["sim_neg"]),
+                number(entry["confidence"], "confidence"),
+                number(entry["sim_pos"], "sim_pos"),
+                number(entry["sim_neg"], "sim_neg"),
             )
             for entry in data.get("labels", [])
         ]
@@ -421,7 +424,7 @@ def load_loss_stream(path) -> list[dict[str, float]]:
     """
 
     def record(data: dict) -> dict[str, float]:
-        losses = {str(k): float(v) for k, v in data.items()}
+        losses = {str(k): number(v, f"loss for {k!r}") for k, v in data.items()}
         for label, value in losses.items():
             if not 0 <= value < math.inf:
                 raise ValueError(

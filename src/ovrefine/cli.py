@@ -304,6 +304,12 @@ def cmd_baol(config: RunConfig, proposals_path: str) -> int:
         proposals = balancers.ProposalSet(
             boxes, np.asarray(data["class_scores"], float), np.asarray(data["fg_scores"], float)
         )
+        # numpy, like float, takes a JSON true or false as 1 or 0; with the
+        # shapes checked, class_scores is a list of rows and fg_scores a list
+        if bool in map(type, itertools.chain.from_iterable(data["class_scores"])):
+            raise TypeError("class_scores must hold numbers, got a JSON boolean")
+        if bool in map(type, data["fg_scores"]):
+            raise TypeError("fg_scores must hold numbers, got a JSON boolean")
         labels = tuple(
             parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
         )
@@ -376,6 +382,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand rejects what it does not take itself, so its own usage
+        # line is printed, where argparse would hand the rest to the top level
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 # every argument a subcommand can take, each defined once

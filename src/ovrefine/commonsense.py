@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .geometry import Box7DoF
+from .jsonl import number
 from .psl import ConstraintVector
 
 __all__ = [
@@ -151,10 +152,10 @@ class KnowledgeBase:
     @classmethod
     def from_dict(cls, data: Mapping) -> "KnowledgeBase":
         _expect(data, Mapping, "knowledge base")
-        sizes = {
-            label: SizePrior(*map(float, _expect(dims, _ARRAY, f"sizes[{label!r}]")))
-            for label, dims in _expect(data.get("sizes", {}), Mapping, "sizes").items()
-        }
+        sizes = {}
+        for label, dims in _expect(data.get("sizes", {}), Mapping, "sizes").items():
+            where = f"sizes[{label!r}]"
+            sizes[label] = SizePrior(*(number(d, where) for d in _expect(dims, _ARRAY, where)))
         compat = {
             scene: set(_expect(classes, _ARRAY, f"compat[{scene!r}]"))
             for scene, classes in _expect(data.get("compat", {}), Mapping, "compat").items()

@@ -38,7 +38,8 @@ class Box7DoF:
 
     Lengths are meters; ``theta`` is the rotation of the length axis about
     the vertical axis, normalized to [-pi, pi) at construction. All seven
-    fields must be finite and the extents strictly positive.
+    fields must be finite numbers (not bools) and the extents strictly
+    positive.
     """
 
     cx: float
@@ -51,6 +52,9 @@ class Box7DoF:
 
     def __post_init__(self) -> None:
         values = (self.cx, self.cy, self.cz, self.l, self.w, self.h, self.theta)
+        # a JSON true or false would pass as 1 or 0
+        if bool in map(type, values):
+            raise TypeError(f"box fields must be numbers, got {values}")
         if not all(map(math.isfinite, values)):
             raise ValueError(f"box fields must be finite, got {values}")
         if self.l <= 0.0 or self.w <= 0.0 or self.h <= 0.0:

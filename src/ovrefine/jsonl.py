@@ -30,3 +30,11 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
             except (ValueError, TypeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
+
+
+def number(value, what: str) -> float:
+    """``float(value)`` for the JSON field ``what``; JSON ``true`` and
+    ``false`` are refused, although ``float`` takes them as 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be a number, got {json.dumps(value)}")
+    return float(value)

@@ -30,7 +30,7 @@ from .commonsense import (
     size_constraint,
 )
 from .geometry import Box7DoF, iou3d, parse_box
-from .jsonl import read_jsonl
+from .jsonl import number, read_jsonl
 from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
 
 # perfbench/tracecli.py wraps these by attribute on this module; they are not called here
@@ -72,6 +72,8 @@ class Detection:
         if self.class_scores is not None:
             object.__setattr__(self, "class_scores", dict(self.class_scores))
             for label, value in self.class_scores.items():
+                if isinstance(value, bool):
+                    raise TypeError(f"class score for {label!r} must be a number, got {value}")
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"class score for {label!r} is {value}, outside [0, 1]")
 
@@ -610,7 +612,7 @@ def load_scenes(path) -> list[SceneRecord]:
             Detection(
                 parse_box(entry["box"], f"{where} detection {k}"),
                 entry["label"],
-                float(entry.get("score", 1.0)),
+                number(entry.get("score", 1.0), "score"),
                 entry.get("class_scores"),
             )
             for k, entry in enumerate(data.get("detections", []))

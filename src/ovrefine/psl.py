@@ -383,9 +383,10 @@ def _split_piece(poly, t, threshold, below_affine, above_affine):
     return pieces
 
 
-def _pwl(expr: SoftExpr, bindings: Mapping[str, float]):
+def _pwl(expr: SoftExpr, bindings: Mapping[str, float], cache=None):
     """Cell complex of (convex polygon, affine (a, b, c)) pairs covering the
-    unit square; the affine gives a*y_keep + b*y_recls + c on its polygon."""
+    unit square; the affine gives a*y_keep + b*y_recls + c on its polygon.
+    ``cache``, if given, is `_pwl_cache` of the rules ``expr`` belongs to."""
     if isinstance(expr, Const):
         return [(list(_UNIT_SQUARE), (0.0, 0.0, float(expr.value)))]
     if isinstance(expr, Var):
@@ -397,45 +398,79 @@ def _pwl(expr: SoftExpr, bindings: Mapping[str, float]):
             return [(list(_UNIT_SQUARE), (0.0, 1.0, 0.0))]
         raise UnboundVariableError(expr.name)
     if isinstance(expr, Not):
-        return [(poly, (-a, -b, 1.0 - c)) for poly, (a, b, c) in _pwl(expr.operand, bindings)]
+        return [(poly, (-a, -b, 1.0 - c)) for poly, (a, b, c) in _pwl(expr.operand, bindings, cache)]
     if not isinstance(expr, (And, Or)):
         raise TypeError(f"not a soft-logic expression: {expr!r}")
 
-    left = _pwl(expr.left, bindings)
-    right = _pwl(expr.right, bindings)
+    free, cells = cache if cache is not None else ({}, {})
+    left = free.get(id(expr.left)) or _pwl(expr.left, bindings, cache)
+    right = free.get(id(expr.right)) or _pwl(expr.right, bindings, cache)
     pieces = []
-    for poly_l, (al, bl, cl) in left:
-        for poly_r, (ar, br, cr) in right:
-            poly = _poly_intersect(poly_l, poly_r)
-            if len(poly) < 3 or abs(_poly_area(poly)) <= 1e-14:
-                continue
-            a, b = al + ar, bl + br
-            if isinstance(expr, And):
-                t = (a, b, cl + cr - 1.0)
-                if abs(a) < _EPS and abs(b) < _EPS:
-                    pieces.append((poly, (0.0, 0.0, max(t[2], 0.0))))
-                else:
-                    pieces.extend(_split_piece(poly, t, 0.0, (0.0, 0.0, 0.0), t))
+    for poly, i, j in cells.get(id(expr)) or _overlaps(left, right):
+        (al, bl, cl), (ar, br, cr) = left[i][1], right[j][1]
+        a, b = al + ar, bl + br
+        if isinstance(expr, And):
+            t = (a, b, cl + cr - 1.0)
+            if abs(a) < _EPS and abs(b) < _EPS:
+                pieces.append((poly, (0.0, 0.0, max(t[2], 0.0))))
             else:
-                t = (a, b, cl + cr)
-                if abs(a) < _EPS and abs(b) < _EPS:
-                    pieces.append((poly, (0.0, 0.0, min(t[2], 1.0))))
-                else:
-                    pieces.extend(_split_piece(poly, t, 1.0, t, (0.0, 0.0, 1.0)))
+                pieces.extend(_split_piece(poly, t, 0.0, (0.0, 0.0, 0.0), t))
+        else:
+            t = (a, b, cl + cr)
+            if abs(a) < _EPS and abs(b) < _EPS:
+                pieces.append((poly, (0.0, 0.0, min(t[2], 1.0))))
+            else:
+                pieces.extend(_split_piece(poly, t, 1.0, t, (0.0, 0.0, 1.0)))
     return pieces
 
 
-def _objective_complex(rules: Sequence[Rule], bindings: Mapping[str, float]):
+def _overlaps(left, right):
+    # (polygon, i, j) for each pair of cells left[i], right[j] that overlap
+    out = []
+    for i, (poly_l, _) in enumerate(left):
+        for j, (poly_r, _) in enumerate(right):
+            poly = _poly_intersect(poly_l, poly_r)
+            if len(poly) >= 3 and abs(_poly_area(poly)) > 1e-14:
+                out.append((poly, i, j))
+    return out
+
+
+def _pwl_cache(rules: Sequence[Rule]) -> tuple[dict, dict]:
+    """What `_pwl` builds for ``rules`` under any binding, keyed by node id
+    (the caller keeps ``rules`` alive); see `solve_decisions`."""
+    free, cells = {}, {}
+
+    def visit(expr) -> tuple[bool, bool]:
+        # (mentions a bound variable, mentions y_keep or y_recls)
+        if isinstance(expr, (Const, Var)):
+            bound = isinstance(expr, Var) and expr.name not in (KEEP_VAR, RECLS_VAR)
+            kind = (bound, isinstance(expr, Var) and not bound)
+        else:
+            operands = (expr.operand,) if isinstance(expr, Not) else (expr.left, expr.right)
+            kinds = [visit(operand) for operand in operands]
+            kind = (any(k[0] for k in kinds), any(k[1] for k in kinds))
+            if len(operands) == 2 and not any(all(k) for k in kinds):
+                # a subtree of bound variables alone is one unit-square cell
+                sides = [[(_UNIT_SQUARE, None)] if k[0] else free[id(e)] for e, k in zip(operands, kinds)]
+                cells[id(expr)] = _overlaps(*sides)
+        if not kind[0]:
+            free[id(expr)] = _pwl(expr, {}, (free, cells))
+        return kind
+
+    for rule in rules:
+        visit(rule.expr)
+    return free, cells
+
+
+def _objective_complex(rules: Sequence[Rule], bindings: Mapping[str, float], cache=None):
     total = [(list(_UNIT_SQUARE), (0.0, 0.0, 0.0))]
     for rule in rules:
-        pieces = _pwl(rule.expr, bindings)
+        pieces = _pwl(rule.expr, bindings, cache)
         w = rule.weight
         merged = []
-        for poly_t, (at, bt, ct) in total:
-            for poly_r, (ar, br, cr) in pieces:
-                poly = _poly_intersect(poly_t, poly_r)
-                if len(poly) >= 3 and abs(_poly_area(poly)) > 1e-14:
-                    merged.append((poly, (at + w * ar, bt + w * br, ct + w * cr)))
+        for poly, i, j in _overlaps(total, pieces):
+            (at, bt, ct), (ar, br, cr) = total[i][1], pieces[j][1]
+            merged.append((poly, (at + w * ar, bt + w * br, ct + w * cr)))
         total = merged
     return total
 
@@ -482,30 +517,35 @@ def solve_decisions(
 ) -> list[SolverOutput]:
     """The solution of the decision program for each ``(conf, size, scene)``.
 
-    The three decision rules are built once per call and solved under each
-    triple's bindings, with no `RuleSet` per object. Raises ``ValueError``,
-    before any solve, for a constraint outside [0, 1] or NaN, then for a
-    negative, infinite or NaN weight.
+    Raises ``ValueError``, before any solve, for a constraint outside [0, 1]
+    or NaN, then for a negative, infinite or NaN weight.
+
+    Built once per call, with no `RuleSet` per object: the three rules, the
+    complex of each subtree without bound variables (the consequents), its
+    overlaps with the unit square, and the square that each antecedent of
+    bound variables alone is (`_pwl_cache`). Per triple, only the antecedents'
+    affines, the split of each rule's cells at them and the merge of the three
+    rules are left.
 
     Each result is bit for bit
-    ``solve(build_decision_rules(ConstraintVector(*x), weights), policy)``:
-    the benchmark's reference digest of the refine log pins the solver's
-    last-bit rounding, so this runs the same cell-complex arithmetic in the
-    same order. A faster closed form has to wait until that check compares
-    the solver's floats within a tolerance.
+    ``solve(build_decision_rules(ConstraintVector(*x), weights), policy)``,
+    as the benchmark's digest of the refine log requires: a reused part is the
+    value `_pwl` computes without reuse, and the rest runs the same arithmetic
+    in the same order.
 
     It uses only its arguments, so a worker process can run it under any
     start method; pickle carries the floats both ways exactly.
     """
     bindings = [_constraint_bindings(*x) for x in xs]
     rules = _decision_rules(weights)
-    return [_solve(rules, bound, policy) for bound in bindings]
+    cache = _pwl_cache(rules)
+    return [_solve(rules, bound, policy, cache) for bound in bindings]
 
 
 def _solve(
-    rules: Sequence[Rule], bindings: Mapping[str, float], policy: SelectionPolicy
+    rules: Sequence[Rule], bindings: Mapping[str, float], policy: SelectionPolicy, cache=None
 ) -> SolverOutput:
-    complex_ = _objective_complex(rules, bindings)
+    complex_ = _objective_complex(rules, bindings, cache)
     best = -float("inf")
     vertices = []  # (value, x, y)
     for poly, (a, b, c) in complex_:

@@ -163,11 +163,18 @@ class TestRefine:
              "scene_type must be a string, got list"),
             ('{"scene_id": "s1", "scene_type": "office", "description": 3, "detections": []}',
              "description must be a string, got int"),
+            # Python counts JSON true and false as the numbers 1 and 0
+            (chair_line('"score": true'), "score must be a number, got true"),
+            (chair_line('"score": 0.9, "class_scores": {"chair": true}'),
+             "class score for 'chair' must be a number, got True"),
+            (chair_line('"score": 0.9').replace("1, 1, 1, 0]", "true, true, true, false]"),
+             "box must be 7 numbers, got [0, 0, 0.5, True, True, True, False]"),
         ],
         ids=[
             "json", "array", "field", "value", "score-NaN", "score-Infinity", "score--Infinity",
             "class-score-NaN", "class-score-Infinity", "class-score--Infinity",
             "label-list", "scene-type-list", "description-int",
+            "score-true", "class-score-true", "box-booleans",
         ],
     )
     def test_bad_detections_line_names_file_and_line(self, case_files, capsys, line, message):
@@ -372,8 +379,16 @@ class TestBalance:
             # reflect_filter would drop the label without a word
             ({"sim_pos": math.nan}, "sim_pos must be finite, got nan"),
             ({"sim_neg": math.inf}, "sim_neg must be finite, got inf"),
+            # Python counts JSON true and false as the numbers 1 and 0
+            ({"bbox": [0, 0, True, True]}, "bbox must be 4 finite numbers, got [0, 0, True, True]"),
+            ({"confidence": True}, "confidence must be a number, got true"),
+            ({"sim_pos": False}, "sim_pos must be a number, got false"),
+            ({"sim_neg": True}, "sim_neg must be a number, got true"),
         ],
-        ids=["label-list", "bbox-string", "bbox-short", "bbox-nan", "sim_pos-nan", "sim_neg-inf"],
+        ids=[
+            "label-list", "bbox-string", "bbox-short", "bbox-nan", "sim_pos-nan", "sim_neg-inf",
+            "bbox-booleans", "confidence-true", "sim_pos-false", "sim_neg-true",
+        ],
     )
     def test_bad_label_names_file_and_line(self, tmp_path, capsys, fields, message):
         good = {"bbox": [0, 0, 5, 5], "label": "lamp", "confidence": 0.9,
@@ -410,8 +425,9 @@ class TestDbcSim:
             ('{"A": "nan"}', "loss for 'A' must be a finite number at least 0, got nan"),
             ('{"A": Infinity}', "loss for 'A' must be a finite number at least 0, got inf"),
             ('{"A": -1.5}', "loss for 'A' must be a finite number at least 0, got -1.5"),
+            ('{"A": true}', "loss for 'A' must be a number, got true"),
         ],
-        ids=["json", "value", "NaN", "nan-string", "Infinity", "negative"],
+        ids=["json", "value", "NaN", "nan-string", "Infinity", "negative", "true"],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, line, message):
         path = tmp_path / "losses.jsonl"
@@ -464,8 +480,13 @@ class TestBaol:
         [
             ("{not json", "Expecting property name"),
             ('{"boxes": [], "fg_scores": []}', "missing field 'class_scores'"),
+            # numpy takes JSON true and false as 1 and 0
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[true]], "fg_scores": [0.9]}',
+             "class_scores must hold numbers, got a JSON boolean"),
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [false]}',
+             "fg_scores must hold numbers, got a JSON boolean"),
         ],
-        ids=["json", "field"],
+        ids=["json", "field", "class-scores-true", "fg-scores-false"],
     )
     def test_bad_line_names_file_and_line_before_any_output(
         self, tmp_path, capsys, line, message
@@ -514,6 +535,19 @@ class TestEval:
         path = write_short_box_scene(tmp_path)
         code = main(["eval", "--detections", str(path), "--gt", str(path)])
         assert_short_box_error(code, capsys, "scene s0 detection 1")
+
+    def test_boolean_score_is_input_error(self, tmp_path, capsys):
+        # it used to load as a perfect detection: exit 0 with mAP 1.0
+        scene = {"scene_id": "s1", "scene_type": "office"}
+        box = [0, 0, 0.5, 1, 1, 1, 0]
+        gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
+        gt.write_text(json.dumps({**scene, "detections": [{"box": box, "label": "lamp"}]}) + "\n")
+        lamp = {"box": box, "label": "lamp", "score": True, "class_scores": {"lamp": True}}
+        det.write_text(json.dumps({**scene, "detections": [lamp]}) + "\n")
+        assert main(["eval", "--detections", str(det), "--gt", str(gt)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {det}:1: score must be a number, got true\n"
 
 
 class TestGenSynthetic:
@@ -730,8 +764,8 @@ class TestFlagsPerSubcommand:
             main([command, *REQUIRED[command], flag, FLAG_VALUES.get(flag, "file.json")])
         assert err.value.code == 1
         stderr = capsys.readouterr().err
-        assert stderr.startswith("usage: ovrefine")
-        assert f"error: unrecognized arguments: {flag} " in stderr
+        assert stderr.startswith(f"usage: ovrefine {command} [-h]")
+        assert f"\novrefine {command}: error: unrecognized arguments: {flag} " in stderr
 
     @pytest.mark.parametrize("command, flag", READ)
     def test_read_flag_is_accepted(self, command, flag):

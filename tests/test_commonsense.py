@@ -148,6 +148,12 @@ class TestKnowledgeBase:
             KnowledgeBase.from_dict(data)
         assert str(err.value) == message
 
+    def test_from_dict_refuses_boolean_sizes(self):
+        # float would take JSON true as 1.0
+        with pytest.raises(TypeError) as err:
+            KnowledgeBase.from_dict({"sizes": {"chair": [1.0, True, 1.0]}})
+        assert str(err.value) == "sizes['chair'] must be a number, got true"
+
     def test_shipped_kb_covers_case_studies(self):
         kb = default_knowledge_base()
         assert "toilet" not in kb.compat["living room"]

@@ -56,10 +56,18 @@ class TestBox7DoF:
         with pytest.raises(ValueError, match="finite"):
             Box7DoF(*values)
 
+    @pytest.mark.parametrize("field", range(7))
+    def test_rejects_boolean_fields(self, field):
+        values = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+        values[field] = True
+        with pytest.raises(TypeError, match="box fields must be numbers"):
+            Box7DoF(*values)
+
     def test_parse_box(self):
         assert parse_box([1, 2, 3, 1, 1, 1, 0], "x") == Box7DoF(1, 2, 3, 1, 1, 1, 0)
         for bad in ([0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 0, 0],
-                    ["a", 0, 0, 1, 1, 1, 0], None, 3.0, {"cx": 0}):
+                    ["a", 0, 0, 1, 1, 1, 0], None, 3.0, {"cx": 0},
+                    [0, 0, 0, True, True, True, False]):
             with pytest.raises(ValueError, match=r"^scene s detection 4: box must be 7 numbers"):
                 parse_box(bad, "scene s detection 4")
         with pytest.raises(ValueError, match=r"^scene s detection 4: box fields must be finite"):

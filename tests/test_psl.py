@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,19 @@ class TestSolveDecisions:
                 checked += len(xs)
         assert checked >= 10_000
 
+    # sha256 of one repr((y_keep, y_recls, objective)) line per solution, over
+    # instances() under each policy and each of WEIGHTS in turn; recorded with
+    # the solver as it was before solve_decisions reused work across triples
+    GOLDEN = "120510199f499a446847ace12314d0862e81f9c0ab08fc764b8b02ad3b47d5d4"
+
+    def test_matches_recorded_digest(self):
+        digest = hashlib.sha256()
+        for policy in SelectionPolicy:
+            for weights in self.WEIGHTS:
+                for out in solve_decisions(self.instances(), weights, policy):
+                    digest.update(floats(out).encode() + b"\n")
+        assert digest.hexdigest() == self.GOLDEN
+
     @settings(max_examples=200, deadline=None)
     @given(
         x=st.tuples(*[st.floats(0.0, 1.0)] * 3),
@@ -333,15 +347,34 @@ class TestSolveDecisions:
         calls = []
         original = psl._pwl
 
-        def counting(expr, bindings):
+        def counting(expr, bindings, cache=None):
             calls.append(expr)
-            return original(expr, bindings)
+            return original(expr, bindings, cache)
 
         monkeypatch.setattr(psl, "_pwl", counting)
         solve_decisions([(0.8, 0.6, 1.0)])
         rules = build_decision_rules(ConstraintVector(0.8, 0.6, 1.0)).rules
         rule_exprs = [rule.expr for rule in rules]
         assert [expr for expr in calls if expr in rule_exprs] == rule_exprs
+
+    def test_builds_binding_free_complexes_once_per_call(self, monkeypatch):
+        built = []
+        original = psl._pwl
+
+        def counting(expr, bindings, cache=None):
+            if not psl._expr_vars(expr, set()) - {psl.KEEP_VAR, psl.RECLS_VAR}:
+                built.append(expr)
+            return original(expr, bindings, cache)
+
+        monkeypatch.setattr(psl, "_pwl", counting)
+        xs = [(0.8, 0.6, 1.0), (0.3, 0.9, 0.0)] * 25
+        counts = []
+        for n in (1, 50):
+            built.clear()
+            solve_decisions(xs[:n])
+            counts.append(len(built))
+        # the consequents of the three rules, at the least
+        assert counts[0] == counts[1] >= 3
 
 
 class TestBruteForceSolve:
