@@ -39,6 +39,8 @@ _POLICIES = {policy.value: policy for policy in SelectionPolicy}
 _LLM_MODES = ("off", "remote")
 # the values a RunConfig field of each type accepts: a float field takes an int
 _ACCEPTS = {str: str, int: int, float: (int, float)}
+# the JSON name of each scalar type that is not a number
+_JSON_SCALARS = {bool: "boolean", str: "string", type(None): "null"}
 
 
 @dataclass
@@ -169,8 +171,9 @@ def _make_provider(config: RunConfig):
             retries=config.llm_retries,
             max_in_flight=config.llm_max_in_flight,
         )
-        return RemoteKnowledgeProvider(client, kb), client
-    return StaticKnowledgeProvider(kb), None
+        # the provider's client also sends the debate judge's prompts
+        return RemoteKnowledgeProvider(client, kb)
+    return StaticKnowledgeProvider(kb)
 
 
 def _require(config: RunConfig, *names: str) -> None:
@@ -181,12 +184,10 @@ def _require(config: RunConfig, *names: str) -> None:
 
 def cmd_refine(config: RunConfig) -> int:
     _require(config, "detections", "out")
-    provider, client = _make_provider(config)
+    provider = _make_provider(config)
     records = pipeline.load_scenes(config.detections)
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    results = pipeline.refine_scenes(
-        records, provider, config.refinement(), client, workers=workers
-    )
+    results = pipeline.refine_scenes(records, provider, config.refinement(), workers=workers)
     refined = [record for record, _ in results]
     logs = [log for _, log in results]
     pipeline.save_scenes(refined, config.out)
@@ -304,12 +305,17 @@ def cmd_baol(config: RunConfig, proposals_path: str) -> int:
         proposals = balancers.ProposalSet(
             boxes, np.asarray(data["class_scores"], float), np.asarray(data["fg_scores"], float)
         )
-        # numpy, like float, takes a JSON true or false as 1 or 0; with the
-        # shapes checked, class_scores is a list of rows and fg_scores a list
-        if bool in map(type, itertools.chain.from_iterable(data["class_scores"])):
-            raise TypeError("class_scores must hold numbers, got a JSON boolean")
-        if bool in map(type, data["fg_scores"]):
-            raise TypeError("fg_scores must hold numbers, got a JSON boolean")
+        # numpy, like float, takes a JSON true or false as 1 or 0, a numeric
+        # string as its number and null as NaN; with the shapes checked,
+        # class_scores is a list of rows and fg_scores a list of those scalars
+        for name, values in (
+            ("class_scores", itertools.chain.from_iterable(data["class_scores"])),
+            ("fg_scores", data["fg_scores"]),
+        ):
+            odd = set(map(type, values)) - {int, float}
+            if odd:
+                kind = min(_JSON_SCALARS[t] for t in odd)
+                raise TypeError(f"{name} must hold numbers, got a JSON {kind}")
         labels = tuple(
             parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
         )

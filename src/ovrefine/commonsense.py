@@ -3,7 +3,9 @@
 Two providers are available: a static knowledge-base file (offline, the
 source of truth for tests and reproducible runs) and a remote LLM service
 queried with fixed prompt templates. Remote answers are cached per run and
-degrade to the knowledge base on failure.
+degrade to the knowledge base on failure. A provider also judges debates:
+the remote one asks the model to name a candidate, and the static one
+abstains, leaving the verdict to the offline strength rule.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 import urllib.request
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .geometry import Box7DoF
 from .jsonl import number
@@ -37,6 +39,7 @@ __all__ = [
     "LlmClient",
     "size_prompt",
     "scene_prompt",
+    "judge_prompt",
     "parse_size_reply",
     "parse_yes_no",
     "llm_query_size",
@@ -65,6 +68,16 @@ def size_prompt(label: str) -> str:
 
 def scene_prompt(label: str, scene_type: str) -> str:
     return f"Is it normal to see a {label} in a {scene_type}?"
+
+
+def judge_prompt(candidates: Sequence[str], scene_type: str, cases: Sequence[str]) -> str:
+    """The judge's question; ``cases[i]`` is the debater's case for ``candidates[i]``."""
+    case = "; ".join(f"{label}: {text}" for text, label in zip(cases, candidates))
+    return (
+        f"Debaters argue for the candidate classes {', '.join(candidates)} "
+        f"of an object in a {scene_type}. {case}. "
+        "Which class is correct? Answer with one class name."
+    )
 
 
 @dataclass(frozen=True)
@@ -212,6 +225,12 @@ class StaticKnowledgeProvider:
 
     def is_novel(self, label: str) -> bool:
         return label in self.kb.novel_classes
+
+    def judge(
+        self, candidates: Sequence[str], scene_type: str, cases: Sequence[str]
+    ) -> str | None:
+        """No verdict: offline, the debate's strength rule decides."""
+        return None
 
 
 def _http_post(url: str, api_key: str | None, payload: dict, timeout: float) -> dict:
@@ -372,7 +391,7 @@ class RemoteKnowledgeProvider:
     failed query is not remembered, so a later lookup asks again.
     `llm_query_size` and `llm_query_scene` fall back to the knowledge base,
     when given, on remote failure. Novel-class gating always comes from the
-    knowledge base.
+    knowledge base. Debate verdicts are not cached: each debate asks once.
     """
 
     def __init__(self, client: LlmClient, kb: KnowledgeBase | None = None):
@@ -409,6 +428,20 @@ class RemoteKnowledgeProvider:
         if self.kb is None:
             return True
         return label in self.kb.novel_classes
+
+    def judge(
+        self, candidates: Sequence[str], scene_type: str, cases: Sequence[str]
+    ) -> str | None:
+        """The candidate the model names, the longest one when it names
+        several; None when the request fails or the reply names none."""
+        try:
+            reply = self.client.complete(judge_prompt(candidates, scene_type, cases)).lower()
+        except ProviderError:
+            return None
+        for label in sorted(candidates, key=len, reverse=True):
+            if label.lower() in reply:
+                return label
+        return None
 
 
 # --------------------------------------------------------------------------

@@ -33,8 +33,12 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
 
 
 def number(value, what: str) -> float:
-    """``float(value)`` for the JSON field ``what``; JSON ``true`` and
-    ``false`` are refused, although ``float`` takes them as 1 and 0."""
-    if isinstance(value, bool):
+    """``value`` of the JSON field ``what`` as a float, if it is a JSON number.
+
+    ``float`` would also take ``true`` and ``false`` as 1 and 0, and a string
+    such as ``"0.9"`` as its number; both are refused.
+    """
+    # exact types: bool subclasses int
+    if type(value) not in (int, float):
         raise TypeError(f"{what} must be a number, got {json.dumps(value)}")
     return float(value)

@@ -4,9 +4,11 @@ synthetic-scene generator used for end-to-end checks.
 
 Base-class detections pass through untouched; each novel-class detection is
 scored against the knowledge provider, solved, and kept, removed, or
-reclassified. Scenes are independent units of work, and each solve is a pure
-function of one detection's constraints, so solves can run in worker
-processes while provider lookups and debates run on threads.
+reclassified. A reclassified object goes to a debate that the same provider
+judges, with an offline strength rule deciding when it gives no verdict.
+Scenes are independent units of work, and each solve is a pure function of
+one detection's constraints, so solves can run in worker processes while
+provider lookups and debates run on threads.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .commonsense import (
-    LlmClient,
     ProviderError,
     SceneContext,
     SizeConstraintConfig,
@@ -144,6 +145,13 @@ class RefinementConfig:
     size: SizeConstraintConfig = field(default_factory=SizeConstraintConfig)
     policy: SelectionPolicy = SelectionPolicy.SCENE_CONSERVATIVE
 
+    def __post_init__(self) -> None:
+        # decide's check, made up front: input without a novel detection never reaches decide
+        for name in ("phi_keep", "phi_recls"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+
 
 def _top_candidates(class_scores: Mapping[str, float], limit: int = 3) -> tuple[str, ...]:
     ranked = sorted(class_scores, key=lambda label: (-class_scores[label], label))
@@ -155,59 +163,37 @@ def debate(
     scene: SceneContext,
     provider,
     cfg: RefinementConfig = RefinementConfig(),
-    client: LlmClient | None = None,
 ) -> DebateOutcome:
     """Arbitrate a contested object among its top-3 scored classes.
 
-    One debater argues per candidate; a judge picks the winner. The offline
-    judge weighs size fit x scene fit x classification score; a remote
-    judge, when a client is given, reads the debaters' cases and names a
-    candidate (falling back to the offline judge if it names none).
+    One debater argues per candidate; the provider judges their cases
+    (`judge`, which a remote provider puts to the model). When it names no
+    candidate, the offline rule picks the strongest by size fit x scene fit
+    x classification score.
     """
     class_scores = dict(detection.class_scores or {detection.label: detection.score})
-    if not class_scores:
-        raise ValueError("debate requires at least one class score")
     candidates = _top_candidates(class_scores)
 
     strengths: dict[str, float] = {}
-    transcript: list[tuple[str, str]] = []
+    cases: list[str] = []
     for label in candidates:
         try:
             fit = size_constraint(detection.box, provider.size_prior(label), cfg.size)
         except LookupError:
             fit = 0.0  # cannot vouch for a class without a size prior
         scene_fit = provider.scene_compatible(label, scene.scene_type)
-        strength = fit * scene_fit * class_scores[label]
-        strengths[label] = strength
-        transcript.append(
-            (
-                f"debater:{label}",
-                f"size fit {fit:.4f}, scene fit {scene_fit}, "
-                f"classification score {class_scores[label]:.4f}",
-            )
+        strengths[label] = fit * scene_fit * class_scores[label]
+        cases.append(
+            f"size fit {fit:.4f}, scene fit {scene_fit}, "
+            f"classification score {class_scores[label]:.4f}"
         )
 
-    winner = None
-    if client is not None:
-        try:
-            case = "; ".join(f"{label}: {text}" for (_, text), label in zip(transcript, candidates))
-            reply = client.complete(
-                f"Debaters argue for the candidate classes {', '.join(candidates)} "
-                f"of an object in a {scene.scene_type}. {case}. "
-                "Which class is correct? Answer with one class name."
-            )
-            lowered = reply.lower()
-            for label in sorted(candidates, key=len, reverse=True):
-                if label.lower() in lowered:
-                    winner = label
-                    break
-        except ProviderError:
-            winner = None
-
+    winner = provider.judge(candidates, scene.scene_type, cases)
     if winner is None:
         winner = min(
             candidates, key=lambda c: (-strengths[c], -class_scores[c], c)
         )
+    transcript = [(f"debater:{label}", case) for label, case in zip(candidates, cases)]
     transcript.append(("judge", f"selects {winner!r}"))
     return DebateOutcome(candidates, winner, strengths, tuple(transcript))
 
@@ -230,7 +216,6 @@ def _finish(
     solutions: Sequence[SolverOutput],
     provider,
     cfg: RefinementConfig,
-    client: LlmClient | None,
 ) -> tuple[SceneRecord, RefinementLog]:
     """Decide each novel detection from its solution, debating the contested ones."""
     kept: list[Detection] = []
@@ -249,7 +234,7 @@ def _finish(
         elif decision is Decision.REMOVE:
             final_label = None
         else:
-            outcome = debate(detection, record.scene, provider, cfg, client)
+            outcome = debate(detection, record.scene, provider, cfg)
             final_label = outcome.winner
             transcript = outcome.transcript
             kept.append(replace(detection, label=outcome.winner))
@@ -268,7 +253,6 @@ def refine_scene(
     record: SceneRecord,
     provider,
     cfg: RefinementConfig = RefinementConfig(),
-    client: LlmClient | None = None,
 ) -> tuple[SceneRecord, RefinementLog]:
     """Refine one scene: keep, remove, or reclassify each novel detection.
 
@@ -278,7 +262,7 @@ def refine_scene(
     """
     vectors = _assemble(record, provider, cfg)
     solutions = solve_decisions(_novel_triples(vectors), cfg.rule_weights, cfg.policy)
-    return _finish(record, vectors, solutions, provider, cfg, client)
+    return _finish(record, vectors, solutions, provider, cfg)
 
 
 # Scenes per unit of pipelined work: enough solves (about 150 at the synthetic
@@ -312,7 +296,6 @@ def refine_scenes(
     records: Sequence[SceneRecord],
     provider,
     cfg: RefinementConfig = RefinementConfig(),
-    client: LlmClient | None = None,
     workers: int = 1,
 ) -> list[tuple[SceneRecord, RefinementLog]]:
     """Refine many scenes; order follows the input, output is identical for
@@ -351,7 +334,7 @@ def refine_scenes(
                 if isinstance(part, ProviderError):
                     raise part
                 own = list(islice(solved, sum(x is not None for x in part)))
-                out.append(_finish(record, part, own, provider, cfg, client))
+                out.append(_finish(record, part, own, provider, cfg))
             except ProviderError as exc:
                 out.append((record, RefinementLog(record.scene_id, (), error=str(exc))))
         return out

@@ -8,8 +8,15 @@ import pytest
 
 from conftest import case_study_scenes
 from ovrefine.cli import RunConfig, _build_parser, main
-from ovrefine.pipeline import generate_synthetic_scenes, load_scenes, save_scenes
-from ovrefine.commonsense import default_knowledge_base
+from ovrefine.pipeline import (
+    Detection,
+    SceneRecord,
+    generate_synthetic_scenes,
+    load_scenes,
+    save_scenes,
+)
+from ovrefine.commonsense import SceneContext, default_knowledge_base
+from ovrefine.geometry import Box7DoF
 
 
 def write_short_box_scene(tmp_path):
@@ -117,6 +124,21 @@ class TestRefine:
         assert err.startswith(f"input error: {kb_path}:")
         assert "finite" in err
 
+    def test_string_size_prior_is_input_error(self, case_files, tmp_path, capsys):
+        # float would take "0.5" as 0.5
+        kb = default_knowledge_base().to_dict()
+        kb["sizes"]["chair"][0] = "0.5"
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_text(json.dumps(kb))
+        code = main(
+            ["refine", "--detections", case_files["detections"], "--kb", str(kb_path),
+             "--out", case_files["out"]]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"input error: {kb_path}: sizes['chair'] must be a number, got \"0.5\"\n"
+        )
+
     def test_workers_below_one_is_input_error(self, case_files, capsys):
         # a pool of no workers cannot run; it must not quietly mean one
         code = main(
@@ -169,12 +191,14 @@ class TestRefine:
              "class score for 'chair' must be a number, got True"),
             (chair_line('"score": 0.9').replace("1, 1, 1, 0]", "true, true, true, false]"),
              "box must be 7 numbers, got [0, 0, 0.5, True, True, True, False]"),
+            # float takes a numeric string as its number
+            (chair_line('"score": "0.9"'), 'score must be a number, got "0.9"'),
         ],
         ids=[
             "json", "array", "field", "value", "score-NaN", "score-Infinity", "score--Infinity",
             "class-score-NaN", "class-score-Infinity", "class-score--Infinity",
             "label-list", "scene-type-list", "description-int",
-            "score-true", "class-score-true", "box-booleans",
+            "score-true", "class-score-true", "box-booleans", "score-string",
         ],
     )
     def test_bad_detections_line_names_file_and_line(self, case_files, capsys, line, message):
@@ -263,7 +287,7 @@ class TestRefine:
             def scene_compatible(self, label, scene_type):
                 raise ProviderError("knowledge service unreachable")
 
-        monkeypatch.setattr(cli_module, "_make_provider", lambda config: (DeadProvider(), None))
+        monkeypatch.setattr(cli_module, "_make_provider", lambda config: DeadProvider())
         code = main(
             [
                 "refine",
@@ -384,10 +408,15 @@ class TestBalance:
             ({"confidence": True}, "confidence must be a number, got true"),
             ({"sim_pos": False}, "sim_pos must be a number, got false"),
             ({"sim_neg": True}, "sim_neg must be a number, got true"),
+            # float takes a numeric string as its number
+            ({"confidence": "0.9"}, 'confidence must be a number, got "0.9"'),
+            ({"sim_pos": "2.0"}, 'sim_pos must be a number, got "2.0"'),
+            ({"sim_neg": "0"}, 'sim_neg must be a number, got "0"'),
         ],
         ids=[
             "label-list", "bbox-string", "bbox-short", "bbox-nan", "sim_pos-nan", "sim_neg-inf",
             "bbox-booleans", "confidence-true", "sim_pos-false", "sim_neg-true",
+            "confidence-string", "sim_pos-string", "sim_neg-string",
         ],
     )
     def test_bad_label_names_file_and_line(self, tmp_path, capsys, fields, message):
@@ -419,15 +448,17 @@ class TestDbcSim:
         "line, message",
         [
             ("{", "Expecting property name"),
-            ('{"A": "high"}', "could not convert string to float"),
+            ('{"A": "high"}', "loss for 'A' must be a number, got \"high\""),
             # a NaN loss would rank first and have its weight raised
             ('{"A": NaN}', "loss for 'A' must be a finite number at least 0, got nan"),
-            ('{"A": "nan"}', "loss for 'A' must be a finite number at least 0, got nan"),
+            ('{"A": "nan"}', "loss for 'A' must be a number, got \"nan\""),
             ('{"A": Infinity}', "loss for 'A' must be a finite number at least 0, got inf"),
             ('{"A": -1.5}', "loss for 'A' must be a finite number at least 0, got -1.5"),
             ('{"A": true}', "loss for 'A' must be a number, got true"),
+            # float takes a numeric string as its number
+            ('{"A": "1.5"}', "loss for 'A' must be a number, got \"1.5\""),
         ],
-        ids=["json", "value", "NaN", "nan-string", "Infinity", "negative", "true"],
+        ids=["json", "value", "NaN", "nan-string", "Infinity", "negative", "true", "string"],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, line, message):
         path = tmp_path / "losses.jsonl"
@@ -485,8 +516,18 @@ class TestBaol:
              "class_scores must hold numbers, got a JSON boolean"),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [false]}',
              "fg_scores must hold numbers, got a JSON boolean"),
+            # and a numeric string as its number, null as NaN
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [["0.5"]], "fg_scores": [0.9]}',
+             "class_scores must hold numbers, got a JSON string"),
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": ["0.2"]}',
+             "fg_scores must hold numbers, got a JSON string"),
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[null]], "fg_scores": [0.9]}',
+             "class_scores must hold numbers, got a JSON null"),
         ],
-        ids=["json", "field", "class-scores-true", "fg-scores-false"],
+        ids=[
+            "json", "field", "class-scores-true", "fg-scores-false", "class-scores-string",
+            "fg-scores-string", "class-scores-null",
+        ],
     )
     def test_bad_line_names_file_and_line_before_any_output(
         self, tmp_path, capsys, line, message
@@ -548,6 +589,21 @@ class TestEval:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"input error: {det}:1: score must be a number, got true\n"
+
+    def test_string_score_is_input_error(self, tmp_path, capsys):
+        # it used to load as a detection of score 0.9: exit 0 with mAP 1.0
+        scene = {"scene_id": "s1", "scene_type": "office"}
+        box = [0, 0, 0.5, 1, 1, 1, 0]
+        gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
+        gt.write_text(json.dumps({**scene, "detections": [{"box": box, "label": "lamp"}]}) + "\n")
+        det.write_text(
+            json.dumps({**scene, "detections": [{"box": box, "label": "lamp", "score": "0.9"}]})
+            + "\n"
+        )
+        assert main(["eval", "--detections", str(det), "--gt", str(gt)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f'input error: {det}:1: score must be a number, got "0.9"\n'
 
 
 class TestGenSynthetic:
@@ -679,6 +735,30 @@ class TestConfigFile:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"input error: {config}: {key} must be a finite number, got nan\n"
+
+    @pytest.mark.parametrize(
+        "key, value", [("phi_keep", 2.0), ("phi_recls", -1.0)], ids=["phi_keep", "phi_recls"]
+    )
+    @pytest.mark.parametrize("novel", [False, True], ids=["base-only", "novel"])
+    def test_threshold_outside_unit_interval_is_input_error(
+        self, tmp_path, capsys, key, value, novel
+    ):
+        # base-class-only input never reaches decide, and used to exit 0
+        sofa = Detection(Box7DoF(0, 0, 0.4, 2.0, 0.9, 0.8), "sofa", 0.95)
+        scenes = [SceneRecord("s", SceneContext("living room"), (sofa,))]
+        scenes += case_study_scenes() if novel else []
+        detections = tmp_path / "detections.jsonl"
+        save_scenes(scenes, detections)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out.jsonl"
+        code = main(
+            ["refine", "--config", str(config), "--detections", str(detections),
+             "--out", str(out), "--workers", "1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"input error: {key} must be in [0, 1], got {value}\n"
+        assert not out.exists()
 
     def test_config_value_types_accepted(self, tmp_path, capsys):
         # an int where a float is expected, null where None is allowed

@@ -20,6 +20,7 @@ from ovrefine.commonsense import (
     confidence_constraint,
     constraint_vector,
     default_knowledge_base,
+    judge_prompt,
     llm_query_scene,
     llm_query_size,
     parse_size_reply,
@@ -506,6 +507,41 @@ class TestRemoteProvider:
         provider = RemoteKnowledgeProvider(make_client(StubTransport()), kb)
         assert provider.is_novel("toilet")
         assert not provider.is_novel("sofa")
+
+    def test_judge_names_the_longest_candidate_in_the_reply(self):
+        transport = StubTransport({"Debaters argue": "The coffee table, not a table."})
+        provider = RemoteKnowledgeProvider(make_client(transport))
+        candidates, cases = ("table", "coffee table", "stool"), ("case a", "case b", "case c")
+        assert provider.judge(candidates, "library", cases) == "coffee table"
+        assert [call["prompt"] for call in transport.calls] == [
+            judge_prompt(candidates, "library", cases)
+        ]
+
+    def test_judge_prompt_template(self):
+        assert judge_prompt(("book", "stool"), "library", ("fits", "does not fit")) == (
+            "Debaters argue for the candidate classes book, stool of an object in a library. "
+            "book: fits; stool: does not fit. Which class is correct? Answer with one class name."
+        )
+
+    @pytest.mark.parametrize(
+        "transport",
+        [StubTransport({"Debaters argue": "Hard to say."}), StubTransport(fail_first=99)],
+        ids=["names-none", "request-fails"],
+    )
+    def test_judge_without_a_verdict_is_none(self, transport):
+        provider = RemoteKnowledgeProvider(make_client(transport), default_knowledge_base())
+        assert provider.judge(("book", "stool"), "library", ("a", "b")) is None
+
+    def test_judge_is_not_cached(self):
+        transport = StubTransport({"Debaters argue": "stool"})
+        provider = RemoteKnowledgeProvider(make_client(transport))
+        for _ in range(2):
+            assert provider.judge(("book", "stool"), "library", ("a", "b")) == "stool"
+        assert len(transport.calls) == 2
+
+    def test_static_provider_gives_no_verdict(self):
+        provider = StaticKnowledgeProvider(default_knowledge_base())
+        assert provider.judge(("book", "stool"), "library", ("a", "b")) is None
 
     def test_in_flight_requests_bounded(self):
         import threading

@@ -36,7 +36,11 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=12,
 )
-NUMBER = st.integers(-3, 3) | st.floats() | st.floats(0.0, 1.0) | st.booleans()
+# booleans and numeric strings too: float takes both
+NUMBER = (
+    st.integers(-3, 3) | st.floats() | st.floats(0.0, 1.0) | st.booleans()
+    | st.floats(0.0, 1.0).map(repr)
+)
 KNOWN_LABELS = ["chair", "sofa", "toilet", "book", "coffee table", ""]
 LABEL = st.sampled_from(KNOWN_LABELS) | st.text(max_size=6)
 BOX = st.lists(NUMBER, min_size=6, max_size=8)

@@ -1,3 +1,6 @@
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from ovrefine.pipeline import (
     Decision,
     Detection,
     ObjectRecord,
+    RefinementConfig,
     SceneRecord,
     debate,
     eval_ap25,
@@ -95,6 +99,20 @@ class TestRefineScene:
             assert log.objects == ()
 
 
+class TestRefinementConfig:
+    @pytest.mark.parametrize("key", ["phi_keep", "phi_recls"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, key, value):
+        # decide's check, which base-class-only input never reaches
+        with pytest.raises(ValueError) as err:
+            RefinementConfig(**{key: value})
+        assert str(err.value) == f"{key} must be in [0, 1], got {value}"
+
+    def test_unit_interval_bounds_accepted(self):
+        RefinementConfig(phi_keep=0.0, phi_recls=1.0)
+        RefinementConfig(phi_keep=1, phi_recls=0)
+
+
 class TestDebate:
     def test_case_study_winner(self, provider):
         det = library_scene().detections[0]
@@ -123,28 +141,31 @@ class TestDebate:
         b = debate(det, SceneContext("library"), provider)
         assert a == b
 
-    def test_remote_judge_names_candidate(self, provider):
-        from ovrefine.commonsense import LlmClient
+    @staticmethod
+    def remote_provider(kb, reply):
+        from ovrefine.commonsense import LlmClient, RemoteKnowledgeProvider
 
-        class Transport:
-            def __call__(self, url, key, payload, timeout):
-                return {"text": "Considering the size, it must be the stool."}
+        prompts = []
 
-        client = LlmClient(endpoint="http://llm.test", transport=Transport(), backoff=0.0)
+        def transport(url, key, payload, timeout):
+            prompts.append(payload["prompt"])
+            return {"text": reply}
+
+        # the reply is no size and no yes/no, so lookups fall back to the KB
+        client = LlmClient(endpoint="http://llm.test", transport=transport, backoff=0.0)
+        return RemoteKnowledgeProvider(client, kb), prompts
+
+    def test_remote_judge_names_candidate(self, kb):
+        provider, prompts = self.remote_provider(kb, "Considering the size, it must be the stool.")
         det = library_scene().detections[0]
-        outcome = debate(det, SceneContext("library"), provider, client=client)
+        outcome = debate(det, SceneContext("library"), provider)
         assert outcome.winner == "stool"
+        assert prompts[-1].startswith("Debaters argue for the candidate classes book, stool, ")
 
-    def test_remote_judge_naming_nothing_falls_back(self, provider):
-        from ovrefine.commonsense import LlmClient
-
-        class Transport:
-            def __call__(self, url, key, payload, timeout):
-                return {"text": "Hard to say."}
-
-        client = LlmClient(endpoint="http://llm.test", transport=Transport(), backoff=0.0)
+    def test_remote_judge_naming_nothing_falls_back(self, kb):
+        provider, _ = self.remote_provider(kb, "Hard to say.")
         det = library_scene().detections[0]
-        outcome = debate(det, SceneContext("library"), provider, client=client)
+        outcome = debate(det, SceneContext("library"), provider)
         assert outcome.winner == "coffee table"
 
 
@@ -316,11 +337,11 @@ class TestRemoteProviderPipeline:
             endpoint="http://llm.test", transport=transport, backoff=0.0, retries=1
         )
         kb = default_knowledge_base()
-        return RemoteKnowledgeProvider(client, kb), client, calls
+        return RemoteKnowledgeProvider(client, kb), calls
 
     def test_refines_through_remote_answers(self):
-        provider, client, calls = self.make_remote_provider()
-        refined, log = refine_scene(library_scene(), provider, client=client)
+        provider, calls = self.make_remote_provider()
+        refined, log = refine_scene(library_scene(), provider)
         book = log.objects[0]
         # size prior answered remotely, scene judged compatible remotely
         assert book.constraints.size == pytest.approx(0.5419, abs=1e-6)
@@ -329,15 +350,45 @@ class TestRemoteProviderPipeline:
         assert book.final_label == "coffee table"
 
     def test_remote_answers_cached_across_detections(self):
-        provider, client, calls = self.make_remote_provider()
-        refine_scene(library_scene(), provider, client=client)
+        provider, calls = self.make_remote_provider()
+        refine_scene(library_scene(), provider)
         size_queries = [p for p in calls if "common size of a chair" in p]
         assert len(size_queries) == 1  # two chairs, one remote query
 
     def test_remote_failure_degrades_to_kb(self):
-        provider, client, calls = self.make_remote_provider(fail=True)
-        refined, log = refine_scene(library_scene(), provider, client=client)
+        provider, calls = self.make_remote_provider(fail=True)
+        refined, log = refine_scene(library_scene(), provider)
         assert log.objects[0].final_label == "coffee table"
+
+    def test_prompts_match_recorded_digest(self, kb):
+        # recorded when the judge's client was still passed beside the
+        # provider: 85 size and scene prompts and 5 judge prompts
+        from ovrefine.commonsense import LlmClient, RemoteKnowledgeProvider
+
+        static = StaticKnowledgeProvider(kb)
+        prompts = []
+        lock = threading.Lock()
+
+        def transport(url, key, payload, timeout):
+            prompt = payload["prompt"]
+            with lock:
+                prompts.append(prompt)
+            if prompt.startswith("What is the common size of a "):
+                prior = kb.sizes[prompt.removeprefix("What is the common size of a ").split("?")[0]]
+                return {"text": f"{prior.length!r}*{prior.width!r}*{prior.height!r}"}
+            if prompt.startswith("Is it normal to see a "):
+                label, scene_type = prompt[len("Is it normal to see a ") : -1].split(" in a ")
+                return {"text": "Yes." if static.scene_compatible(label, scene_type) else "No."}
+            candidates = prompt.split("candidate classes ")[1].split(" of an object")[0]
+            return {"text": f"It is a {candidates.split(', ')[-1]}."}
+
+        _, records = generate_synthetic_scenes(kb, seed=7, n_scenes=60)
+        client = LlmClient(endpoint="http://llm.test", transport=transport, backoff=0.0)
+        refine_scenes(records, RemoteKnowledgeProvider(client, kb), workers=1)
+        assert len(prompts) == 90
+        assert sum(p.startswith("Debaters argue") for p in prompts) == 5
+        digest = hashlib.sha256("\n".join(sorted(prompts)).encode()).hexdigest()
+        assert digest == "d3354e3a9900a98686c32879d9c9ba0af21a2d4ea2472317d9c90e5655baacc0"
 
 
 class TestClassChangeInvariant:

@@ -193,7 +193,7 @@ class TestWorkerCounts:
                 endpoint="http://llm.test", transport=transport, max_in_flight=workers
             )
             provider = RemoteKnowledgeProvider(client, kb)
-            outputs.append(refine_scenes(records, provider, client=client, workers=workers))
+            outputs.append(refine_scenes(records, provider, workers=workers))
         judged = [p for p in prompts if p.startswith("Debaters argue")]
         assert judged and len(judged) % len(WORKER_COUNTS) == 0
         for results in outputs:
