@@ -11,12 +11,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .geometry import Box7DoF, footprint_circles, iou3d, may_overlap
 from .jsonl import number, read_jsonl
+
+# numpy is imported inside the proposal-scoring functions, the only code here
+# that builds arrays, so that `balance` and `dbc-sim` start without loading it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PseudoLabel2D",
@@ -283,6 +286,8 @@ class ProposalSet:
     fg_scores: np.ndarray  # (N_pro,), values in [0, 1]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         scores = np.asarray(self.class_scores, dtype=float)
         fg = np.asarray(self.fg_scores, dtype=float)
         object.__setattr__(self, "boxes", tuple(self.boxes))
@@ -314,6 +319,8 @@ def baol_compress(proposals: ProposalSet, k_pro: int) -> CompressedProposals:
     order) select the surviving boxes; the returned matrix holds the scaled
     rows of those boxes, in ascending original index order.
     """
+    import numpy as np
+
     n_pro, n_class = proposals.class_scores.shape
     if not 1 <= k_pro <= n_pro * n_class:
         raise ValueError(f"k_pro must be in [1, {n_pro * n_class}], got {k_pro}")
@@ -337,6 +344,8 @@ def assign_foreground_labels(
     are relabeled background; unmatched proposals overlapping any label
     above iou_hi are rescued as foreground.
     """
+    import numpy as np
+
     if not iou_lo < iou_hi:
         raise ValueError(f"need iou_lo < iou_hi, got {iou_lo} >= {iou_hi}")
     n, m = len(proposals), len(labels)
@@ -376,6 +385,8 @@ def baol_loss(y: Sequence[int], o: Sequence[float], lam: float) -> float:
     -(1/N) * sum_i [ y_i*log(o_i) + lam*(1 - y_i)*log(1 - o_i) ], with the
     probabilities clamped to [1e-7, 1 - 1e-7].
     """
+    import numpy as np
+
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     y_arr = np.asarray(y, dtype=float)

@@ -17,8 +17,6 @@ import sys
 import typing
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from . import balancers, commonsense, pipeline
 from .commonsense import (
     KnowledgeBase,
@@ -293,6 +291,10 @@ def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
 
 
 def cmd_baol(config: RunConfig, proposals_path: str) -> int:
+    # imported here, not at module level, so that the commands that build no
+    # array (`refine`, `solve-psl`, `balance`, `dbc-sim`) start without numpy
+    import numpy as np
+
     if config.lambda_baol is None:
         raise ValueError("missing required option --lambda-baol (it has no default)")
     indices = itertools.count()
@@ -417,7 +419,13 @@ _ARGUMENTS = {
     "--llm": {"choices": _LLM_MODES},
     # a tuple metavar on a positional breaks argparse's --help
     "x": {"type": float, "nargs": 3, "metavar": "X", "help": "x_conf x_size x_scene in [0, 1]"},
-    "--weights": {"type": float, "nargs": 3, "metavar": ("A1", "A2", "A3")},
+    "--weights": {
+        "type": float,
+        "nargs": 3,
+        "metavar": ("A1", "A2", "A3"),
+        "help": "rule weights alpha1-alpha3 (default 1 1 1); the rules always hold together, "
+        "so any positive weight gives the same decision and 0 switches its rule off",
+    },
     "--labels": {"required": True, "help": "pseudo-label file (JSONL)"},
     "--phi-init": {"dest": "sbc_phi_init", "type": float},
     "--losses": {"required": True, "help": "loss-stream file (JSONL)"},

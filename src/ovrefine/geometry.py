@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, so that commands
+# which never build one (``refine``, ``solve-psl``) start without loading it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Box7DoF", "ScoredBox", "footprint_circles", "iou3d", "may_overlap", "parse_box", "soft_nms",
@@ -163,6 +167,8 @@ def footprint_circles(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A footprint's circumscribed circle is centred on the box and has radius
     ``hypot(l, w) / 2``; the arrays feed ``may_overlap``.
     """
+    import numpy as np
+
     cx = np.array([b.cx for b in boxes], dtype=float)
     cy = np.array([b.cy for b in boxes], dtype=float)
     radius = np.array([math.hypot(b.l, b.w) / 2.0 for b in boxes], dtype=float)
@@ -176,6 +182,8 @@ def may_overlap(box: Box7DoF, cx: np.ndarray, cy: np.ndarray, radius: np.ndarray
     the broad phase of ``iou3d`` with the same floating-point operations, so
     ``iou3d(box, other)`` is exactly ``0.0`` for every index left out.
     """
+    import numpy as np
+
     dx = cx - box.cx
     dy = cy - box.cy
     reach = (radius + math.hypot(box.l, box.w) / 2.0) * _REACH_SCALE + _REACH_PAD
@@ -236,6 +244,8 @@ def soft_nms(
     per survivor whose circle meets the pick's, instead of an O(n) Python
     scan and an ``iou3d`` call per same-class survivor.
     """
+    import numpy as np
+
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not boxes:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import threading
+from collections.abc import Mapping, Sequence
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .commonsense import (
     ProviderError,
@@ -36,6 +36,11 @@ from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, deci
 
 # perfbench/tracecli.py wraps these by attribute on this module; they are not called here
 from .psl import build_decision_rules, solve  # noqa: F401
+
+# numpy is imported inside the evaluator and the scene generator, the only
+# code here that builds arrays, so that `refine` starts without loading it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Detection",
@@ -71,10 +76,16 @@ class Detection:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.class_scores is not None:
+            if not isinstance(self.class_scores, Mapping):
+                raise TypeError(
+                    "class_scores must be an object of class scores, "
+                    f"got {type(self.class_scores).__name__}"
+                )
             object.__setattr__(self, "class_scores", dict(self.class_scores))
             for label, value in self.class_scores.items():
-                if isinstance(value, bool):
-                    raise TypeError(f"class score for {label!r} must be a number, got {value}")
+                # Real admits numpy scalars; a bool is a Real but not a score
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise TypeError(f"class score for {label!r} must be a number, got {value!r}")
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"class score for {label!r} is {value}, outside [0, 1]")
 
@@ -370,6 +381,8 @@ def eval_ap25(
     threshold. Classes absent from the ground truth are excluded from the
     mean; classes present but never predicted score 0.
     """
+    import numpy as np
+
     gt_ids = {record.scene_id for record in ground_truth}
     pred_ids = {record.scene_id for record in predictions}
     if pred_ids - gt_ids:
@@ -419,6 +432,8 @@ def eval_ap25(
 
 
 def _average_precision(tp: np.ndarray, n_positive: int) -> float:
+    import numpy as np
+
     if n_positive == 0:
         return 0.0
     if tp.size == 0:
@@ -456,6 +471,8 @@ def generate_synthetic_scenes(
     classes and hallucinates low-scoring boxes, some with classes foreign
     to the scene. Returns (ground truth, corrupted detections).
     """
+    import numpy as np
+
     if not 0.0 <= corruption_rate <= 1.0:
         raise ValueError(f"corruption_rate must be in [0, 1], got {corruption_rate}")
     rng = np.random.default_rng(seed)

@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
-import numpy as np
+# numpy is imported only by the grid oracle (`_eval_array`,
+# `brute_force_solve`), so that `solve` and the commands built on it start
+# without loading it
 
 __all__ = [
     "Const",
@@ -147,6 +149,8 @@ def _eval_array(expr: SoftExpr, bindings: Mapping[str, object], cache=None, tag=
     # variables only, which are identical across rule sets that differ just
     # in their bindings. No array is ever written in place, so cached grids
     # are safe to share.
+    import numpy as np
+
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Var):
@@ -577,7 +581,7 @@ def _solve(
 
 
 def brute_force_solve(
-    ruleset: RuleSet, resolution: float, dtype=np.float64
+    ruleset: RuleSet, resolution: float, dtype="float64"
 ) -> SolverOutput:
     """Exhaustive grid scan over [0,1]^2 at the given step; test oracle.
 
@@ -585,6 +589,8 @@ def brute_force_solve(
     every grid point and returns the best one. Accepts rule sets whose
     free variables are any subset of {y_keep, y_recls}.
     """
+    import numpy as np
+
     if not 0.0 < resolution <= 0.1:
         raise ValueError(f"resolution must be in (0, 0.1], got {resolution}")
     free = set(ruleset.free_vars)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -193,12 +196,19 @@ class TestRefine:
              "box must be 7 numbers, got [0, 0, 0.5, True, True, True, False]"),
             # float takes a numeric string as its number
             (chair_line('"score": "0.9"'), 'score must be a number, got "0.9"'),
+            (chair_line('"score": 0.9, "class_scores": {"chair": "0.5"}'),
+             "class score for 'chair' must be a number, got '0.5'"),
+            (chair_line('"score": 0.9, "class_scores": {"chair": null}'),
+             "class score for 'chair' must be a number, got None"),
+            (chair_line('"score": 0.9, "class_scores": [0.5]'),
+             "class_scores must be an object of class scores, got list"),
         ],
         ids=[
             "json", "array", "field", "value", "score-NaN", "score-Infinity", "score--Infinity",
             "class-score-NaN", "class-score-Infinity", "class-score--Infinity",
             "label-list", "scene-type-list", "description-int",
             "score-true", "class-score-true", "box-booleans", "score-string",
+            "class-score-string", "class-score-null", "class-scores-list",
         ],
     )
     def test_bad_detections_line_names_file_and_line(self, case_files, capsys, line, message):
@@ -886,3 +896,57 @@ def test_readme_shows_the_flags_each_subcommand_takes(capsys):
     for command, flags in shown:
         # every command takes --config; the README says so once, above the block
         assert flags == help_flags(command, capsys) - {"--help", "--config"}, command
+
+
+# Runs in a fresh interpreter: the test process has numpy loaded already
+NO_NUMPY_SCRIPT = """
+import sys
+
+def check(step):
+    assert "numpy" not in sys.modules, f"numpy is loaded after {step}"
+
+import ovrefine
+from ovrefine.cli import main
+check("import ovrefine")
+detections, labels, losses, out = sys.argv[1:5]
+for workers in ("1", "2"):
+    code = main(["refine", "--detections", detections, "--out", f"{out}{workers}.jsonl",
+                 "--log", f"{out}{workers}.log.jsonl", "--workers", workers])
+    assert code == 0, code
+    check(f"refine --workers {workers}")
+assert main(["solve-psl", "0.5", "1", "1"]) == 0
+check("solve-psl")
+assert main(["balance", "--labels", labels]) == 0
+check("balance")
+assert main(["dbc-sim", "--losses", losses, "--interval", "1", "--top-k", "1"]) == 0
+check("dbc-sim")
+"""
+
+
+def test_commands_that_build_no_array_never_load_numpy(tmp_path):
+    _, detections = generate_synthetic_scenes(default_knowledge_base(), seed=7, n_scenes=12)
+    det_path = tmp_path / "det.jsonl"
+    save_scenes(detections, det_path)
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(
+        json.dumps({"image_id": cls, "labels": [
+            {"bbox": [0, 0, 5, 5], "label": cls, "confidence": 0.9, "sim_pos": 2.0, "sim_neg": 0.0}
+        ] * count}) + "\n"
+        for cls, count in (("chair", 40), ("lamp", 4))
+    ))
+    losses = tmp_path / "losses.jsonl"
+    losses.write_text(json.dumps({"A": 5.0, "B": 1.0, "C": 3.0}) + "\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(det_path), str(labels), str(losses),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    logs = [(tmp_path / f"out{w}.log.jsonl").read_text() for w in ("1", "2")]
+    assert logs[0] == logs[1]
+    decisions = [o["decision"] for line in logs[0].splitlines()
+                 for o in json.loads(line)["objects"]]
+    assert "reclassify" in decisions and "remove" in decisions and "keep" in decisions

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ovrefine import psl
@@ -27,6 +27,7 @@ from ovrefine.psl import (
     solve_decisions,
     UnboundVariableError,
 )
+from ovrefine.pipeline import RefinementConfig
 
 
 def paper_rules():
@@ -245,6 +246,53 @@ class TestSolve:
                 out = solve(rs, policy)
                 at_point = rs.total_value({"y_keep": out.y_keep, "y_recls": out.y_recls})
                 assert at_point == pytest.approx(out.objective, abs=1e-9)
+
+
+class TestWhatTheRulesDecide:
+    """The three decision rules can always hold together, so their optimum is
+    known in advance and the weights only switch rules on or off.
+
+    Both properties are stated against the general solver `solve`, so they
+    hold for any solver that returns its optimum.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        weights=st.tuples(*[st.floats(0.0, 10.0)] * 3),
+        policy=st.sampled_from(list(SelectionPolicy)),
+    )
+    def test_objective_is_the_weight_sum(self, x, weights, policy):
+        out = solve(build_decision_rules(ConstraintVector(*x), weights), policy)
+        assert abs(out.objective - sum(weights)) <= 1e-12
+
+    # Weights start at 1e-3, not at 0: `solve` treats two vertices whose
+    # objectives differ by less than its tie slack (1e-12) as tied. At a
+    # weight of 1e-9 and conf 0.99999 the gap to the y_keep = 1 vertex is
+    # 1.3e-14, so the policy may pick that vertex, which misses the optimum
+    # by that gap. From 1e-3 on, such a tie moves a score by under 1e-9.
+    NEAR = 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        weights=st.tuples(*[st.floats(1e-3, 10.0)] * 3),
+        other=st.tuples(*[st.floats(1e-3, 10.0)] * 3),
+        policy=st.sampled_from(list(SelectionPolicy)),
+    )
+    def test_positive_weights_do_not_change_decisions(self, x, weights, other, policy):
+        cfg = RefinementConfig()
+        outs = [
+            solve(build_decision_rules(ConstraintVector(*x), w), policy) for w in (weights, other)
+        ]
+        # a score within NEAR of its threshold may fall on either side of it
+        assume(all(
+            abs(out.y_keep - cfg.phi_keep) > self.NEAR
+            and abs(out.y_recls - cfg.phi_recls) > self.NEAR
+            for out in outs
+        ))
+        first, second = (decide(out, cfg.phi_keep, cfg.phi_recls) for out in outs)
+        assert first is second
 
 
 def floats(out):
