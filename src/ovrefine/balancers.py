@@ -291,6 +291,9 @@ class ProposalSet:
         scores = np.asarray(self.class_scores, dtype=float)
         fg = np.asarray(self.fg_scores, dtype=float)
         object.__setattr__(self, "boxes", tuple(self.boxes))
+        if not self.boxes and scores.shape == (0,):
+            # no boxes, so no rows: JSON writes the empty matrix as []
+            scores = scores.reshape(0, 0)
         object.__setattr__(self, "class_scores", scores)
         object.__setattr__(self, "fg_scores", fg)
         if scores.ndim != 2 or scores.shape[0] != len(self.boxes):

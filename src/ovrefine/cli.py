@@ -107,7 +107,9 @@ class RunConfig:
             # a NaN slips past every `value < least` check, and an infinity defeats a clamp
             if allowed[0] is float and not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value}")
-        for name, least in (("workers", 1), ("llm_max_in_flight", 1), ("llm_retries", 0)):
+        for name, least in (
+            ("workers", 1), ("k_pro", 1), ("llm_max_in_flight", 1), ("llm_retries", 0),
+        ):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -327,18 +329,25 @@ def cmd_baol(config: RunConfig, proposals_path: str) -> int:
     for index, (proposals, labels) in enumerate(read_jsonl(proposals_path, scene)):
         boxes = proposals.boxes
         k_pro = min(config.k_pro, proposals.class_scores.size)
-        compressed = balancers.baol_compress(proposals, k_pro)
+        # a scene without proposals (or without classes) has no score to keep
+        kept, scored = (), []
+        if k_pro:
+            compressed = balancers.baol_compress(proposals, k_pro)
+            kept = compressed.box_indices
+            rows = compressed.scores
+            scored = [
+                ScoredBox(boxes[i], score, class_id)
+                for i, score, class_id in zip(
+                    kept, rows.max(axis=1).tolist(), rows.argmax(axis=1).tolist()
+                )
+            ]
         y = balancers.assign_foreground_labels(
             boxes, labels, config.iou_lo, config.iou_hi
         )
         loss = balancers.baol_loss(y, proposals.fg_scores, config.lambda_baol)
-        scored = [
-            ScoredBox(boxes[i], float(compressed.scores[row].max()), int(compressed.scores[row].argmax()))
-            for row, i in enumerate(compressed.box_indices)
-        ]
         final = soft_nms(scored, config.nms_sigma, config.nms_floor)
         print(
-            f"scene {index}: kept {len(compressed.box_indices)}/{len(boxes)} boxes, "
+            f"scene {index}: kept {len(kept)}/{len(boxes)} boxes, "
             f"{int(y.sum())} foreground, loss {loss:.6f}, {len(final)} after soft-nms"
         )
     return 0

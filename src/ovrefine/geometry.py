@@ -10,6 +10,7 @@ clip for pairs that cannot touch. All functions are pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,6 +27,10 @@ __all__ = [
 # margin absorbs the clip's rounding (see ``iou3d``).
 _REACH_SCALE = 1.0 + 1e-9
 _REACH_PAD = 1e-9
+
+# Rows of a class's pair matrix that ``soft_nms`` tests at once, so that its
+# temporaries hold at most this many rows times the class size
+_NEIGHBOUR_BLOCK_ROWS = 256
 
 
 def _wrap_angle(theta: float) -> float:
@@ -108,6 +113,9 @@ class ScoredBox:
     class_id: int = 0
 
     def __post_init__(self) -> None:
+        # Real admits numpy scalars; a bool is a Real but not a score
+        if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
+            raise TypeError(f"score must be a number, got {self.score!r}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
@@ -175,19 +183,59 @@ def footprint_circles(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cx, cy, radius
 
 
+def _circles_meet(dx, dy, radii):
+    """The broad phase of ``iou3d``, elementwise on arrays.
+
+    True where two footprint circles, with centres ``(dx, dy)`` apart and
+    radii summing to ``radii``, may meet: the squared centre distance is at
+    most ``reach ** 2``, with ``reach = radii * (1 + 1e-9) + 1e-9``. These
+    are the floating-point operations of ``iou3d``'s own test.
+    """
+    reach = radii * _REACH_SCALE + _REACH_PAD
+    return dx * dx + dy * dy <= reach * reach
+
+
 def may_overlap(box: Box7DoF, cx: np.ndarray, cy: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Indices of the footprint circles that may meet ``box``'s circle.
 
     ``cx``, ``cy`` and ``radius`` come from ``footprint_circles``. The test is
-    the broad phase of ``iou3d`` with the same floating-point operations, so
-    ``iou3d(box, other)`` is exactly ``0.0`` for every index left out.
+    ``_circles_meet``, the broad phase of ``iou3d`` with the same
+    floating-point operations, so ``iou3d(box, other)`` is exactly ``0.0``
+    for every index left out. It costs one numpy pass over the arrays.
     """
     import numpy as np
 
-    dx = cx - box.cx
-    dy = cy - box.cy
-    reach = (radius + math.hypot(box.l, box.w) / 2.0) * _REACH_SCALE + _REACH_PAD
-    return np.flatnonzero(dx * dx + dy * dy <= reach * reach)
+    return np.flatnonzero(
+        _circles_meet(cx - box.cx, cy - box.cy, radius + math.hypot(box.l, box.w) / 2.0)
+    )
+
+
+def _neighbour_table(members, cx, cy, radius) -> list[list[int]]:
+    """For each box, the other boxes of its class whose footprint circles meet its own.
+
+    ``members`` maps each class to the ascending indices of its boxes, and
+    ``cx``, ``cy`` and ``radius`` come from ``footprint_circles``. Each
+    class's pair matrix is tested with ``_circles_meet``, so a box left out
+    of another's list has IoU exactly ``0.0`` with it. The matrix is built
+    ``_NEIGHBOUR_BLOCK_ROWS`` rows at a time, which bounds the temporaries.
+    """
+    import numpy as np
+
+    table: list[list[int]] = [[] for _ in cx]
+    for indices in members.values():
+        idx = np.asarray(indices)
+        ccx, ccy, cr = cx[idx], cy[idx], radius[idx]
+        for lo in range(0, len(idx), _NEIGHBOUR_BLOCK_ROWS):
+            hi = min(lo + _NEIGHBOUR_BLOCK_ROWS, len(idx))
+            meet = _circles_meet(ccx - ccx[lo:hi, None], ccy - ccy[lo:hi, None], cr + cr[lo:hi, None])
+            rows = np.arange(hi - lo)
+            meet[rows, rows + lo] = False  # a box is not its own neighbour
+            found = idx[np.nonzero(meet)[1]].tolist()
+            start = 0
+            for i, count in zip(indices[lo:hi], meet.sum(axis=1).tolist()):
+                table[i] = found[start:start + count]
+                start += count
+    return table
 
 
 def iou3d(a: Box7DoF, b: Box7DoF) -> float:
@@ -236,13 +284,15 @@ def soft_nms(
     dropped. The result is sorted by final score, descending; scores never
     increase.
 
-    Only the same-class survivors that ``may_overlap`` the pick are passed
-    to ``iou3d``. For every other one the IoU is exactly 0.0 and the factor
-    exactly 1.0, so its score is left as it is, and the result is the same
-    as rescaling all of them. A pick therefore costs one ``np.argmax`` over
-    the n scores, one circle test over the pick's class, and one ``iou3d``
-    per survivor whose circle meets the pick's, instead of an O(n) Python
-    scan and an ``iou3d`` call per same-class survivor.
+    A table built once per call lists, for each box, the boxes of its class
+    whose footprint circles meet its own (``_neighbour_table``). A pick
+    passes only its remaining neighbours to ``iou3d``. For every other box of
+    the class the IoU is exactly 0.0 and the factor exactly 1.0, so its
+    score is left as it is, and the result is the same as rescaling all of
+    them. A pick therefore costs one ``np.argmax`` over the n scores and one
+    ``iou3d`` per remaining neighbour. A box whose initial score is already
+    below the floor is dropped at its class's first pick; after that, only a
+    rescaled neighbour can fall below it.
     """
     import numpy as np
 
@@ -253,11 +303,10 @@ def soft_nms(
     # -inf marks a box already picked or dropped; argmax returns the first
     # maximum, which is the tie order by original index
     live = np.array([sb.score for sb in boxes], dtype=float)
-    cx, cy, radius = footprint_circles([sb.box for sb in boxes])
-    # per class, the indices of its boxes not yet picked or dropped
-    alive: dict = {}
+    members: dict = {}
     for i, sb in enumerate(boxes):
-        alive.setdefault(sb.class_id, []).append(i)
+        members.setdefault(sb.class_id, []).append(i)
+    neighbours = _neighbour_table(members, *footprint_circles([sb.box for sb in boxes]))
     out: list[ScoredBox] = []
     while True:
         best = int(np.argmax(live))
@@ -267,13 +316,16 @@ def soft_nms(
         live[best] = -math.inf
         picked = boxes[best]
         out.append(ScoredBox(picked.box, score, picked.class_id))
-        group = np.asarray(alive[picked.class_id])
-        group = group[group != best]
-        for j in group[may_overlap(picked.box, cx[group], cy[group], radius[group])].tolist():
+        for j in neighbours[best]:
+            rescaled = live[j]
+            if rescaled == -math.inf:
+                continue
             overlap = iou3d(picked.box, boxes[j].box)
-            live[j] *= math.exp(-(overlap * overlap) / sigma)
-        dropped = live[group] < score_floor
-        live[group[dropped]] = -math.inf
-        alive[picked.class_id] = group[~dropped]
+            rescaled *= math.exp(-(overlap * overlap) / sigma)
+            live[j] = -math.inf if rescaled < score_floor else rescaled
+        # at a class's first pick, boxes that start under the floor go too
+        for j in members.pop(picked.class_id, ()):
+            if live[j] < score_floor:
+                live[j] = -math.inf
     out.sort(key=lambda sb: -sb.score)
     return out

@@ -73,6 +73,9 @@ class Detection:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
             raise TypeError(f"label must be a string, got {type(self.label).__name__}")
+        # Real admits numpy scalars; a bool is a Real but not a score
+        if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
+            raise TypeError(f"score must be a number, got {self.score!r}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.class_scores is not None:
@@ -83,7 +86,6 @@ class Detection:
                 )
             object.__setattr__(self, "class_scores", dict(self.class_scores))
             for label, value in self.class_scores.items():
-                # Real admits numpy scalars; a bool is a Real but not a score
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise TypeError(f"class score for {label!r} must be a number, got {value!r}")
                 if not 0.0 <= value <= 1.0:

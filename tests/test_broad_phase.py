@@ -7,12 +7,14 @@ fills the whole proposal-by-label matrix. Results are compared with ``==``.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ovrefine import geometry
 from ovrefine.balancers import assign_foreground_labels
 from ovrefine.geometry import (
     Box7DoF,
@@ -209,6 +211,57 @@ class TestSoftNmsEquivalence:
         out = soft_nms(boxes, 0.5, 0.01)
         assert out == oracle_soft_nms(boxes, 0.5, 0.01)
         assert [(sb.class_id, sb.score) for sb in out] == [(0, 0.9), (1, 0.005)]
+
+
+class TestSoftNmsNeighbourTable:
+    """The neighbour table, built in row blocks, leaves the result unchanged."""
+
+    @pytest.mark.parametrize("sigma, floor", [(0.5, 0.01), (0.1, 0.2), (2.0, 0.0)])
+    def test_small_blocks_equal_quadratic_oracle(self, monkeypatch, sigma, floor):
+        monkeypatch.setattr(geometry, "_NEIGHBOUR_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(int(sigma * 100) + 7)
+        partial = 0
+        for _ in range(100):
+            boxes = soft_nms_instance(rng)
+            assert soft_nms(boxes, sigma, floor) == oracle_soft_nms(boxes, sigma, floor)
+            sizes = Counter(sb.class_id for sb in boxes).values()
+            partial += any(size > 3 and size % 3 for size in sizes)
+        assert partial >= 20  # several blocks per class, the last one partial
+
+    def test_class_larger_than_one_block_equals_oracle(self):
+        rng = np.random.default_rng(40)
+        n = geometry._NEIGHBOUR_BLOCK_ROWS + 44
+        boxes = [
+            ScoredBox(random_box(rng, 8.0), float(score), 0)
+            for score in rng.choice([0.005, 0.5, 1.0, 0.3], n)
+        ]
+        assert soft_nms(boxes, 0.5, 0.01) == oracle_soft_nms(boxes, 0.5, 0.01)
+
+    def test_iou3d_once_per_pick_and_live_neighbour(self, monkeypatch):
+        # the oracle clips every live same-class box at each pick; of those,
+        # soft_nms must clip exactly the ones whose circles meet the pick's
+        want, got = Counter(), Counter()
+        clip = oracle_iou3d
+
+        def oracle_pair(a, b):
+            if not rejected(a, b):
+                want[a, b] += 1
+            return clip(a, b)
+
+        def iou3d_pair(a, b):
+            got[a, b] += 1
+            return iou3d(a, b)
+
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            boxes = soft_nms_instance(rng)
+            with monkeypatch.context() as patch:
+                patch.setitem(globals(), "oracle_iou3d", oracle_pair)
+                oracle_soft_nms(boxes, 0.5, 0.2)
+                patch.setattr(geometry, "iou3d", iou3d_pair)
+                soft_nms(boxes, 0.5, 0.2)
+        assert got == want
+        assert sum(want.values()) > 500
 
 
 class TestForegroundLabelEquivalence:

@@ -505,6 +505,26 @@ class TestBaol:
         assert code == 0
         assert "foreground" in capsys.readouterr().out
 
+    def test_scene_without_proposals(self, tmp_path, capsys):
+        empty = {"boxes": [], "class_scores": [], "fg_scores": []}
+        one = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.5]], "fg_scores": [0.9]}
+        path = tmp_path / "proposals.jsonl"
+        path.write_text(json.dumps(empty) + "\n" + json.dumps(one) + "\n")
+        assert main(["baol", "--proposals", str(path), "--lambda-baol", "1.0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "scene 0: kept 0/0 boxes, 0 foreground, loss 0.000000, 0 after soft-nms",
+            "scene 1: kept 1/1 boxes, 0 foreground, loss 2.302585, 1 after soft-nms",
+        ]
+
+    def test_k_pro_below_one_is_input_error(self, tmp_path, capsys):
+        # the bound is the option's own, not the first scene's [1, size]
+        scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.5]], "fg_scores": [0.9]}
+        path = tmp_path / "proposals.jsonl"
+        path.write_text(json.dumps(scene) + "\n")
+        code = main(["baol", "--proposals", str(path), "--lambda-baol", "1.0", "--k-pro", "0"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "input error: k_pro must be at least 1, got 0\n")
+
     def test_wrong_arity_box_is_input_error(self, tmp_path, capsys):
         scene = {
             "boxes": [[0, 0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 1]],

@@ -150,6 +150,17 @@ class TestIou3d:
             assert abs(exact - estimate) <= 5e-3
 
 
+class TestScoredBox:
+    @pytest.mark.parametrize("score", [True, "0.9", None], ids=["bool", "str", "none"])
+    def test_score_must_be_a_number(self, score):
+        with pytest.raises(TypeError) as err:
+            ScoredBox(unit_cube(), score)
+        assert str(err.value) == f"score must be a number, got {score!r}"
+
+    def test_numpy_score_accepted(self):
+        assert ScoredBox(unit_cube(), np.float32(0.5)).score == 0.5
+
+
 class TestSoftNms:
     def test_empty(self):
         assert soft_nms([]) == []

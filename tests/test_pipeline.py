@@ -99,6 +99,17 @@ class TestRefineScene:
             assert log.objects == ()
 
 
+class TestDetection:
+    @pytest.mark.parametrize("score", [True, "0.9", None], ids=["bool", "str", "none"])
+    def test_score_must_be_a_number(self, score):
+        with pytest.raises(TypeError) as err:
+            Detection(Box7DoF(0, 0, 0, 1, 1, 1), "chair", score)
+        assert str(err.value) == f"score must be a number, got {score!r}"
+
+    def test_numpy_score_accepted(self):
+        assert Detection(Box7DoF(0, 0, 0, 1, 1, 1), "chair", np.float64(0.5)).score == 0.5
+
+
 class TestRefinementConfig:
     @pytest.mark.parametrize("key", ["phi_keep", "phi_recls"])
     @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
