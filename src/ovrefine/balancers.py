@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .geometry import Box7DoF, footprint_circles, iou3d, may_overlap
+from .geometry import Box7DoF, _circles_meet, footprint_circles, iou3d, parse_box
 from .jsonl import number, read_jsonl
 
 # numpy is imported inside the proposal-scoring functions, the only code here
@@ -39,7 +39,11 @@ __all__ = [
     "baol_loss",
     "load_pseudo_labels",
     "load_loss_stream",
+    "load_proposals",
 ]
+
+# the JSON name of each scalar type that is not a number
+_JSON_SCALARS = {bool: "boolean", str: "string", type(None): "null"}
 
 
 # --------------------------------------------------------------------------
@@ -288,6 +292,11 @@ class ProposalSet:
     def __post_init__(self) -> None:
         import numpy as np
 
+        # numpy's own message for ragged rows does not name the field
+        if isinstance(self.class_scores, list):
+            lengths = sorted({len(row) for row in self.class_scores if isinstance(row, list)})
+            if len(lengths) > 1:
+                raise ValueError(f"class_scores rows must have equal lengths, got lengths {lengths}")
         scores = np.asarray(self.class_scores, dtype=float)
         fg = np.asarray(self.fg_scores, dtype=float)
         object.__setattr__(self, "boxes", tuple(self.boxes))
@@ -302,6 +311,11 @@ class ProposalSet:
             )
         if fg.shape != (len(self.boxes),):
             raise ValueError(f"fg_scores shape {fg.shape} inconsistent with boxes")
+        for name, values in (("class_scores", scores), ("fg_scores", fg)):
+            # written so that NaN, which fails every comparison, is outside too
+            outside = values[~((values >= 0.0) & (values <= 1.0))]
+            if outside.size:
+                raise ValueError(f"{name} must lie in [0, 1], got {float(outside[0])}")
 
 
 @dataclass(frozen=True)
@@ -357,10 +371,11 @@ def assign_foreground_labels(
         return y
     # only pairs whose footprint circles meet can have nonzero IoU
     iou = np.zeros((n, m))
-    cx, cy, radius = footprint_circles(proposals)
-    for j, gt in enumerate(labels):
-        for i in may_overlap(gt, cx, cy, radius).tolist():
-            iou[i, j] = iou3d(proposals[i], gt)
+    pcx, pcy, pr = footprint_circles(proposals)
+    lcx, lcy, lr = footprint_circles(labels)
+    meet = _circles_meet(pcx[:, None] - lcx, pcy[:, None] - lcy, pr[:, None] + lr)
+    for i, j in zip(*(axis.tolist() for axis in np.nonzero(meet))):
+        iou[i, j] = iou3d(proposals[i], labels[j])
     rows, cols = np.nonzero(iou > 0.0)
     pairs = sorted(
         zip(iou[rows, cols].tolist(), rows.tolist(), cols.tolist()),
@@ -447,3 +462,35 @@ def load_loss_stream(path) -> list[dict[str, float]]:
         return losses
 
     return read_jsonl(path, record)
+
+
+def load_proposals(path) -> list[tuple[ProposalSet, tuple[Box7DoF, ...]]]:
+    """Proposal records, one scene per line: its ``ProposalSet`` and its label boxes."""
+    indices = itertools.count()
+
+    def record(data: dict) -> tuple[ProposalSet, tuple[Box7DoF, ...]]:
+        index = next(indices)
+        boxes = tuple(
+            parse_box(b, f"scene {index} proposal {i}") for i, b in enumerate(data["boxes"])
+        )
+        # numpy takes a JSON true or false as 1 or 0, a numeric string as its
+        # number and null as NaN, so the kinds are checked before ProposalSet
+        for name in ("class_scores", "fg_scores"):
+            odd = set(map(type, _cells(data[name]))) & _JSON_SCALARS.keys()
+            if odd:
+                kind = min(_JSON_SCALARS[t] for t in odd)
+                raise TypeError(f"{name} must hold numbers, got a JSON {kind}")
+        proposals = ProposalSet(boxes, data["class_scores"], data["fg_scores"])
+        labels = tuple(
+            parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
+        )
+        return proposals, labels
+
+    return read_jsonl(path, record)
+
+
+def _cells(value) -> list:
+    """The items of a JSON list, with the items of each list inside it in its place."""
+    if not isinstance(value, list):
+        return []
+    return [cell for item in value for cell in (item if isinstance(item, list) else (item,))]

@@ -9,7 +9,6 @@ plus flags, with flags winning. Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -27,8 +26,7 @@ from .commonsense import (
     StaticKnowledgeProvider,
     load_knowledge_base,
 )
-from .geometry import ScoredBox, parse_box, soft_nms
-from .jsonl import read_jsonl
+from .geometry import ScoredBox, soft_nms
 from .psl import SelectionPolicy, decide, solve_decisions
 
 __all__ = ["RunConfig", "main", "entry_point"]
@@ -37,8 +35,6 @@ _POLICIES = {policy.value: policy for policy in SelectionPolicy}
 _LLM_MODES = ("off", "remote")
 # the values a RunConfig field of each type accepts: a float field takes an int
 _ACCEPTS = {str: str, int: int, float: (int, float)}
-# the JSON name of each scalar type that is not a number
-_JSON_SCALARS = {bool: "boolean", str: "string", type(None): "null"}
 
 
 @dataclass
@@ -293,40 +289,10 @@ def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
 
 
 def cmd_baol(config: RunConfig, proposals_path: str) -> int:
-    # imported here, not at module level, so that the commands that build no
-    # array (`refine`, `solve-psl`, `balance`, `dbc-sim`) start without numpy
-    import numpy as np
-
     if config.lambda_baol is None:
         raise ValueError("missing required option --lambda-baol (it has no default)")
-    indices = itertools.count()
-
-    def scene(data: dict) -> tuple[balancers.ProposalSet, tuple]:
-        index = next(indices)
-        boxes = tuple(
-            parse_box(b, f"scene {index} proposal {i}") for i, b in enumerate(data["boxes"])
-        )
-        proposals = balancers.ProposalSet(
-            boxes, np.asarray(data["class_scores"], float), np.asarray(data["fg_scores"], float)
-        )
-        # numpy, like float, takes a JSON true or false as 1 or 0, a numeric
-        # string as its number and null as NaN; with the shapes checked,
-        # class_scores is a list of rows and fg_scores a list of those scalars
-        for name, values in (
-            ("class_scores", itertools.chain.from_iterable(data["class_scores"])),
-            ("fg_scores", data["fg_scores"]),
-        ):
-            odd = set(map(type, values)) - {int, float}
-            if odd:
-                kind = min(_JSON_SCALARS[t] for t in odd)
-                raise TypeError(f"{name} must hold numbers, got a JSON {kind}")
-        labels = tuple(
-            parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
-        )
-        return proposals, labels
-
     # every line is checked before the first scene's result is printed
-    for index, (proposals, labels) in enumerate(read_jsonl(proposals_path, scene)):
+    for index, (proposals, labels) in enumerate(balancers.load_proposals(proposals_path)):
         boxes = proposals.boxes
         k_pro = min(config.k_pro, proposals.class_scores.size)
         # a scene without proposals (or without classes) has no score to keep
@@ -341,9 +307,7 @@ def cmd_baol(config: RunConfig, proposals_path: str) -> int:
                     kept, rows.max(axis=1).tolist(), rows.argmax(axis=1).tolist()
                 )
             ]
-        y = balancers.assign_foreground_labels(
-            boxes, labels, config.iou_lo, config.iou_hi
-        )
+        y = balancers.assign_foreground_labels(boxes, labels, config.iou_lo, config.iou_hi)
         loss = balancers.baol_loss(y, proposals.fg_scores, config.lambda_baol)
         final = soft_nms(scored, config.nms_sigma, config.nms_floor)
         print(

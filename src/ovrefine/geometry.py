@@ -20,7 +20,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "Box7DoF", "ScoredBox", "footprint_circles", "iou3d", "may_overlap", "parse_box", "soft_nms",
+    "Box7DoF", "ScoredBox", "footprint_circles", "iou3d", "parse_box", "soft_nms",
 ]
 
 # Circles this far apart enclose footprints that the clip finds disjoint; the
@@ -173,7 +173,7 @@ def footprint_circles(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centres ``(cx, cy)`` and radii of the boxes' footprint circles.
 
     A footprint's circumscribed circle is centred on the box and has radius
-    ``hypot(l, w) / 2``; the arrays feed ``may_overlap``.
+    ``hypot(l, w) / 2``; ``_circles_meet`` tests pair matrices of the arrays.
     """
     import numpy as np
 
@@ -189,25 +189,11 @@ def _circles_meet(dx, dy, radii):
     True where two footprint circles, with centres ``(dx, dy)`` apart and
     radii summing to ``radii``, may meet: the squared centre distance is at
     most ``reach ** 2``, with ``reach = radii * (1 + 1e-9) + 1e-9``. These
-    are the floating-point operations of ``iou3d``'s own test.
+    are the floating-point operations of ``iou3d``'s own test, so
+    ``iou3d`` is exactly ``0.0`` on every pair where this is False.
     """
     reach = radii * _REACH_SCALE + _REACH_PAD
     return dx * dx + dy * dy <= reach * reach
-
-
-def may_overlap(box: Box7DoF, cx: np.ndarray, cy: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Indices of the footprint circles that may meet ``box``'s circle.
-
-    ``cx``, ``cy`` and ``radius`` come from ``footprint_circles``. The test is
-    ``_circles_meet``, the broad phase of ``iou3d`` with the same
-    floating-point operations, so ``iou3d(box, other)`` is exactly ``0.0``
-    for every index left out. It costs one numpy pass over the arrays.
-    """
-    import numpy as np
-
-    return np.flatnonzero(
-        _circles_meet(cx - box.cx, cy - box.cy, radius + math.hypot(box.l, box.w) / 2.0)
-    )
 
 
 def _neighbour_table(members, cx, cy, radius) -> list[list[int]]:

@@ -378,10 +378,16 @@ def eval_ap25(
 ) -> ApReport:
     """Per-class average precision at the IoU threshold, all-point interpolated.
 
-    Predictions are ranked by score; each greedily claims the unmatched
-    same-scene ground-truth box of highest overlap at or above the
-    threshold. Classes absent from the ground truth are excluded from the
-    mean; classes present but never predicted score 0.
+    Predictions are ranked by score. Each takes the same-class box of its
+    scene with the highest IoU (the first on a tie), claimed or not, and is
+    a true positive only if that IoU is above the threshold and the box is
+    unclaimed, which claims it. This is VoteNet's ``eval_det_cls``
+    (``utils/eval_det.py`` in github.com/facebookresearch/votenet), the
+    ScanNet and SUN RGB-D protocol. Unlike the greedy match over unclaimed
+    boxes used before, a prediction whose best box is claimed is a false
+    positive, as is an IoU equal to the threshold. Classes absent from the
+    ground truth are excluded from the mean; classes present but never
+    predicted score 0.
     """
     import numpy as np
 
@@ -408,23 +414,18 @@ def eval_ap25(
 
     per_class: dict[str, float] = {}
     for label, total in class_totals.items():
-        entries = sorted(
-            preds.get(label, []), key=lambda item: (-item[0], item[1])
-        )
+        entries = sorted(preds.get(label, []), key=lambda item: (-item[0], item[1]))
         matched: dict[str, list[bool]] = {
             scene: [False] * len(boxes) for scene, boxes in gt_boxes[label].items()
         }
         tp = np.zeros(len(entries))
         for rank, (_score, scene_id, box) in enumerate(entries):
-            candidates = gt_boxes[label].get(scene_id, [])
-            best_iou, best_j = 0.0, -1
-            for j, gt in enumerate(candidates):
-                if matched[scene_id][j]:
-                    continue
+            best_iou, best_j = -math.inf, -1
+            for j, gt in enumerate(gt_boxes[label].get(scene_id, [])):
                 overlap = iou3d(box, gt)
-                if overlap >= iou_threshold and overlap > best_iou:
+                if overlap > best_iou:
                     best_iou, best_j = overlap, j
-            if best_j >= 0:
+            if best_iou > iou_threshold and not matched[scene_id][best_j]:
                 matched[scene_id][best_j] = True
                 tp[rank] = 1.0
         per_class[label] = _average_precision(tp, total)

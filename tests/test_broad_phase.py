@@ -19,11 +19,11 @@ from ovrefine.balancers import assign_foreground_labels
 from ovrefine.geometry import (
     Box7DoF,
     ScoredBox,
+    _circles_meet,
     _clip_polygon,
     _polygon_area,
     footprint_circles,
     iou3d,
-    may_overlap,
     soft_nms,
 )
 
@@ -95,7 +95,8 @@ def oracle_assign_foreground_labels(proposals, labels, iou_lo=0.25, iou_hi=0.85)
 
 def rejected(a, b):
     """True when the broad phase rules the pair out."""
-    return may_overlap(a, *footprint_circles([b])).size == 0
+    cx, cy, radius = footprint_circles([a, b])
+    return not _circles_meet(cx[1] - cx[0], cy[1] - cy[0], radius[1] + radius[0])
 
 
 def reach(a, b):
@@ -166,16 +167,18 @@ class TestIou3dEquivalence:
                 assert not rejected(a, b)
                 assert iou3d(a, b) == oracle_iou3d(a, b)
 
-    def test_may_overlap_agrees_with_iou3d_broad_phase(self):
+    def test_circle_matrix_agrees_with_iou3d_broad_phase(self):
+        # the pair matrix of 40 boxes against all 400, as the labelling and
+        # the Soft-NMS neighbour table build it, against the test pair by pair
         rng = np.random.default_rng(23)
         boxes = [random_box(rng, 6.0) for _ in range(400)]
-        circles = footprint_circles(boxes)
-        for a in boxes[:40]:
-            near = set(may_overlap(a, *circles).tolist())
+        cx, cy, radius = footprint_circles(boxes)
+        meet = _circles_meet(cx[:40, None] - cx, cy[:40, None] - cy, radius[:40, None] + radius)
+        for i, a in enumerate(boxes[:40]):
             for j, b in enumerate(boxes):
-                if j not in near:
+                if not meet[i, j]:
                     assert iou3d(a, b) == 0.0 == oracle_iou3d(a, b)
-                assert (j in near) == (not rejected(a, b))
+                assert meet[i, j] == (not rejected(a, b))
 
 
 def soft_nms_instance(rng):

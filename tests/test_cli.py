@@ -553,10 +553,25 @@ class TestBaol:
              "fg_scores must hold numbers, got a JSON string"),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[null]], "fg_scores": [0.9]}',
              "class_scores must hold numbers, got a JSON null"),
+            # scores outside [0, 1], NaN among them, name the field and the value
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[1.5]], "fg_scores": [0.9]}',
+             "class_scores must lie in [0, 1], got 1.5"),
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [-2]}',
+             "fg_scores must lie in [0, 1], got -2.0"),
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [NaN]}',
+             "fg_scores must lie in [0, 1], got nan"),
+            # the scaled score 0.15 is in range, so no later check would see it
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.1]], "fg_scores": [1.5]}',
+             "fg_scores must lie in [0, 1], got 1.5"),
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 1, 1, 0]], '
+             '"class_scores": [[0.5], [0.5, 0.2]], "fg_scores": [0.9, 0.9]}',
+             "class_scores rows must have equal lengths, got lengths [1, 2]"),
         ],
         ids=[
             "json", "field", "class-scores-true", "fg-scores-false", "class-scores-string",
-            "fg-scores-string", "class-scores-null",
+            "fg-scores-string", "class-scores-null", "class-scores-above-one",
+            "fg-scores-negative", "fg-scores-nan", "fg-scores-above-one-scaled-in-range",
+            "class-scores-ragged",
         ],
     )
     def test_bad_line_names_file_and_line_before_any_output(

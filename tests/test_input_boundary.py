@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import case_study_scenes
-from ovrefine.balancers import load_loss_stream, load_pseudo_labels
+from ovrefine.balancers import load_loss_stream, load_proposals, load_pseudo_labels
 from ovrefine.cli import RunConfig, main
 from ovrefine.commonsense import load_knowledge_base
 from ovrefine.pipeline import load_scenes, save_scenes
@@ -86,7 +86,10 @@ CONFIG = st.dictionaries(
 )
 PROPOSALS = fields_of(
     boxes=st.lists(BOX, max_size=3),
-    class_scores=st.lists(st.lists(NUMBER, min_size=2, max_size=2), max_size=3),
+    # rows of two, as a matrix needs, or of any length up to three
+    class_scores=st.lists(
+        st.lists(NUMBER, min_size=2, max_size=2) | st.lists(NUMBER, max_size=3), max_size=3
+    ),
     fg_scores=st.lists(NUMBER, max_size=3),
     labels=st.lists(BOX, max_size=2),
 )
@@ -124,6 +127,7 @@ def check(load, argv, text):
         assert code in (0, 1), err
         if code == 1:
             assert err.startswith("input error: ") and err.count("\n") == 1, err
+        return code
 
 
 REFINE = ["--workers", "1", "--out", "{dir}/out.jsonl"]
@@ -161,9 +165,43 @@ def test_config_file(text):
     check(RunConfig.load, ["solve-psl", "0.9", "0.5", "1", "--config", "{input}"], text)
 
 
+BAOL = ["baol", "--proposals", "{input}", "--lambda-baol", "1"]
+
+
 @BOUNDARY
 @given(lines(PROPOSALS))
 def test_proposals_file(text):
-    # baol reads its proposals inside the command, so `main` is the reader:
-    # any other error escapes it and fails the test
-    check(None, ["baol", "--proposals", "{input}", "--lambda-baol", "1"], text)
+    check(load_proposals, BAOL, text)
+
+
+# mostly in range or near it, so that many files are accepted and an
+# out-of-range value often hides where nothing downstream would reject it
+SCORE = st.floats(0.0, 1.0) | st.floats(-0.5, 1.5) | NUMBER
+
+
+@st.composite
+def scored_scenes(draw):
+    """A proposal record of well-formed boxes whose scores lie in or out of [0, 1], or are no numbers."""
+    n, n_class = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    row = st.lists(SCORE, min_size=n_class, max_size=n_class)
+    return {
+        "boxes": [[i, 0, 0, 1, 1, 1, 0] for i in range(n)],
+        "class_scores": draw(st.lists(row, min_size=n, max_size=n)),
+        "fg_scores": draw(st.lists(SCORE, min_size=n, max_size=n)),
+    }
+
+
+def in_unit_interval(value):
+    return type(value) in (int, float) and 0 <= value <= 1
+
+
+@BOUNDARY
+@given(st.lists(scored_scenes(), max_size=3))
+def test_baol_accepts_only_scores_in_unit_interval(scenes):
+    text = "".join(json.dumps(scene) + "\n" for scene in scenes)
+    valid = all(
+        in_unit_interval(value)
+        for scene in scenes
+        for value in [*(v for row in scene["class_scores"] for v in row), *scene["fg_scores"]]
+    )
+    assert (check(load_proposals, BAOL, text) == 0) == valid

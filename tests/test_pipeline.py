@@ -11,7 +11,7 @@ from ovrefine.commonsense import (
     StaticKnowledgeProvider,
     default_knowledge_base,
 )
-from ovrefine.geometry import Box7DoF
+from ovrefine.geometry import Box7DoF, iou3d
 from ovrefine.pipeline import (
     Decision,
     Detection,
@@ -218,6 +218,31 @@ class TestEvalAp25:
         ]
         report = eval_ap25(preds, gt)
         assert report.per_class["chair"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_best_box_already_claimed_is_false_positive(self):
+        # the second prediction's best box is the first one's; the other box
+        # overlaps it at 0.6 / 1.4 = 0.43, yet it does not fall back to it
+        scene = SceneContext("library")
+        first, other = Box7DoF(0, 0, 0, 1, 1, 1), Box7DoF(0.6, 0, 0, 1, 1, 1)
+        second = Box7DoF(0.2, 0, 0, 1, 1, 1)
+        assert iou3d(second, first) > iou3d(second, other) > 0.25
+        gt = [SceneRecord(
+            "s", scene, (Detection(first, "chair", 1.0), Detection(other, "chair", 1.0))
+        )]
+        preds = [SceneRecord(
+            "s", scene, (Detection(first, "chair", 0.9), Detection(second, "chair", 0.8))
+        )]
+        # one TP then one FP, against two boxes: precision 1 up to recall 0.5
+        assert eval_ap25(preds, gt).per_class["chair"] == 0.5
+
+    def test_iou_equal_to_threshold_is_false_positive(self):
+        # 5 m boxes 3 m apart along their length: 2 / (5 + 5 - 2) = 0.25
+        scene = SceneContext("library")
+        box, shifted = Box7DoF(0, 0, 0, 5, 1, 1), Box7DoF(3, 0, 0, 5, 1, 1)
+        assert iou3d(box, shifted) == 0.25
+        gt = [SceneRecord("s", scene, (Detection(box, "chair", 1.0),))]
+        preds = [SceneRecord("s", scene, (Detection(shifted, "chair", 0.9),))]
+        assert eval_ap25(preds, gt).per_class["chair"] == 0.0
 
     def test_duplicate_tp_never_increases_ap(self):
         scene = SceneContext("library")
