@@ -34,7 +34,7 @@ print("!(a & b) with vars =", eval_expr(Not(And(Var("a"), Var("b"))), {"a": 0.9,
 #   1 : !x_conf -> !y_keep
 x = ConstraintVector(conf=0.9, size=0.5419, scene=1.0)
 rules = build_decision_rules(x)
-print("\nrules over free", rules.free_vars, "with bindings", rules.bindings)
+print("\nrules over free y_keep, y_recls with bindings", rules.bindings)
 
 # --- Exact maximization vs. the grid oracle ----------------------------------
 # The weighted rule sum is piecewise linear in (y_keep, y_recls), so the

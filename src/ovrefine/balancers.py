@@ -123,6 +123,9 @@ class SbcState:
             raise ValueError(f"delta_phi must be positive and finite, got {self.delta_phi}")
         if self.phi_lo > self.phi_hi:
             raise ValueError(f"phi_lo {self.phi_lo} exceeds phi_hi {self.phi_hi}")
+        # no round would run, yet sbc_loop would report convergence
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         for label, phi in self.phi_by_class.items():
             if not self.phi_lo <= phi <= self.phi_hi:
                 raise ValueError(
@@ -209,6 +212,12 @@ class DbcState:
             raise ValueError(f"delta_w must be positive and finite, got {self.delta_w}")
         if self.w_lo > self.w_hi:
             raise ValueError(f"w_lo {self.w_lo} exceeds w_hi {self.w_hi}")
+        # a negative k would move nearly every class (ranked[:k], ranked[-k:]), and
+        # an interval below 1 would update the weights on every iteration
+        for name, least in (("k", 0), ("update_interval", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         for label, w in self.w_by_class.items():
             if not self.w_lo <= w <= self.w_hi:
                 raise ValueError(
@@ -292,13 +301,22 @@ class ProposalSet:
     def __post_init__(self) -> None:
         import numpy as np
 
-        # numpy's own message for ragged rows does not name the field
-        if isinstance(self.class_scores, list):
-            lengths = sorted({len(row) for row in self.class_scores if isinstance(row, list)})
+        # numpy's messages for what it cannot read (ragged rows, a row beside a
+        # number, an object) do not name the field
+        try:
+            scores = np.asarray(self.class_scores, dtype=float)
+        except (TypeError, ValueError):
+            rows = self.class_scores if isinstance(self.class_scores, list) else []
+            lengths = sorted({len(row) for row in rows if isinstance(row, list)})
             if len(lengths) > 1:
-                raise ValueError(f"class_scores rows must have equal lengths, got lengths {lengths}")
-        scores = np.asarray(self.class_scores, dtype=float)
-        fg = np.asarray(self.fg_scores, dtype=float)
+                raise ValueError(
+                    f"class_scores rows must have equal lengths, got lengths {lengths}"
+                ) from None
+            raise ValueError("class_scores must be a list of rows of numbers") from None
+        try:
+            fg = np.asarray(self.fg_scores, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("fg_scores must be a list of numbers") from None
         object.__setattr__(self, "boxes", tuple(self.boxes))
         if not self.boxes and scores.shape == (0,):
             # no boxes, so no rows: JSON writes the empty matrix as []

@@ -166,9 +166,13 @@ class RefinementConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-def _top_candidates(class_scores: Mapping[str, float], limit: int = 3) -> tuple[str, ...]:
+# the classes a debate argues over: a detection's highest-scored ones
+_DEBATE_CANDIDATES = 3
+
+
+def _top_candidates(class_scores: Mapping[str, float]) -> tuple[str, ...]:
     ranked = sorted(class_scores, key=lambda label: (-class_scores[label], label))
-    return tuple(ranked[:limit])
+    return tuple(ranked[:_DEBATE_CANDIDATES])
 
 
 def debate(
@@ -371,21 +375,22 @@ class ApReport:
     mean: float
 
 
+_AP_IOU_THRESHOLD = 0.25
+
+
 def eval_ap25(
-    predictions: Sequence[SceneRecord],
-    ground_truth: Sequence[SceneRecord],
-    iou_threshold: float = 0.25,
+    predictions: Sequence[SceneRecord], ground_truth: Sequence[SceneRecord]
 ) -> ApReport:
-    """Per-class average precision at the IoU threshold, all-point interpolated.
+    """Per-class average precision at IoU 0.25, all-point interpolated.
 
     Predictions are ranked by score. Each takes the same-class box of its
     scene with the highest IoU (the first on a tie), claimed or not, and is
-    a true positive only if that IoU is above the threshold and the box is
+    a true positive only if that IoU is above 0.25 and the box is
     unclaimed, which claims it. This is VoteNet's ``eval_det_cls``
     (``utils/eval_det.py`` in github.com/facebookresearch/votenet), the
     ScanNet and SUN RGB-D protocol. Unlike the greedy match over unclaimed
     boxes used before, a prediction whose best box is claimed is a false
-    positive, as is an IoU equal to the threshold. Classes absent from the
+    positive, as is an IoU of exactly 0.25. Classes absent from the
     ground truth are excluded from the mean; classes present but never
     predicted score 0.
     """
@@ -425,7 +430,7 @@ def eval_ap25(
                 overlap = iou3d(box, gt)
                 if overlap > best_iou:
                     best_iou, best_j = overlap, j
-            if best_iou > iou_threshold and not matched[scene_id][best_j]:
+            if best_iou > _AP_IOU_THRESHOLD and not matched[scene_id][best_j]:
                 matched[scene_id][best_j] = True
                 tp[rank] = 1.0
         per_class[label] = _average_precision(tp, total)
@@ -457,13 +462,15 @@ def _average_precision(tp: np.ndarray, n_positive: int) -> float:
 # --------------------------------------------------------------------------
 # Synthetic scenes
 
+# the fewest and the most ground-truth objects in a scene
+_OBJECTS_PER_SCENE = (3, 8)
+
 
 def generate_synthetic_scenes(
     kb,
     seed: int,
     n_scenes: int = 200,
     corruption_rate: float = 0.2,
-    objects_per_scene: tuple[int, int] = (3, 8),
     size_cfg: SizeConstraintConfig = SizeConstraintConfig(),
 ) -> tuple[list[SceneRecord], list[SceneRecord]]:
     """Sample knowledge-base-conformant scenes and a corrupted detection set.
@@ -490,25 +497,13 @@ def generate_synthetic_scenes(
         novel_compatible = [c for c in compatible if c in kb.novel_classes]
         foreign = [c for c in novel_sorted if c not in kb.compat[scene_type]]
         scene = SceneContext(scene_type, f"a {scene_type}")
-        n_objects = int(rng.integers(objects_per_scene[0], objects_per_scene[1] + 1))
+        n_objects = int(rng.integers(_OBJECTS_PER_SCENE[0], _OBJECTS_PER_SCENE[1] + 1))
 
         gt_objects: list[Detection] = []
         det_objects: list[Detection] = []
         for _ in range(n_objects):
             label = compatible[int(rng.integers(len(compatible)))]
-            prior = kb.sizes[label]
-            dims = np.array([prior.length, prior.width, prior.height]) * (
-                1.0 + rng.uniform(-0.04, 0.04, 3)
-            )
-            box = Box7DoF(
-                float(rng.uniform(-6, 6)),
-                float(rng.uniform(-6, 6)),
-                float(dims[2] / 2),
-                float(dims[0]),
-                float(dims[1]),
-                float(dims[2]),
-                float(rng.uniform(-math.pi, math.pi)),
-            )
+            box = _sample_box(rng, kb.sizes[label], 1.0 + rng.uniform(-0.04, 0.04, 3))
             gt_objects.append(Detection(box, label, 1.0))
 
             corrupt = (
@@ -549,19 +544,7 @@ def generate_synthetic_scenes(
             if not pool:
                 continue
             label = pool[int(rng.integers(len(pool)))]
-            prior = kb.sizes[label]
-            dims = np.array([prior.length, prior.width, prior.height]) * rng.uniform(
-                0.6, 1.8, 3
-            )
-            box = Box7DoF(
-                float(rng.uniform(-6, 6)),
-                float(rng.uniform(-6, 6)),
-                float(dims[2] / 2),
-                float(dims[0]),
-                float(dims[1]),
-                float(dims[2]),
-                float(rng.uniform(-math.pi, math.pi)),
-            )
+            box = _sample_box(rng, kb.sizes[label], rng.uniform(0.6, 1.8, 3))
             score = float(rng.uniform(0.1, 0.45))
             det_objects.append(Detection(box, label, score, {label: score}))
 
@@ -569,6 +552,23 @@ def generate_synthetic_scenes(
         ground_truth.append(SceneRecord(scene_id, scene, tuple(gt_objects)))
         detections.append(SceneRecord(scene_id, scene, tuple(det_objects)))
     return ground_truth, detections
+
+
+def _sample_box(rng, prior, scale) -> Box7DoF:
+    """A box on the floor of the scene, with ``prior``'s extents times the
+    three factors ``scale`` and a drawn position and heading."""
+    import numpy as np
+
+    dims = np.array([prior.length, prior.width, prior.height]) * scale
+    return Box7DoF(
+        float(rng.uniform(-6, 6)),
+        float(rng.uniform(-6, 6)),
+        float(dims[2] / 2),
+        float(dims[0]),
+        float(dims[1]),
+        float(dims[2]),
+        float(rng.uniform(-math.pi, math.pi)),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -223,24 +223,22 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Weighted rules plus a partition of their variables into free and bound."""
+    """Weighted rules whose free variables are ``y_keep`` and ``y_recls``;
+    every other variable they use is bound to a value in [0, 1]."""
 
     rules: tuple[Rule, ...]
-    free_vars: tuple[str, ...] = ()
     bindings: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "free_vars", tuple(sorted(set(self.free_vars))))
         object.__setattr__(self, "bindings", dict(self.bindings))
-        overlap = set(self.free_vars) & set(self.bindings)
-        if overlap:
-            raise ValueError(f"variables both free and bound: {sorted(overlap)}")
-        known = set(self.free_vars) | set(self.bindings)
-        used = self.variables()
-        missing = used - known
+        decision = {KEEP_VAR, RECLS_VAR}
+        bound = decision & set(self.bindings)
+        if bound:
+            raise ValueError(f"decision variables cannot be bound: {sorted(bound)}")
+        missing = self.variables() - decision - set(self.bindings)
         if missing:
-            raise ValueError(f"variables neither free nor bound: {sorted(missing)}")
+            raise ValueError(f"variables neither bound nor decision variables: {sorted(missing)}")
         for name, value in self.bindings.items():
             if not 0 <= value <= 1:
                 raise ValueError(f"binding {name}={value} outside [0, 1]")
@@ -252,7 +250,7 @@ class RuleSet:
         return acc
 
     def total_value(self, assignment: Mapping[str, float]):
-        """Weighted sum of rule values at a full assignment of free variables."""
+        """Weighted sum of rule values at an assignment of y_keep and y_recls."""
         env = {**self.bindings, **assignment}
         return sum(rule.weight * eval_expr(rule.expr, env) for rule in self.rules)
 
@@ -305,7 +303,7 @@ def build_decision_rules(
     - not confident             ->  drop
     """
     bindings = _constraint_bindings(*x.as_tuple())
-    return RuleSet(_decision_rules(weights), (KEEP_VAR, RECLS_VAR), bindings)
+    return RuleSet(_decision_rules(weights), bindings)
 
 
 # --------------------------------------------------------------------------
@@ -506,11 +504,6 @@ def solve(
     vertex of the induced cell complex; the policy picks one point out of
     the optimum set (lexicographic max/min of y_keep, then min of y_recls).
     """
-    if set(ruleset.free_vars) != {KEEP_VAR, RECLS_VAR}:
-        raise ValueError(
-            f"solver requires free variables {{{KEEP_VAR!r}, {RECLS_VAR!r}}}, "
-            f"got {sorted(ruleset.free_vars)}"
-        )
     return _solve(ruleset.rules, ruleset.bindings, policy)
 
 
@@ -586,17 +579,12 @@ def brute_force_solve(
     """Exhaustive grid scan over [0,1]^2 at the given step; test oracle.
 
     Independent of `solve`: evaluates the weighted expression trees at
-    every grid point and returns the best one. Accepts rule sets whose
-    free variables are any subset of {y_keep, y_recls}.
+    every point of the (y_keep, y_recls) grid and returns the best one.
     """
     import numpy as np
 
     if not 0.0 < resolution <= 0.1:
         raise ValueError(f"resolution must be in (0, 0.1], got {resolution}")
-    free = set(ruleset.free_vars)
-    if not free <= {KEEP_VAR, RECLS_VAR}:
-        raise ValueError(f"grid scan handles only {{{KEEP_VAR!r}, {RECLS_VAR!r}}} free")
-
     cache = {"bound": frozenset(ruleset.bindings), "grids": _GRID_CACHE}
 
     def total(bindings, tag):
@@ -608,36 +596,23 @@ def brute_force_solve(
     n = int(round(1.0 / resolution)) + 1
     axis = np.linspace(0.0, 1.0, n, dtype=dtype)
     dtype_key = np.dtype(dtype).str
-    point = {KEEP_VAR: 0.0, RECLS_VAR: 0.0}
 
-    if not free:
-        value = float(total(dict(ruleset.bindings), None))
-        return SolverOutput(0.0, 0.0, value)
-
-    if len(free) == 1:
-        (name,) = free
-        tag = (n, dtype_key, "1d", name)
-        values = np.broadcast_to(total({**ruleset.bindings, name: axis}, tag), axis.shape)
-        idx = int(np.argmax(values))
-        point[name] = float(axis[idx])
-        return SolverOutput(point[KEEP_VAR], point[RECLS_VAR], float(values[idx]))
-
-    # Full 2-D scan, in column strips so temporaries stay cache-resident.
+    # scanned in column strips so temporaries stay cache-resident
     col = axis[:, None]
-    best = -float("inf")
+    best, keep, recls = -float("inf"), 0.0, 0.0
     strip = 128
     for j0 in range(0, n, strip):
         row = axis[None, j0 : j0 + strip]
-        tag = (n, dtype_key, "2d", j0)
+        tag = (n, dtype_key, j0)
         values = total({**ruleset.bindings, KEEP_VAR: col, RECLS_VAR: row}, tag)
         values = np.broadcast_to(values, (n, row.shape[1]))
         m = float(values.max())
         if m > best:
             best = m
             flat = int(values.argmax())
-            point[KEEP_VAR] = float(axis[flat // row.shape[1]])
-            point[RECLS_VAR] = float(axis[j0 + flat % row.shape[1]])
-    return SolverOutput(point[KEEP_VAR], point[RECLS_VAR], best)
+            keep = float(axis[flat // row.shape[1]])
+            recls = float(axis[j0 + flat % row.shape[1]])
+    return SolverOutput(keep, recls, best)
 
 
 # --------------------------------------------------------------------------

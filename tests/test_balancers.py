@@ -169,6 +169,12 @@ class TestSbcLoop:
         final, iters = sbc_loop(source, state)
         assert iters == 50
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        # sbc_loop would report convergence without taking a step
+        with pytest.raises(ValueError, match=f"max_iters must be at least 1, got {max_iters}"):
+            SbcState({"A": 0.5}, max_iters=max_iters)
+
 
 class TestDbc:
     def test_accumulate_single(self):
@@ -232,6 +238,24 @@ class TestDbc:
         # floor(3/2) = 1 per side
         moved = [c for c in "ABC" if new.w_by_class[c] != 1.0]
         assert moved == ["A", "C"]
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # ranked[:-1] and ranked[1:] would move all but one class each way
+            ({"k": -1}, "k must be at least 0, got -1"),
+            # the update would fire on every iteration
+            ({"update_interval": 0}, "update_interval must be at least 1, got 0"),
+            ({"update_interval": -2}, "update_interval must be at least 1, got -2"),
+        ],
+    )
+    def test_out_of_range_schedule_rejected(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            DbcState.initial(["A", "B", "C"], **params)
+
+    def test_zero_k_moves_no_weight(self):
+        state = DbcState({"A": 1.0, "B": 1.0, "C": 1.0}, {"A": 3.0, "B": 2.0, "C": 1.0}, k=0)
+        assert dbc_update(state).w_by_class == {"A": 1.0, "B": 1.0, "C": 1.0}
 
     def test_update_moves_at_most_2k_by_delta(self):
         rng = np.random.default_rng(23)

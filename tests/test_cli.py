@@ -439,6 +439,17 @@ class TestBalance:
         assert main(["balance", "--labels", str(path)]) == 1
         assert capsys.readouterr().err == f"input error: {path}:2: {message}\n"
 
+    def test_max_iters_below_one_is_input_error(self, tmp_path, capsys):
+        # balance has no flag for it, so the config file sets it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sbc_max_iters": 0}))
+        path = tmp_path / "labels.jsonl"
+        path.write_text(json.dumps({"image_id": "i", "labels": []}) + "\n")
+        assert main(["balance", "--labels", str(path), "--config", str(config)]) == 1
+        assert capsys.readouterr() == (
+            "", f"input error: {config}: sbc_max_iters must be at least 1, got 0\n"
+        )
+
     def test_no_novel_labels(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text(json.dumps({"image_id": "i", "labels": []}) + "\n")
@@ -476,6 +487,19 @@ class TestDbcSim:
         assert main(["dbc-sim", "--losses", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {path}:2: ") and message in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--top-k", "-1", "dbc_k must be at least 0, got -1"),
+            ("--interval", "0", "dbc_interval must be at least 1, got 0"),
+        ],
+    )
+    def test_out_of_range_flag_is_input_error(self, tmp_path, capsys, flag, value, message):
+        path = tmp_path / "losses.jsonl"
+        path.write_text(json.dumps({"A": 5.0, "B": 1.0, "C": 3.0}) + "\n")
+        assert main(["dbc-sim", "--losses", str(path), flag, value]) == 1
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
 
     def test_trace_file(self, tmp_path):
         path = tmp_path / "losses.jsonl"
@@ -566,12 +590,24 @@ class TestBaol:
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 1, 1, 0]], '
              '"class_scores": [[0.5], [0.5, 0.2]], "fg_scores": [0.9, 0.9]}',
              "class_scores rows must have equal lengths, got lengths [1, 2]"),
+            # numpy cannot read these, and its own messages do not name the field
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 1, 1, 0]], '
+             '"class_scores": [0.5, [0.5]], "fg_scores": [0.9, 0.9]}',
+             "class_scores must be a list of rows of numbers"),
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 1, 1, 0]], '
+             '"class_scores": [[0.5], {"a": 1}], "fg_scores": [0.9, 0.9]}',
+             "class_scores must be a list of rows of numbers"),
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [{"a": 1}], "fg_scores": [0.9]}',
+             "class_scores must be a list of rows of numbers"),
+            ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [{"a": 1}]}',
+             "fg_scores must be a list of numbers"),
         ],
         ids=[
             "json", "field", "class-scores-true", "fg-scores-false", "class-scores-string",
             "fg-scores-string", "class-scores-null", "class-scores-above-one",
             "fg-scores-negative", "fg-scores-nan", "fg-scores-above-one-scaled-in-range",
-            "class-scores-ragged",
+            "class-scores-ragged", "class-scores-number-and-row", "class-scores-row-and-object",
+            "class-scores-object", "fg-scores-object",
         ],
     )
     def test_bad_line_names_file_and_line_before_any_output(
@@ -670,6 +706,13 @@ class TestGenSynthetic:
             files.append((out.read_bytes(), gt.read_bytes()))
         assert files[0] == files[1]
 
+    def test_negative_scene_count_is_input_error(self, tmp_path, capsys):
+        out, gt = tmp_path / "det.jsonl", tmp_path / "gt.jsonl"
+        code = main(["gen-synthetic", "--scenes", "-3", "--out", str(out), "--gt", str(gt)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "input error: scenes must be at least 0, got -3\n")
+        assert not out.exists() and not gt.exists()
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path, capsys):
@@ -724,6 +767,13 @@ class TestConfigFile:
             ("alpha1", float("inf"), "alpha1 must be a finite number, got inf"),
             ("alpha2", float("nan"), "alpha2 must be a finite number, got nan"),
             ("alpha3", -1, "alpha3 must be a finite number at least 0, got -1"),
+            # a negative k raises all but the last-ranked class and lowers all but the first
+            ("dbc_k", -1, "dbc_k must be at least 0, got -1"),
+            # 0 fires the weight update on every iteration
+            ("dbc_interval", 0, "dbc_interval must be at least 1, got 0"),
+            # balance would report convergence after 0 iterations
+            ("sbc_max_iters", 0, "sbc_max_iters must be at least 1, got 0"),
+            ("scenes", -3, "scenes must be at least 0, got -3"),
             (
                 "policy",
                 "bogus",

@@ -125,14 +125,14 @@ class TestLukasiewiczIdentities:
 
 class TestRuleSet:
     def test_partition_enforced(self):
-        with pytest.raises(ValueError):
-            RuleSet((Rule(1.0, Var("a")),), ("a",), {"a": 0.5})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="decision variables cannot be bound"):
+            RuleSet(paper_rules(), {"x_conf": 1.0, "x_size": 1.0, "x_scene": 1.0, "y_keep": 0.5})
+        with pytest.raises(ValueError, match="neither bound nor decision"):
             RuleSet((Rule(1.0, Var("a")),))
 
     def test_binding_range(self):
         with pytest.raises(ValueError):
-            RuleSet((Rule(1.0, Var("a")),), (), {"a": 1.2})
+            RuleSet((Rule(1.0, Var("a")),), {"a": 1.2})
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -167,7 +167,7 @@ class TestBuildDecisionRules:
     def test_matches_paper_rules(self):
         rs = build_decision_rules(ConstraintVector(0.7, 0.8, 1.0))
         bindings = {"x_conf": 0.7, "x_size": 0.8, "x_scene": 1.0}
-        assert rs == RuleSet(paper_rules(), ("y_keep", "y_recls"), bindings)
+        assert rs == RuleSet(paper_rules(), bindings)
 
     def test_numpy_weights_coerced_to_float(self):
         weights = np.random.default_rng(3).uniform(0, 2, 3)
@@ -214,14 +214,11 @@ class TestSolve:
         assert abs(out.objective - 3.0) < 1e-9
 
     def test_rejects_other_free_variables(self):
-        rs = RuleSet((Rule(1.0, Or(Var("a"), Var("b"))),), ("a", "b"))
-        with pytest.raises(ValueError):
-            solve(rs)
-        partially = RuleSet(
-            paper_rules(), ("x_scene", "y_keep", "y_recls"), {"x_conf": 1.0, "x_size": 1.0}
-        )
-        with pytest.raises(ValueError):
-            solve(partially)
+        # only y_keep and y_recls are free, so no rule set can leave another open
+        with pytest.raises(ValueError, match=r"neither bound nor decision variables: \['a', 'b'\]"):
+            RuleSet((Rule(1.0, Or(Var("a"), Var("b"))),))
+        with pytest.raises(ValueError, match=r"neither bound nor decision variables: \['x_scene'\]"):
+            RuleSet(paper_rules(), {"x_conf": 1.0, "x_size": 1.0})
 
     def test_weight_scaling_leaves_argmax(self):
         rng = np.random.default_rng(29)
@@ -433,10 +430,12 @@ class TestBruteForceSolve:
 
     def test_constant_rules_flat(self):
         a, b = Var("a"), Var("b")
-        rs = RuleSet((Rule(1.0, And(a, b)), Rule(0.5, Not(a))), (), {"a": 0.9, "b": 0.8})
+        rs = RuleSet((Rule(1.0, And(a, b)), Rule(0.5, Not(a))), {"a": 0.9, "b": 0.8})
         out = brute_force_solve(rs, 0.05)
         expected = 1.0 * max(0.9 + 0.8 - 1, 0) + 0.5 * (1 - 0.9)
         assert out.objective == pytest.approx(expected, abs=1e-12)
+        # the plane is flat, so the scan keeps its first point
+        assert (out.y_keep, out.y_recls) == (0.0, 0.0)
 
     def test_resolution_validated(self):
         rs = build_decision_rules(ConstraintVector(1, 1, 1))
