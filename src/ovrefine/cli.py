@@ -106,6 +106,7 @@ class RunConfig:
         for name, least in (
             ("workers", 1), ("k_pro", 1), ("llm_max_in_flight", 1), ("llm_retries", 0),
             ("dbc_k", 0), ("dbc_interval", 1), ("sbc_max_iters", 1), ("scenes", 0),
+            ("seed", 0),
         ):
             value = getattr(self, name)
             if value is not None and value < least:

@@ -16,7 +16,6 @@ import os
 import re
 import threading
 import time
-import urllib.request
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -234,14 +233,25 @@ class StaticKnowledgeProvider:
 
 
 def _http_post(url: str, api_key: str | None, payload: dict, timeout: float) -> dict:
+    # imported here, the one place that talks HTTP, so that commands which
+    # never send a request start without loading http.client, email and ssl
+    import urllib.error
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     request = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"), headers=headers
     )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return json.loads(response.read().decode("utf-8"))
+    except urllib.error.HTTPError as exc:
+        # an error status arrives with its response still open; close it
+        # before the caller retries or falls back
+        exc.close()
+        raise
 
 
 class LlmClient:

@@ -21,7 +21,6 @@ from collections.abc import Mapping, Sequence
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import TYPE_CHECKING
 
 from .commonsense import (
     ProviderError,
@@ -37,10 +36,8 @@ from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, deci
 # perfbench/tracecli.py wraps these by attribute on this module; they are not called here
 from .psl import build_decision_rules, solve  # noqa: F401
 
-# numpy is imported inside the evaluator and the scene generator, the only
-# code here that builds arrays, so that `refine` starts without loading it
-if TYPE_CHECKING:
-    import numpy as np
+# numpy is imported inside the scene generator, the only code here that
+# builds arrays, so that `refine` and `eval` start without loading it
 
 __all__ = [
     "Detection",
@@ -392,10 +389,9 @@ def eval_ap25(
     boxes used before, a prediction whose best box is claimed is a false
     positive, as is an IoU of exactly 0.25. Classes absent from the
     ground truth are excluded from the mean; classes present but never
-    predicted score 0.
+    predicted score 0. Each class's area under the precision envelope is
+    summed exactly with ``math.fsum``.
     """
-    import numpy as np
-
     gt_ids = {record.scene_id for record in ground_truth}
     pred_ids = {record.scene_id for record in predictions}
     if pred_ids - gt_ids:
@@ -423,7 +419,7 @@ def eval_ap25(
         matched: dict[str, list[bool]] = {
             scene: [False] * len(boxes) for scene, boxes in gt_boxes[label].items()
         }
-        tp = np.zeros(len(entries))
+        tp = [0.0] * len(entries)
         for rank, (_score, scene_id, box) in enumerate(entries):
             best_iou, best_j = -math.inf, -1
             for j, gt in enumerate(gt_boxes[label].get(scene_id, [])):
@@ -439,24 +435,26 @@ def eval_ap25(
     return ApReport(per_class, mean)
 
 
-def _average_precision(tp: np.ndarray, n_positive: int) -> float:
-    import numpy as np
-
-    if n_positive == 0:
+def _average_precision(tp: Sequence[float], n_positive: int) -> float:
+    if n_positive == 0 or not tp:
         return 0.0
-    if tp.size == 0:
-        return 0.0
-    cum_tp = np.cumsum(tp)
-    ranks = np.arange(1, tp.size + 1)
-    precision = cum_tp / ranks
-    recall = cum_tp / n_positive
-    # all-point interpolation: area under the precision envelope
-    mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 2, -1, -1):
+    # all-point interpolation: area under the precision envelope, with the
+    # recall and precision after each rank between two sentinels
+    mrec, mpre = [0.0], [0.0]
+    hits = 0.0
+    for rank, hit in enumerate(tp, 1):
+        hits += hit
+        mrec.append(hits / n_positive)
+        mpre.append(hits / rank)
+    mrec.append(1.0)
+    mpre.append(0.0)
+    for i in range(len(mpre) - 2, -1, -1):
         mpre[i] = max(mpre[i], mpre[i + 1])
-    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
-    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+    return math.fsum(
+        (mrec[i + 1] - mrec[i]) * mpre[i + 1]
+        for i in range(len(mrec) - 1)
+        if mrec[i + 1] != mrec[i]
+    )
 
 
 # --------------------------------------------------------------------------

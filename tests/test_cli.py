@@ -713,6 +713,13 @@ class TestGenSynthetic:
         assert capsys.readouterr() == ("", "input error: scenes must be at least 0, got -3\n")
         assert not out.exists() and not gt.exists()
 
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        out, gt = tmp_path / "det.jsonl", tmp_path / "gt.jsonl"
+        code = main(["gen-synthetic", "--seed", "-1", "--out", str(out), "--gt", str(gt)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "input error: seed must be at least 0, got -1\n")
+        assert not out.exists() and not gt.exists()
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path, capsys):
@@ -774,6 +781,8 @@ class TestConfigFile:
             # balance would report convergence after 0 iterations
             ("sbc_max_iters", 0, "sbc_max_iters must be at least 1, got 0"),
             ("scenes", -3, "scenes must be at least 0, got -3"),
+            # numpy's default_rng would reject it naming neither the key nor the value
+            ("seed", -1, "seed must be at least 0, got -1"),
             (
                 "policy",
                 "bogus",
@@ -983,35 +992,53 @@ def test_readme_shows_the_flags_each_subcommand_takes(capsys):
         assert flags == help_flags(command, capsys) - {"--help", "--config"}, command
 
 
-# Runs in a fresh interpreter: the test process has numpy loaded already
-NO_NUMPY_SCRIPT = """
+# Runs in a fresh interpreter: the test process has numpy and the HTTP stack loaded already
+LEAN_START_SCRIPT = """
 import sys
 
-def check(step):
-    assert "numpy" not in sys.modules, f"numpy is loaded after {step}"
+HTTP_STACK = ("urllib.request", "http.client", "ssl")
+
+def check(step, numpy_free=True):
+    if numpy_free:
+        assert "numpy" not in sys.modules, f"numpy is loaded after {step}"
+    loaded = [name for name in HTTP_STACK if name in sys.modules]
+    assert not loaded, f"{loaded} loaded after {step}"
 
 import ovrefine
 from ovrefine.cli import main
 check("import ovrefine")
-detections, labels, losses, out = sys.argv[1:5]
+detections, gt, labels, losses, proposals, out = sys.argv[1:7]
 for workers in ("1", "2"):
     code = main(["refine", "--detections", detections, "--out", f"{out}{workers}.jsonl",
                  "--log", f"{out}{workers}.log.jsonl", "--workers", workers])
     assert code == 0, code
     check(f"refine --workers {workers}")
+# no endpoint is set, so every query falls back to the KB before a request is built
+code = main(["refine", "--detections", detections, "--out", f"{out}remote.jsonl",
+             "--llm", "remote"])
+assert code == 0, code
+check("refine --llm remote")
+assert main(["eval", "--detections", f"{out}1.jsonl", "--gt", gt]) == 0
+check("eval")
 assert main(["solve-psl", "0.5", "1", "1"]) == 0
 check("solve-psl")
 assert main(["balance", "--labels", labels]) == 0
 check("balance")
 assert main(["dbc-sim", "--losses", losses, "--interval", "1", "--top-k", "1"]) == 0
 check("dbc-sim")
+# baol builds arrays, but it sends no request either
+assert main(["baol", "--proposals", proposals, "--lambda-baol", "1"]) == 0
+check("baol", numpy_free=False)
 """
 
 
-def test_commands_that_build_no_array_never_load_numpy(tmp_path):
-    _, detections = generate_synthetic_scenes(default_knowledge_base(), seed=7, n_scenes=12)
-    det_path = tmp_path / "det.jsonl"
+def test_offline_commands_load_no_http_stack_and_arrayless_ones_no_numpy(tmp_path):
+    ground_truth, detections = generate_synthetic_scenes(
+        default_knowledge_base(), seed=7, n_scenes=12
+    )
+    det_path, gt_path = tmp_path / "det.jsonl", tmp_path / "gt.jsonl"
     save_scenes(detections, det_path)
+    save_scenes(ground_truth, gt_path, include_scores=False)
     labels = tmp_path / "labels.jsonl"
     labels.write_text("".join(
         json.dumps({"image_id": cls, "labels": [
@@ -1021,12 +1048,17 @@ def test_commands_that_build_no_array_never_load_numpy(tmp_path):
     ))
     losses = tmp_path / "losses.jsonl"
     losses.write_text(json.dumps({"A": 5.0, "B": 1.0, "C": 3.0}) + "\n")
+    proposals = tmp_path / "proposals.jsonl"
+    proposals.write_text(
+        '{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}\n'
+    )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
+    env.pop("GLRD_LLM_ENDPOINT", None)
     env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
     result = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(det_path), str(labels), str(losses),
-         str(tmp_path / "out")],
+        [sys.executable, "-c", LEAN_START_SCRIPT, str(det_path), str(gt_path), str(labels),
+         str(losses), str(proposals), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -1035,3 +1067,5 @@ def test_commands_that_build_no_array_never_load_numpy(tmp_path):
     decisions = [o["decision"] for line in logs[0].splitlines()
                  for o in json.loads(line)["objects"]]
     assert "reclassify" in decisions and "remove" in decisions and "keep" in decisions
+    # the fallback answers from the same KB, so the remote run refines alike
+    assert (tmp_path / "outremote.jsonl").read_bytes() == (tmp_path / "out1.jsonl").read_bytes()

@@ -1,11 +1,16 @@
+import json
 import math
+import socket
 import sys
 import threading
 import time
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+from ovrefine import commonsense
 from ovrefine.commonsense import (
     KnowledgeBase,
     LlmClient,
@@ -341,6 +346,97 @@ class TestLlmClient:
         client = LlmClient(transport=StubTransport({"": "Yes."}))
         assert client.endpoint == "http://env.test"
         assert client.api_key == "k"
+
+
+class CompletionHandler(BaseHTTPRequestHandler):
+    """Answers each POST with ``{"text": ...}`` after failing the first
+    ``server.fail_first`` with a 500; records every request it reads."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.requests.append((self.path, self.headers.get("Authorization"), body))
+        if len(self.server.requests) <= self.server.fail_first:
+            self.send_error(500)
+            return
+        reply = json.dumps({"text": f"echo: {body['prompt']}"}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def completion_server(fail_first=0):
+    """A loopback server on a free port, served from a thread; yields its
+    URL and the list of requests it has read."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), CompletionHandler)
+    server.requests, server.fail_first = [], fail_first
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        yield f"http://{host}:{port}", server.requests
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.fixture
+def posts(monkeypatch):
+    """Every call of the real ``_http_post``: its URL and the error it raised,
+    or None."""
+    calls = []
+    real_post = commonsense._http_post
+
+    def recording_post(url, *args):
+        try:
+            body = real_post(url, *args)
+        except OSError as exc:
+            calls.append((url, exc))
+            raise
+        calls.append((url, None))
+        return body
+
+    monkeypatch.setattr(commonsense, "_http_post", recording_post)
+    return calls
+
+
+class TestHttpTransport:
+    """The client's own transport against a real loopback server; every
+    other client test injects ``transport=``."""
+
+    def test_reply_text_comes_back(self):
+        with completion_server() as (url, requests):
+            client = LlmClient(endpoint=f"{url}/generate", api_key="secret")
+            assert client.complete("hello") == "echo: hello"
+            assert requests == [
+                ("/generate", "Bearer secret", {"prompt": "hello", "max_tokens": MAX_TOKENS})
+            ]
+
+    def test_server_error_is_retried_and_its_response_closed(self, posts):
+        with completion_server(fail_first=1) as (url, requests):
+            client = LlmClient(endpoint=url, retries=1, backoff=0.0)
+            assert client.complete("again") == "echo: again"
+            assert len(requests) == 2
+        (_, error), (_, success) = posts
+        assert error.code == 500 and success is None
+        # an error status carries the open response, which would hold its
+        # socket until garbage collection
+        assert error.fp.closed
+
+    def test_closed_port_raises_after_every_attempt(self, posts):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            url = "http://127.0.0.1:%d/" % probe.getsockname()[1]
+        client = LlmClient(endpoint=url, retries=2, backoff=0.0)
+        with pytest.raises(ProviderError, match="failed after 3 attempts"):
+            client.complete("hello")
+        assert [call_url for call_url, _ in posts] == [url] * 3
 
 
 class TestLlmQueries:

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BOOK_BOX, case_study_scenes, library_scene, living_room_scene
 from ovrefine.commonsense import (
@@ -18,6 +20,7 @@ from ovrefine.pipeline import (
     ObjectRecord,
     RefinementConfig,
     SceneRecord,
+    _average_precision,
     debate,
     eval_ap25,
     generate_synthetic_scenes,
@@ -275,6 +278,39 @@ class TestEvalAp25:
         preds = [SceneRecord("b", scene, ())]
         with pytest.raises(ValueError):
             eval_ap25(preds, gt)
+
+
+def numpy_average_precision(tp, n_positive):
+    """The evaluator's earlier numpy formula, kept as the oracle: the same
+    terms, summed by np.sum instead of math.fsum."""
+    tp = np.asarray(tp, dtype=float)
+    if n_positive == 0 or tp.size == 0:
+        return 0.0
+    cum_tp = np.cumsum(tp)
+    precision = cum_tp / np.arange(1, tp.size + 1)
+    recall = cum_tp / n_positive
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(mpre.size - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+
+
+@st.composite
+def ranked_hits(draw):
+    tp = draw(st.lists(st.sampled_from([0.0, 1.0]), max_size=300))
+    return tp, draw(st.integers(min_value=int(sum(tp)), max_value=int(sum(tp)) + 50))
+
+
+class TestAveragePrecision:
+    @settings(max_examples=300, deadline=None)
+    @given(ranked_hits())
+    def test_matches_numpy_formula(self, case):
+        tp, n_positive = case
+        assert _average_precision(tp, n_positive) == pytest.approx(
+            numpy_average_precision(tp, n_positive), rel=0, abs=1e-12
+        )
 
 
 class TestGenerateSyntheticScenes:
