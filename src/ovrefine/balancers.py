@@ -40,6 +40,7 @@ __all__ = [
     "load_pseudo_labels",
     "load_loss_stream",
     "load_proposals",
+    "proposal_record",
 ]
 
 # the JSON name of each scalar type that is not a number
@@ -485,26 +486,26 @@ def load_loss_stream(path) -> list[dict[str, float]]:
 def load_proposals(path) -> list[tuple[ProposalSet, tuple[Box7DoF, ...]]]:
     """Proposal records, one scene per line: its ``ProposalSet`` and its label boxes."""
     indices = itertools.count()
+    return read_jsonl(path, lambda data: proposal_record(data, next(indices)))
 
-    def record(data: dict) -> tuple[ProposalSet, tuple[Box7DoF, ...]]:
-        index = next(indices)
-        boxes = tuple(
-            parse_box(b, f"scene {index} proposal {i}") for i, b in enumerate(data["boxes"])
-        )
-        # numpy takes a JSON true or false as 1 or 0, a numeric string as its
-        # number and null as NaN, so the kinds are checked before ProposalSet
-        for name in ("class_scores", "fg_scores"):
-            odd = set(map(type, _cells(data[name]))) & _JSON_SCALARS.keys()
-            if odd:
-                kind = min(_JSON_SCALARS[t] for t in odd)
-                raise TypeError(f"{name} must hold numbers, got a JSON {kind}")
-        proposals = ProposalSet(boxes, data["class_scores"], data["fg_scores"])
-        labels = tuple(
-            parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
-        )
-        return proposals, labels
 
-    return read_jsonl(path, record)
+def proposal_record(data: dict, index: int) -> tuple[ProposalSet, tuple[Box7DoF, ...]]:
+    """Scene ``index``'s proposal record from its JSON object; box errors name the scene."""
+    boxes = tuple(
+        parse_box(b, f"scene {index} proposal {i}") for i, b in enumerate(data["boxes"])
+    )
+    # numpy takes a JSON true or false as 1 or 0, a numeric string as its
+    # number and null as NaN, so the kinds are checked before ProposalSet
+    for name in ("class_scores", "fg_scores"):
+        odd = set(map(type, _cells(data[name]))) & _JSON_SCALARS.keys()
+        if odd:
+            kind = min(_JSON_SCALARS[t] for t in odd)
+            raise TypeError(f"{name} must hold numbers, got a JSON {kind}")
+    proposals = ProposalSet(boxes, data["class_scores"], data["fg_scores"])
+    labels = tuple(
+        parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
+    )
+    return proposals, labels
 
 
 def _cells(value) -> list:

@@ -27,6 +27,7 @@ from .commonsense import (
     load_knowledge_base,
 )
 from .geometry import ScoredBox, soft_nms
+from .jsonl import parse_line, read_lines
 from .psl import SelectionPolicy, decide, solve_decisions
 
 __all__ = ["RunConfig", "main", "entry_point"]
@@ -111,12 +112,18 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        if self.llm_timeout <= 0:
-            raise ValueError(f"llm_timeout must be a finite number above 0, got {self.llm_timeout}")
-        for name in ("alpha1", "alpha2", "alpha3"):
+        for name in ("llm_timeout", "nms_sigma"):
             value = getattr(self, name)
-            if value < 0:
+            if value <= 0:
+                raise ValueError(f"{name} must be a finite number above 0, got {value}")
+        for name in ("alpha1", "alpha2", "alpha3", "lambda_baol"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ValueError(f"{name} must be a finite number at least 0, got {value}")
+        if not 0 <= self.nms_floor <= 1:
+            raise ValueError(f"nms_floor must be in [0, 1], got {self.nms_floor}")
+        if self.iou_lo >= self.iou_hi:
+            raise ValueError(f"iou_lo must be below iou_hi, got {self.iou_lo} >= {self.iou_hi}")
         for name, allowed in (("policy", sorted(_POLICIES)), ("llm", _LLM_MODES)):
             value = getattr(self, name)
             if value not in allowed:
@@ -169,9 +176,19 @@ def _make_provider(config: RunConfig):
             retries=config.llm_retries,
             max_in_flight=config.llm_max_in_flight,
         )
+        if not client.endpoint:
+            print(
+                f"warning: {commonsense.ENDPOINT_ENV} is not set, so no request is sent: every "
+                "query falls back to the knowledge base and every debate to the offline rule",
+                file=sys.stderr,
+            )
         # the provider's client also sends the debate judge's prompts
         return RemoteKnowledgeProvider(client, kb)
     return StaticKnowledgeProvider(kb)
+
+
+def _workers(config: RunConfig) -> int:
+    return config.workers if config.workers is not None else (os.cpu_count() or 1)
 
 
 def _require(config: RunConfig, *names: str) -> None:
@@ -184,8 +201,9 @@ def cmd_refine(config: RunConfig) -> int:
     _require(config, "detections", "out")
     provider = _make_provider(config)
     records = pipeline.load_scenes(config.detections)
-    workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    results = pipeline.refine_scenes(records, provider, config.refinement(), workers=workers)
+    results = pipeline.refine_scenes(
+        records, provider, config.refinement(), workers=_workers(config)
+    )
     refined = [record for record, _ in results]
     logs = [log for _, log in results]
     pipeline.save_scenes(refined, config.out)
@@ -293,30 +311,54 @@ def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
 def cmd_baol(config: RunConfig, proposals_path: str) -> int:
     if config.lambda_baol is None:
         raise ValueError("missing required option --lambda-baol (it has no default)")
-    # every line is checked before the first scene's result is printed
-    for index, (proposals, labels) in enumerate(balancers.load_proposals(proposals_path)):
-        boxes = proposals.boxes
-        k_pro = min(config.k_pro, proposals.class_scores.size)
-        # a scene without proposals (or without classes) has no score to keep
-        kept, scored = (), []
-        if k_pro:
-            compressed = balancers.baol_compress(proposals, k_pro)
-            kept = compressed.box_indices
-            rows = compressed.scores
-            scored = [
-                ScoredBox(boxes[i], score, class_id)
-                for i, score, class_id in zip(
-                    kept, rows.max(axis=1).tolist(), rows.argmax(axis=1).tolist()
-                )
-            ]
-        y = balancers.assign_foreground_labels(boxes, labels, config.iou_lo, config.iou_hi)
-        loss = balancers.baol_loss(y, proposals.fg_scores, config.lambda_baol)
-        final = soft_nms(scored, config.nms_sigma, config.nms_floor)
-        print(
-            f"scene {index}: kept {len(kept)}/{len(boxes)} boxes, "
-            f"{int(y.sum())} foreground, loss {loss:.6f}, {len(final)} after soft-nms"
-        )
+    jobs = [
+        (proposals_path, index, lineno, line, config)
+        for index, (lineno, line) in enumerate(read_lines(proposals_path))
+    ]
+    # one worker, or one scene, runs inline and starts no process
+    workers = min(_workers(config), len(jobs))
+    if workers > 1:
+        with pipeline.process_pool(workers) as pool:
+            reports = list(pool.map(_baol_scene, jobs))
+    else:
+        reports = [_baol_scene(job) for job in jobs]
+    # the first bad line, in file order, raises before any scene is printed
+    for report in reports:
+        print(report)
     return 0
+
+
+def _baol_scene(job: tuple[str, int, int, str, RunConfig]) -> str:
+    """The report line of one scene of the proposals file.
+
+    ``job`` is the file's path, the scene's index, its line number and text,
+    and the run's options: all a worker process needs, under any start method.
+    """
+    path, index, lineno, line, config = job
+    proposals, labels = parse_line(
+        path, lineno, line, lambda data: balancers.proposal_record(data, index)
+    )
+    boxes = proposals.boxes
+    k_pro = min(config.k_pro, proposals.class_scores.size)
+    # a scene without proposals (or without classes) has no score to keep
+    kept, scored = (), []
+    if k_pro:
+        compressed = balancers.baol_compress(proposals, k_pro)
+        kept = compressed.box_indices
+        rows = compressed.scores
+        scored = [
+            ScoredBox(boxes[i], score, class_id)
+            for i, score, class_id in zip(
+                kept, rows.max(axis=1).tolist(), rows.argmax(axis=1).tolist()
+            )
+        ]
+    y = balancers.assign_foreground_labels(boxes, labels, config.iou_lo, config.iou_hi)
+    loss = balancers.baol_loss(y, proposals.fg_scores, config.lambda_baol)
+    final = soft_nms(scored, config.nms_sigma, config.nms_floor)
+    return (
+        f"scene {index}: kept {len(kept)}/{len(boxes)} boxes, "
+        f"{int(y.sum())} foreground, loss {loss:.6f}, {len(final)} after soft-nms"
+    )
 
 
 def cmd_eval(config: RunConfig) -> int:
@@ -387,8 +429,7 @@ _ARGUMENTS = {
     "--workers": {
         "type": int,
         "metavar": "N",
-        "help": "N solver processes plus 2N provider I/O threads, each thread taking one chunk "
-        "of scenes at a time (default: cores); outputs are byte-identical for any N",
+        "help": "N worker processes (default: cores); outputs are byte-identical for any N",
     },
     "--seed": {"type": int},
     "--llm": {"choices": _LLM_MODES},
@@ -419,7 +460,10 @@ _COMMANDS = {
     "solve-psl": ("solve one constraint vector", "x --weights --policy"),
     "balance": ("run the threshold circulation on pseudo labels", "--labels --phi-init --kb --out"),
     "dbc-sim": ("replay a loss stream through the weight scheduler", "--losses --interval --top-k --out"),
-    "baol": ("compress proposals, assign labels, compute the loss", "--proposals --lambda-baol --k-pro"),
+    "baol": (
+        "compress proposals, assign labels, compute the loss",
+        "--proposals --lambda-baol --k-pro --workers",
+    ),
     "eval": ("mAP@0.25 of detections against ground truth", "--detections --gt --out"),
     "gen-synthetic": (
         "write a synthetic ground-truth/detections pair",

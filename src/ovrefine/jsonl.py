@@ -3,33 +3,40 @@
 from __future__ import annotations
 
 import json
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 T = TypeVar("T")
 
 
-def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
-    """``parse`` of each non-blank line of ``path``, each line a JSON object.
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` of each non-blank line of ``path``, numbered from 1."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
+
+
+def parse_line(path, lineno: int, line: str, parse: Callable[[dict], T]) -> T:
+    """``parse`` of line ``lineno`` of ``path``, whose text is ``line``, a JSON object.
 
     A line that is not a JSON object, that nests too deeply for the decoder,
     or whose object ``parse`` rejects with a ``ValueError``, ``TypeError`` or
     ``KeyError``, raises ``ValueError`` prefixed ``path:line:``.
     """
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-                out.append(parse(data))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-            except (ValueError, TypeError, RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+    try:
+        data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        return parse(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
+    """``parse`` of each non-blank line of ``path``, checked as ``parse_line`` does."""
+    return [parse_line(path, lineno, line, parse) for lineno, line in read_lines(path)]
 
 
 def number(value, what: str) -> float:

@@ -49,6 +49,7 @@ __all__ = [
     "debate",
     "refine_scene",
     "refine_scenes",
+    "process_pool",
     "ApReport",
     "eval_ap25",
     "generate_synthetic_scenes",
@@ -284,8 +285,8 @@ def refine_scene(
 _CHUNK_SCENES = 32
 
 
-def _solver_pool(workers: int) -> Executor:
-    """``workers`` solver processes, all started before the caller starts a thread.
+def process_pool(workers: int) -> Executor:
+    """``workers`` worker processes, all started before the caller starts a thread.
 
     A fork copies only the forking thread, so it must not happen while other
     threads run: a lock one of them holds would stay held in the child. A
@@ -326,7 +327,7 @@ def refine_scenes(
     no chunk starts once it has reached the caller.
     """
     novel = any(provider.is_novel(d.label) for record in records for d in record.detections)
-    solver = _solver_pool(workers) if workers > 1 and novel else None
+    solver = process_pool(workers) if workers > 1 and novel else None
 
     def run_chunk(chunk: Sequence[SceneRecord]) -> list[tuple[SceneRecord, RefinementLog]]:
         parts: list[list[ConstraintVector | None] | ProviderError] = []

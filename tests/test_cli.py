@@ -1,9 +1,12 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import typing
 from pathlib import Path
 
@@ -276,9 +279,16 @@ class TestRefine:
             ]
         )
         assert code == 0
-        assert "kept 2, removed 1, reclassified 1" in capsys.readouterr().out
+        remote = capsys.readouterr()
+        # no request was sent, and the run says so
+        assert remote.err == (
+            "warning: GLRD_LLM_ENDPOINT is not set, so no request is sent: every query falls "
+            "back to the knowledge base and every debate to the offline rule\n"
+        )
         offline_out = tmp_path / "offline.jsonl"
         main(["refine", "--detections", case_files["detections"], "--out", str(offline_out)])
+        assert capsys.readouterr() == (remote.out, "")
+        assert remote.out == "kept 2, removed 1, reclassified 1\n"
         assert Path(case_files["out"]).read_text() == offline_out.read_text()
 
     def test_unabsorbed_provider_failure_exits_2(self, case_files, monkeypatch, capsys):
@@ -613,14 +623,96 @@ class TestBaol:
     def test_bad_line_names_file_and_line_before_any_output(
         self, tmp_path, capsys, line, message
     ):
-        scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
+        good = json.dumps(
+            {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
+        )
         path = tmp_path / "proposals.jsonl"
-        path.write_text(json.dumps(scene) + "\n" + line + "\n")
-        code = main(["baol", "--proposals", str(path), "--lambda-baol", "1.0"])
-        assert code == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"input error: {path}:2: ") and message in err
+        path.write_text("\n".join([good, line, good, ""]))
+        errors = []
+        for workers in ("1", "2"):
+            argv = ["baol", "--proposals", str(path), "--lambda-baol", "1.0", "--workers", workers]
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"input error: {path}:2: ") and message in err
+            assert not multiprocessing.active_children()
+            errors.append(err)
+        assert errors[0] == errors[1]
+
+    def test_output_is_identical_for_any_worker_count(self, tmp_path, capsys, monkeypatch):
+        pools = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, mp_context):
+                pools.append((workers, mp_context.get_start_method()))
+                super().__init__(workers, mp_context=mp_context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        scenes = [
+            {
+                "boxes": [[0.3 * i, 0.2 * s, 0.5, 1, 0.8, 1, 0.1 * i] for i in range(2 + 3 * s)],
+                "class_scores": [
+                    [(i + c + s) % 5 / 5 for c in range(3)] for i in range(2 + 3 * s)
+                ],
+                "fg_scores": [(7 * i + s) % 10 / 10 for i in range(2 + 3 * s)],
+                "labels": [[0.3 * s, 0.2 * s, 0.5, 1, 0.8, 1, 0]],
+            }
+            for s in range(5)
+        ]
+        scenes.insert(2, {"boxes": [], "class_scores": [], "fg_scores": []})
+        path = tmp_path / "proposals.jsonl"
+        # a blank line numbers no scene
+        path.write_text("\n".join(json.dumps(scene) for scene in scenes[:3]) + "\n\n"
+                        + "".join(json.dumps(scene) + "\n" for scene in scenes[3:]))
+        argv = ["baol", "--proposals", str(path), "--lambda-baol", "0.5", "--k-pro", "6"]
+        outputs = []
+        for workers in ("1", "2", "4"):
+            assert main(argv + ["--workers", workers]) == 0
+            outputs.append(capsys.readouterr())
+            assert not multiprocessing.active_children()
+        # a job holds all its worker needs, so spawned workers, which share
+        # nothing with this process, print the same
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert main(argv + ["--workers", "2"]) == 0
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        outputs.append(capsys.readouterr())
+        assert not multiprocessing.active_children()
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+        lines = outputs[0].out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"scene {i}" for i in range(6)]
+        assert lines[2] == "scene 2: kept 0/0 boxes, 0 foreground, loss 0.000000, 0 after soft-nms"
+        # one pool per count above 1; the last spawns, since a thread runs
+        assert [workers for workers, _ in pools] == [2, 4, 2]
+        assert pools[-1][1] == "spawn"
+
+    def test_config_error_is_the_same_at_any_worker_count(self, tmp_path, capsys):
+        proposals = tmp_path / "proposals.jsonl"
+        scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
+        proposals.write_text((json.dumps(scene) + "\n") * 3)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"nms_floor": 7}))
+        errors = []
+        for workers in ("1", "2"):
+            argv = ["baol", "--proposals", str(proposals), "--lambda-baol", "1",
+                    "--config", str(config), "--workers", workers]
+            assert main(argv) == 1
+            errors.append(capsys.readouterr())
+        message = f"input error: {config}: nms_floor must be in [0, 1], got 7\n"
+        assert errors[0] == errors[1] == ("", message)
+
+    def test_negative_lambda_flag_names_key(self, tmp_path, capsys):
+        path = tmp_path / "proposals.jsonl"
+        path.write_text("")
+        assert main(["baol", "--proposals", str(path), "--lambda-baol", "-3"]) == 1
+        assert capsys.readouterr() == (
+            "", "input error: lambda_baol must be a finite number at least 0, got -3.0\n"
+        )
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_lambda_names_key(self, tmp_path, capsys, value):
@@ -841,6 +933,42 @@ class TestConfigFile:
         assert err == f"input error: {config}: {key} must be a finite number, got nan\n"
 
     @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"nms_sigma": 0}, "nms_sigma must be a finite number above 0, got 0"),
+            ({"nms_sigma": -1}, "nms_sigma must be a finite number above 0, got -1"),
+            ({"nms_floor": 7}, "nms_floor must be in [0, 1], got 7"),
+            ({"nms_floor": -0.5}, "nms_floor must be in [0, 1], got -0.5"),
+            ({"iou_lo": 0.9, "iou_hi": 0.2}, "iou_lo must be below iou_hi, got 0.9 >= 0.2"),
+            ({"iou_lo": 0.5, "iou_hi": 0.5}, "iou_lo must be below iou_hi, got 0.5 >= 0.5"),
+            ({"lambda_baol": -3}, "lambda_baol must be a finite number at least 0, got -3"),
+            # the first key checked is named
+            (
+                {"nms_sigma": -1, "iou_lo": 0.9, "iou_hi": 0.2, "lambda_baol": -3},
+                "nms_sigma must be a finite number above 0, got -1",
+            ),
+        ],
+        ids=[
+            "nms_sigma-zero", "nms_sigma-negative", "nms_floor-above-one", "nms_floor-negative",
+            "iou-inverted", "iou-equal", "lambda_baol-negative", "all-four",
+        ],
+    )
+    @pytest.mark.parametrize("scenes", [0, 1], ids=["empty", "one-scene"])
+    def test_out_of_range_baol_option_names_key(self, tmp_path, capsys, options, message, scenes):
+        # on an empty file no scene reaches the library's own checks, which
+        # name no key, and the run used to exit 0
+        proposals = tmp_path / "proposals.jsonl"
+        proposals.write_text(
+            '{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}\n'
+            * scenes
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda_baol": 1, **options}))
+        code = main(["baol", "--proposals", str(proposals), "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"input error: {config}: {message}\n")
+
+    @pytest.mark.parametrize(
         "key, value", [("phi_keep", 2.0), ("phi_recls", -1.0)], ids=["phi_keep", "phi_recls"]
     )
     @pytest.mark.parametrize("novel", [False, True], ids=["base-only", "novel"])
@@ -890,7 +1018,7 @@ READ_FLAGS = {
     "solve-psl": ["--policy"],
     "balance": ["--kb", "--out"],
     "dbc-sim": ["--out"],
-    "baol": [],
+    "baol": ["--workers"],
     "eval": ["--detections", "--gt", "--out"],
     "gen-synthetic": ["--kb", "--out", "--gt", "--seed"],
 }
@@ -939,8 +1067,8 @@ def help_flags(command, capsys):
 
 class TestFlagsPerSubcommand:
     def test_pair_counts(self):
-        assert len(IGNORED) == 45
-        assert len(READ) == 25
+        assert len(IGNORED) == 44
+        assert len(READ) == 26
 
     @pytest.mark.parametrize("command, flag", IGNORED)
     def test_ignored_flag_is_usage_error(self, capsys, command, flag):
@@ -1007,7 +1135,11 @@ def check(step, numpy_free=True):
 import ovrefine
 from ovrefine.cli import main
 check("import ovrefine")
-detections, gt, labels, losses, proposals, out = sys.argv[1:7]
+detections, gt, labels, losses, proposals, empty, out = sys.argv[1:8]
+# no scene, so no array and no worker process, at the default worker count
+assert main(["baol", "--proposals", empty, "--lambda-baol", "1"]) == 0
+check("baol on an empty file")
+assert "multiprocessing" not in sys.modules, "multiprocessing is loaded after an empty baol"
 for workers in ("1", "2"):
     code = main(["refine", "--detections", detections, "--out", f"{out}{workers}.jsonl",
                  "--log", f"{out}{workers}.log.jsonl", "--workers", workers])
@@ -1052,13 +1184,15 @@ def test_offline_commands_load_no_http_stack_and_arrayless_ones_no_numpy(tmp_pat
     proposals.write_text(
         '{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}\n'
     )
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env.pop("GLRD_LLM_ENDPOINT", None)
     env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
     result = subprocess.run(
         [sys.executable, "-c", LEAN_START_SCRIPT, str(det_path), str(gt_path), str(labels),
-         str(losses), str(proposals), str(tmp_path / "out")],
+         str(losses), str(proposals), str(empty), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

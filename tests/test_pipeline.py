@@ -1,5 +1,6 @@
 import hashlib
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from ovrefine.commonsense import (
     ProviderError,
     SceneContext,
     StaticKnowledgeProvider,
+    constraint_vector,
     default_knowledge_base,
+    size_constraint,
 )
 from ovrefine.geometry import Box7DoF, iou3d
 from ovrefine.pipeline import (
@@ -29,6 +32,7 @@ from ovrefine.pipeline import (
     refine_scenes,
     save_scenes,
 )
+from ovrefine.psl import SelectionPolicy
 
 
 def simple_scene(detections, scene_type="library", scene_id="s0"):
@@ -493,3 +497,122 @@ class TestEndToEndImprovement:
             for det in record.detections:
                 if provider.is_novel(det.label):
                     assert provider.scene_compatible(det.label, record.scene.scene_type) == 1
+
+
+# --------------------------------------------------------------------------
+# What refine decides, end to end
+
+# `solve` reaches the corner below only to float rounding, and treats
+# objectives within 1e-12 as tied, so an object whose corner lies this close
+# to a threshold may fall on either side of it
+NEAR_THRESHOLD = 1e-12
+
+
+class ContraryJudge(StaticKnowledgeProvider):
+    """A provider whose judge names the last candidate, so its verdict and
+    the offline rule disagree."""
+
+    def judge(self, candidates, scene_type, cases):
+        return candidates[-1]
+
+
+def reference_outcome(detection, scene, provider, cfg):
+    """(decision, final label, near a threshold) of a novel detection, from the
+    README's "Notes on the solver": the policy's corner, then `decide`."""
+    conf, size, fit = constraint_vector(
+        detection.box, detection.label, detection.score, scene, provider, cfg.size
+    ).as_tuple()
+    w1, w2, w3 = cfg.rule_weights
+    a = max(conf + size + fit - 2, 0.0)
+    b = max(conf - max(size + fit - 1, 0.0), 0.0)
+    policy = cfg.policy
+    if policy is SelectionPolicy.SCENE_CONSERVATIVE:
+        policy = SelectionPolicy.MIN_KEEP if fit == 0 else SelectionPolicy.MAX_KEEP_MIN_RECLS
+    if policy is SelectionPolicy.MIN_KEEP:
+        k = a if w1 else 0.0
+    else:
+        k = conf if w3 else 1.0
+    r = max(k + b - 1, 0.0) if w2 else 0.0
+    near = abs(k - cfg.phi_keep) <= NEAR_THRESHOLD
+    if k <= cfg.phi_keep:
+        return Decision.REMOVE, None, near
+    near = near or abs(r - cfg.phi_recls) <= NEAR_THRESHOLD
+    if r <= cfg.phi_recls:
+        return Decision.KEEP, detection.label, near
+    # the debate: the top three classes, the judge's verdict, else the strongest
+    scores = dict(detection.class_scores or {detection.label: detection.score})
+    candidates = sorted(scores, key=lambda c: (-scores[c], c))[:3]
+    verdict = provider.judge(tuple(candidates), scene.scene_type, ())
+    if verdict is None:
+
+        def strength(c):
+            try:
+                fit_c = size_constraint(detection.box, provider.size_prior(c), cfg.size)
+            except LookupError:
+                fit_c = 0.0
+            return fit_c * provider.scene_compatible(c, scene.scene_type) * scores[c]
+
+        verdict = min(candidates, key=lambda c: (-strength(c), -scores[c], c))
+    return Decision.RECLASSIFY, verdict, near
+
+
+@st.composite
+def refine_runs(draw):
+    """Scenes, a provider, a config and a worker count for one refine run."""
+    kb = default_knowledge_base()
+    _, scenes = generate_synthetic_scenes(
+        kb, seed=draw(st.integers(0, 2**16)), n_scenes=draw(st.integers(1, 4))
+    )
+    weight = st.just(0.0) | st.floats(1e-3, 10.0)
+    cfg = RefinementConfig(
+        rule_weights=(draw(weight), draw(weight), draw(weight)),
+        # weighted towards the defaults' end, where reclassifications happen
+        phi_keep=draw(st.floats(1e-3, 0.2) | st.floats(0.0, 1.0)),
+        phi_recls=draw(st.floats(1e-3, 0.3) | st.floats(0.0, 1.0)),
+        policy=draw(st.sampled_from(SelectionPolicy)),
+    )
+    # an unknown scene type, and confidences at and beside phi_keep
+    first = scenes[0]
+    novel = [d for d in first.detections if d.label in kb.novel_classes]
+    near = [
+        replace(d, score=min(max(cfg.phi_keep + offset, 0.0), 1.0), class_scores=None)
+        for d, offset in zip(novel, draw(st.lists(st.sampled_from([-1e-3, 0.0, 1e-3]))))
+    ]
+    scenes.append(SceneRecord("unknown", SceneContext("attic"), first.detections + tuple(near)))
+    provider = draw(st.sampled_from([StaticKnowledgeProvider, ContraryJudge]))(kb)
+    return scenes, provider, cfg, draw(st.sampled_from([1, 2]))
+
+
+class TestRefineOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(refine_runs())
+    def test_refine_scenes_matches_the_corner_reference(self, run):
+        scenes, provider, cfg, workers = run
+        results = refine_scenes(scenes, provider, cfg, workers=workers)
+        assert len(results) == len(scenes)
+        for record, (refined, log) in zip(scenes, results):
+            assert log.error is None
+            logged = {o.index: o for o in log.objects}
+            expected = []
+            for index, detection in enumerate(record.detections):
+                if not provider.is_novel(detection.label):
+                    # base classes pass through, unlogged
+                    assert index not in logged
+                    expected.append(detection)
+                    continue
+                decision, final_label, near = reference_outcome(
+                    detection, record.scene, provider, cfg
+                )
+                got = logged.pop(index)
+                assert got.label == detection.label
+                if near:
+                    decision, final_label = got.decision, got.final_label
+                assert (got.decision, got.final_label) == (decision, final_label), index
+                if final_label is not None:
+                    expected.append(replace(detection, label=final_label))
+            assert logged == {}
+            assert refined == replace(record, detections=tuple(expected))
+            tally = {"keep": 0, "remove": 0, "reclassify": 0}
+            for o in log.objects:
+                tally[o.decision.value] += 1
+            assert log.counts() == tally
