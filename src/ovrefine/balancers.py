@@ -39,7 +39,6 @@ __all__ = [
     "baol_loss",
     "load_pseudo_labels",
     "load_loss_stream",
-    "load_proposals",
     "proposal_record",
 ]
 
@@ -481,12 +480,6 @@ def load_loss_stream(path) -> list[dict[str, float]]:
         return losses
 
     return read_jsonl(path, record)
-
-
-def load_proposals(path) -> list[tuple[ProposalSet, tuple[Box7DoF, ...]]]:
-    """Proposal records, one scene per line: its ``ProposalSet`` and its label boxes."""
-    indices = itertools.count()
-    return read_jsonl(path, lambda data: proposal_record(data, next(indices)))
 
 
 def proposal_record(data: dict, index: int) -> tuple[ProposalSet, tuple[Box7DoF, ...]]:

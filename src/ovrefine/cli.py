@@ -14,7 +14,9 @@ import math
 import os
 import sys
 import typing
+from collections import deque
 from dataclasses import dataclass, fields, replace
+from itertools import chain, islice
 
 from . import balancers, commonsense, pipeline
 from .commonsense import (
@@ -311,21 +313,52 @@ def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
 def cmd_baol(config: RunConfig, proposals_path: str) -> int:
     if config.lambda_baol is None:
         raise ValueError("missing required option --lambda-baol (it has no default)")
-    jobs = [
+    # read as the scenes are scored, so that no process holds the whole file
+    jobs = (
         (proposals_path, index, lineno, line, config)
         for index, (lineno, line) in enumerate(read_lines(proposals_path))
-    ]
+    )
+    first = list(islice(jobs, _workers(config)))
     # one worker, or one scene, runs inline and starts no process
-    workers = min(_workers(config), len(jobs))
-    if workers > 1:
-        with pipeline.process_pool(workers) as pool:
-            reports = list(pool.map(_baol_scene, jobs))
+    if len(first) > 1:
+        reports = _baol_on_processes(first, jobs)
     else:
-        reports = [_baol_scene(job) for job in jobs]
+        reports = [_baol_scene(job) for job in chain(first, jobs)]
     # the first bad line, in file order, raises before any scene is printed
     for report in reports:
         print(report)
     return 0
+
+
+def _baol_on_processes(first: list, rest: typing.Iterator) -> list[str]:
+    """``_baol_scene`` of each job, on one process per job of ``first``.
+
+    The processes start before ``rest`` is read, and at most two jobs per
+    process wait, so no process holds more than a few lines of the file.
+    Reports come in file order, and an error is raised as the inline run
+    raises it: a bad scene's once the scenes before it are done, and one in
+    reading a later line once every scene before that line is done.
+    """
+    reports = []
+    with pipeline.process_pool(len(first)) as pool:
+        pending = deque(pool.submit(_baol_scene, job) for job in first)
+        try:
+            while pending:
+                try:
+                    job = next(rest, None)
+                except (OSError, ValueError):
+                    for future in pending:
+                        future.result()
+                    raise
+                if job is not None:
+                    pending.append(pool.submit(_baol_scene, job))
+                if job is None or len(pending) > 2 * len(first):
+                    reports.append(pending.popleft().result())
+        finally:
+            # an error leaves the queued scenes unscored
+            for future in pending:
+                future.cancel()
+    return reports
 
 
 def _baol_scene(job: tuple[str, int, int, str, RunConfig]) -> str:

@@ -2,10 +2,10 @@
 
 Two providers are available: a static knowledge-base file (offline, the
 source of truth for tests and reproducible runs) and a remote LLM service
-queried with fixed prompt templates. Remote answers are cached per run and
-degrade to the knowledge base on failure. A provider also judges debates:
-the remote one asks the model to name a candidate, and the static one
-abstains, leaving the verdict to the offline strength rule.
+queried with fixed prompt templates. Remote answers are cached per run;
+where the model gives none, the static provider answers instead. A provider
+also judges debates: the remote one asks the model to name a candidate, and
+the static one abstains, leaving the verdict to the offline strength rule.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .geometry import Box7DoF
-from .jsonl import number
+from .jsonl import ARRAY, expect, number
 from .psl import ConstraintVector
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "judge_prompt",
     "parse_size_reply",
     "parse_yes_no",
-    "llm_query_size",
-    "llm_query_scene",
     "size_fit",
     "size_constraint",
     "scene_constraint",
@@ -55,6 +53,8 @@ API_KEY_ENV = "GLRD_LLM_KEY"
 # the completion length every request asks for; replies need only a size
 # triple or a yes/no and a class name
 MAX_TOKENS = 64
+
+T = TypeVar("T")
 
 
 # Prompt templates sent verbatim to the language model.
@@ -136,18 +136,6 @@ class ProviderError(RuntimeError):
     """A knowledge provider failed to answer."""
 
 
-_ARRAY = (list, tuple)
-
-
-def _expect(value, kind, what: str):
-    """``value``, if it is the JSON ``kind`` (``Mapping`` for an object,
-    ``_ARRAY`` for an array) that a KB entry needs."""
-    if not isinstance(value, kind):
-        name = "object" if kind is Mapping else "array"
-        raise ValueError(f"{what} must be a JSON {name}, got {type(value).__name__}")
-    return value
-
-
 @dataclass
 class KnowledgeBase:
     """Offline stand-in for LLM answers: sizes, scene compatibility, novel set."""
@@ -163,16 +151,16 @@ class KnowledgeBase:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "KnowledgeBase":
-        _expect(data, Mapping, "knowledge base")
+        expect(data, Mapping, "knowledge base")
         sizes = {}
-        for label, dims in _expect(data.get("sizes", {}), Mapping, "sizes").items():
+        for label, dims in expect(data.get("sizes", {}), Mapping, "sizes").items():
             where = f"sizes[{label!r}]"
-            sizes[label] = SizePrior(*(number(d, where) for d in _expect(dims, _ARRAY, where)))
+            sizes[label] = SizePrior(*(number(d, where) for d in expect(dims, ARRAY, where)))
         compat = {
-            scene: set(_expect(classes, _ARRAY, f"compat[{scene!r}]"))
-            for scene, classes in _expect(data.get("compat", {}), Mapping, "compat").items()
+            scene: set(expect(classes, ARRAY, f"compat[{scene!r}]"))
+            for scene, classes in expect(data.get("compat", {}), Mapping, "compat").items()
         }
-        novel = _expect(data.get("novel_classes", []), _ARRAY, "novel_classes")
+        novel = expect(data.get("novel_classes", []), ARRAY, "novel_classes")
         return cls(sizes, compat, set(novel))
 
     def to_dict(self) -> dict:
@@ -235,6 +223,7 @@ class StaticKnowledgeProvider:
 def _http_post(url: str, api_key: str | None, payload: dict, timeout: float) -> dict:
     # imported here, the one place that talks HTTP, so that commands which
     # never send a request start without loading http.client, email and ssl
+    import http.client
     import urllib.error
     import urllib.request
 
@@ -252,6 +241,10 @@ def _http_post(url: str, api_key: str | None, payload: dict, timeout: float) -> 
         # before the caller retries or falls back
         exc.close()
         raise
+    except http.client.HTTPException as exc:
+        # a reply cut short (IncompleteRead) or malformed is a failed
+        # request, which the client retries like a refused connection
+        raise ConnectionError(f"bad HTTP reply: {exc!r}") from exc
 
 
 class LlmClient:
@@ -303,7 +296,8 @@ class LlmClient:
                 with self._gate:
                     body = self._transport(self.endpoint, self.api_key, payload, self.timeout)
                 return str(body["text"])
-            except (OSError, ValueError, KeyError, TypeError) as exc:
+            # a reply nested past the recursion limit makes the decoder raise
+            except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
                 last_error = exc
         raise ProviderError(
             f"LLM request failed after {self.retries + 1} attempts: {last_error}"
@@ -354,59 +348,25 @@ def parse_yes_no(text: str) -> int | None:
     return None
 
 
-def llm_query_size(label: str, client: LlmClient, kb: KnowledgeBase | None = None) -> SizePrior:
-    """Ask the model for a class's common size.
-
-    A failed request or an unparseable reply falls back to the KB entry when
-    there is one, and raises ProviderError otherwise.
-    """
-    try:
-        reply = client.complete(size_prompt(label))
-        prior = parse_size_reply(reply)
-        if prior is None:
-            raise ProviderError(f"unparseable size reply for {label!r}: {reply!r}")
-        return prior
-    except ProviderError:
-        if kb is not None and label in kb.sizes:
-            return kb.sizes[label]
-        raise
-
-
-def llm_query_scene(
-    label: str, scene_type: str, client: LlmClient, kb: KnowledgeBase | None = None
-) -> int:
-    """Ask whether a class belongs in a scene.
-
-    A failed request or an ambiguous reply falls back to the KB when one is
-    given, and raises ProviderError otherwise.
-    """
-    try:
-        reply = client.complete(scene_prompt(label, scene_type))
-        verdict = parse_yes_no(reply)
-        if verdict is None:
-            raise ProviderError(f"ambiguous scene reply for {label!r} in {scene_type!r}: {reply!r}")
-        return verdict
-    except ProviderError:
-        if kb is not None:
-            return StaticKnowledgeProvider(kb).scene_compatible(label, scene_type)
-        raise
-
-
 class RemoteKnowledgeProvider:
-    """Knowledge provider backed by the LLM endpoint.
+    """Knowledge provider backed by the LLM endpoint, over a knowledge base.
 
-    Answers are cached per (class) and (scene, class) for the life of the
+    The model answers size and scene queries and judges debates. When a
+    request fails or its reply holds no answer, a size or scene query gets
+    the answer of the static provider over ``kb``, and a debate gets no
+    verdict, so a run whose requests all fail equals the static run.
+    Novel-class gating is always the static provider's. Size and scene
+    answers are cached per (class) and (scene, class) for the life of the
     provider, and each is asked once: a thread that looks up a query already
     in flight waits for that request and shares its answer or its error. A
-    failed query is not remembered, so a later lookup asks again.
-    `llm_query_size` and `llm_query_scene` fall back to the knowledge base,
-    when given, on remote failure. Novel-class gating always comes from the
-    knowledge base. Debate verdicts are not cached: each debate asks once.
+    lookup that raises (a class without a KB size whose request failed) is
+    not remembered, so a later lookup asks again. Debate verdicts are not
+    cached: each debate asks once.
     """
 
-    def __init__(self, client: LlmClient, kb: KnowledgeBase | None = None):
+    def __init__(self, client: LlmClient, kb: KnowledgeBase):
         self.client = client
-        self.kb = kb
+        self.static = StaticKnowledgeProvider(kb)
         self._answers: dict[str | tuple[str, str], Future] = {}
         self._lock = threading.Lock()
 
@@ -426,32 +386,43 @@ class RemoteKnowledgeProvider:
                 raise
         return answer.result()
 
+    def _ask(self, prompt: str, parse: Callable[[str], T | None]) -> T | None:
+        """``parse`` of the model's reply to ``prompt``; None when the request
+        fails or the reply holds no answer."""
+        try:
+            return parse(self.client.complete(prompt))
+        except ProviderError:
+            return None
+
     def size_prior(self, label: str) -> SizePrior:
-        return self._answer(label, lambda: llm_query_size(label, self.client, self.kb))
+        def query() -> SizePrior:
+            prior = self._ask(size_prompt(label), parse_size_reply)
+            return self.static.size_prior(label) if prior is None else prior
+
+        return self._answer(label, query)
 
     def scene_compatible(self, label: str, scene_type: str) -> int:
-        return self._answer(
-            (scene_type, label), lambda: llm_query_scene(label, scene_type, self.client, self.kb)
-        )
+        def query() -> int:
+            verdict = self._ask(scene_prompt(label, scene_type), parse_yes_no)
+            return self.static.scene_compatible(label, scene_type) if verdict is None else verdict
+
+        return self._answer((scene_type, label), query)
 
     def is_novel(self, label: str) -> bool:
-        if self.kb is None:
-            return True
-        return label in self.kb.novel_classes
+        return self.static.is_novel(label)
 
     def judge(
         self, candidates: Sequence[str], scene_type: str, cases: Sequence[str]
     ) -> str | None:
         """The candidate the model names, the longest one when it names
         several; None when the request fails or the reply names none."""
-        try:
-            reply = self.client.complete(judge_prompt(candidates, scene_type, cases)).lower()
-        except ProviderError:
-            return None
-        for label in sorted(candidates, key=len, reverse=True):
-            if label.lower() in reply:
-                return label
-        return None
+
+        def named(reply: str) -> str | None:
+            reply = reply.lower()
+            longest_first = sorted(candidates, key=len, reverse=True)
+            return next((label for label in longest_first if label.lower() in reply), None)
+
+        return self._ask(judge_prompt(candidates, scene_type, cases), named)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from typing import Callable, Iterator, TypeVar
 
 T = TypeVar("T")
 
+ARRAY = (list, tuple)
+
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """``(line number, text)`` of each non-blank line of ``path``, numbered from 1."""
@@ -49,3 +51,12 @@ def number(value, what: str) -> float:
     if type(value) not in (int, float):
         raise TypeError(f"{what} must be a number, got {json.dumps(value)}")
     return float(value)
+
+
+def expect(value, kind, what: str):
+    """``value``, if it is the JSON ``kind`` that the field ``what`` needs:
+    ``ARRAY`` for an array, a mapping type for an object."""
+    if not isinstance(value, kind):
+        name = "array" if kind is ARRAY else "object"
+        raise ValueError(f"{what} must be a JSON {name}, got {type(value).__name__}")
+    return value

@@ -30,7 +30,7 @@ from .commonsense import (
     size_constraint,
 )
 from .geometry import Box7DoF, iou3d, parse_box
-from .jsonl import number, read_jsonl
+from .jsonl import ARRAY, expect, number, parse_line, read_lines
 from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
 
 # perfbench/tracecli.py wraps these by attribute on this module; they are not called here
@@ -606,26 +606,42 @@ def save_scenes(records: Sequence[SceneRecord], path, include_scores: bool = Tru
 
 
 def load_scenes(path) -> list[SceneRecord]:
-    """Read scene records; missing scores (ground-truth files) default to 1."""
+    """Read scene records; missing scores (ground-truth files) default to 1.
 
-    def scene(data: dict) -> SceneRecord:
+    A ``scene_id`` may appear on one line only: `eval_ap25` matches
+    predictions to ground truth by id, and would pool two scenes' boxes.
+    """
+    first_line: dict[str, int] = {}
+
+    def scene(data: dict, lineno: int) -> SceneRecord:
         where = f"scene {data.get('scene_id')}"
-        detections = tuple(
-            Detection(
-                parse_box(entry["box"], f"{where} detection {k}"),
-                entry["label"],
-                number(entry.get("score", 1.0), "score"),
-                entry.get("class_scores"),
+        entries = expect(data.get("detections", []), ARRAY, f"{where}: detections")
+        detections = []
+        for k, entry in enumerate(entries):
+            what = f"{where} detection {k}"
+            expect(entry, dict, what)
+            detections.append(
+                Detection(
+                    parse_box(entry["box"], what),
+                    entry["label"],
+                    number(entry.get("score", 1.0), "score"),
+                    entry.get("class_scores"),
+                )
             )
-            for k, entry in enumerate(data.get("detections", []))
-        )
-        return SceneRecord(
+        record = SceneRecord(
             str(data["scene_id"]),
             SceneContext(data["scene_type"], data.get("description", "")),
             detections,
         )
+        first = first_line.setdefault(record.scene_id, lineno)
+        if first != lineno:
+            raise ValueError(f"scene_id {record.scene_id!r} already appears on line {first}")
+        return record
 
-    return read_jsonl(path, scene)
+    return [
+        parse_line(path, lineno, line, lambda data: scene(data, lineno))
+        for lineno, line in read_lines(path)
+    ]
 
 
 def save_logs(logs: Sequence[RefinementLog], path) -> None:

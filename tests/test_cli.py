@@ -23,6 +23,7 @@ from ovrefine.pipeline import (
 )
 from ovrefine.commonsense import SceneContext, default_knowledge_base
 from ovrefine.geometry import Box7DoF
+from ovrefine.jsonl import read_lines
 
 
 def write_short_box_scene(tmp_path):
@@ -54,6 +55,31 @@ def chair_line(fields):
         '{"scene_id": "s1", "scene_type": "library", "detections": [{"box": '
         '[0, 0, 0.5, 1, 1, 1, 0], "label": "chair", ' + fields + "}]}"
     )
+
+
+# second lines of a scenes file, after the living-room case study, that
+# `refine` and `eval` reject; each with the message that names its fault
+SCENE_FILE_ROWS = {
+    # eval would pool the boxes of two scenes of one id
+    "repeated-id": ('{"scene_id": "living-room-case", "scene_type": "office", "detections": []}',
+                    "scene_id 'living-room-case' already appears on line 1"),
+    "detections-empty-object": ('{"scene_id": "s1", "scene_type": "office", "detections": {}}',
+                                "scene s1: detections must be a JSON array, got dict"),
+    "detections-object": ('{"scene_id": "s1", "scene_type": "office", "detections": {"x": 1}}',
+                          "scene s1: detections must be a JSON array, got dict"),
+    "detection-int": ('{"scene_id": "s1", "scene_type": "office", "detections": [5]}',
+                      "scene s1 detection 0 must be a JSON object, got int"),
+}
+
+# a book whose only class score names a class the KB has no size for
+ZEBRA_SCENE = {
+    "scene_id": "z",
+    "scene_type": "library",
+    "detections": [
+        {"box": [0, 0, 0.5, 1.6, 1.0, 1.0, 0], "label": "book", "score": 0.95,
+         "class_scores": {"zebra": 0.99}},
+    ],
+}
 
 
 @pytest.fixture
@@ -205,6 +231,7 @@ class TestRefine:
              "class score for 'chair' must be a number, got None"),
             (chair_line('"score": 0.9, "class_scores": [0.5]'),
              "class_scores must be an object of class scores, got list"),
+            *SCENE_FILE_ROWS.values(),
         ],
         ids=[
             "json", "array", "field", "value", "score-NaN", "score-Infinity", "score--Infinity",
@@ -212,6 +239,7 @@ class TestRefine:
             "label-list", "scene-type-list", "description-int",
             "score-true", "class-score-true", "box-booleans", "score-string",
             "class-score-string", "class-score-null", "class-scores-list",
+            *SCENE_FILE_ROWS,
         ],
     )
     def test_bad_detections_line_names_file_and_line(self, case_files, capsys, line, message):
@@ -267,29 +295,33 @@ class TestRefine:
     def test_remote_mode_degrades_to_kb_when_endpoint_dead(
         self, case_files, tmp_path, monkeypatch, capsys
     ):
-        # every remote query falls back to the KB, so an unreachable
-        # endpoint still yields the offline result
+        # every remote query falls back to the static provider, so an
+        # unreachable endpoint still yields the offline result
         monkeypatch.delenv("GLRD_LLM_ENDPOINT", raising=False)
-        code = main(
-            [
-                "refine",
-                "--detections", case_files["detections"],
-                "--out", case_files["out"],
-                "--llm", "remote",
-            ]
-        )
-        assert code == 0
-        remote = capsys.readouterr()
-        # no request was sent, and the run says so
-        assert remote.err == (
-            "warning: GLRD_LLM_ENDPOINT is not set, so no request is sent: every query falls "
-            "back to the knowledge base and every debate to the offline rule\n"
-        )
-        offline_out = tmp_path / "offline.jsonl"
-        main(["refine", "--detections", case_files["detections"], "--out", str(offline_out)])
-        assert capsys.readouterr() == (remote.out, "")
-        assert remote.out == "kept 2, removed 1, reclassified 1\n"
-        assert Path(case_files["out"]).read_text() == offline_out.read_text()
+        # a debate candidate without a KB size gets size fit 0, as offline
+        zebra = tmp_path / "zebra.jsonl"
+        zebra.write_text(json.dumps(ZEBRA_SCENE) + "\n")
+        for detections, summary in (
+            (case_files["detections"], "kept 2, removed 1, reclassified 1\n"),
+            (str(zebra), "kept 0, removed 0, reclassified 1\n"),
+        ):
+            runs = []
+            for mode in ("remote", "off"):
+                out, log = tmp_path / f"{mode}.jsonl", tmp_path / f"{mode}.log.jsonl"
+                argv = ["refine", "--detections", detections, "--out", str(out), "--log", str(log)]
+                code = main(argv + ["--llm", mode])
+                runs.append((code, capsys.readouterr(), out.read_bytes(), log.read_bytes()))
+            (remote_code, remote, *remote_files), (offline_code, offline, *offline_files) = runs
+            assert remote_code == offline_code == 0
+            # no request was sent, and the run says so
+            assert remote.err == (
+                "warning: GLRD_LLM_ENDPOINT is not set, so no request is sent: every query "
+                "falls back to the knowledge base and every debate to the offline rule\n"
+            )
+            assert offline == (remote.out, "")
+            assert remote.out == summary
+            assert remote_files == offline_files
+        assert [d.label for d in load_scenes(tmp_path / "remote.jsonl")[0].detections] == ["zebra"]
 
     def test_unabsorbed_provider_failure_exits_2(self, case_files, monkeypatch, capsys):
         # a provider failure the fallback chain cannot absorb skips the
@@ -691,6 +723,56 @@ class TestBaol:
         assert [workers for workers, _ in pools] == [2, 4, 2]
         assert pools[-1][1] == "spawn"
 
+    def test_file_is_read_as_the_scenes_are_scored(self, tmp_path, capsys, monkeypatch):
+        import ovrefine.cli as cli_module
+        from ovrefine import pipeline
+
+        read, pools = [], []
+
+        def counted_lines(path):
+            for item in read_lines(path):
+                read.append(item[0])
+                yield item
+
+        def recorded_pool(workers):
+            pools.append((workers, len(read)))
+            return real_pool(workers)
+
+        real_pool = pipeline.process_pool
+        monkeypatch.setattr(cli_module, "read_lines", counted_lines)
+        monkeypatch.setattr(pipeline, "process_pool", recorded_pool)
+        scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
+        path = tmp_path / "proposals.jsonl"
+        outputs = []
+        for scenes, workers in ((6, "1"), (6, "2"), (1, "4"), (0, "4")):
+            path.write_text((json.dumps(scene) + "\n") * scenes)
+            read.clear()
+            argv = ["baol", "--proposals", str(path), "--lambda-baol", "1", "--workers", workers]
+            assert main(argv) == 0
+            assert read == list(range(1, scenes + 1))
+            outputs.append(capsys.readouterr())
+            assert not multiprocessing.active_children()
+        assert outputs[0] == outputs[1]
+        # the processes start once the first --workers lines are read, and a
+        # file of at most one scene starts none
+        assert pools == [(2, 2)]
+
+    def test_unreadable_line_is_reported_after_the_scenes_before_it(self, tmp_path, capsys):
+        # the text decoder reads 8 KiB at a time, so the byte that is no
+        # UTF-8 fails the read of line 4, after the bad line 2
+        scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
+        good = json.dumps(scene).ljust(3000).encode() + b"\n"
+        path = tmp_path / "proposals.jsonl"
+        path.write_bytes(good + b"{not json\n" + good + good + b"\xff\n")
+        errors = []
+        for workers in ("1", "2", "3"):
+            argv = ["baol", "--proposals", str(path), "--lambda-baol", "1", "--workers", workers]
+            assert main(argv) == 1
+            errors.append(capsys.readouterr())
+            assert not multiprocessing.active_children()
+        assert errors[0].err.startswith(f"input error: {path}:2: Expecting property name")
+        assert errors[0] == errors[1] == errors[2]
+
     def test_config_error_is_the_same_at_any_worker_count(self, tmp_path, capsys):
         proposals = tmp_path / "proposals.jsonl"
         scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
@@ -744,6 +826,19 @@ class TestEval:
         assert data["mean"] == 1.0
         assert all(ap == 1.0 for ap in data["per_class"].values())
 
+
+    @pytest.mark.parametrize("which", ["--detections", "--gt"])
+    @pytest.mark.parametrize("line, message", SCENE_FILE_ROWS.values(), ids=SCENE_FILE_ROWS)
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, which, line, message):
+        good = tmp_path / "good.jsonl"
+        save_scenes(case_study_scenes(), good)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(good.read_text().splitlines()[0] + "\n" + line + "\n")
+        files = {"--detections": str(good), "--gt": str(good), which: str(bad)}
+        assert main(["eval", *(arg for pair in files.items() for arg in pair)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {bad}:2: {message}\n"
 
     def test_wrong_arity_box_is_input_error(self, tmp_path, capsys):
         path = write_short_box_scene(tmp_path)

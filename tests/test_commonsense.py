@@ -26,8 +26,6 @@ from ovrefine.commonsense import (
     constraint_vector,
     default_knowledge_base,
     judge_prompt,
-    llm_query_scene,
-    llm_query_size,
     parse_size_reply,
     parse_yes_no,
     scene_constraint,
@@ -282,11 +280,15 @@ def make_client(transport, retries=2):
     )
 
 
+def make_provider(transport, retries=2):
+    """A remote provider over the built-in KB that sends through ``transport``."""
+    return RemoteKnowledgeProvider(make_client(transport, retries), default_knowledge_base())
+
+
 class TestLlmClient:
     def test_prompt_templates_sent_verbatim(self):
         transport = StubTransport({"common size of a desk": "1.4*0.7*0.75"})
-        client = make_client(transport)
-        llm_query_size("desk", client)
+        make_provider(transport).size_prior("desk")
         assert transport.calls[0]["prompt"] == (
             "What is the common size of a desk? Answer in the format of length*width*height."
         )
@@ -323,8 +325,8 @@ class TestLlmClient:
 
     def test_retry_then_success(self):
         transport = StubTransport({"common size": "2.0*0.9*0.75"}, fail_first=2)
-        client = make_client(transport, retries=2)
-        assert llm_query_size("sofa", client) == SizePrior(2.0, 0.9, 0.75)
+        provider = make_provider(transport, retries=2)
+        assert provider.size_prior("sofa") == SizePrior(2.0, 0.9, 0.75)
         assert len(transport.calls) == 3
 
     def test_exhausted_retries_raise(self):
@@ -349,8 +351,14 @@ class TestLlmClient:
 
 
 class CompletionHandler(BaseHTTPRequestHandler):
-    """Answers each POST with ``{"text": ...}`` after failing the first
-    ``server.fail_first`` with a 500; records every request it reads."""
+    """Answers each POST with ``reply``, here ``{"text": "echo: ..."}``, after
+    failing the first ``server.fail_first`` with a 500; records every request
+    it reads."""
+
+    def reply(self, prompt: str) -> tuple[bytes, int]:
+        """The body sent for ``prompt`` and the length announced for it."""
+        body = json.dumps({"text": f"echo: {prompt}"}).encode("utf-8")
+        return body, len(body)
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -358,10 +366,10 @@ class CompletionHandler(BaseHTTPRequestHandler):
         if len(self.server.requests) <= self.server.fail_first:
             self.send_error(500)
             return
-        reply = json.dumps({"text": f"echo: {body['prompt']}"}).encode("utf-8")
+        reply, length = self.reply(body["prompt"])
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(reply)))
+        self.send_header("Content-Length", str(length))
         self.end_headers()
         self.wfile.write(reply)
 
@@ -369,11 +377,27 @@ class CompletionHandler(BaseHTTPRequestHandler):
         pass
 
 
+class TruncatingHandler(CompletionHandler):
+    """Announces a 100-byte reply, sends 16 bytes of it and closes."""
+
+    def reply(self, prompt):
+        return b'{"text": "0.5*0.', 100
+
+
+class DeepHandler(CompletionHandler):
+    """Replies with JSON nested past the decoder's recursion limit."""
+
+    def reply(self, prompt):
+        depth = 4 * sys.getrecursionlimit()
+        body = b"[" * depth + b"]" * depth
+        return body, len(body)
+
+
 @contextmanager
-def completion_server(fail_first=0):
+def completion_server(fail_first=0, handler=CompletionHandler):
     """A loopback server on a free port, served from a thread; yields its
     URL and the list of requests it has read."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), CompletionHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.requests, server.fail_first = [], fail_first
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
@@ -438,39 +462,59 @@ class TestHttpTransport:
             client.complete("hello")
         assert [call_url for call_url, _ in posts] == [url] * 3
 
+    def test_truncated_reply_is_a_failed_request(self, posts):
+        with completion_server(handler=TruncatingHandler) as (url, requests):
+            client = LlmClient(endpoint=url, retries=2, backoff=0.0)
+            with pytest.raises(ProviderError, match="failed after 3 attempts"):
+                client.complete("hello")
+            assert len(requests) == 3
+            # so the provider answers from the KB
+            provider = RemoteKnowledgeProvider(client, default_knowledge_base())
+            assert provider.size_prior("chair") == default_knowledge_base().sizes["chair"]
+            assert len(requests) == 6
+        assert all(isinstance(error, ConnectionError) for _, error in posts)
+        assert "IncompleteRead" in str(posts[0][1])
+
+    def test_reply_nested_too_deeply_is_a_failed_request(self):
+        with completion_server(handler=DeepHandler) as (url, requests):
+            client = LlmClient(endpoint=url, retries=1, backoff=0.0)
+            with pytest.raises(ProviderError, match="failed after 2 attempts"):
+                client.complete("hello")
+            assert len(requests) == 2
+
 
 class TestLlmQueries:
+    """Where the model gives no answer, the remote provider answers as the
+    static provider over the same KB does."""
+
     def test_unparseable_falls_back_to_kb(self):
         kb = default_knowledge_base()
-        client = make_client(StubTransport({"common size": "it depends"}))
-        assert llm_query_size("desk", client, kb) == kb.sizes["desk"]
+        provider = make_provider(StubTransport({"common size": "it depends"}))
+        assert provider.size_prior("desk") == kb.sizes["desk"]
 
     def test_failed_request_falls_back_to_kb(self):
         kb = default_knowledge_base()
-        client = make_client(StubTransport(fail_first=99))
-        assert llm_query_size("desk", client, kb) == kb.sizes["desk"]
-        assert llm_query_scene("toilet", "living room", client, kb) == 0
-        with pytest.raises(ProviderError):
-            llm_query_size("gargoyle", client, kb)
-
-    def test_unparseable_without_kb_raises(self):
-        client = make_client(StubTransport({"common size": "it depends"}))
-        with pytest.raises(ProviderError):
-            llm_query_size("desk", client)
+        provider = make_provider(StubTransport(fail_first=99))
+        assert provider.size_prior("desk") == kb.sizes["desk"]
+        assert provider.scene_compatible("toilet", "living room") == 0
+        # a class without a KB size fails as it does offline
+        with pytest.raises(MissingSizePriorError, match="gargoyle"):
+            provider.size_prior("gargoyle")
 
     def test_scene_answers(self):
-        client = make_client(
-            StubTransport({"toilet in a living room": "No.", "chair in a library": "Yes, of course."})
+        # the model's answers win over the KB's, which has both the other way
+        provider = make_provider(
+            StubTransport({"toilet in a bathroom": "No.", "toilet in a living room": "Yes, of course."})
         )
-        assert llm_query_scene("toilet", "living room", client) == 0
-        assert llm_query_scene("chair", "library", client) == 1
+        assert provider.scene_compatible("toilet", "bathroom") == 0
+        assert provider.scene_compatible("toilet", "living room") == 1
 
     def test_ambiguous_scene_falls_back(self):
-        kb = default_knowledge_base()
-        client = make_client(StubTransport({"": "Perhaps."}))
-        assert llm_query_scene("toilet", "living room", client, kb) == 0
-        with pytest.raises(ProviderError):
-            llm_query_scene("toilet", "living room", client)
+        provider = make_provider(StubTransport({"": "Perhaps."}))
+        assert provider.scene_compatible("toilet", "living room") == 0
+        assert provider.scene_compatible("toilet", "bathroom") == 1
+        # a scene type the KB does not list counts as compatible, as offline
+        assert provider.scene_compatible("toilet", "observatory") == 1
 
 
 class HoldingTransport:
@@ -528,23 +572,24 @@ class TestRemoteProvider:
     )
     def test_lookups_at_once_share_one_request(self, text, lookup, answer):
         transport = HoldingTransport(4, text)
-        provider = RemoteKnowledgeProvider(make_client(transport))
+        provider = make_provider(transport)
         assert look_up_at_once(4, lambda _: lookup(provider)) == [answer] * 4
         assert transport.calls == 1
 
     def test_lookups_at_once_share_a_failure_that_is_not_remembered(self):
+        # only a class without a KB size fails once its request has failed
         transport = HoldingTransport(4)
-        provider = RemoteKnowledgeProvider(make_client(transport, retries=0))
-        errors = look_up_at_once(4, lambda _: provider.size_prior("chair"))
-        assert all(isinstance(e, ProviderError) for e in errors)
+        provider = make_provider(transport, retries=0)
+        errors = look_up_at_once(4, lambda _: provider.size_prior("gargoyle"))
+        assert all(isinstance(e, MissingSizePriorError) for e in errors)
         assert transport.calls == 1
-        with pytest.raises(ProviderError):
-            provider.size_prior("chair")
+        with pytest.raises(MissingSizePriorError):
+            provider.size_prior("gargoyle")
         assert transport.calls == 2
 
     def test_caches_per_class(self):
         transport = StubTransport({"common size of a desk": "1.4*0.7*0.75"})
-        provider = RemoteKnowledgeProvider(make_client(transport))
+        provider = make_provider(transport)
         first = provider.size_prior("desk")
         second = provider.size_prior("desk")
         assert first == second == SizePrior(1.4, 0.7, 0.75)
@@ -552,7 +597,7 @@ class TestRemoteProvider:
 
     def test_scene_caches_per_pair(self):
         transport = StubTransport({"Is it normal": "Yes."})
-        provider = RemoteKnowledgeProvider(make_client(transport))
+        provider = make_provider(transport)
         provider.scene_compatible("chair", "library")
         provider.scene_compatible("chair", "library")
         provider.scene_compatible("chair", "office")
@@ -570,7 +615,7 @@ class TestRemoteProvider:
             time.sleep(0.001)  # a round trip, during which other threads look up
             return {"text": "Yes."}
 
-        provider = RemoteKnowledgeProvider(make_client(transport))
+        provider = make_provider(transport)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -589,24 +634,18 @@ class TestRemoteProvider:
 
     def test_network_failure_falls_back_to_kb(self):
         kb = default_knowledge_base()
-        provider = RemoteKnowledgeProvider(make_client(StubTransport(fail_first=99)), kb)
+        provider = make_provider(StubTransport(fail_first=99))
         assert provider.size_prior("desk") == kb.sizes["desk"]
         assert provider.scene_compatible("toilet", "living room") == 0
 
-    def test_network_failure_without_kb_raises(self):
-        provider = RemoteKnowledgeProvider(make_client(StubTransport(fail_first=99)))
-        with pytest.raises(ProviderError):
-            provider.size_prior("desk")
-
     def test_novel_gating_from_kb(self):
-        kb = default_knowledge_base()
-        provider = RemoteKnowledgeProvider(make_client(StubTransport()), kb)
+        provider = make_provider(StubTransport())
         assert provider.is_novel("toilet")
         assert not provider.is_novel("sofa")
 
     def test_judge_names_the_longest_candidate_in_the_reply(self):
         transport = StubTransport({"Debaters argue": "The coffee table, not a table."})
-        provider = RemoteKnowledgeProvider(make_client(transport))
+        provider = make_provider(transport)
         candidates, cases = ("table", "coffee table", "stool"), ("case a", "case b", "case c")
         assert provider.judge(candidates, "library", cases) == "coffee table"
         assert [call["prompt"] for call in transport.calls] == [
@@ -625,12 +664,12 @@ class TestRemoteProvider:
         ids=["names-none", "request-fails"],
     )
     def test_judge_without_a_verdict_is_none(self, transport):
-        provider = RemoteKnowledgeProvider(make_client(transport), default_knowledge_base())
+        provider = make_provider(transport)
         assert provider.judge(("book", "stool"), "library", ("a", "b")) is None
 
     def test_judge_is_not_cached(self):
         transport = StubTransport({"Debaters argue": "stool"})
-        provider = RemoteKnowledgeProvider(make_client(transport))
+        provider = make_provider(transport)
         for _ in range(2):
             assert provider.judge(("book", "stool"), "library", ("a", "b")) == "stool"
         assert len(transport.calls) == 2

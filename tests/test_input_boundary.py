@@ -23,9 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import case_study_scenes
-from ovrefine.balancers import load_loss_stream, load_proposals, load_pseudo_labels
+from ovrefine.balancers import load_loss_stream, load_pseudo_labels, proposal_record
 from ovrefine.cli import RunConfig, main
 from ovrefine.commonsense import load_knowledge_base
+from ovrefine.jsonl import parse_line, read_lines
 from ovrefine.pipeline import load_scenes, save_scenes
 
 INPUT_ERRORS = (OSError, ValueError, LookupError, TypeError)
@@ -166,6 +167,14 @@ def test_config_file(text):
 
 
 BAOL = ["baol", "--proposals", "{input}", "--lambda-baol", "1"]
+
+
+def load_proposals(path):
+    """Each scene's proposal record, parsed line by line as `baol` parses it."""
+    return [
+        parse_line(path, lineno, line, lambda data: proposal_record(data, index))
+        for index, (lineno, line) in enumerate(read_lines(path))
+    ]
 
 
 @BOUNDARY

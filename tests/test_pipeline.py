@@ -436,6 +436,28 @@ class TestRemoteProviderPipeline:
         refined, log = refine_scene(library_scene(), provider)
         assert log.objects[0].final_label == "coffee table"
 
+    @pytest.mark.parametrize("answer", ["request-fails", "no-answer", "no-endpoint"])
+    def test_no_remote_answer_gives_the_static_run(self, kb, answer, monkeypatch):
+        from ovrefine.commonsense import LlmClient, RemoteKnowledgeProvider
+
+        def transport(url, key, payload, timeout):
+            if answer == "request-fails":
+                raise OSError("connection refused")
+            return {"text": "I cannot say."}
+
+        monkeypatch.delenv("GLRD_LLM_ENDPOINT", raising=False)
+        endpoint = None if answer == "no-endpoint" else "http://llm.test"
+        client = LlmClient(endpoint=endpoint, transport=transport, backoff=0.0, retries=1)
+        _, records = generate_synthetic_scenes(kb, seed=7, n_scenes=200)
+        # a debate candidate without a KB size gets size fit 0, as offline
+        zebra = Detection(Box7DoF(0, 0, 0.5, 1.6, 1.0, 1.0), "book", 0.95, {"zebra": 0.99})
+        records.append(simple_scene([zebra], scene_id="zebra"))
+        remote = refine_scenes(records, RemoteKnowledgeProvider(client, kb), workers=1)
+        static = refine_scenes(records, StaticKnowledgeProvider(kb), workers=1)
+        assert remote == static
+        assert [log.counts() for _, log in remote] == [log.counts() for _, log in static]
+        assert static[-1][1].objects[0].final_label == "zebra"
+
     def test_prompts_match_recorded_digest(self, kb):
         # recorded when the judge's client was still passed beside the
         # provider: 85 size and scene prompts and 5 judge prompts
