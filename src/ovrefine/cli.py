@@ -4,6 +4,12 @@ simulations, evaluation, and synthetic-fixture generation.
 One binary with subcommands; options come from an optional JSON config file
 plus flags, with flags winning. Exit codes: 0 success, 1 input error,
 2 provider error.
+
+Each command imports the library layers it runs, when it runs: `baol` never
+loads the refine stack (`pipeline`, `commonsense`, `psl`), and loads
+`concurrent.futures` only when it starts worker processes; `refine` and
+`eval` load no `balancers`. The library is called through its module
+objects, where the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -18,23 +24,18 @@ from collections import deque
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice
 
-from . import balancers, commonsense, pipeline
-from .commonsense import (
-    KnowledgeBase,
-    LlmClient,
-    ProviderError,
-    RemoteKnowledgeProvider,
-    SizeConstraintConfig,
-    StaticKnowledgeProvider,
-    load_knowledge_base,
-)
+# geometry is light; perfbench/tracecli.py wraps soft_nms on this module
 from .geometry import ScoredBox, soft_nms
 from .jsonl import parse_line, read_lines
-from .psl import SelectionPolicy, decide, solve_decisions
+
+if typing.TYPE_CHECKING:
+    from . import pipeline
+    from .commonsense import KnowledgeBase
 
 __all__ = ["RunConfig", "main", "entry_point"]
 
-_POLICIES = {policy.value: policy for policy in SelectionPolicy}
+# the values of psl.SelectionPolicy, named here so that no command loads psl to parse its flags
+_POLICIES = ("max-keep-min-recls", "min-keep", "scene-conservative")
 _LLM_MODES = ("off", "remote")
 # the values a RunConfig field of each type accepts: a float field takes an int
 _ACCEPTS = {str: str, int: int, float: (int, float)}
@@ -155,25 +156,32 @@ class RunConfig:
         return replace(self, **updates)
 
     def refinement(self) -> pipeline.RefinementConfig:
+        from . import commonsense, pipeline
+        from .psl import SelectionPolicy
+
         return pipeline.RefinementConfig(
             rule_weights=(self.alpha1, self.alpha2, self.alpha3),
             phi_keep=self.phi_keep,
             phi_recls=self.phi_recls,
-            size=SizeConstraintConfig(self.size_alpha, self.phi_size),
-            policy=_POLICIES[self.policy],
+            size=commonsense.SizeConstraintConfig(self.size_alpha, self.phi_size),
+            policy=SelectionPolicy(self.policy),
         )
 
 
 def _load_kb(config: RunConfig) -> KnowledgeBase:
+    from . import commonsense
+
     if config.kb:
-        return load_knowledge_base(config.kb)
+        return commonsense.load_knowledge_base(config.kb)
     return commonsense.default_knowledge_base()
 
 
 def _make_provider(config: RunConfig):
+    from . import commonsense
+
     kb = _load_kb(config)
     if config.llm == "remote":
-        client = LlmClient(
+        client = commonsense.LlmClient(
             timeout=config.llm_timeout,
             retries=config.llm_retries,
             max_in_flight=config.llm_max_in_flight,
@@ -185,8 +193,8 @@ def _make_provider(config: RunConfig):
                 file=sys.stderr,
             )
         # the provider's client also sends the debate judge's prompts
-        return RemoteKnowledgeProvider(client, kb)
-    return StaticKnowledgeProvider(kb)
+        return commonsense.RemoteKnowledgeProvider(client, kb)
+    return commonsense.StaticKnowledgeProvider(kb)
 
 
 def _workers(config: RunConfig) -> int:
@@ -200,6 +208,8 @@ def _require(config: RunConfig, *names: str) -> None:
 
 
 def cmd_refine(config: RunConfig) -> int:
+    from . import pipeline
+
     _require(config, "detections", "out")
     provider = _make_provider(config)
     records = pipeline.load_scenes(config.detections)
@@ -228,8 +238,11 @@ def cmd_refine(config: RunConfig) -> int:
 
 
 def cmd_solve_psl(config: RunConfig, x_conf: float, x_size: float, x_scene: float) -> int:
+    from .psl import SelectionPolicy, decide, solve_decisions
+
     weights = (config.alpha1, config.alpha2, config.alpha3)
-    (solution,) = solve_decisions([(x_conf, x_size, x_scene)], weights, _POLICIES[config.policy])
+    policy = SelectionPolicy(config.policy)
+    (solution,) = solve_decisions([(x_conf, x_size, x_scene)], weights, policy)
     decision = decide(solution, config.phi_keep, config.phi_recls)
     print(
         f"y_keep={solution.y_keep:.6f} y_recls={solution.y_recls:.6f} "
@@ -239,6 +252,8 @@ def cmd_solve_psl(config: RunConfig, x_conf: float, x_size: float, x_scene: floa
 
 
 def cmd_balance(config: RunConfig, labels_path: str) -> int:
+    from . import balancers
+
     records = balancers.load_pseudo_labels(labels_path)
     kb = _load_kb(config)
     pool = [label for _, labels in records for label in labels]
@@ -280,6 +295,8 @@ def cmd_balance(config: RunConfig, labels_path: str) -> int:
 
 
 def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
+    from . import balancers
+
     stream = balancers.load_loss_stream(losses_path)
     if not stream:
         raise ValueError("empty loss stream")
@@ -311,6 +328,10 @@ def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
 
 
 def cmd_baol(config: RunConfig, proposals_path: str) -> int:
+    # balancers is loaded here, and geometry with this module, before any
+    # worker process forks, so that the workers inherit both
+    from . import balancers  # noqa: F401
+
     if config.lambda_baol is None:
         raise ValueError("missing required option --lambda-baol (it has no default)")
     # read as the scenes are scored, so that no process holds the whole file
@@ -339,8 +360,10 @@ def _baol_on_processes(first: list, rest: typing.Iterator) -> list[str]:
     raises it: a bad scene's once the scenes before it are done, and one in
     reading a later line once every scene before that line is done.
     """
+    from . import processes
+
     reports = []
-    with pipeline.process_pool(len(first)) as pool:
+    with processes.process_pool(len(first)) as pool:
         pending = deque(pool.submit(_baol_scene, job) for job in first)
         try:
             while pending:
@@ -367,6 +390,9 @@ def _baol_scene(job: tuple[str, int, int, str, RunConfig]) -> str:
     ``job`` is the file's path, the scene's index, its line number and text,
     and the run's options: all a worker process needs, under any start method.
     """
+    # loaded already, unless the worker was spawned
+    from . import balancers
+
     path, index, lineno, line, config = job
     proposals, labels = parse_line(
         path, lineno, line, lambda data: balancers.proposal_record(data, index)
@@ -395,6 +421,8 @@ def _baol_scene(job: tuple[str, int, int, str, RunConfig]) -> str:
 
 
 def cmd_eval(config: RunConfig) -> int:
+    from . import pipeline
+
     _require(config, "detections", "gt")
     predictions = pipeline.load_scenes(config.detections)
     ground_truth = pipeline.load_scenes(config.gt)
@@ -414,6 +442,8 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_gen_synthetic(config: RunConfig) -> int:
+    from . import commonsense, pipeline
+
     _require(config, "out", "gt")
     kb = _load_kb(config)
     ground_truth, detections = pipeline.generate_synthetic_scenes(
@@ -421,7 +451,7 @@ def cmd_gen_synthetic(config: RunConfig) -> int:
         seed=config.seed,
         n_scenes=config.scenes,
         corruption_rate=config.corruption,
-        size_cfg=SizeConstraintConfig(config.size_alpha, config.phi_size),
+        size_cfg=commonsense.SizeConstraintConfig(config.size_alpha, config.phi_size),
     )
     pipeline.save_scenes(detections, config.out)
     pipeline.save_scenes(ground_truth, config.gt, include_scores=False)
@@ -541,7 +571,12 @@ def main(argv=None) -> int:
         if args.command == "gen-synthetic":
             return cmd_gen_synthetic(config)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except ProviderError as exc:
+    # a ProviderError is a RuntimeError; commonsense is loaded here, not on the way in
+    except RuntimeError as exc:
+        from .commonsense import ProviderError
+
+        if not isinstance(exc, ProviderError):
+            raise
         print(f"provider error: {exc}", file=sys.stderr)
         return 2
     # JSON errors and rejected values are ValueErrors; a missing size prior is

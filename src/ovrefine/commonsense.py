@@ -16,13 +16,15 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 from .geometry import Box7DoF
 from .jsonl import ARRAY, expect, number
 from .psl import ConstraintVector
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = [
     "SizePrior",
@@ -371,6 +373,9 @@ class RemoteKnowledgeProvider:
         self._lock = threading.Lock()
 
     def _answer(self, key: str | tuple[str, str], query: Callable[[], object]):
+        # imported here, not with the module, so that `eval` does not load it
+        from concurrent.futures import Future
+
         with self._lock:
             answer = self._answers.get(key)
             ask = answer is None

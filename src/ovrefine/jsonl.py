@@ -11,9 +11,19 @@ ARRAY = (list, tuple)
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
-    """``(line number, text)`` of each non-blank line of ``path``, numbered from 1."""
-    with open(path, encoding="utf-8") as fh:
+    """``(line number, text)`` of each non-blank line of ``path``, numbered from 1.
+
+    A line that is not UTF-8 raises ``ValueError`` prefixed ``path:line:``.
+    """
+    # a strict decoder fails on a whole 8 KiB read, which names no line; this
+    # one keeps each undecodable byte as a lone surrogate, for its line to find
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
             if line.strip():
                 yield lineno, line
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import threading
 from collections.abc import Mapping, Sequence
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -31,6 +29,7 @@ from .commonsense import (
 )
 from .geometry import Box7DoF, iou3d, parse_box
 from .jsonl import ARRAY, expect, number, parse_line, read_lines
+from .processes import process_pool
 from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
 
 # perfbench/tracecli.py wraps these by attribute on this module; they are not called here
@@ -49,7 +48,6 @@ __all__ = [
     "debate",
     "refine_scene",
     "refine_scenes",
-    "process_pool",
     "ApReport",
     "eval_ap25",
     "generate_synthetic_scenes",
@@ -285,28 +283,6 @@ def refine_scene(
 _CHUNK_SCENES = 32
 
 
-def process_pool(workers: int) -> Executor:
-    """``workers`` worker processes, all started before the caller starts a thread.
-
-    A fork copies only the forking thread, so it must not happen while other
-    threads run: a lock one of them holds would stay held in the child. A
-    pool over fork starts all of its processes at its first submit, so the
-    no-op submit below forks them while the caller's thread is the only one.
-    A caller that already runs other threads gets spawned processes instead.
-    """
-    # imported here, not with the module, so that commands and runs that
-    # start no process do not pay for loading multiprocessing
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context()
-    if context.get_start_method() == "fork" and threading.active_count() > 1:
-        context = multiprocessing.get_context("spawn")
-    pool = ProcessPoolExecutor(workers, mp_context=context)
-    pool.submit(int)
-    return pool
-
-
 def refine_scenes(
     records: Sequence[SceneRecord],
     provider,
@@ -353,6 +329,9 @@ def refine_scenes(
             except ProviderError as exc:
                 out.append((record, RefinementLog(record.scene_id, (), error=str(exc))))
         return out
+
+    # imported here, not with the module, so that `eval` does not load it
+    from concurrent.futures import ThreadPoolExecutor
 
     chunks = [records[i : i + _CHUNK_SCENES] for i in range(0, len(records), _CHUNK_SCENES)]
     try:

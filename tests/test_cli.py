@@ -49,6 +49,13 @@ def assert_short_box_error(code, capsys, where):
     assert "Traceback" not in err
 
 
+def write_lines(path, *lines):
+    """Write each line, text or raw bytes, ended by a newline."""
+    Path(path).write_bytes(
+        b"".join((line if isinstance(line, bytes) else line.encode()) + b"\n" for line in lines)
+    )
+
+
 def chair_line(fields):
     """A detections line with one library chair, given its score fields."""
     return (
@@ -69,6 +76,9 @@ SCENE_FILE_ROWS = {
                           "scene s1: detections must be a JSON array, got dict"),
     "detection-int": ('{"scene_id": "s1", "scene_type": "office", "detections": [5]}',
                       "scene s1 detection 0 must be a JSON object, got int"),
+    # written in Latin-1, where UTF-8 reads é as the start of a longer character
+    "not-utf-8": (b'{"scene_id": "s1", "scene_type": "caf\xe9", "detections": []}',
+                  "'utf-8' codec can't decode byte 0xe9 in position 37: invalid continuation byte"),
 }
 
 # a book whose only class score names a class the KB has no size for
@@ -245,7 +255,7 @@ class TestRefine:
     def test_bad_detections_line_names_file_and_line(self, case_files, capsys, line, message):
         path = case_files["detections"]
         first = Path(path).read_text().splitlines()[0]
-        Path(path).write_text(first + "\n" + line + "\n")
+        write_lines(path, first, line)
         code = main(["refine", "--detections", path, "--out", case_files["out"]])
         assert code == 1
         err = capsys.readouterr().err
@@ -643,13 +653,16 @@ class TestBaol:
              "class_scores must be a list of rows of numbers"),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [{"a": 1}]}',
              "fg_scores must be a list of numbers"),
+            (b'{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9], '
+             b'"note": "\xff"}',
+             "'utf-8' codec can't decode byte 0xff in position 89: invalid start byte"),
         ],
         ids=[
             "json", "field", "class-scores-true", "fg-scores-false", "class-scores-string",
             "fg-scores-string", "class-scores-null", "class-scores-above-one",
             "fg-scores-negative", "fg-scores-nan", "fg-scores-above-one-scaled-in-range",
             "class-scores-ragged", "class-scores-number-and-row", "class-scores-row-and-object",
-            "class-scores-object", "fg-scores-object",
+            "class-scores-object", "fg-scores-object", "not-utf-8",
         ],
     )
     def test_bad_line_names_file_and_line_before_any_output(
@@ -659,7 +672,7 @@ class TestBaol:
             {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
         )
         path = tmp_path / "proposals.jsonl"
-        path.write_text("\n".join([good, line, good, ""]))
+        write_lines(path, good, line, good)
         errors = []
         for workers in ("1", "2"):
             argv = ["baol", "--proposals", str(path), "--lambda-baol", "1.0", "--workers", workers]
@@ -725,7 +738,7 @@ class TestBaol:
 
     def test_file_is_read_as_the_scenes_are_scored(self, tmp_path, capsys, monkeypatch):
         import ovrefine.cli as cli_module
-        from ovrefine import pipeline
+        from ovrefine import processes
 
         read, pools = [], []
 
@@ -738,9 +751,9 @@ class TestBaol:
             pools.append((workers, len(read)))
             return real_pool(workers)
 
-        real_pool = pipeline.process_pool
+        real_pool = processes.process_pool
         monkeypatch.setattr(cli_module, "read_lines", counted_lines)
-        monkeypatch.setattr(pipeline, "process_pool", recorded_pool)
+        monkeypatch.setattr(processes, "process_pool", recorded_pool)
         scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
         path = tmp_path / "proposals.jsonl"
         outputs = []
@@ -757,9 +770,22 @@ class TestBaol:
         # file of at most one scene starts none
         assert pools == [(2, 2)]
 
+    def test_unreadable_line_names_file_and_line_at_any_worker_count(self, tmp_path, capsys):
+        # at --workers 2 the processes have started when line 4 is read
+        scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
+        path = tmp_path / "proposals.jsonl"
+        write_lines(path, *[json.dumps(scene)] * 3, b"\xff")
+        for workers in ("1", "2"):
+            argv = ["baol", "--proposals", str(path), "--lambda-baol", "1", "--workers", workers]
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", (
+                f"input error: {path}:4: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte\n"
+            ))
+            assert not multiprocessing.active_children()
+
     def test_unreadable_line_is_reported_after_the_scenes_before_it(self, tmp_path, capsys):
-        # the text decoder reads 8 KiB at a time, so the byte that is no
-        # UTF-8 fails the read of line 4, after the bad line 2
+        # the byte that is no UTF-8 fails the read of line 5, after the bad line 2
         scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
         good = json.dumps(scene).ljust(3000).encode() + b"\n"
         path = tmp_path / "proposals.jsonl"
@@ -833,7 +859,7 @@ class TestEval:
         good = tmp_path / "good.jsonl"
         save_scenes(case_study_scenes(), good)
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(good.read_text().splitlines()[0] + "\n" + line + "\n")
+        write_lines(bad, good.read_text().splitlines()[0], line)
         files = {"--detections": str(good), "--gt": str(good), which: str(bad)}
         assert main(["eval", *(arg for pair in files.items() for arg in pair)]) == 1
         out, err = capsys.readouterr()
@@ -1298,3 +1324,28 @@ def test_offline_commands_load_no_http_stack_and_arrayless_ones_no_numpy(tmp_pat
     assert "reclassify" in decisions and "remove" in decisions and "keep" in decisions
     # the fallback answers from the same KB, so the remote run refines alike
     assert (tmp_path / "outremote.jsonl").read_bytes() == (tmp_path / "out1.jsonl").read_bytes()
+
+
+def test_main_maps_only_provider_errors_to_exit_2(monkeypatch, capsys):
+    import ovrefine.cli as cli_module
+    from ovrefine.commonsense import ProviderError
+
+    def fail_with(error):
+        def command(config, *args):
+            raise error
+
+        monkeypatch.setattr(cli_module, "cmd_solve_psl", command)
+
+    fail_with(ProviderError("judge offline"))
+    assert main(["solve-psl", "0.5", "1", "1"]) == 2
+    assert capsys.readouterr() == ("", "provider error: judge offline\n")
+    fail_with(RuntimeError("bug"))
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["solve-psl", "0.5", "1", "1"])
+
+
+def test_policy_names_are_the_selection_policies():
+    from ovrefine.cli import _POLICIES
+    from ovrefine.psl import SelectionPolicy
+
+    assert list(_POLICIES) == [policy.value for policy in SelectionPolicy]

@@ -150,7 +150,8 @@ class TestWorkerCounts:
                 release.set()
                 super().shutdown(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Releasing)
+        # refine_scenes imports it from concurrent.futures when it runs
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Releasing)
         provider = Gryphons(default_knowledge_base())
         records = list(scenes[: n_chunks * chunk])
         first = records[failing * chunk]
