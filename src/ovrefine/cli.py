@@ -15,14 +15,13 @@ objects, where the benchmark's tracer wraps it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import typing
-from collections import deque
 from dataclasses import dataclass, fields, replace
-from itertools import chain, islice
 
 # geometry is light; perfbench/tracecli.py wraps soft_nms on this module
 from .geometry import ScoredBox, soft_nms
@@ -39,6 +38,9 @@ _POLICIES = ("max-keep-min-recls", "min-keep", "scene-conservative")
 _LLM_MODES = ("off", "remote")
 # the values a RunConfig field of each type accepts: a float field takes an int
 _ACCEPTS = {str: str, int: int, float: (int, float)}
+# what `main` reports as input errors: JSON errors and rejected values are
+# ValueErrors, and a missing size prior is a LookupError
+_INPUT_ERRORS = (OSError, ValueError, LookupError, TypeError)
 
 
 @dataclass
@@ -212,29 +214,141 @@ def cmd_refine(config: RunConfig) -> int:
 
     _require(config, "detections", "out")
     provider = _make_provider(config)
-    records = pipeline.load_scenes(config.detections)
-    results = pipeline.refine_scenes(
-        records, provider, config.refinement(), workers=_workers(config)
+    workers = _workers(config)
+    # one worker refines in this process, and so does a remote provider,
+    # whose answer cache, each-query-once rule and bound on requests in
+    # flight hold only within one process; its solves run on processes
+    if config.llm == "remote" or workers == 1:
+        records = pipeline.load_scenes(config.detections)
+        results = pipeline.refine_scenes(records, provider, config.refinement(), workers=workers)
+        logs = [log for _, log in results]
+        pipeline.save_scenes([record for record, _ in results], config.out)
+        if config.log:
+            pipeline.save_logs(logs, config.log)
+        totals = [log.counts() for log in logs]
+        skipped = [(log.scene_id, log.error) for log in logs if log.error]
+    else:
+        totals, skipped = _refine_in_chunks(config, provider, workers)
+    kept, removed, reclassified = (
+        sum(counts[decision] for counts in totals) for decision in ("keep", "remove", "reclassify")
     )
-    refined = [record for record, _ in results]
-    logs = [log for _, log in results]
-    pipeline.save_scenes(refined, config.out)
+    print(f"kept {kept}, removed {removed}, reclassified {reclassified}")
+    for scene_id, error in skipped:
+        print(f"scene {scene_id} skipped: {error}", file=sys.stderr)
+    return 2 if skipped else 0
+
+
+class _Chunk(typing.NamedTuple):
+    """What `_refine_chunk` gives back for one chunk of the detections file."""
+
+    ids: list[tuple[str, int]]  # each parsed scene's id and line number
+    bad_line: ValueError | None = None  # the first line that does not parse
+    error: Exception | None = None  # what refining the chunk raised
+    out: str = ""  # the chunk's --out lines
+    log: str = ""  # its --log lines, if the run writes a log
+    counts: tuple[dict[str, int], ...] = ()  # each scene's decision counts
+    skipped: tuple[tuple[str, str], ...] = ()  # each skipped scene's id and error
+
+
+def _refine_in_chunks(
+    config: RunConfig, provider, workers: int
+) -> tuple[list[dict[str, int]], list[tuple[str, str]]]:
+    """Static refine on ``workers`` processes, each parsing, refining and
+    formatting chunks of ``pipeline._CHUNK_SCENES`` lines of the file.
+
+    The main process reads the lines, checks the scene ids for repeats in
+    file order, and writes both files once every chunk has succeeded. It
+    raises what the inline run raises: the first line, in file order, that
+    does not parse or repeats an id; else the first chunk's refine error.
+    Returns each scene's decision counts and each skipped scene's id and error.
+    """
+    from . import pipeline, processes
+
+    path = config.detections
+    failed: list[Exception] = []  # once a chunk has failed, later jobs only parse their lines
+    jobs = (
+        (config, None if failed else provider, lines)
+        for lines in _chunks(read_lines(path), pipeline._CHUNK_SCENES)
+    )
+    first_line: dict[str, int] = {}
+    out, log, totals, skipped = [], [], [], []
+    with contextlib.closing(processes.map_in_order(_refine_chunk, jobs, workers)) as chunks:
+        for chunk in chunks:
+            for scene_id, lineno in chunk.ids:
+                pipeline.check_scene_id(first_line, scene_id, path, lineno)
+            if chunk.bad_line is not None:
+                raise chunk.bad_line
+            if chunk.error is not None:
+                failed.append(chunk.error)
+            out.append(chunk.out)
+            log.append(chunk.log)
+            totals += chunk.counts
+            skipped += chunk.skipped
+    # the inline run builds the refinement options once it has read the
+    # file, even a file of no scene
+    config.refinement()
+    if failed:
+        raise failed[0]
+    with open(config.out, "w", encoding="utf-8") as fh:
+        fh.writelines(out)
     if config.log:
-        pipeline.save_logs(logs, config.log)
-    totals = {"keep": 0, "remove": 0, "reclassify": 0}
-    for log in logs:
-        for decision, count in log.counts().items():
-            totals[decision] += count
-    print(
-        f"kept {totals['keep']}, removed {totals['remove']}, "
-        f"reclassified {totals['reclassify']}"
+        with open(config.log, "w", encoding="utf-8") as fh:
+            fh.writelines(log)
+    return totals, skipped
+
+
+def _chunks(lines: typing.Iterator, size: int) -> typing.Iterator[list]:
+    """``lines`` in lists of ``size``, the last one shorter. An error in
+    reading a line is raised once the lines before it have been given."""
+    chunk = []
+    try:
+        for line in lines:
+            chunk.append(line)
+            if len(chunk) == size:
+                yield chunk
+                chunk = []
+    except Exception:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _refine_chunk(job: tuple[RunConfig, typing.Any, list[tuple[int, str]]]) -> _Chunk:
+    """Parse, refine and format one chunk of the detections file.
+
+    ``job`` is the run's options, the knowledge provider (None to only parse
+    the lines) and the chunk's numbered lines: all a worker process needs,
+    under any start method. Errors come back as values, for the main process
+    to raise in file order: parsing stops at the first line that does not
+    parse, and refining runs only if every line parses.
+    """
+    from . import pipeline
+
+    config, provider, lines = job
+    records: list[pipeline.SceneRecord] = []
+    bad_line = None
+    try:
+        for lineno, line in lines:
+            records.append(parse_line(config.detections, lineno, line, pipeline.scene_record))
+    except ValueError as exc:
+        bad_line = exc
+    ids = [(record.scene_id, lineno) for record, (lineno, _) in zip(records, lines)]
+    if bad_line is not None or provider is None:
+        return _Chunk(ids, bad_line)
+    try:
+        results = pipeline.refine_chunk(records, provider, config.refinement())
+    except _INPUT_ERRORS as exc:  # raised by the main process, after any bad line
+        return _Chunk(ids, error=exc)
+    logs = [log for _, log in results]
+    return _Chunk(
+        ids,
+        out="".join(pipeline.scene_line(record) for record, _ in results),
+        log="".join(map(pipeline.log_line, logs)) if config.log else "",
+        counts=tuple(log.counts() for log in logs),
+        skipped=tuple((log.scene_id, log.error) for log in logs if log.error),
     )
-    failures = [log for log in logs if log.error]
-    if failures:
-        for log in failures:
-            print(f"scene {log.scene_id} skipped: {log.error}", file=sys.stderr)
-        return 2
-    return 0
 
 
 def cmd_solve_psl(config: RunConfig, x_conf: float, x_size: float, x_scene: float) -> int:
@@ -334,54 +448,19 @@ def cmd_baol(config: RunConfig, proposals_path: str) -> int:
 
     if config.lambda_baol is None:
         raise ValueError("missing required option --lambda-baol (it has no default)")
+    from . import processes
+
     # read as the scenes are scored, so that no process holds the whole file
     jobs = (
         (proposals_path, index, lineno, line, config)
         for index, (lineno, line) in enumerate(read_lines(proposals_path))
     )
-    first = list(islice(jobs, _workers(config)))
-    # one worker, or one scene, runs inline and starts no process
-    if len(first) > 1:
-        reports = _baol_on_processes(first, jobs)
-    else:
-        reports = [_baol_scene(job) for job in chain(first, jobs)]
-    # the first bad line, in file order, raises before any scene is printed
+    # one worker, or one scene, runs inline and starts no process; the first
+    # bad line, in file order, raises before any scene is printed
+    reports = list(processes.map_in_order(_baol_scene, jobs, _workers(config)))
     for report in reports:
         print(report)
     return 0
-
-
-def _baol_on_processes(first: list, rest: typing.Iterator) -> list[str]:
-    """``_baol_scene`` of each job, on one process per job of ``first``.
-
-    The processes start before ``rest`` is read, and at most two jobs per
-    process wait, so no process holds more than a few lines of the file.
-    Reports come in file order, and an error is raised as the inline run
-    raises it: a bad scene's once the scenes before it are done, and one in
-    reading a later line once every scene before that line is done.
-    """
-    from . import processes
-
-    reports = []
-    with processes.process_pool(len(first)) as pool:
-        pending = deque(pool.submit(_baol_scene, job) for job in first)
-        try:
-            while pending:
-                try:
-                    job = next(rest, None)
-                except (OSError, ValueError):
-                    for future in pending:
-                        future.result()
-                    raise
-                if job is not None:
-                    pending.append(pool.submit(_baol_scene, job))
-                if job is None or len(pending) > 2 * len(first):
-                    reports.append(pending.popleft().result())
-        finally:
-            # an error leaves the queued scenes unscored
-            for future in pending:
-                future.cancel()
-    return reports
 
 
 def _baol_scene(job: tuple[str, int, int, str, RunConfig]) -> str:
@@ -579,9 +658,7 @@ def main(argv=None) -> int:
             raise
         print(f"provider error: {exc}", file=sys.stderr)
         return 2
-    # JSON errors and rejected values are ValueErrors; a missing size prior is
-    # a LookupError
-    except (OSError, ValueError, LookupError, TypeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

@@ -133,6 +133,10 @@ class MissingSizePriorError(LookupError):
         super().__init__(f"no size prior for class {label!r}")
         self.label = label
 
+    def __reduce__(self):
+        # rebuilt from its label, not its message, when it leaves a worker process
+        return type(self), (self.label,)
+
 
 class ProviderError(RuntimeError):
     """A knowledge provider failed to answer."""

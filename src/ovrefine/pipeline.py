@@ -19,6 +19,7 @@ import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from .commonsense import (
     ProviderError,
@@ -35,6 +36,9 @@ from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, deci
 # perfbench/tracecli.py wraps these by attribute on this module; they are not called here
 from .psl import build_decision_rules, solve  # noqa: F401
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
 # numpy is imported inside the scene generator, the only code here that
 # builds arrays, so that `refine` and `eval` start without loading it
 
@@ -48,13 +52,26 @@ __all__ = [
     "debate",
     "refine_scene",
     "refine_scenes",
+    "refine_chunk",
     "ApReport",
     "eval_ap25",
     "generate_synthetic_scenes",
     "load_scenes",
+    "scene_record",
+    "check_scene_id",
     "save_scenes",
+    "scene_line",
     "save_logs",
+    "log_line",
 ]
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number other than a bool."""
+    kind = type(value)
+    return kind is float or kind is int or (
+        kind is not bool and isinstance(value, numbers.Real)
+    )
 
 
 @dataclass(frozen=True)
@@ -69,20 +86,21 @@ class Detection:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
             raise TypeError(f"label must be a string, got {type(self.label).__name__}")
-        # Real admits numpy scalars; a bool is a Real but not a score
-        if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
+        # Real admits numpy scalars; a bool is a Real but not a score. The
+        # exact types a JSON file gives are tested first, as the ABC check is slow
+        if not _is_number(self.score):
             raise TypeError(f"score must be a number, got {self.score!r}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.class_scores is not None:
-            if not isinstance(self.class_scores, Mapping):
+            if type(self.class_scores) is not dict and not isinstance(self.class_scores, Mapping):
                 raise TypeError(
                     "class_scores must be an object of class scores, "
                     f"got {type(self.class_scores).__name__}"
                 )
             object.__setattr__(self, "class_scores", dict(self.class_scores))
             for label, value in self.class_scores.items():
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                if not _is_number(value):
                     raise TypeError(f"class score for {label!r} must be a number, got {value!r}")
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"class score for {label!r} is {value}, outside [0, 1]")
@@ -305,41 +323,48 @@ def refine_scenes(
     novel = any(provider.is_novel(d.label) for record in records for d in record.detections)
     solver = process_pool(workers) if workers > 1 and novel else None
 
-    def run_chunk(chunk: Sequence[SceneRecord]) -> list[tuple[SceneRecord, RefinementLog]]:
-        parts: list[list[ConstraintVector | None] | ProviderError] = []
-        for record in chunk:
-            try:
-                parts.append(_assemble(record, provider, cfg))
-            except ProviderError as exc:
-                parts.append(exc)
-        xs = [x for part in parts if isinstance(part, list) for x in _novel_triples(part)]
-        args = (xs, cfg.rule_weights, cfg.policy)
-        solved = iter(
-            solve_decisions(*args)
-            if solver is None
-            else solver.submit(solve_decisions, *args).result()
-        )
-        out = []
-        for record, part in zip(chunk, parts):
-            try:
-                if isinstance(part, ProviderError):
-                    raise part
-                own = list(islice(solved, sum(x is not None for x in part)))
-                out.append(_finish(record, part, own, provider, cfg))
-            except ProviderError as exc:
-                out.append((record, RefinementLog(record.scene_id, (), error=str(exc))))
-        return out
-
     # imported here, not with the module, so that `eval` does not load it
     from concurrent.futures import ThreadPoolExecutor
 
     chunks = [records[i : i + _CHUNK_SCENES] for i in range(0, len(records), _CHUNK_SCENES)]
     try:
         with ThreadPoolExecutor(2 * workers) as io:
-            return [result for results in io.map(run_chunk, chunks) for result in results]
+            done = io.map(lambda chunk: refine_chunk(chunk, provider, cfg, solver), chunks)
+            return [result for results in done for result in results]
     finally:
         if solver is not None:
             solver.shutdown()
+
+
+def refine_chunk(
+    chunk: Sequence[SceneRecord], provider, cfg: RefinementConfig, solver: Executor | None = None
+) -> list[tuple[SceneRecord, RefinementLog]]:
+    """One chunk of `refine_scenes`: assemble every scene's constraint vectors,
+    solve them in one call (on ``solver`` if given, else inline), then decide
+    and debate each scene's objects. A provider failure skips its scene, with
+    an error log entry; any other error propagates.
+    """
+    parts: list[list[ConstraintVector | None] | ProviderError] = []
+    for record in chunk:
+        try:
+            parts.append(_assemble(record, provider, cfg))
+        except ProviderError as exc:
+            parts.append(exc)
+    xs = [x for part in parts if isinstance(part, list) for x in _novel_triples(part)]
+    args = (xs, cfg.rule_weights, cfg.policy)
+    solved = iter(
+        solve_decisions(*args) if solver is None else solver.submit(solve_decisions, *args).result()
+    )
+    out = []
+    for record, part in zip(chunk, parts):
+        try:
+            if isinstance(part, ProviderError):
+                raise part
+            own = list(islice(solved, sum(x is not None for x in part)))
+            out.append(_finish(record, part, own, provider, cfg))
+        except ProviderError as exc:
+            out.append((record, RefinementLog(record.scene_id, (), error=str(exc))))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -568,20 +593,55 @@ def _detection_to_dict(detection: Detection, include_score: bool) -> dict:
     return data
 
 
+def scene_line(record: SceneRecord, include_scores: bool = True) -> str:
+    """One line of a scenes file: ``record`` as JSON, ended by a newline."""
+    data = {
+        "scene_id": record.scene_id,
+        "scene_type": record.scene.scene_type,
+    }
+    if record.scene.description:
+        data["description"] = record.scene.description
+    data["detections"] = [_detection_to_dict(d, include_scores) for d in record.detections]
+    return json.dumps(data) + "\n"
+
+
 def save_scenes(records: Sequence[SceneRecord], path, include_scores: bool = True) -> None:
     """Write scene records as line-delimited JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            data = {
-                "scene_id": record.scene_id,
-                "scene_type": record.scene.scene_type,
-            }
-            if record.scene.description:
-                data["description"] = record.scene.description
-            data["detections"] = [
-                _detection_to_dict(d, include_scores) for d in record.detections
-            ]
-            fh.write(json.dumps(data) + "\n")
+            fh.write(scene_line(record, include_scores))
+
+
+def scene_record(data: dict) -> SceneRecord:
+    """The scene record of one line of a scenes file, from its JSON object;
+    a missing score (as in a ground-truth file) is 1."""
+    where = f"scene {data.get('scene_id')}"
+    entries = expect(data.get("detections", []), ARRAY, f"{where}: detections")
+    detections = []
+    for k, entry in enumerate(entries):
+        what = f"{where} detection {k}"
+        expect(entry, dict, what)
+        detections.append(
+            Detection(
+                parse_box(entry["box"], what),
+                entry["label"],
+                number(entry.get("score", 1.0), "score"),
+                entry.get("class_scores"),
+            )
+        )
+    return SceneRecord(
+        str(data["scene_id"]),
+        SceneContext(data["scene_type"], data.get("description", "")),
+        detections,
+    )
+
+
+def check_scene_id(first_line: dict[str, int], scene_id: str, path, lineno: int) -> None:
+    """Note that ``scene_id`` appears on line ``lineno`` of ``path``; a
+    ``ValueError`` prefixed ``path:line:`` if ``first_line`` has it already."""
+    first = first_line.setdefault(scene_id, lineno)
+    if first != lineno:
+        raise ValueError(f"{path}:{lineno}: scene_id {scene_id!r} already appears on line {first}")
 
 
 def load_scenes(path) -> list[SceneRecord]:
@@ -591,57 +651,38 @@ def load_scenes(path) -> list[SceneRecord]:
     predictions to ground truth by id, and would pool two scenes' boxes.
     """
     first_line: dict[str, int] = {}
+    records = []
+    for lineno, line in read_lines(path):
+        record = parse_line(path, lineno, line, scene_record)
+        check_scene_id(first_line, record.scene_id, path, lineno)
+        records.append(record)
+    return records
 
-    def scene(data: dict, lineno: int) -> SceneRecord:
-        where = f"scene {data.get('scene_id')}"
-        entries = expect(data.get("detections", []), ARRAY, f"{where}: detections")
-        detections = []
-        for k, entry in enumerate(entries):
-            what = f"{where} detection {k}"
-            expect(entry, dict, what)
-            detections.append(
-                Detection(
-                    parse_box(entry["box"], what),
-                    entry["label"],
-                    number(entry.get("score", 1.0), "score"),
-                    entry.get("class_scores"),
-                )
-            )
-        record = SceneRecord(
-            str(data["scene_id"]),
-            SceneContext(data["scene_type"], data.get("description", "")),
-            detections,
-        )
-        first = first_line.setdefault(record.scene_id, lineno)
-        if first != lineno:
-            raise ValueError(f"scene_id {record.scene_id!r} already appears on line {first}")
-        return record
 
-    return [
-        parse_line(path, lineno, line, lambda data: scene(data, lineno))
-        for lineno, line in read_lines(path)
+def log_line(log: RefinementLog) -> str:
+    """One line of a refinement log file: ``log`` as JSON, ended by a newline."""
+    data: dict = {"scene_id": log.scene_id}
+    if log.error is not None:
+        data["error"] = log.error
+    data["objects"] = [
+        {
+            "index": record.index,
+            "label": record.label,
+            "constraints": list(record.constraints.as_tuple()),
+            "y_keep": record.solution.y_keep,
+            "y_recls": record.solution.y_recls,
+            "objective": record.solution.objective,
+            "decision": record.decision.value,
+            "final_label": record.final_label,
+            "transcript": [list(turn) for turn in record.transcript],
+        }
+        for record in log.objects
     ]
+    return json.dumps(data) + "\n"
 
 
 def save_logs(logs: Sequence[RefinementLog], path) -> None:
     """Write refinement logs as line-delimited JSON, one record per scene."""
     with open(path, "w", encoding="utf-8") as fh:
         for log in logs:
-            data: dict = {"scene_id": log.scene_id}
-            if log.error is not None:
-                data["error"] = log.error
-            data["objects"] = [
-                {
-                    "index": record.index,
-                    "label": record.label,
-                    "constraints": list(record.constraints.as_tuple()),
-                    "y_keep": record.solution.y_keep,
-                    "y_recls": record.solution.y_recls,
-                    "objective": record.solution.objective,
-                    "decision": record.decision.value,
-                    "final_label": record.final_label,
-                    "transcript": [list(turn) for turn in record.transcript],
-                }
-                for record in log.objects
-            ]
-            fh.write(json.dumps(data) + "\n")
+            fh.write(log_line(log))

@@ -1,16 +1,27 @@
-"""Worker processes for the commands that spread independent work over cores:
-``refine``'s solves and ``baol``'s scenes.
+"""Worker processes for the commands that spread independent work over cores.
+
+``map_in_order`` maps a function over a stream of jobs on worker processes,
+in order and with a bounded queue: ``baol`` maps it over the lines of its
+proposals file, and static ``refine`` over chunks of lines of its detections
+file, each worker parsing, computing and formatting its own jobs. ``refine``
+with ``--llm remote``, and the library's ``refine_scenes``, solve on a
+``process_pool`` instead.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING
+from collections import deque
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
 
-__all__ = ["process_pool"]
+__all__ = ["map_in_order", "process_pool"]
+
+J = TypeVar("J")
+R = TypeVar("R")
 
 
 def process_pool(workers: int) -> Executor:
@@ -33,3 +44,50 @@ def process_pool(workers: int) -> Executor:
     pool = ProcessPoolExecutor(workers, mp_context=context)
     pool.submit(int)
     return pool
+
+
+def map_in_order(fn: Callable[[J], R], jobs: Iterable[J], workers: int) -> Iterator[R]:
+    """``fn`` of each of ``jobs``, in order, on up to ``workers`` processes.
+
+    One worker, or at most one job, runs inline and starts no process.
+    Otherwise one process per job of the first ``workers`` starts before the
+    rest of ``jobs`` is read, and at most two jobs per process wait, so no
+    process holds more than a few jobs. ``fn`` and its jobs and results must
+    pickle, and ``fn`` must be a module-level function, for a spawned worker.
+
+    An error is raised where the inline run raises it: ``fn``'s once every
+    result before it has been taken, and one in reading a later job once
+    every result before that job has been taken. A caller that stops taking
+    results early closes the generator, which drops the queued jobs and
+    waits for the running ones.
+    """
+    jobs = iter(jobs)
+    first = []
+    try:
+        for job in islice(jobs, workers):
+            first.append(job)
+    except Exception:
+        # the jobs before the one that could not be read run inline
+        yield from map(fn, first)
+        raise
+    if len(first) <= 1:
+        yield from map(fn, chain(first, jobs))
+        return
+    with process_pool(len(first)) as pool:
+        pending = deque(pool.submit(fn, job) for job in first)
+        try:
+            while pending:
+                try:
+                    job = next(jobs, None)
+                except Exception:
+                    while pending:
+                        yield pending.popleft().result()
+                    raise
+                if job is not None:
+                    pending.append(pool.submit(fn, job))
+                if job is None or len(pending) > 2 * len(first):
+                    yield pending.popleft().result()
+        finally:
+            # an error, or a caller that stops early, leaves the queued jobs undone
+            for future in pending:
+                future.cancel()

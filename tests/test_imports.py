@@ -139,6 +139,24 @@ class TestWhatEachCommandLoads:
         assert "ovrefine.pipeline" in loaded
         assert "ovrefine.balancers" not in loaded
 
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("scenes", [0, 32], ids=["empty", "one-chunk"])
+    def test_refine_of_at_most_one_chunk_loads_no_process_machinery(
+        self, tmp_path, scenes, workers
+    ):
+        from ovrefine.pipeline import _CHUNK_SCENES, generate_synthetic_scenes, save_scenes
+
+        assert scenes <= _CHUNK_SCENES
+        _, detections = generate_synthetic_scenes(
+            ovrefine.default_knowledge_base(), seed=7, n_scenes=scenes
+        )
+        path = tmp_path / "detections.jsonl"
+        save_scenes(detections, path)
+        loaded = loaded_by(tmp_path, "refine", "--detections", str(path),
+                           "--out", str(tmp_path / "out.jsonl"), "--workers", workers)
+        assert "ovrefine.pipeline" in loaded
+        assert "multiprocessing" not in loaded
+
     def test_eval_loads_no_balancers_and_no_concurrent_futures(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -1,6 +1,7 @@
 import hashlib
 import threading
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ class TestDetection:
 
     def test_numpy_score_accepted(self):
         assert Detection(Box7DoF(0, 0, 0, 1, 1, 1), "chair", np.float64(0.5)).score == 0.5
+
+    @pytest.mark.parametrize("number", [np.float32, np.int64, np.float64])
+    def test_numpy_scalars_and_any_mapping_of_class_scores_accepted(self, number):
+        # past the exact-type test for JSON's float and int, to the ABC checks;
+        # np.float32 and np.int64 are no subclass of float or int
+        scores = MappingProxyType({"chair": number(1), "sofa": number(0)})
+        detection = Detection(Box7DoF(0, 0, 0, 1, 1, 1), "chair", number(1), scores)
+        assert detection.score == 1
+        assert detection.class_scores == {"chair": 1, "sofa": 0}
+        assert type(detection.class_scores) is dict
 
 
 class TestRefinementConfig:

@@ -1,13 +1,16 @@
-"""refine_scenes over worker processes: same results for any worker count."""
+"""refine_scenes, and the `refine` command, over worker processes: same results
+for any worker count."""
 
 import concurrent.futures
+import json
+import multiprocessing
 import threading
 from dataclasses import replace
 
 import pytest
 
 from conftest import case_study_scenes
-from ovrefine import pipeline
+from ovrefine import cli, pipeline
 from ovrefine.commonsense import (
     LlmClient,
     MissingSizePriorError,
@@ -18,6 +21,7 @@ from ovrefine.commonsense import (
     default_knowledge_base,
 )
 from ovrefine.geometry import Box7DoF
+from ovrefine.jsonl import read_lines
 from ovrefine.pipeline import (
     Detection,
     RefinementLog,
@@ -233,3 +237,215 @@ class TestSolverPool:
         assert not other.is_alive()
         assert pools == ["spawn"]
         assert_same(results, [refine_scene(r, provider) for r in case_study_scenes()])
+
+
+def detection_lines(scenes, n):
+    """The first ``n`` of ``scenes`` as the lines of a detections file, without newlines."""
+    return [pipeline.scene_line(record).rstrip("\n") for record in scenes[:n]]
+
+
+def with_scene_id(line, scene_id):
+    data = json.loads(line)
+    data["scene_id"] = scene_id
+    return json.dumps(data)
+
+
+def scene_id_of(line):
+    return json.loads(line)["scene_id"]
+
+
+def write_lines(path, lines):
+    """Write each line, text or raw bytes, ended by a newline."""
+    path.write_bytes(
+        b"".join((line if isinstance(line, bytes) else line.encode()) + b"\n" for line in lines)
+    )
+
+
+def run_refine(tmp_path, capsys, detections, workers, *options):
+    """``refine`` of ``detections`` at ``workers``: its exit code, its
+    output, and its --out and --log bytes (None for a file not written)."""
+    out, log = tmp_path / f"out-{workers}.jsonl", tmp_path / f"log-{workers}.jsonl"
+    out.unlink(missing_ok=True)
+    log.unlink(missing_ok=True)
+    code = cli.main(["refine", "--detections", str(detections), "--out", str(out),
+                     "--log", str(log), "--workers", str(workers), *options])
+    assert not multiprocessing.active_children()
+    files = [path.read_bytes() if path.exists() else None for path in (out, log)]
+    return code, capsys.readouterr(), *files
+
+
+class Forgetful(StaticKnowledgeProvider):
+    """The static provider without the size of one class; defined here, not in
+    a test, so that it pickles for a worker process."""
+
+    def __init__(self, kb, forgotten):
+        super().__init__(kb)
+        self.forgotten = forgotten
+
+    def size_prior(self, label):
+        if label == self.forgotten:
+            raise MissingSizePriorError(label)
+        return super().size_prior(label)
+
+
+# a line that does not parse, and one that is not UTF-8, each with the start of its message
+BAD_LINES = {
+    "json": ("{not json", "Expecting property name"),
+    "not-utf-8": (b'{"scene_id": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+}
+
+
+class TestRefineCommand:
+    """Static `refine --workers N` parses, refines and formats chunks of the
+    file's lines in its worker processes; it must write and report exactly
+    what `--workers 1` does."""
+
+    @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=list(BAD_LINES))
+    def test_bad_line_read_after_the_processes_start(self, scenes, tmp_path, capsys, bad):
+        # the largest worker count has read 3 chunks when its processes start
+        lineno = 3 * CHUNK + 20
+        lines = detection_lines(scenes, 5 * CHUNK)
+        lines[lineno - 1] = bad[0]
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, lines)
+        for workers in WORKER_COUNTS:
+            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            assert (code, output.out, out, log) == (1, "", None, None)
+            assert output.err.startswith(f"input error: {path}:{lineno}: {bad[1]}")
+
+    def test_scene_id_repeated_across_a_chunk_boundary_names_the_earlier_line(
+        self, scenes, tmp_path, capsys
+    ):
+        lines = detection_lines(scenes, 3 * CHUNK)
+        lines[CHUNK + 5] = with_scene_id(lines[CHUNK + 5], scene_id_of(lines[CHUNK - 3]))
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, lines)
+        for workers in WORKER_COUNTS:
+            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            assert (code, output.out, out, log) == (1, "", None, None)
+            assert output.err == (
+                f"input error: {path}:{CHUNK + 6}: scene_id {scene_id_of(lines[CHUNK - 3])!r} "
+                f"already appears on line {CHUNK - 2}\n"
+            )
+
+    @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=list(BAD_LINES))
+    @pytest.mark.parametrize(
+        "repeat_at, bad_at",
+        [(CHUNK + 3, CHUNK + 9), (CHUNK + 9, CHUNK + 3), (CHUNK + 3, 2 * CHUNK + 9),
+         (2 * CHUNK + 9, CHUNK + 3)],
+        ids=["repeat-first-one-chunk", "bad-first-one-chunk", "repeat-first-two-chunks",
+             "bad-first-two-chunks"],
+    )
+    def test_the_first_of_a_repeat_and_a_bad_line_is_reported(
+        self, scenes, tmp_path, capsys, repeat_at, bad_at, bad
+    ):
+        # line numbers from 1; the repeated id is the first line's
+        lines = detection_lines(scenes, 4 * CHUNK)
+        lines[repeat_at - 1] = with_scene_id(lines[repeat_at - 1], scene_id_of(lines[0]))
+        lines[bad_at - 1] = bad[0]
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, lines)
+        if repeat_at < bad_at:
+            expected = f"input error: {path}:{repeat_at}: scene_id {scene_id_of(lines[0])!r}"
+        else:
+            expected = f"input error: {path}:{bad_at}: {bad[1]}"
+        for workers in WORKER_COUNTS:
+            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            assert (code, output.out, out, log) == (1, "", None, None)
+            assert output.err.startswith(expected)
+
+    def test_file_is_read_as_the_chunks_are_refined(self, scenes, tmp_path, capsys, monkeypatch):
+        from ovrefine import processes
+
+        read, pools = [], []
+
+        def counted_lines(path):
+            for item in read_lines(path):
+                read.append(item[0])
+                yield item
+
+        def recorded_pool(workers):
+            pools.append((workers, len(read)))
+            return real_pool(workers)
+
+        real_pool = processes.process_pool
+        # `--workers 1` reads the file through load_scenes, the others chunk by chunk
+        monkeypatch.setattr(cli, "read_lines", counted_lines)
+        monkeypatch.setattr(pipeline, "read_lines", counted_lines)
+        monkeypatch.setattr(processes, "process_pool", recorded_pool)
+        path = tmp_path / "detections.jsonl"
+        for n in (0, CHUNK, 4 * CHUNK):
+            write_lines(path, detection_lines(scenes, n))
+            outputs = []
+            for workers in WORKER_COUNTS:
+                read.clear()
+                outputs.append(run_refine(tmp_path, capsys, path, workers))
+                assert read == list(range(1, n + 1))
+                assert outputs[-1] == outputs[0]
+            assert outputs[0][0] == 0
+        # the processes start once the first --workers chunks are read, and a
+        # file of at most one chunk starts none
+        assert pools == [(2, 2 * CHUNK), (3, 3 * CHUNK)]
+
+    def test_spawned_workers_write_the_same_files(self, scenes, tmp_path, capsys, pools):
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, detection_lines(scenes, 3 * CHUNK + 5))
+        reference = run_refine(tmp_path, capsys, path, 1)
+        assert reference[0] == 0
+        # a fork while another thread runs could copy a held lock into the child
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(60,))
+        other.start()
+        try:
+            runs = [run_refine(tmp_path, capsys, path, workers) for workers in (2, 3)]
+        finally:
+            stop.set()
+            other.join(timeout=60)
+        assert pools == ["spawn", "spawn"]
+        assert runs == [reference, reference]
+
+    def test_refine_error_is_raised_after_every_bad_line(
+        self, scenes, tmp_path, capsys, monkeypatch
+    ):
+        # the first chunk's refine fails, in a worker process unless --workers 1
+        kb = default_knowledge_base()
+        label = next(
+            d.label for record in scenes for d in record.detections if d.label in kb.novel_classes
+        )
+        monkeypatch.setattr(cli, "_make_provider", lambda config: Forgetful(kb, label))
+        lines = detection_lines(scenes, 5 * CHUNK)
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, lines)
+        for workers in WORKER_COUNTS:
+            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            assert (code, output, out, log) == (
+                1, ("", f"input error: no size prior for class {label!r}\n"), None, None
+            )
+        # a bad line anywhere in the file is reported first, as --workers 1 reads it all first
+        lines[4 * CHUNK + 2] = "{not json"
+        write_lines(path, lines)
+        for workers in WORKER_COUNTS:
+            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            assert (code, output.out, out, log) == (1, "", None, None)
+            assert output.err.startswith(f"input error: {path}:{4 * CHUNK + 3}: Expecting")
+
+    @pytest.mark.parametrize("scenes_in_file", [0, 3 * CHUNK], ids=["empty", "three-chunks"])
+    def test_refinement_options_are_checked_after_the_file(
+        self, scenes, tmp_path, capsys, scenes_in_file
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"phi_keep": 2.0}))
+        lines = detection_lines(scenes, scenes_in_file)
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, lines)
+        for workers in WORKER_COUNTS:
+            code, output, out, log = run_refine(tmp_path, capsys, path, workers, "--config", str(config))
+            assert (code, output, out, log) == (
+                1, ("", "input error: phi_keep must be in [0, 1], got 2.0\n"), None, None
+            )
+        if lines:
+            lines[-1] = "{not json"
+            write_lines(path, lines)
+            for workers in WORKER_COUNTS:
+                code, output, *_ = run_refine(tmp_path, capsys, path, workers, "--config", str(config))
+                assert output.err.startswith(f"input error: {path}:{len(lines)}: Expecting")
