@@ -213,6 +213,7 @@ def cmd_refine(config: RunConfig) -> int:
     from . import pipeline
 
     _require(config, "detections", "out")
+    refinement = config.refinement()  # bad options fail before any line is read
     provider = _make_provider(config)
     workers = _workers(config)
     # one worker refines in this process, and so does a remote provider,
@@ -220,7 +221,7 @@ def cmd_refine(config: RunConfig) -> int:
     # flight hold only within one process; its solves run on processes
     if config.llm == "remote" or workers == 1:
         records = pipeline.load_scenes(config.detections)
-        results = pipeline.refine_scenes(records, provider, config.refinement(), workers=workers)
+        results = pipeline.refine_scenes(records, provider, refinement, workers=workers)
         logs = [log for _, log in results]
         pipeline.save_scenes([record for record, _ in results], config.out)
         if config.log:
@@ -284,9 +285,6 @@ def _refine_in_chunks(
             log.append(chunk.log)
             totals += chunk.counts
             skipped += chunk.skipped
-    # the inline run builds the refinement options once it has read the
-    # file, even a file of no scene
-    config.refinement()
     if failed:
         raise failed[0]
     with open(config.out, "w", encoding="utf-8") as fh:

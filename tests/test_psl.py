@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -420,6 +421,100 @@ class TestSolveDecisions:
             counts.append(len(built))
         # the consequents of the three rules, at the least
         assert counts[0] == counts[1] >= 3
+
+    def test_no_side_clip_returns_its_input(self, monkeypatch):
+        # every clip of _poly_intersect by a side of the unit square that
+        # would keep all its vertices is skipped
+        sides = {(1.0, 0.0, 1.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 1.0, 1.0)}
+        clip, intersect = psl._clip_halfplane, psl._poly_intersect
+        depth, clips, no_ops = [0], [], []
+
+        def clipping(poly, a, b, c):
+            out = clip(poly, a, b, c)
+            if depth[0]:
+                clips.append(out)
+                norm = math.hypot(a, b)
+                if norm and (a / norm, b / norm, c / norm) in sides and out == list(poly):
+                    no_ops.append((poly, a, b, c))
+            return out
+
+        def intersecting(p, q):
+            depth[0] += 1
+            try:
+                return intersect(p, q)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(psl, "_clip_halfplane", clipping)
+        monkeypatch.setattr(psl, "_poly_intersect", intersecting)
+        solve_decisions(self.instances())
+        assert clips and no_ops == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))] * 3),
+    )
+    def test_bound_affine_is_the_pwl_affine(self, x):
+        bindings = psl._constraint_bindings(*x)
+        for rule in psl._decision_rules((1.0, 1.0, 1.0)):
+            negated = rule.expr.left  # !antecedent, the side that solve_decisions reads
+            for expr in (negated, negated.operand):
+                (cell,) = psl._pwl(expr, bindings)
+                # repr tells signed zeros apart
+                assert repr(psl._bound_affine(expr, bindings)) == repr(cell[1])
+
+
+def reference_intersect(p, q):
+    """`_poly_intersect` as it was before it skipped side clips: every edge
+    of ``q`` clips."""
+    out = p
+    n = len(q)
+    for i in range(n):
+        ax, ay = q[i]
+        bx, by = q[(i + 1) % n]
+        out = psl._clip_halfplane(out, by - ay, ax - bx, (by - ay) * ax + (ax - bx) * ay)
+        if len(out) < 3:
+            return []
+    return out
+
+
+unit = st.floats(-1.0, 1.0)
+halfplanes = st.lists(st.tuples(unit, unit, st.floats(-1.0, 2.0)), min_size=0, max_size=3)
+
+
+def clipped_square(planes):
+    poly = list(psl._UNIT_SQUARE)
+    for a, b, c in planes:
+        poly = psl._clip_halfplane(poly, a, b, c)
+    return poly
+
+
+class TestPolyIntersect:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        subject=halfplanes,
+        clipper=halfplanes,
+        nudge=st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 7), st.integers(0, 1), st.sampled_from([1.0 + 2e-12, -2e-12])),
+        ),
+        shift=st.tuples(*[st.sampled_from([0.0, 1.0, -1.0])] * 2),
+    )
+    def test_skipping_side_clips_changes_nothing(self, subject, clipper, nudge, shift):
+        # subjects and clippers: the unit square clipped by up to 3 half-planes;
+        # a vertex nudged just past a side makes the side clip run, and a
+        # clipper shifted by a unit has edges on the sides that run clockwise
+        p, q = clipped_square(subject), clipped_square(clipper)
+        assume(len(p) >= 3 and len(q) >= 3)
+        q = [(x + shift[0], y + shift[1]) for x, y in q]
+        if nudge is not None:
+            vertex, axis, value = nudge
+            point = list(p[vertex % len(p)])
+            point[axis] = value
+            p[vertex % len(p)] = tuple(point)
+        got, want = psl._poly_intersect(p, q), reference_intersect(p, q)
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 class TestBruteForceSolve:

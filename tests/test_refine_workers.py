@@ -430,22 +430,17 @@ class TestRefineCommand:
             assert output.err.startswith(f"input error: {path}:{4 * CHUNK + 3}: Expecting")
 
     @pytest.mark.parametrize("scenes_in_file", [0, 3 * CHUNK], ids=["empty", "three-chunks"])
-    def test_refinement_options_are_checked_after_the_file(
+    def test_refinement_options_are_checked_before_the_file(
         self, scenes, tmp_path, capsys, scenes_in_file
     ):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"phi_keep": 2.0}))
         lines = detection_lines(scenes, scenes_in_file)
         path = tmp_path / "detections.jsonl"
-        write_lines(path, lines)
-        for workers in WORKER_COUNTS:
-            code, output, out, log = run_refine(tmp_path, capsys, path, workers, "--config", str(config))
-            assert (code, output, out, log) == (
-                1, ("", "input error: phi_keep must be in [0, 1], got 2.0\n"), None, None
-            )
-        if lines:
-            lines[-1] = "{not json"
-            write_lines(path, lines)
+        expected = (1, ("", "input error: phi_keep must be in [0, 1], got 2.0\n"), None, None)
+        # the threshold error wins over a bad last line, which is never read
+        for last in ([], ["{not json"]):
+            write_lines(path, lines + last)
             for workers in WORKER_COUNTS:
-                code, output, *_ = run_refine(tmp_path, capsys, path, workers, "--config", str(config))
-                assert output.err.startswith(f"input error: {path}:{len(lines)}: Expecting")
+                run = run_refine(tmp_path, capsys, path, workers, "--config", str(config))
+                assert run == expected
