@@ -216,10 +216,10 @@ def cmd_refine(config: RunConfig) -> int:
     refinement = config.refinement()  # bad options fail before any line is read
     provider = _make_provider(config)
     workers = _workers(config)
-    # one worker refines in this process, and so does a remote provider,
-    # whose answer cache, each-query-once rule and bound on requests in
-    # flight hold only within one process; its solves run on processes
-    if config.llm == "remote" or workers == 1:
+    # a remote provider refines in this process, on threads: its answer
+    # cache, each-query-once rule and bound on requests in flight hold only
+    # within one process
+    if config.llm == "remote":
         records = pipeline.load_scenes(config.detections)
         results = pipeline.refine_scenes(records, provider, refinement, workers=workers)
         logs = [log for _, log in results]
@@ -255,7 +255,8 @@ def _refine_in_chunks(
     config: RunConfig, provider, workers: int
 ) -> tuple[list[dict[str, int]], list[tuple[str, str]]]:
     """Static refine on ``workers`` processes, each parsing, refining and
-    formatting chunks of ``pipeline._CHUNK_SCENES`` lines of the file.
+    formatting chunks of ``pipeline._CHUNK_SCENES`` lines of the file; one
+    worker runs the chunks in this process.
 
     The main process reads the lines, checks the scene ids for repeats in
     file order, and writes both files once every chunk has succeeded. It
@@ -569,7 +570,8 @@ _ARGUMENTS = {
     "--workers": {
         "type": int,
         "metavar": "N",
-        "help": "N worker processes (default: cores); outputs are byte-identical for any N",
+        "help": "N worker processes (default: cores); a refine with the remote LLM runs 2N "
+        "threads in one process instead; outputs are byte-identical for any N",
     },
     "--seed": {"type": int},
     "--llm": {"choices": _LLM_MODES},

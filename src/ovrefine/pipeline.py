@@ -6,9 +6,9 @@ Base-class detections pass through untouched; each novel-class detection is
 scored against the knowledge provider, solved, and kept, removed, or
 reclassified. A reclassified object goes to a debate that the same provider
 judges, with an offline strength rule deciding when it gives no verdict.
-Scenes are independent units of work, and each solve is a pure function of
-one detection's constraints, so solves can run in worker processes while
-provider lookups and debates run on threads.
+Scenes are independent units of work: `refine_scenes` refines chunks of them
+on threads, so that remote provider lookups and debates overlap, and the
+`refine` command spreads chunks of its file over worker processes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import TYPE_CHECKING
 
 from .commonsense import (
     ProviderError,
@@ -30,14 +29,10 @@ from .commonsense import (
 )
 from .geometry import Box7DoF, iou3d, parse_box
 from .jsonl import ARRAY, expect, number, parse_line, read_lines
-from .processes import process_pool
 from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
 
 # perfbench/tracecli.py wraps these by attribute on this module; they are not called here
 from .psl import build_decision_rules, solve  # noqa: F401
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 # numpy is imported inside the scene generator, the only code here that
 # builds arrays, so that `refine` and `eval` start without loading it
@@ -115,6 +110,9 @@ class SceneRecord:
     detections: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
+        # as scene_type must be: a JSON null or 1 would otherwise become "None" or "1"
+        if not isinstance(self.scene_id, str):
+            raise TypeError(f"scene_id must be a string, got {type(self.scene_id).__name__}")
         object.__setattr__(self, "detections", tuple(self.detections))
 
 
@@ -296,8 +294,9 @@ def refine_scene(
     return _finish(record, vectors, solutions, provider, cfg)
 
 
-# Scenes per unit of pipelined work: enough solves (about 150 at the synthetic
-# workload's density) to amortise a round trip to a solver process.
+# Scenes per unit of work: one job of the `refine` command's worker processes,
+# and one chunk of a `refine_scenes` thread. Enough solves (about 150 at the
+# synthetic workload's density) to amortise a job's round trip to a process.
 _CHUNK_SCENES = 32
 
 
@@ -311,38 +310,30 @@ def refine_scenes(
     any worker count.
 
     Scenes go through in chunks of ``_CHUNK_SCENES`` on ``2 * workers``
-    provider I/O threads, each taking one chunk at a time, so at most that
-    many chunks are in flight and remote lookups overlap. A thread assembles
-    its chunk's constraint vectors, has one of ``workers`` solver processes
-    solve them (one worker solves inline, and no process starts for input
-    without a novel detection), then decides and debates each scene's
-    objects. A provider failure skips that scene: the original record is
-    passed through with an error log entry. Any other error propagates, and
-    no chunk starts once it has reached the caller.
+    provider I/O threads, each taking one chunk at a time (`refine_chunk`),
+    so at most that many chunks are in flight and remote lookups overlap.
+    Every thread solves inline, and no process starts: the `refine` command
+    spreads a static run over worker processes itself. A provider failure
+    skips that scene: the original record is passed through with an error
+    log entry. Any other error propagates, and no chunk starts once it has
+    reached the caller.
     """
-    novel = any(provider.is_novel(d.label) for record in records for d in record.detections)
-    solver = process_pool(workers) if workers > 1 and novel else None
-
-    # imported here, not with the module, so that `eval` does not load it
+    # imported here, not with the module, so that `eval` and static `refine` do not load it
     from concurrent.futures import ThreadPoolExecutor
 
     chunks = [records[i : i + _CHUNK_SCENES] for i in range(0, len(records), _CHUNK_SCENES)]
-    try:
-        with ThreadPoolExecutor(2 * workers) as io:
-            done = io.map(lambda chunk: refine_chunk(chunk, provider, cfg, solver), chunks)
-            return [result for results in done for result in results]
-    finally:
-        if solver is not None:
-            solver.shutdown()
+    with ThreadPoolExecutor(2 * workers) as io:
+        done = io.map(lambda chunk: refine_chunk(chunk, provider, cfg), chunks)
+        return [result for results in done for result in results]
 
 
 def refine_chunk(
-    chunk: Sequence[SceneRecord], provider, cfg: RefinementConfig, solver: Executor | None = None
+    chunk: Sequence[SceneRecord], provider, cfg: RefinementConfig
 ) -> list[tuple[SceneRecord, RefinementLog]]:
-    """One chunk of `refine_scenes`: assemble every scene's constraint vectors,
-    solve them in one call (on ``solver`` if given, else inline), then decide
-    and debate each scene's objects. A provider failure skips its scene, with
-    an error log entry; any other error propagates.
+    """One chunk of scenes: assemble every scene's constraint vectors, solve
+    them in one call, then decide and debate each scene's objects. A provider
+    failure skips its scene, with an error log entry; any other error
+    propagates.
     """
     parts: list[list[ConstraintVector | None] | ProviderError] = []
     for record in chunk:
@@ -351,10 +342,7 @@ def refine_chunk(
         except ProviderError as exc:
             parts.append(exc)
     xs = [x for part in parts if isinstance(part, list) for x in _novel_triples(part)]
-    args = (xs, cfg.rule_weights, cfg.policy)
-    solved = iter(
-        solve_decisions(*args) if solver is None else solver.submit(solve_decisions, *args).result()
-    )
+    solved = iter(solve_decisions(xs, cfg.rule_weights, cfg.policy))
     out = []
     for record, part in zip(chunk, parts):
         try:
@@ -630,7 +618,7 @@ def scene_record(data: dict) -> SceneRecord:
             )
         )
     return SceneRecord(
-        str(data["scene_id"]),
+        data["scene_id"],
         SceneContext(data["scene_type"], data.get("description", "")),
         detections,
     )

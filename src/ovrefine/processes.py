@@ -3,9 +3,11 @@
 ``map_in_order`` maps a function over a stream of jobs on worker processes,
 in order and with a bounded queue: ``baol`` maps it over the lines of its
 proposals file, and static ``refine`` over chunks of lines of its detections
-file, each worker parsing, computing and formatting its own jobs. ``refine``
-with ``--llm remote``, and the library's ``refine_scenes``, solve on a
-``process_pool`` instead.
+file, each worker parsing, computing and formatting its own jobs. One worker
+runs the jobs inline and starts no process. ``process_pool``, which starts
+the processes by fork or by spawn, serves ``map_in_order`` alone: ``refine
+--llm remote`` and the library's ``refine_scenes`` run on threads in one
+process.
 """
 
 from __future__ import annotations

@@ -498,8 +498,10 @@ def _pwl_cache(rules: Sequence[Rule]) -> tuple[dict, dict]:
             operands = (expr.operand,) if isinstance(expr, Not) else (expr.left, expr.right)
             kinds = [visit(operand) for operand in operands]
             kind = (any(k[0] for k in kinds), any(k[1] for k in kinds))
-            if len(operands) == 2 and not any(all(k) for k in kinds):
-                # a subtree of bound variables alone is one unit-square cell
+            # the cells of a node over y_keep or y_recls whose sides each hold
+            # bound or free variables alone, a bound side being one unit-square
+            # cell; a node of bound variables alone is read by `_bound_affine`
+            if len(operands) == 2 and kind[1] and not any(all(k) for k in kinds):
                 sides = [
                     [(list(_UNIT_SQUARE), None)] if k[0] else free[id(e)]
                     for e, k in zip(operands, kinds)
@@ -585,7 +587,7 @@ def solve_decisions(
     order.
 
     It uses only its arguments, so a worker process can run it under any
-    start method; pickle carries the floats both ways exactly.
+    start method.
     """
     bindings = [_constraint_bindings(*x) for x in xs]
     rules = _decision_rules(weights)

@@ -76,6 +76,13 @@ SCENE_FILE_ROWS = {
                           "scene s1: detections must be a JSON array, got dict"),
     "detection-int": ('{"scene_id": "s1", "scene_type": "office", "detections": [5]}',
                       "scene s1 detection 0 must be a JSON object, got int"),
+    # each would have been refined under its str(): "None", "['a']" and "1"
+    "scene-id-null": ('{"scene_id": null, "scene_type": "office", "detections": []}',
+                      "scene_id must be a string, got NoneType"),
+    "scene-id-list": ('{"scene_id": ["a"], "scene_type": "office", "detections": []}',
+                      "scene_id must be a string, got list"),
+    "scene-id-int": ('{"scene_id": 1, "scene_type": "office", "detections": []}',
+                     "scene_id must be a string, got int"),
     # written in Latin-1, where UTF-8 reads é as the start of a longer character
     "not-utf-8": (b'{"scene_id": "s1", "scene_type": "caf\xe9", "detections": []}',
                   "'utf-8' codec can't decode byte 0xe9 in position 37: invalid continuation byte"),

@@ -157,12 +157,27 @@ class TestWhatEachCommandLoads:
         assert "ovrefine.pipeline" in loaded
         assert "multiprocessing" not in loaded
 
+    def test_static_refine_at_one_worker_loads_no_threads_or_processes(self, tmp_path):
+        from ovrefine.pipeline import _CHUNK_SCENES, generate_synthetic_scenes, save_scenes
+
+        # three chunks, which one worker refines in turn in the main process
+        _, detections = generate_synthetic_scenes(
+            ovrefine.default_knowledge_base(), seed=7, n_scenes=3 * _CHUNK_SCENES
+        )
+        path = tmp_path / "detections.jsonl"
+        save_scenes(detections, path)
+        loaded = loaded_by(tmp_path, "refine", "--detections", str(path),
+                           "--out", str(tmp_path / "out.jsonl"), "--workers", "1")
+        assert "ovrefine.pipeline" in loaded
+        assert not loaded & {"concurrent.futures", "multiprocessing"}
+
     def test_eval_loads_no_balancers_and_no_concurrent_futures(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         loaded = loaded_by(tmp_path, "eval", "--detections", str(empty), "--gt", str(empty))
         assert "ovrefine.pipeline" in loaded
-        assert not loaded & {"ovrefine.balancers", "concurrent.futures"}
+        # processes serves only the commands that start worker processes
+        assert not loaded & {"ovrefine.balancers", "concurrent.futures", "ovrefine.processes"}
 
 
 # records the ovrefine modules loaded when baol asks for its worker processes

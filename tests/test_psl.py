@@ -422,6 +422,26 @@ class TestSolveDecisions:
         # the consequents of the three rules, at the least
         assert counts[0] == counts[1] >= 3
 
+    def test_every_cached_cell_list_is_read(self, monkeypatch):
+        # a node's cells are read when _pwl is called on it with the cache
+        read = set()
+        original = psl._pwl
+
+        def reading(expr, bindings, cache=None):
+            if cache is not None and id(expr) in cache[1]:
+                read.add(id(expr))
+            return original(expr, bindings, cache)
+
+        monkeypatch.setattr(psl, "_pwl", reading)
+        rules = psl._decision_rules((1.0, 1.0, 1.0))
+        cache = psl._pwl_cache(rules)
+        built = set(read)  # the cells of the nodes over y_keep and y_recls alone
+        read.clear()
+        psl._solve(rules, psl._constraint_bindings(0.8, 0.6, 1.0), SelectionPolicy.MIN_KEEP, cache)
+        # one node per rule combines its antecedent with its consequent
+        assert len(read) == len(rules)
+        assert built | read == set(cache[1])
+
     def test_no_side_clip_returns_its_input(self, monkeypatch):
         # every clip of _poly_intersect by a side of the unit square that
         # would keep all its vertices is skipped

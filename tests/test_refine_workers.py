@@ -1,5 +1,5 @@
-"""refine_scenes, and the `refine` command, over worker processes: same results
-for any worker count."""
+"""refine_scenes on its threads, and the `refine` command over worker
+processes: same results for any worker count."""
 
 import concurrent.futures
 import json
@@ -20,12 +20,10 @@ from ovrefine.commonsense import (
     StaticKnowledgeProvider,
     default_knowledge_base,
 )
-from ovrefine.geometry import Box7DoF
 from ovrefine.jsonl import read_lines
 from ovrefine.pipeline import (
     Detection,
     RefinementLog,
-    SceneRecord,
     generate_synthetic_scenes,
     refine_scene,
     refine_scenes,
@@ -60,7 +58,7 @@ def assert_same(results, reference):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The start method of every solver pool made while the test runs."""
+    """The start method of every process pool made while the test runs."""
     made = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -79,7 +77,7 @@ class TestWorkerCounts:
         assert len(scenes) > 2 * max(WORKER_COUNTS) * CHUNK
         for workers in WORKER_COUNTS:
             assert_same(refine_scenes(scenes, provider, workers=workers), reference)
-        assert len(pools) == len(WORKER_COUNTS) - 1  # one pool per count above 1
+        assert pools == []  # every count solves on its threads, in this process
 
     def test_provider_failures_across_a_chunk_boundary(self, scenes):
         class Unreachable(StaticKnowledgeProvider):
@@ -212,33 +210,6 @@ class TestWorkerCounts:
             assert transcript[-1] == ("judge", f"selects {last_debater!r}")
 
 
-class TestSolverPool:
-    def test_no_process_without_a_novel_detection(self, provider, pools):
-        base_only = SceneRecord(
-            "s", SceneContext("library"), (Detection(Box7DoF(0, 0, 0.4, 1, 1, 0.8), "table", 0.9),)
-        )
-        assert refine_scenes([], provider, workers=2) == []
-        [(record, log)] = refine_scenes([base_only], provider, workers=2)
-        assert record == base_only and log.objects == ()
-        assert pools == []
-        refine_scenes(case_study_scenes(), provider, workers=2)
-        assert len(pools) == 1
-
-    def test_spawns_while_other_threads_run(self, provider, pools):
-        # a fork while another thread runs could copy a held lock into the child
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait, args=(30,))
-        other.start()
-        try:
-            results = refine_scenes(case_study_scenes(), provider, workers=2)
-        finally:
-            stop.set()
-            other.join(timeout=30)
-        assert not other.is_alive()
-        assert pools == ["spawn"]
-        assert_same(results, [refine_scene(r, provider) for r in case_study_scenes()])
-
-
 def detection_lines(scenes, n):
     """The first ``n`` of ``scenes`` as the lines of a detections file, without newlines."""
     return [pipeline.scene_line(record).rstrip("\n") for record in scenes[:n]]
@@ -328,6 +299,22 @@ class TestRefineCommand:
                 f"already appears on line {CHUNK - 2}\n"
             )
 
+    @pytest.mark.parametrize("scene_id", [None, ["a"], 1], ids=["null", "list", "int"])
+    def test_scene_id_that_is_not_a_string(self, scenes, tmp_path, capsys, scene_id):
+        # in the third chunk, which a worker process parses unless --workers 1
+        lineno = 2 * CHUNK + 4
+        lines = detection_lines(scenes, 3 * CHUNK)
+        lines[lineno - 1] = with_scene_id(lines[lineno - 1], scene_id)
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, lines)
+        for workers in WORKER_COUNTS:
+            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            assert (code, output.out, out, log) == (1, "", None, None)
+            assert output.err == (
+                f"input error: {path}:{lineno}: scene_id must be a string, "
+                f"got {type(scene_id).__name__}\n"
+            )
+
     @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=list(BAD_LINES))
     @pytest.mark.parametrize(
         "repeat_at, bad_at",
@@ -369,9 +356,8 @@ class TestRefineCommand:
             return real_pool(workers)
 
         real_pool = processes.process_pool
-        # `--workers 1` reads the file through load_scenes, the others chunk by chunk
+        # every worker count reads the file chunk by chunk, 1 included
         monkeypatch.setattr(cli, "read_lines", counted_lines)
-        monkeypatch.setattr(pipeline, "read_lines", counted_lines)
         monkeypatch.setattr(processes, "process_pool", recorded_pool)
         path = tmp_path / "detections.jsonl"
         for n in (0, CHUNK, 4 * CHUNK):
@@ -421,7 +407,7 @@ class TestRefineCommand:
             assert (code, output, out, log) == (
                 1, ("", f"input error: no size prior for class {label!r}\n"), None, None
             )
-        # a bad line anywhere in the file is reported first, as --workers 1 reads it all first
+        # a bad line anywhere in the file is reported first, at every worker count
         lines[4 * CHUNK + 2] = "{not json"
         write_lines(path, lines)
         for workers in WORKER_COUNTS:
