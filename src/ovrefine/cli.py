@@ -582,7 +582,9 @@ _ARGUMENTS = {
         "nargs": 3,
         "metavar": ("A1", "A2", "A3"),
         "help": "rule weights alpha1-alpha3 (default 1 1 1); the rules always hold together, "
-        "so any positive weight gives the same decision and 0 switches its rule off",
+        "so any positive weight gives the same decision and 0 switches its rule off; "
+        "a weight below about 1e-12 of the largest acts as 0, and weights summing "
+        "above 2.247e307 are refused",
     },
     "--labels": {"required": True, "help": "pseudo-label file (JSONL)"},
     "--phi-init": {"dest": "sbc_phi_init", "type": float},

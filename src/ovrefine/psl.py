@@ -26,6 +26,7 @@ that the grid oracle uses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
@@ -282,15 +283,26 @@ def _constraint_bindings(conf: float, size: float, scene: float) -> dict[str, fl
     return {CONF_VAR: conf, SIZE_VAR: size, SCENE_VAR: scene}
 
 
+# each decision rule's affine has |a|, |b| <= 1 and 0 <= c <= 2 on every cell, so
+# the solver's sums stay within 4x the weight sum: this leaves 2x for rounding
+_MAX_WEIGHT_SUM = sys.float_info.max / 8
+
+
 def _decision_rules(weights: tuple[float, float, float]) -> tuple[Rule, ...]:
     conf, size, scene = Var(CONF_VAR), Var(SIZE_VAR), Var(SCENE_VAR)
     keep, recls = Var(KEEP_VAR), Var(RECLS_VAR)
     w1, w2, w3 = weights
-    return (
+    rules = (
         Rule(w1, implies(And(And(conf, size), scene), And(keep, Not(recls)))),
         Rule(w2, implies(And(conf, Not(And(size, scene))), Or(Not(keep), recls))),
         Rule(w3, implies(Not(conf), Not(keep))),
     )
+    if not sum(rule.weight for rule in rules) <= _MAX_WEIGHT_SUM:
+        raise ValueError(
+            f"rule weights must sum to at most {_MAX_WEIGHT_SUM:.4g}, beyond which the "
+            f"solver's sums overflow, got {w1}, {w2}, {w3}"
+        )
+    return rules
 
 
 def build_decision_rules(
@@ -310,8 +322,10 @@ def build_decision_rules(
 # Exact solver
 
 _EPS = 1e-12
-# near-tie slack when comparing vertex objective values: generous against
-# float noise (~1e-15 here) yet far below any meaningful objective gap
+# near-tie slack between vertex coordinates, and between vertex objectives per
+# unit of the largest rule weight (`_tie`): generous against float noise (~1e-15
+# here) yet far below any meaningful gap, so a rule whose weight is below about
+# 1e-12 of the largest acts as if its weight were 0
 _TIE = 1e-12
 
 _UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
@@ -411,10 +425,9 @@ def _split_piece(poly, t, threshold, below_affine, above_affine):
     return pieces
 
 
-def _pwl(expr: SoftExpr, bindings: Mapping[str, float], cache=None):
+def _pwl(expr: SoftExpr, bindings: Mapping[str, float]):
     """Cell complex of (convex polygon, affine (a, b, c)) pairs covering the
-    unit square; the affine gives a*y_keep + b*y_recls + c on its polygon.
-    ``cache``, if given, is `_pwl_cache` of the rules ``expr`` belongs to."""
+    unit square; the affine gives a*y_keep + b*y_recls + c on its polygon."""
     if isinstance(expr, Const):
         return [(list(_UNIT_SQUARE), (0.0, 0.0, float(expr.value)))]
     if isinstance(expr, Var):
@@ -426,20 +439,16 @@ def _pwl(expr: SoftExpr, bindings: Mapping[str, float], cache=None):
             return [(list(_UNIT_SQUARE), (0.0, 1.0, 0.0))]
         raise UnboundVariableError(expr.name)
     if isinstance(expr, Not):
-        return [(poly, (-a, -b, 1.0 - c)) for poly, (a, b, c) in _pwl(expr.operand, bindings, cache)]
+        return [(poly, (-a, -b, 1.0 - c)) for poly, (a, b, c) in _pwl(expr.operand, bindings)]
     if not isinstance(expr, (And, Or)):
         raise TypeError(f"not a soft-logic expression: {expr!r}")
+    left, right = _pwl(expr.left, bindings), _pwl(expr.right, bindings)
+    return _combine(expr, left, right, _overlaps(left, right))
 
-    free, cells = cache if cache is not None else ({}, {})
-    overlaps = cells.get(id(expr))
-    if overlaps is None:
-        left = free.get(id(expr.left)) or _pwl(expr.left, bindings, cache)
-        right = free.get(id(expr.right)) or _pwl(expr.right, bindings, cache)
-        overlaps = _overlaps(left, right)
-    else:
-        # each side is binding-free or one unit-square cell of bound variables
-        left = free.get(id(expr.left)) or [(None, _bound_affine(expr.left, bindings))]
-        right = free.get(id(expr.right)) or [(None, _bound_affine(expr.right, bindings))]
+
+def _combine(expr: And | Or, left, right, overlaps):
+    """The cells of ``expr`` from the cells of its two sides and the
+    `_overlaps` of those, on which the And or Or is split."""
     pieces = []
     for poly, i, j in overlaps:
         (al, bl, cl), (ar, br, cr) = left[i][1], right[j][1]
@@ -484,43 +493,11 @@ def _overlaps(left, right):
     return out
 
 
-def _pwl_cache(rules: Sequence[Rule]) -> tuple[dict, dict]:
-    """What `_pwl` builds for ``rules`` under any binding, keyed by node id
-    (the caller keeps ``rules`` alive); see `solve_decisions`."""
-    free, cells = {}, {}
-
-    def visit(expr) -> tuple[bool, bool]:
-        # (mentions a bound variable, mentions y_keep or y_recls)
-        if isinstance(expr, (Const, Var)):
-            bound = isinstance(expr, Var) and expr.name not in (KEEP_VAR, RECLS_VAR)
-            kind = (bound, isinstance(expr, Var) and not bound)
-        else:
-            operands = (expr.operand,) if isinstance(expr, Not) else (expr.left, expr.right)
-            kinds = [visit(operand) for operand in operands]
-            kind = (any(k[0] for k in kinds), any(k[1] for k in kinds))
-            # the cells of a node over y_keep or y_recls whose sides each hold
-            # bound or free variables alone, a bound side being one unit-square
-            # cell; a node of bound variables alone is read by `_bound_affine`
-            if len(operands) == 2 and kind[1] and not any(all(k) for k in kinds):
-                sides = [
-                    [(list(_UNIT_SQUARE), None)] if k[0] else free[id(e)]
-                    for e, k in zip(operands, kinds)
-                ]
-                cells[id(expr)] = _overlaps(*sides)
-        if not kind[0]:
-            free[id(expr)] = _pwl(expr, {}, (free, cells))
-        return kind
-
-    for rule in rules:
-        visit(rule.expr)
-    return free, cells
-
-
-def _objective_complex(rules: Sequence[Rule], bindings: Mapping[str, float], cache=None):
+def _merge(weighted: Iterable[tuple[list, float]]):
+    """The complex of the weighted sum of the ``(cells, weight)`` pairs, added
+    in their order."""
     total = [(list(_UNIT_SQUARE), (0.0, 0.0, 0.0))]
-    for rule in rules:
-        pieces = _pwl(rule.expr, bindings, cache)
-        w = rule.weight
+    for pieces, w in weighted:
         merged = []
         for poly, i, j in _overlaps(total, pieces):
             (at, bt, ct), (ar, br, cr) = total[i][1], pieces[j][1]
@@ -556,7 +533,9 @@ def solve(
     vertex of the induced cell complex; the policy picks one point out of
     the optimum set (lexicographic max/min of y_keep, then min of y_recls).
     """
-    return _solve(ruleset.rules, ruleset.bindings, policy)
+    rules, bindings = ruleset.rules, ruleset.bindings
+    complex_ = _merge((_pwl(rule.expr, bindings), rule.weight) for rule in rules)
+    return _pick(complex_, _tie(rules), bindings.get(SCENE_VAR, 1.0), policy)
 
 
 def solve_decisions(
@@ -567,38 +546,54 @@ def solve_decisions(
     """The solution of the decision program for each ``(conf, size, scene)``.
 
     Raises ``ValueError``, before any solve, for a constraint outside [0, 1]
-    or NaN, then for a negative, infinite or NaN weight.
+    or NaN, then for a negative, infinite or NaN weight, then for weights
+    whose sum would overflow the solver's sums.
 
-    Built once per call, with no `RuleSet` per object: the three rules, the
-    complex of each subtree without bound variables (the consequents), its
-    overlaps with the unit square, and the square that each antecedent of
-    bound variables alone is (`_pwl_cache`). Per triple, only the antecedents'
-    affines (read by `_bound_affine`, with no cell built), the split of each
-    rule's cells at them and the merge of the three rules are left. The merge
+    Every decision rule is ``!antecedent | consequent``, with constraint
+    values alone in the antecedent and ``y_keep``, ``y_recls`` alone in the
+    consequent. So each consequent's cells, and their overlaps with the unit
+    square, are built once per call, with no `RuleSet` per object. Per triple,
+    the negated antecedent is one unit-square cell, whose affine
+    `_bound_affine` reads; `_combine` splits the consequent's cells at it,
+    `_merge` adds the three rules and `_pick` applies the policy. The merge
     skips every clip by a side of the unit square that would cut nothing
     (`_poly_intersect`), about 31 of the 54 clips per object on the
     benchmark's scenes.
 
     Each result is bit for bit
     ``solve(build_decision_rules(ConstraintVector(*x), weights), policy)``,
-    as the benchmark's digest of the refine log requires: a reused part is the
-    value `_pwl` computes without reuse, a skipped clip is one that would have
-    returned its input, and the rest runs the same arithmetic in the same
-    order.
+    as the benchmark's digest of the refine log requires: each reused cell
+    list is the value `_pwl` computes, and the rest runs the same arithmetic
+    in the same order.
 
     It uses only its arguments, so a worker process can run it under any
     start method.
     """
     bindings = [_constraint_bindings(*x) for x in xs]
     rules = _decision_rules(weights)
-    cache = _pwl_cache(rules)
-    return [_solve(rules, bound, policy, cache) for bound in bindings]
+    square = [(list(_UNIT_SQUARE), None)]
+    consequents = []
+    for rule in rules:
+        cells = _pwl(rule.expr.right, {})
+        consequents.append((rule.expr, rule.weight, cells, _overlaps(square, cells)))
+    tie = _tie(rules)
+    out = []
+    for bound in bindings:
+        complex_ = _merge(
+            (_combine(expr, [(None, _bound_affine(expr.left, bound))], cells, overlaps), w)
+            for expr, w, cells, overlaps in consequents
+        )
+        out.append(_pick(complex_, tie, bound[SCENE_VAR], policy))
+    return out
 
 
-def _solve(
-    rules: Sequence[Rule], bindings: Mapping[str, float], policy: SelectionPolicy, cache=None
-) -> SolverOutput:
-    complex_ = _objective_complex(rules, bindings, cache)
+def _tie(rules: Sequence[Rule]) -> float:
+    return _TIE * max((rule.weight for rule in rules), default=0.0)
+
+
+def _pick(complex_, tie: float, scene: float, policy: SelectionPolicy) -> SolverOutput:
+    # the policy's point among the vertices of the objective's complex that
+    # reach its maximum, within ``tie``
     best = -float("inf")
     vertices = []  # (value, x, y)
     for poly, (a, b, c) in complex_:
@@ -608,11 +603,10 @@ def _solve(
             if value > best:
                 best = value
 
-    candidates = [(x, y) for value, x, y in vertices if value >= best - _TIE]
+    candidates = [(x, y) for value, x, y in vertices if value >= best - tie]
 
     effective = policy
     if policy is SelectionPolicy.SCENE_CONSERVATIVE:
-        scene = bindings.get(SCENE_VAR, 1.0)
         effective = (
             SelectionPolicy.MIN_KEEP if scene == 0 else SelectionPolicy.MAX_KEEP_MIN_RECLS
         )

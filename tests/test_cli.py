@@ -132,6 +132,23 @@ class TestRefine:
         assert book["final_label"] == "coffee table"
         assert book["transcript"]
 
+    @pytest.mark.parametrize("weight", [1e-13, 1e300])
+    def test_config_weight_scale_keeps_the_decisions(self, case_files, tmp_path, capsys, weight):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha1": weight, "alpha2": weight, "alpha3": weight}))
+        code = main(["refine", "--detections", case_files["detections"],
+                     "--out", case_files["out"], "--config", str(config)])
+        assert code == 0
+        assert "kept 2, removed 1, reclassified 1" in capsys.readouterr().out
+
+    def test_config_weights_that_overflow_are_input_error(self, case_files, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha1": 1e308, "alpha2": 1e308, "alpha3": 1e308}))
+        code = main(["refine", "--detections", case_files["detections"],
+                     "--out", case_files["out"], "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("input error: rule weights must sum to at most")
+
     def test_empty_detections(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -430,6 +447,21 @@ class TestSolvePsl:
         assert capsys.readouterr().err == (
             "input error: alpha1 must be a finite number, got inf\n"
         )
+
+
+    @pytest.mark.parametrize("weight", ["1", "1e-13", "1e300"])
+    def test_weight_scale_does_not_change_the_decision(self, weight, capsys):
+        assert main(["solve-psl", "0.005", "1", "1", "--weights", weight, weight, weight]) == 0
+        out = capsys.readouterr().out
+        assert "y_keep=0.005000" in out
+        assert "decision=remove" in out
+
+    def test_weights_that_overflow_are_input_error(self, capsys):
+        assert main(["solve-psl", "0.005", "1", "1", "--weights", "1e308", "1e308", "1e308"]) == 1
+        assert capsys.readouterr() == ("", (
+            "input error: rule weights must sum to at most 2.247e+307, beyond which the "
+            "solver's sums overflow, got 1e+308, 1e+308, 1e+308\n"
+        ))
 
 
 class TestBalance:

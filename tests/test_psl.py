@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -265,10 +267,11 @@ class TestWhatTheRulesDecide:
         assert abs(out.objective - sum(weights)) <= 1e-12
 
     # Weights start at 1e-3, not at 0: `solve` treats two vertices whose
-    # objectives differ by less than its tie slack (1e-12) as tied. At a
-    # weight of 1e-9 and conf 0.99999 the gap to the y_keep = 1 vertex is
-    # 1.3e-14, so the policy may pick that vertex, which misses the optimum
-    # by that gap. From 1e-3 on, such a tie moves a score by under 1e-9.
+    # objectives differ by less than its tie slack (1e-12 of the largest
+    # weight) as tied. At a weight of 1e-9 beside weights of 1 and conf
+    # 0.99999 the gap to the y_keep = 1 vertex is 1.3e-14, so the policy may
+    # pick that vertex, which misses the optimum by that gap. From 1e-3 on,
+    # such a tie moves a score by under 1e-9.
     NEAR = 1e-9
 
     @settings(max_examples=300, deadline=None)
@@ -343,7 +346,10 @@ class TestSolveDecisions:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        x=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        # refine passes int scenes and sizes of exactly 1.0; repr tells -0.0 apart
+        x=st.tuples(
+            *[st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 1.0]), st.floats(0.0, 1.0))] * 3
+        ),
         weights=st.tuples(*[st.floats(0.0, 10.0)] * 3),
         policy=st.sampled_from(list(SelectionPolicy)),
     )
@@ -373,6 +379,46 @@ class TestSolveDecisions:
         with pytest.raises(ValueError, match="nonnegative"):
             solve_decisions([(0.5, 0.5, 0.5)], weights)
 
+    def test_weight_scale_does_not_move_the_solution(self):
+        # the tie slack scales with the largest weight, so scaling the weights
+        # by any factor from 1e-300 to 1e300 leaves the policy's point in place
+        xs = self.instances()[::20] + [(0.005, 1, 1)]
+        patterns = [w for w in itertools.product((0.0, 1.0), repeat=3) if any(w)]
+        for policy in SelectionPolicy:
+            for pattern in patterns:
+                unscaled = solve_decisions(xs, pattern, policy)
+                for scale in (1e-300, 1e-100, 1e-13, 1e13, 1e100, 1e300):
+                    scaled = solve_decisions(xs, tuple(scale * w for w in pattern), policy)
+                    for x, a, b in zip(xs, unscaled, scaled):
+                        assert abs(a.y_keep - b.y_keep) <= 1e-9, (x, pattern, scale, policy)
+                        assert abs(a.y_recls - b.y_recls) <= 1e-9, (x, pattern, scale, policy)
+
+    def test_weight_far_below_the_largest_acts_as_zero(self):
+        # the limit of the relative slack: at 1e-13 of the largest weight rule 3
+        # counts as switched off, so y_keep is no longer capped at conf
+        for weights, y_keep in (((1.0, 1.0, 1.0), 0.005), ((1.0, 1.0, 1e-13), 1.0)):
+            (out,) = solve_decisions([(0.005, 1, 1)], weights)
+            assert abs(out.y_keep - y_keep) <= 1e-9
+
+    @pytest.mark.parametrize("weight", [6e307, 1e308])
+    def test_rejects_weights_that_overflow(self, weight):
+        message = re.escape(f"overflow, got {weight}, {weight}, {weight}")
+        with pytest.raises(ValueError, match=message):
+            solve_decisions([(0.5, 0.5, 0.5)], (weight, weight, weight))
+        with pytest.raises(ValueError, match="overflow"):
+            build_decision_rules(ConstraintVector(0.5, 0.5, 0.5), (weight, 1.0, 1.0))
+
+    def test_largest_weight_sum_stays_finite(self):
+        # halving and quartering are exact, so these weights sum to the bound
+        bound = psl._MAX_WEIGHT_SUM
+        xs = self.instances()[::20]
+        for policy in SelectionPolicy:
+            got = solve_decisions(xs, (bound / 2, bound / 4, bound / 4), policy)
+            for x, a, b in zip(xs, solve_decisions(xs, (2.0, 1.0, 1.0), policy), got):
+                assert math.isfinite(b.objective), (x, policy)
+                assert abs(a.y_keep - b.y_keep) <= 1e-9, (x, policy)
+                assert abs(a.y_recls - b.y_recls) <= 1e-9, (x, policy)
+
     def test_rule_sets_built_do_not_grow_with_input(self, monkeypatch):
         built = []
         original = RuleSet.__post_init__
@@ -390,57 +436,51 @@ class TestSolveDecisions:
         assert counts[0] == counts[1]
 
     def test_builds_each_rule_complex_once_per_solve(self, monkeypatch):
+        # each rule's cells are combined from its two sides once per triple
         calls = []
-        original = psl._pwl
+        original = psl._combine
 
-        def counting(expr, bindings, cache=None):
+        def counting(expr, left, right, overlaps):
             calls.append(expr)
-            return original(expr, bindings, cache)
+            return original(expr, left, right, overlaps)
 
-        monkeypatch.setattr(psl, "_pwl", counting)
-        solve_decisions([(0.8, 0.6, 1.0)])
+        monkeypatch.setattr(psl, "_combine", counting)
         rules = build_decision_rules(ConstraintVector(0.8, 0.6, 1.0)).rules
         rule_exprs = [rule.expr for rule in rules]
-        assert [expr for expr in calls if expr in rule_exprs] == rule_exprs
+        xs = [(0.8, 0.6, 1.0), (0.3, 0.9, 0), (1, 1.0, -0.0)]
+        for n in (1, 3):
+            calls.clear()
+            solve_decisions(xs[:n])
+            assert [expr for expr in calls if expr in rule_exprs] == rule_exprs * n
 
     def test_builds_binding_free_complexes_once_per_call(self, monkeypatch):
-        built = []
+        # _pwl builds each rule's consequent once per call, whatever the input
+        # length, and no subtree that holds a constraint value
+        top, built, depth = [], [], [0]
         original = psl._pwl
 
-        def counting(expr, bindings, cache=None):
-            if not psl._expr_vars(expr, set()) - {psl.KEEP_VAR, psl.RECLS_VAR}:
-                built.append(expr)
-            return original(expr, bindings, cache)
+        def counting(expr, bindings):
+            (built if depth[0] else top).append(expr)
+            depth[0] += 1
+            try:
+                return original(expr, bindings)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(psl, "_pwl", counting)
+        consequents = [rule.expr.right for rule in psl._decision_rules((1.0, 1.0, 1.0))]
         xs = [(0.8, 0.6, 1.0), (0.3, 0.9, 0.0)] * 25
         counts = []
         for n in (1, 50):
+            top.clear()
             built.clear()
             solve_decisions(xs[:n])
+            assert top == consequents
+            assert not set().union(*(psl._expr_vars(e, set()) for e in top + built)) - {
+                psl.KEEP_VAR, psl.RECLS_VAR
+            }
             counts.append(len(built))
-        # the consequents of the three rules, at the least
-        assert counts[0] == counts[1] >= 3
-
-    def test_every_cached_cell_list_is_read(self, monkeypatch):
-        # a node's cells are read when _pwl is called on it with the cache
-        read = set()
-        original = psl._pwl
-
-        def reading(expr, bindings, cache=None):
-            if cache is not None and id(expr) in cache[1]:
-                read.add(id(expr))
-            return original(expr, bindings, cache)
-
-        monkeypatch.setattr(psl, "_pwl", reading)
-        rules = psl._decision_rules((1.0, 1.0, 1.0))
-        cache = psl._pwl_cache(rules)
-        built = set(read)  # the cells of the nodes over y_keep and y_recls alone
-        read.clear()
-        psl._solve(rules, psl._constraint_bindings(0.8, 0.6, 1.0), SelectionPolicy.MIN_KEEP, cache)
-        # one node per rule combines its antecedent with its consequent
-        assert len(read) == len(rules)
-        assert built | read == set(cache[1])
+        assert counts[0] == counts[1]
 
     def test_no_side_clip_returns_its_input(self, monkeypatch):
         # every clip of _poly_intersect by a side of the unit square that
