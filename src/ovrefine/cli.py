@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import typing
@@ -106,8 +105,9 @@ class RunConfig:
                 raise ValueError(
                     f"{name} must be {allowed[0].__name__}, got {type(value).__name__} {value!r}"
                 )
-            # a NaN slips past every `value < least` check, and an infinity defeats a clamp
-            if allowed[0] is float and not math.isfinite(value):
+            # a NaN slips past every `value < least` check, an infinity defeats a clamp,
+            # and an int beyond the float range overflows where it is used
+            if allowed[0] is float and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} must be a finite number, got {value}")
         for name, least in (
             ("workers", 1), ("k_pro", 1), ("llm_max_in_flight", 1), ("llm_retries", 0),

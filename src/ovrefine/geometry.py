@@ -1,8 +1,8 @@
 """Oriented 3D boxes, exact rotated IoU, and Soft-NMS rescoring.
 
-Overlap between heading-aligned boxes is computed as the bird's-eye-view
-polygon intersection (Sutherland-Hodgman clipping of the two footprint
-rectangles) times the vertical interval overlap, divided by the union
+Overlap between heading-aligned boxes is the bird's-eye-view intersection of
+the footprints (one clipped, in the other box's frame, against that box's
+half extents) times the vertical interval overlap, divided by the union
 volume. A broad phase on the footprints' circumscribed circles skips the
 clip for pairs that cannot touch. All functions are pure.
 """
@@ -120,43 +120,41 @@ class ScoredBox:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
 
-def _edge_intersection(p, q, a, b):
-    # Intersection of lines (p, q) and (a, b); callers guarantee they cross.
-    x1, y1 = p
-    x2, y2 = q
-    x3, y3 = a
-    x4, y4 = b
-    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    if denom == 0.0:
-        # parallel: the side tests split p and q only by rounding, so both
-        # lie on the clip line (coincident edges of the two footprints)
-        return p
-    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / denom
-    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+def _clip_footprint(a: Box7DoF, b: Box7DoF) -> list[tuple[float, float]]:
+    """``b``'s footprint clipped to ``a``'s, in ``a``'s frame, counter-clockwise.
 
-
-def _clip_polygon(subject, clip):
-    """Sutherland-Hodgman: clip a convex CCW polygon by a convex CCW polygon."""
-    output = list(subject)
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            return []
-        a = clip[i]
-        b = clip[(i + 1) % n]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        pts = output
-        output = []
-        prev = pts[-1]
-        prev_in = ex * (prev[1] - a[1]) - ey * (prev[0] - a[0]) >= 0.0
-        for cur in pts:
-            cur_in = ex * (cur[1] - a[1]) - ey * (cur[0] - a[0]) >= 0.0
-            if cur_in != prev_in:
-                output.append(_edge_intersection(prev, cur, a, b))
-            if cur_in:
-                output.append(cur)
-            prev, prev_in = cur, cur_in
-    return output
+    There ``a``'s footprint is ``|x| <= l/2, |y| <= w/2``. Each pass keeps
+    the part with ``x`` at most a half extent, a crossing on the bound at one
+    division, and turns it by ``(x, y) -> (y, -x)``, which is exact. So the
+    passes clip at ``x <= l/2``, ``y <= w/2``, ``x >= -l/2``, ``y >= -w/2``,
+    and the fourth turn restores the frame. Empty when a pass keeps nothing.
+    """
+    ca, sa = math.cos(a.theta), math.sin(a.theta)
+    dx, dy = b.cx - a.cx, b.cy - a.cy
+    ux, uy = dx * ca + dy * sa, dy * ca - dx * sa
+    # one angle, so that equal headings give exactly cos 1 and sin 0
+    c, s = math.cos(b.theta - a.theta), math.sin(b.theta - a.theta)
+    hl, hw = b.l / 2.0, b.w / 2.0
+    ex, ey, fx, fy = c * hl, s * hl, -s * hw, c * hw
+    poly = [
+        (ux + ex + fx, uy + ey + fy), (ux - ex + fx, uy - ey + fy),
+        (ux - ex - fx, uy - ey - fy), (ux + ex - fx, uy + ey - fy),
+    ]
+    for bound in (a.l / 2.0, a.w / 2.0) * 2:
+        out = []
+        px, py = poly[-1]
+        p_in = px <= bound
+        for x, y in poly:
+            inside = x <= bound
+            if inside != p_in:
+                out.append((py + (bound - px) / (x - px) * (y - py), -bound))
+            if inside:
+                out.append((y, -x))
+            px, py, p_in = x, y, inside
+        if not out:
+            return out
+        poly = out
+    return poly
 
 
 def _polygon_area(poly) -> float:
@@ -233,11 +231,12 @@ def iou3d(a: Box7DoF, b: Box7DoF) -> float:
     ``hypot(l, w) / 2``. When the centres are farther apart than
     ``reach = (r_a + r_b) * (1 + 1e-9) + 1e-9``, the footprints are disjoint
     with that margin to spare, and 0.0 is returned before any corner is
-    built. This is exact, not an approximation: the clip computes corners and
-    edge crossings to within a few ulps of the coordinates, far inside the
-    margin, so on such a pair it returns an empty polygon and hence 0.0
-    too. The argument holds while the coordinates are well below 1e6 m,
-    where a few ulps stay under the 1e-9 m margin.
+    built. This is exact, not an approximation: ``_clip_footprint`` puts
+    ``b``'s corners in ``a``'s frame, and each crossing on a bound at a
+    fraction in [0, 1] of its edge, within a few ulps of the coordinates,
+    far inside the margin; so some pass keeps no corner, and the clip gives
+    0.0 too. This holds while the coordinates are well below 1e6 m, where a
+    few ulps stay under the 1e-9 m margin.
     """
     z_lo = max(a.cz - a.h / 2.0, b.cz - b.h / 2.0)
     z_hi = min(a.cz + a.h / 2.0, b.cz + b.h / 2.0)
@@ -249,7 +248,7 @@ def iou3d(a: Box7DoF, b: Box7DoF) -> float:
     reach = (math.hypot(a.l, a.w) / 2.0 + math.hypot(b.l, b.w) / 2.0) * _REACH_SCALE + _REACH_PAD
     if dx * dx + dy * dy > reach * reach:
         return 0.0
-    overlap = _clip_polygon(a.bev_corners(), b.bev_corners())
+    overlap = _clip_footprint(a, b)
     if len(overlap) < 3:
         return 0.0
     inter = _polygon_area(overlap) * dz

@@ -217,9 +217,13 @@ class Rule:
     expr: SoftExpr
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", float(self.weight))
-        if not 0 <= self.weight < math.inf:
+        try:
+            weight = float(self.weight)
+        except OverflowError:  # an int beyond the float range
+            weight = math.nan
+        if not 0 <= weight < math.inf:
             raise ValueError(f"rule weight must be nonnegative and finite, got {self.weight}")
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)
@@ -532,9 +536,16 @@ def solve(
     The objective is piecewise linear, so the maximum is attained at a
     vertex of the induced cell complex; the policy picks one point out of
     the optimum set (lexicographic max/min of y_keep, then min of y_recls).
+
+    Raises ``ValueError`` when a cell's coefficient or a vertex value of the
+    weighted sum is not finite, as weights near the float range's top make it.
     """
     rules, bindings = ruleset.rules, ruleset.bindings
     complex_ = _merge((_pwl(rule.expr, bindings), rule.weight) for rule in rules)
+    # no bound on a general rule set's weights keeps its sums finite
+    for poly, (a, b, c) in complex_:
+        if not all(map(math.isfinite, (a, b, c, *(a * x + b * y + c for x, y in poly)))):
+            raise ValueError("rule weights too large: the weighted rule sum overflows")
     return _pick(complex_, _tie(rules), bindings.get(SCENE_VAR, 1.0), policy)
 
 
@@ -546,8 +557,8 @@ def solve_decisions(
     """The solution of the decision program for each ``(conf, size, scene)``.
 
     Raises ``ValueError``, before any solve, for a constraint outside [0, 1]
-    or NaN, then for a negative, infinite or NaN weight, then for weights
-    whose sum would overflow the solver's sums.
+    or NaN, then for a negative, infinite or NaN weight (or an int beyond the
+    float range), then for weights whose sum would overflow the solver's sums.
 
     Every decision rule is ``!antecedent | consequent``, with constraint
     values alone in the antecedent and ``y_keep``, ``y_recls`` alone in the

@@ -1,9 +1,10 @@
 """The circle broad phase changes no result: exact comparisons with oracles.
 
-The oracles below are the IoU, Soft-NMS and foreground labelling as they were
-before the broad phase: ``oracle_iou3d`` clips every pair, ``oracle_soft_nms``
-rescans all survivors for each pick, and ``oracle_assign_foreground_labels``
-fills the whole proposal-by-label matrix. Results are compared with ``==``.
+The oracles below are the IoU, Soft-NMS and foreground labelling without the
+broad phase: ``oracle_iou3d`` runs ``iou3d``'s clip on every pair,
+``oracle_soft_nms`` rescans all survivors for each pick, and
+``oracle_assign_foreground_labels`` fills the whole proposal-by-label matrix.
+Results are compared with ``==``.
 """
 
 import math
@@ -20,7 +21,7 @@ from ovrefine.geometry import (
     Box7DoF,
     ScoredBox,
     _circles_meet,
-    _clip_polygon,
+    _clip_footprint,
     _polygon_area,
     footprint_circles,
     iou3d,
@@ -34,7 +35,7 @@ def oracle_iou3d(a, b):
     dz = z_hi - z_lo
     if dz <= 0.0:
         return 0.0
-    overlap = _clip_polygon(a.bev_corners(), b.bev_corners())
+    overlap = _clip_footprint(a, b)
     if len(overlap) < 3:
         return 0.0
     inter = _polygon_area(overlap) * dz

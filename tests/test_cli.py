@@ -1026,6 +1026,15 @@ class TestConfigFile:
             ("alpha1", float("inf"), "alpha1 must be a finite number, got inf"),
             ("alpha2", float("nan"), "alpha2 must be a finite number, got nan"),
             ("alpha3", -1, "alpha3 must be a finite number at least 0, got -1"),
+            # an int too large for a float would overflow where it is used
+            pytest.param(
+                "alpha1", 10**400, f"alpha1 must be a finite number, got {10**400}",
+                id="alpha1-int-1e400",
+            ),
+            pytest.param(
+                "phi_keep", -10**400, f"phi_keep must be a finite number, got {-10**400}",
+                id="phi_keep-int--1e400",
+            ),
             # a negative k raises all but the last-ranked class and lowers all but the first
             ("dbc_k", -1, "dbc_k must be at least 0, got -1"),
             # 0 fires the weight update on every iteration

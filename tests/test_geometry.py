@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ovrefine.geometry import Box7DoF, ScoredBox, iou3d, parse_box, soft_nms
+from ovrefine.geometry import Box7DoF, ScoredBox, _polygon_area, iou3d, parse_box, soft_nms
 
 
 def unit_cube(cx=0.0, cy=0.0, cz=0.0, theta=0.0):
@@ -110,8 +112,8 @@ class TestIou3d:
         assert abs(iou3d(a, b) - expected) < 1e-9
 
     def test_coincident_parallel_edges(self):
-        # shared long edges: the clip meets parallel lines, which used to
-        # divide by zero
+        # shared long edges, which a polygon-by-polygon clip meets as
+        # parallel lines
         a = Box7DoF(1.0, 0.99999, 0.0, 23.0, 12.0, 1.0, 0.99999)
         b = Box7DoF(1.0, 0.99999, 0.0, 0.99999, 12.0, 1.0, 0.99999)
         assert iou3d(a, b) == pytest.approx(0.99999 / 23.0, abs=1e-9)
@@ -148,6 +150,146 @@ class TestIou3d:
             exact = iou3d(a, b)
             estimate = mc_iou(a, b, 100_000, seed=1000 + i)
             assert abs(exact - estimate) <= 5e-3
+
+
+def _edge_intersection(p, q, a, b):
+    # Intersection of lines (p, q) and (a, b); callers guarantee they cross.
+    x1, y1 = p
+    x2, y2 = q
+    x3, y3 = a
+    x4, y4 = b
+    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    if denom == 0.0:
+        # parallel: the side tests split p and q only by rounding, so both
+        # lie on the clip line (coincident edges of the two footprints)
+        return p
+    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / denom
+    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+
+
+def _clip_polygon(subject, clip):
+    """Sutherland-Hodgman: clip a convex CCW polygon by a convex CCW polygon."""
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        pts = output
+        output = []
+        prev = pts[-1]
+        prev_in = ex * (prev[1] - a[1]) - ey * (prev[0] - a[0]) >= 0.0
+        for cur in pts:
+            cur_in = ex * (cur[1] - a[1]) - ey * (cur[0] - a[0]) >= 0.0
+            if cur_in != prev_in:
+                output.append(_edge_intersection(prev, cur, a, b))
+            if cur_in:
+                output.append(cur)
+            prev, prev_in = cur, cur_in
+    return output
+
+
+def polygon_clip_iou3d(a, b):
+    """IoU from a clip of one footprint's world corners by the other's.
+
+    An independent reference for ``iou3d``: no broad phase, and the
+    footprints clipped as general convex polygons in the world frame.
+    """
+    dz = min(a.cz + a.h / 2.0, b.cz + b.h / 2.0) - max(a.cz - a.h / 2.0, b.cz - b.h / 2.0)
+    if dz <= 0.0:
+        return 0.0
+    overlap = _clip_polygon(a.bev_corners(), b.bev_corners())
+    if len(overlap) < 3:
+        return 0.0
+    inter = _polygon_area(overlap) * dz
+    union = a.volume + b.volume - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+centres = st.floats(-10.0, 10.0)
+# multiples of 1/64 m, on which boxes at heading 0 have exact corners and shared edges
+grid = st.integers(-640, 640).map(lambda k: k / 64.0)
+extents = st.floats(0.05, 10.0)
+grid_extents = st.integers(4, 640).map(lambda k: k / 64.0)
+headings = st.one_of(
+    st.floats(-math.pi, math.pi), st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi / 4])
+)
+
+
+@st.composite
+def clip_pairs(draw):
+    """Two boxes: free, with equal headings, or sharing the line of an edge.
+
+    A shared edge puts ``b``'s centre on one of ``a``'s axes, half the sum
+    or difference of the extents across it from ``a``'s centre, so that
+    ``b`` touches ``a`` from outside or lines an edge from inside.
+    """
+    coord, size = draw(st.sampled_from([(centres, extents), (grid, grid_extents)]))
+    a = Box7DoF(draw(coord), draw(coord), draw(st.floats(-1.0, 1.0)), draw(size), draw(size),
+                draw(size), draw(headings))
+    l, w, h = draw(size), draw(size), draw(size)
+    kind = draw(st.sampled_from(["free", "equal heading", "shared edge"]))
+    theta = draw(headings) if kind == "free" else a.theta
+    if kind != "shared edge":
+        return a, Box7DoF(draw(coord), draw(coord), draw(st.floats(-1.0, 1.0)), l, w, h, theta)
+    sign, outside = draw(st.sampled_from([-1.0, 1.0])), draw(st.booleans())
+    if draw(st.booleans()):
+        u, v = sign * (a.l + l if outside else a.l - l) / 2.0, draw(coord) % a.w - a.w / 2.0
+    else:
+        u, v = draw(coord) % a.l - a.l / 2.0, sign * (a.w + w if outside else a.w - w) / 2.0
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    return a, Box7DoF(a.cx + c * u - s * v, a.cy + s * u + c * v, a.cz, l, w, h, theta)
+
+
+def footprint_gap(a, b):
+    """The footprints' largest gap along an edge normal of either box.
+
+    Positive when the footprints are at least that far apart; otherwise
+    minus the least depth of their overlap along those normals.
+    """
+    gap = -math.inf
+    pa, pb = a.bev_corners(), b.bev_corners()
+    for theta in (a.theta, b.theta):
+        c, s = math.cos(theta), math.sin(theta)
+        for nx, ny in ((c, s), (-s, c)):
+            ta = [x * nx + y * ny for x, y in pa]
+            tb = [x * nx + y * ny for x, y in pb]
+            gap = max(gap, min(tb) - max(ta), min(ta) - max(tb))
+    return gap
+
+
+class TestIou3dMatchesPolygonClip:
+    """``iou3d`` agrees with a world-frame clip of two general polygons."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(clip_pairs())
+    def test_within_1e_12_and_zero_exactly_where_the_reference_is(self, pair):
+        for a, b in (pair, pair[::-1]):
+            got, want = iou3d(a, b), polygon_clip_iou3d(a, b)
+            assert abs(got - want) <= 1e-12
+            # footprints that touch have IoU 0, and either clip may leave a
+            # rounding sliver there (up to about 3e-14 for the reference)
+            if abs(footprint_gap(a, b)) > 1e-9:
+                assert (got == 0.0) == (want == 0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -math.pi / 2, math.pi / 4, 0.99999])
+    def test_shared_edges(self, theta):
+        # a thin box lines a's long edge from inside, then touches it from outside
+        c, s = math.cos(theta), math.sin(theta)
+        a = Box7DoF(1.0, 2.0, 0.0, 8.0, 4.0, 1.0, theta)
+        inside = Box7DoF(1.0 - s * 1.5, 2.0 + c * 1.5, 0.0, 8.0, 1.0, 1.0, theta)
+        outside = Box7DoF(1.0 - s * 2.5, 2.0 + c * 2.5, 0.0, 8.0, 1.0, 1.0, theta)
+        for p, q in ((a, inside), (inside, a), (a, outside), (outside, a)):
+            assert abs(iou3d(p, q) - polygon_clip_iou3d(p, q)) <= 1e-12
+        assert iou3d(a, inside) == pytest.approx(0.25, abs=1e-12)
+        assert iou3d(a, outside) <= 1e-12
+        if theta == 0.0:
+            assert iou3d(a, inside) == 0.25
+            assert iou3d(a, outside) == 0.0
 
 
 class TestScoredBox:

@@ -146,6 +146,14 @@ class TestRuleSet:
         with pytest.raises(ValueError, match="nonnegative and finite, got inf"):
             Rule(float("inf"), Var("a"))
 
+    @pytest.mark.parametrize("weight", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_int_weight_beyond_float_range_rejected(self, weight):
+        # float() of such an int raises OverflowError, which callers do not expect
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {weight}$"):
+            Rule(weight, Var("a"))
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            solve_decisions([(0.5, 1, 1)], (weight, 1, 1))
+
 
 class TestBuildDecisionRules:
     def test_all_constraints_pass(self):
@@ -215,6 +223,22 @@ class TestSolve:
         out = solve(rs, SelectionPolicy.MIN_KEEP)
         assert out.y_keep < 0.9 - 1e-9
         assert abs(out.objective - 3.0) < 1e-9
+
+    @pytest.mark.parametrize("weights", [(1e308, 1e308, 1e308), (1e308, 0.0, 1e308)])
+    def test_rejects_a_rule_sum_that_overflows(self, weights):
+        # each weight is finite, but the merged sums are not
+        rules = tuple(Rule(w, rule.expr) for w, rule in zip(weights, paper_rules()))
+        ruleset = RuleSet(rules, {"x_conf": 0.5, "x_size": 0.5, "x_scene": 0.5})
+        for policy in SelectionPolicy:
+            with pytest.raises(ValueError, match="the weighted rule sum overflows"):
+                solve(ruleset, policy)
+
+    def test_largest_finite_rule_sum_is_solved(self):
+        # the bound that solve_decisions keeps, reached by a hand-built rule set
+        half = psl._MAX_WEIGHT_SUM / 2
+        rules = tuple(Rule(w, rule.expr) for w, rule in zip((half, half / 2, half / 2), paper_rules()))
+        out = solve(RuleSet(rules, {"x_conf": 0.5, "x_size": 0.5, "x_scene": 0.5}))
+        assert math.isfinite(out.objective)
 
     def test_rejects_other_free_variables(self):
         # only y_keep and y_recls are free, so no rule set can leave another open
