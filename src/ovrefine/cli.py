@@ -2,8 +2,8 @@
 simulations, evaluation, and synthetic-fixture generation.
 
 One binary with subcommands; options come from an optional JSON config file
-plus flags, with flags winning. Exit codes: 0 success, 1 input error,
-2 provider error.
+plus flags, with flags winning. Exit codes: 0 success, 1 input error; any
+other error, a custom knowledge provider's among them, propagates.
 
 Each command imports the library layers it runs, when it runs: `baol` never
 loads the refine stack (`pipeline`, `commonsense`, `psl`), and loads
@@ -227,16 +227,13 @@ def cmd_refine(config: RunConfig) -> int:
         if config.log:
             pipeline.save_logs(logs, config.log)
         totals = [log.counts() for log in logs]
-        skipped = [(log.scene_id, log.error) for log in logs if log.error]
     else:
-        totals, skipped = _refine_in_chunks(config, provider, workers)
+        totals = _refine_in_chunks(config, provider, workers)
     kept, removed, reclassified = (
         sum(counts[decision] for counts in totals) for decision in ("keep", "remove", "reclassify")
     )
     print(f"kept {kept}, removed {removed}, reclassified {reclassified}")
-    for scene_id, error in skipped:
-        print(f"scene {scene_id} skipped: {error}", file=sys.stderr)
-    return 2 if skipped else 0
+    return 0
 
 
 class _Chunk(typing.NamedTuple):
@@ -244,56 +241,45 @@ class _Chunk(typing.NamedTuple):
 
     ids: list[tuple[str, int]]  # each parsed scene's id and line number
     bad_line: ValueError | None = None  # the first line that does not parse
-    error: Exception | None = None  # what refining the chunk raised
     out: str = ""  # the chunk's --out lines
     log: str = ""  # its --log lines, if the run writes a log
     counts: tuple[dict[str, int], ...] = ()  # each scene's decision counts
-    skipped: tuple[tuple[str, str], ...] = ()  # each skipped scene's id and error
 
 
-def _refine_in_chunks(
-    config: RunConfig, provider, workers: int
-) -> tuple[list[dict[str, int]], list[tuple[str, str]]]:
+def _refine_in_chunks(config: RunConfig, provider, workers: int) -> list[dict[str, int]]:
     """Static refine on ``workers`` processes, each parsing, refining and
     formatting chunks of ``pipeline._CHUNK_SCENES`` lines of the file; one
     worker runs the chunks in this process.
 
     The main process reads the lines, checks the scene ids for repeats in
     file order, and writes both files once every chunk has succeeded. It
-    raises what the inline run raises: the first line, in file order, that
-    does not parse or repeats an id; else the first chunk's refine error.
-    Returns each scene's decision counts and each skipped scene's id and error.
+    raises what the inline run raises: the first bad line, repeated id or
+    refine error, by chunk in file order. Returns each scene's decision
+    counts.
     """
     from . import pipeline, processes
 
     path = config.detections
-    failed: list[Exception] = []  # once a chunk has failed, later jobs only parse their lines
     jobs = (
-        (config, None if failed else provider, lines)
-        for lines in _chunks(read_lines(path), pipeline._CHUNK_SCENES)
+        (config, provider, lines) for lines in _chunks(read_lines(path), pipeline._CHUNK_SCENES)
     )
     first_line: dict[str, int] = {}
-    out, log, totals, skipped = [], [], [], []
+    out, log, totals = [], [], []
     with contextlib.closing(processes.map_in_order(_refine_chunk, jobs, workers)) as chunks:
         for chunk in chunks:
             for scene_id, lineno in chunk.ids:
                 pipeline.check_scene_id(first_line, scene_id, path, lineno)
             if chunk.bad_line is not None:
                 raise chunk.bad_line
-            if chunk.error is not None:
-                failed.append(chunk.error)
             out.append(chunk.out)
             log.append(chunk.log)
             totals += chunk.counts
-            skipped += chunk.skipped
-    if failed:
-        raise failed[0]
     with open(config.out, "w", encoding="utf-8") as fh:
         fh.writelines(out)
     if config.log:
         with open(config.log, "w", encoding="utf-8") as fh:
             fh.writelines(log)
-    return totals, skipped
+    return totals
 
 
 def _chunks(lines: typing.Iterator, size: int) -> typing.Iterator[list]:
@@ -317,11 +303,12 @@ def _chunks(lines: typing.Iterator, size: int) -> typing.Iterator[list]:
 def _refine_chunk(job: tuple[RunConfig, typing.Any, list[tuple[int, str]]]) -> _Chunk:
     """Parse, refine and format one chunk of the detections file.
 
-    ``job`` is the run's options, the knowledge provider (None to only parse
-    the lines) and the chunk's numbered lines: all a worker process needs,
-    under any start method. Errors come back as values, for the main process
-    to raise in file order: parsing stops at the first line that does not
-    parse, and refining runs only if every line parses.
+    ``job`` is the run's options, the knowledge provider and the chunk's
+    numbered lines: all a worker process needs, under any start method.
+    Parsing stops at the first line that does not parse, and refining runs
+    only if every line parses. A bad line comes back as a value, so that the
+    main process checks the ids before it for repeats first; a refine error
+    is raised.
     """
     from . import pipeline
 
@@ -334,19 +321,15 @@ def _refine_chunk(job: tuple[RunConfig, typing.Any, list[tuple[int, str]]]) -> _
     except ValueError as exc:
         bad_line = exc
     ids = [(record.scene_id, lineno) for record, (lineno, _) in zip(records, lines)]
-    if bad_line is not None or provider is None:
+    if bad_line is not None:
         return _Chunk(ids, bad_line)
-    try:
-        results = pipeline.refine_chunk(records, provider, config.refinement())
-    except _INPUT_ERRORS as exc:  # raised by the main process, after any bad line
-        return _Chunk(ids, error=exc)
+    results = pipeline.refine_chunk(records, provider, config.refinement())
     logs = [log for _, log in results]
     return _Chunk(
         ids,
         out="".join(pipeline.scene_line(record) for record, _ in results),
         log="".join(map(pipeline.log_line, logs)) if config.log else "",
         counts=tuple(log.counts() for log in logs),
-        skipped=tuple((log.scene_id, log.error) for log in logs if log.error),
     )
 
 
@@ -543,8 +526,7 @@ def cmd_gen_synthetic(config: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage mistakes are input errors (exit 1); exit 2 is reserved for
-    # provider failures
+    # usage mistakes are input errors, exit 1, where argparse would exit 2
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -652,14 +634,6 @@ def main(argv=None) -> int:
         if args.command == "gen-synthetic":
             return cmd_gen_synthetic(config)
         raise AssertionError(f"unhandled command {args.command!r}")
-    # a ProviderError is a RuntimeError; commonsense is loaded here, not on the way in
-    except RuntimeError as exc:
-        from .commonsense import ProviderError
-
-        if not isinstance(exc, ProviderError):
-            raise
-        print(f"provider error: {exc}", file=sys.stderr)
-        return 2
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

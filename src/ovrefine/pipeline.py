@@ -16,12 +16,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 from .commonsense import (
-    ProviderError,
     SceneContext,
     SizeConstraintConfig,
     constraint_vector,
@@ -30,6 +28,7 @@ from .commonsense import (
 from .geometry import Box7DoF, iou3d, parse_box
 from .jsonl import ARRAY, expect, number, parse_line, read_lines
 from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
+from .psl import _decision_rules
 
 # perfbench/tracecli.py wraps these by attribute on this module; they are not called here
 from .psl import build_decision_rules, solve  # noqa: F401
@@ -151,7 +150,6 @@ class ObjectRecord:
 class RefinementLog:
     scene_id: str
     objects: tuple[ObjectRecord, ...] = ()
-    error: str | None = None
 
     def counts(self) -> dict[str, int]:
         out = {"keep": 0, "remove": 0, "reclassify": 0}
@@ -171,7 +169,9 @@ class RefinementConfig:
     policy: SelectionPolicy = SelectionPolicy.SCENE_CONSERVATIVE
 
     def __post_init__(self) -> None:
-        # decide's check, made up front: input without a novel detection never reaches decide
+        # the solver's and decide's checks, made up front: input without a
+        # novel detection reaches neither
+        _decision_rules(self.rule_weights)
         for name in ("phi_keep", "phi_recls"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -242,14 +242,14 @@ def _assemble(
 def _finish(
     record: SceneRecord,
     vectors: Sequence[ConstraintVector | None],
-    solutions: Sequence[SolverOutput],
+    solved: Iterator[SolverOutput],
     provider,
     cfg: RefinementConfig,
 ) -> tuple[SceneRecord, RefinementLog]:
-    """Decide each novel detection from its solution, debating the contested ones."""
+    """Decide each novel detection from its solution, the next one ``solved``
+    yields, debating the contested ones."""
     kept: list[Detection] = []
     objects: list[ObjectRecord] = []
-    solved = iter(solutions)
     for index, (detection, x) in enumerate(zip(record.detections, vectors)):
         if x is None:
             kept.append(detection)
@@ -274,10 +274,6 @@ def _finish(
     return refined, RefinementLog(record.scene_id, tuple(objects))
 
 
-def _novel_triples(vectors: Sequence[ConstraintVector | None]) -> list[tuple[float, float, float]]:
-    return [x.as_tuple() for x in vectors if x is not None]
-
-
 def refine_scene(
     record: SceneRecord,
     provider,
@@ -289,9 +285,7 @@ def refine_scene(
     propagate before anything is returned, so a scene is never partially
     mutated.
     """
-    vectors = _assemble(record, provider, cfg)
-    solutions = solve_decisions(_novel_triples(vectors), cfg.rule_weights, cfg.policy)
-    return _finish(record, vectors, solutions, provider, cfg)
+    return refine_chunk([record], provider, cfg)[0]
 
 
 # Scenes per unit of work: one job of the `refine` command's worker processes,
@@ -313,10 +307,9 @@ def refine_scenes(
     provider I/O threads, each taking one chunk at a time (`refine_chunk`),
     so at most that many chunks are in flight and remote lookups overlap.
     Every thread solves inline, and no process starts: the `refine` command
-    spreads a static run over worker processes itself. A provider failure
-    skips that scene: the original record is passed through with an error
-    log entry. Any other error propagates, and no chunk starts once it has
-    reached the caller.
+    spreads a static run over worker processes itself. Any error, a
+    provider's too, propagates, and no chunk starts once it has reached the
+    caller.
     """
     # imported here, not with the module, so that `eval` and static `refine` do not load it
     from concurrent.futures import ThreadPoolExecutor
@@ -331,28 +324,13 @@ def refine_chunk(
     chunk: Sequence[SceneRecord], provider, cfg: RefinementConfig
 ) -> list[tuple[SceneRecord, RefinementLog]]:
     """One chunk of scenes: assemble every scene's constraint vectors, solve
-    them in one call, then decide and debate each scene's objects. A provider
-    failure skips its scene, with an error log entry; any other error
-    propagates.
+    them in one call, then decide and debate each scene's objects. Any error,
+    a provider's too, propagates.
     """
-    parts: list[list[ConstraintVector | None] | ProviderError] = []
-    for record in chunk:
-        try:
-            parts.append(_assemble(record, provider, cfg))
-        except ProviderError as exc:
-            parts.append(exc)
-    xs = [x for part in parts if isinstance(part, list) for x in _novel_triples(part)]
+    parts = [_assemble(record, provider, cfg) for record in chunk]
+    xs = [x.as_tuple() for part in parts for x in part if x is not None]
     solved = iter(solve_decisions(xs, cfg.rule_weights, cfg.policy))
-    out = []
-    for record, part in zip(chunk, parts):
-        try:
-            if isinstance(part, ProviderError):
-                raise part
-            own = list(islice(solved, sum(x is not None for x in part)))
-            out.append(_finish(record, part, own, provider, cfg))
-        except ProviderError as exc:
-            out.append((record, RefinementLog(record.scene_id, (), error=str(exc))))
-    return out
+    return [_finish(record, part, solved, provider, cfg) for record, part in zip(chunk, parts)]
 
 
 # --------------------------------------------------------------------------
@@ -649,10 +627,7 @@ def load_scenes(path) -> list[SceneRecord]:
 
 def log_line(log: RefinementLog) -> str:
     """One line of a refinement log file: ``log`` as JSON, ended by a newline."""
-    data: dict = {"scene_id": log.scene_id}
-    if log.error is not None:
-        data["error"] = log.error
-    data["objects"] = [
+    objects = [
         {
             "index": record.index,
             "label": record.label,
@@ -666,7 +641,7 @@ def log_line(log: RefinementLog) -> str:
         }
         for record in log.objects
     ]
-    return json.dumps(data) + "\n"
+    return json.dumps({"scene_id": log.scene_id, "objects": objects}) + "\n"
 
 
 def save_logs(logs: Sequence[RefinementLog], path) -> None:

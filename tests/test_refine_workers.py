@@ -9,7 +9,6 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import case_study_scenes
 from ovrefine import cli, pipeline
 from ovrefine.commonsense import (
     LlmClient,
@@ -23,7 +22,6 @@ from ovrefine.commonsense import (
 from ovrefine.jsonl import read_lines
 from ovrefine.pipeline import (
     Detection,
-    RefinementLog,
     generate_synthetic_scenes,
     refine_scene,
     refine_scenes,
@@ -79,50 +77,6 @@ class TestWorkerCounts:
             assert_same(refine_scenes(scenes, provider, workers=workers), reference)
         assert pools == []  # every count solves on its threads, in this process
 
-    def test_provider_failures_across_a_chunk_boundary(self, scenes):
-        class Unreachable(StaticKnowledgeProvider):
-            def scene_compatible(self, label, scene_type):
-                if scene_type == "unreachable":
-                    raise ProviderError(f"no answer about {label!r}")
-                return super().scene_compatible(label, scene_type)
-
-        provider = Unreachable(default_knowledge_base())
-        failing = (CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK + 3)
-        records = [
-            replace(record, scene=SceneContext("unreachable")) if i in failing else record
-            for i, record in enumerate(scenes[: 3 * CHUNK])
-        ]
-        assert all(
-            any(provider.is_novel(d.label) for d in records[i].detections) for i in failing
-        )
-        outputs = [refine_scenes(records, provider, workers=w) for w in WORKER_COUNTS]
-        for results in outputs:
-            assert_same(results, outputs[0])
-        skipped = [log.scene_id for _, log in outputs[0] if log.error]
-        assert skipped == [records[i].scene_id for i in failing]
-        for i in failing:
-            assert outputs[0][i][0] == records[i]  # passed through unrefined
-            assert outputs[0][i][1].objects == ()
-
-    def test_provider_failure_in_a_debate_skips_the_scene(self):
-        # "coffee table" is asked about only when the library's book is debated
-        class NoTables(StaticKnowledgeProvider):
-            def size_prior(self, label):
-                if label == "coffee table":
-                    raise ProviderError("coffee tables unknown")
-                return super().size_prior(label)
-
-        provider = NoTables(default_knowledge_base())
-        living_room, library = case_study_scenes()
-        for workers in (1, 2):
-            # the library's two chairs come after the book: their solutions
-            # must not pass to the next scene
-            skipped, refined = refine_scenes([library, living_room], provider, workers=workers)
-            assert skipped == (
-                library, RefinementLog(library.scene_id, (), "coffee tables unknown")
-            )
-            assert_same([refined], [refine_scene(living_room, provider)])
-
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_other_errors_propagate_and_stop_the_run(self, scenes, monkeypatch, workers):
         chunk = 4
@@ -147,6 +101,12 @@ class TestWorkerCounts:
                     assert release.wait(60)
                 return super().scene_compatible(label, scene_type)
 
+        class Unreachable(Gryphons):
+            def size_prior(self, label):
+                if label == "gryphon":
+                    raise ProviderError("no answer about 'gryphon'")
+                return super().size_prior(label)
+
         class Releasing(concurrent.futures.ThreadPoolExecutor):
             def shutdown(self, *args, **kwargs):
                 release.set()
@@ -154,7 +114,7 @@ class TestWorkerCounts:
 
         # refine_scenes imports it from concurrent.futures when it runs
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Releasing)
-        provider = Gryphons(default_knowledge_base())
+        kb = default_knowledge_base()
         records = list(scenes[: n_chunks * chunk])
         first = records[failing * chunk]
         gryphon = Detection(first.detections[0].box, "gryphon", 0.9)
@@ -162,11 +122,16 @@ class TestWorkerCounts:
         for i in range((failing + 1) * chunk, len(records)):
             records[i] = replace(records[i], scene=SceneContext(f"later {i}"))
         last = range((n_chunks - 1) * chunk, len(records))
-        assert any(provider.is_novel(d.label) for i in last for d in records[i].detections)
+        assert any(d.label in kb.novel_classes for i in last for d in records[i].detections)
 
-        with pytest.raises(MissingSizePriorError, match="gryphon"):
-            refine_scenes(records, provider, workers=workers)
-        assert seen.isdisjoint(last)
+        # a provider's own failure propagates as any other error does
+        failures = ((Gryphons(kb), MissingSizePriorError), (Unreachable(kb), ProviderError))
+        for provider, error in failures:
+            release.clear()
+            seen.clear()
+            with pytest.raises(error, match="gryphon"):
+                refine_scenes(records, provider, workers=workers)
+            assert seen.isdisjoint(last)
 
     def test_remote_provider_and_judge(self, scenes):
         kb = default_knowledge_base()
@@ -201,7 +166,6 @@ class TestWorkerCounts:
         assert judged and len(judged) % len(WORKER_COUNTS) == 0
         for results in outputs:
             assert_same(results, outputs[0])
-        assert all(log.error is None for _, log in outputs[0])
         # the remote judge, not the offline one, decided the debates
         transcripts = [o.transcript for _, log in outputs[0] for o in log.objects if o.transcript]
         assert transcripts
@@ -390,9 +354,7 @@ class TestRefineCommand:
         assert pools == ["spawn", "spawn"]
         assert runs == [reference, reference]
 
-    def test_refine_error_is_raised_after_every_bad_line(
-        self, scenes, tmp_path, capsys, monkeypatch
-    ):
+    def test_first_failing_chunk_is_reported(self, scenes, tmp_path, capsys, monkeypatch):
         # the first chunk's refine fails, in a worker process unless --workers 1
         kb = default_knowledge_base()
         label = next(
@@ -401,32 +363,40 @@ class TestRefineCommand:
         monkeypatch.setattr(cli, "_make_provider", lambda config: Forgetful(kb, label))
         lines = detection_lines(scenes, 5 * CHUNK)
         path = tmp_path / "detections.jsonl"
-        write_lines(path, lines)
-        for workers in WORKER_COUNTS:
-            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
-            assert (code, output, out, log) == (
-                1, ("", f"input error: no size prior for class {label!r}\n"), None, None
-            )
-        # a bad line anywhere in the file is reported first, at every worker count
-        lines[4 * CHUNK + 2] = "{not json"
-        write_lines(path, lines)
+        refine_error = ("", f"input error: no size prior for class {label!r}\n")
+        # the refine error beats a bad line in the fifth chunk, which is read
+        # after the processes start, at every worker count
+        for file_lines in (lines, lines[:-1] + ["{not json"]):
+            write_lines(path, file_lines)
+            for workers in WORKER_COUNTS:
+                run = run_refine(tmp_path, capsys, path, workers)
+                assert run == (1, refine_error, None, None)
+        # a bad line in the first chunk stops it before its refine
+        write_lines(path, lines[:2] + ["{not json"] + lines[3:])
         for workers in WORKER_COUNTS:
             code, output, out, log = run_refine(tmp_path, capsys, path, workers)
             assert (code, output.out, out, log) == (1, "", None, None)
-            assert output.err.startswith(f"input error: {path}:{4 * CHUNK + 3}: Expecting")
+            assert output.err.startswith(f"input error: {path}:3: Expecting")
 
     @pytest.mark.parametrize("scenes_in_file", [0, 3 * CHUNK], ids=["empty", "three-chunks"])
     def test_refinement_options_are_checked_before_the_file(
         self, scenes, tmp_path, capsys, scenes_in_file
     ):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"phi_keep": 2.0}))
         lines = detection_lines(scenes, scenes_in_file)
         path = tmp_path / "detections.jsonl"
-        expected = (1, ("", "input error: phi_keep must be in [0, 1], got 2.0\n"), None, None)
-        # the threshold error wins over a bad last line, which is never read
-        for last in ([], ["{not json"]):
-            write_lines(path, lines + last)
-            for workers in WORKER_COUNTS:
-                run = run_refine(tmp_path, capsys, path, workers, "--config", str(config))
-                assert run == expected
+        for options, message in (
+            ({"phi_keep": 2.0}, "phi_keep must be in [0, 1], got 2.0"),
+            (
+                {"alpha1": 1e308, "alpha2": 1e308, "alpha3": 1e308},
+                "rule weights must sum to at most 2.247e+307, beyond which the solver's sums "
+                "overflow, got 1e+308, 1e+308, 1e+308",
+            ),
+        ):
+            config.write_text(json.dumps(options))
+            # the option error wins over a bad last line, which is never read
+            for last in ([], ["{not json"]):
+                write_lines(path, lines + last)
+                for workers in WORKER_COUNTS:
+                    run = run_refine(tmp_path, capsys, path, workers, "--config", str(config))
+                    assert run == (1, ("", f"input error: {message}\n"), None, None)
