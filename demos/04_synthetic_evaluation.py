@@ -36,7 +36,7 @@ print(f"{len(ground_truth)} scenes, {n_objects} objects, {n_detections} raw dete
 before = eval_ap25(detections, ground_truth)
 print(f"mAP@0.25 before refinement: {before.mean:.4f}")
 
-results = refine_scenes(detections, provider, workers=1)
+results = refine_scenes(detections, provider)
 refined = [record for record, _ in results]
 
 decisions = Counter()

@@ -8,8 +8,9 @@ other error, a custom knowledge provider's among them, propagates.
 Each command imports the library layers it runs, when it runs: `baol` never
 loads the refine stack (`pipeline`, `commonsense`, `psl`), and loads
 `concurrent.futures` only when it starts worker processes; `refine` and
-`eval` load no `balancers`. The library is called through its module
-objects, where the benchmark's tracer wraps it.
+`eval` load no `balancers`. `refine` runs chunks of its file on worker
+processes, or on threads with `--llm remote`. The library is called through
+its module objects, where the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -210,29 +211,21 @@ def _require(config: RunConfig, *names: str) -> None:
 
 
 def cmd_refine(config: RunConfig) -> int:
-    from . import pipeline
-
     _require(config, "detections", "out")
-    refinement = config.refinement()  # bad options fail before any line is read
+    config.refinement()  # bad options fail before any line is read
     provider = _make_provider(config)
-    workers = _workers(config)
-    # a remote provider refines in this process, on threads: its answer
-    # cache, each-query-once rule and bound on requests in flight hold only
-    # within one process
-    if config.llm == "remote":
-        records = pipeline.load_scenes(config.detections)
-        results = pipeline.refine_scenes(records, provider, refinement, workers=workers)
-        logs = [log for _, log in results]
-        pipeline.save_scenes([record for record, _ in results], config.out)
-        if config.log:
-            pipeline.save_logs(logs, config.log)
-        totals = [log.counts() for log in logs]
-    else:
-        totals = _refine_in_chunks(config, provider, workers)
+    totals = _refine_in_chunks(config, provider, _workers(config))
     kept, removed, reclassified = (
         sum(counts[decision] for counts in totals) for decision in ("keep", "remove", "reclassify")
     )
     print(f"kept {kept}, removed {removed}, reclassified {reclassified}")
+    if config.llm == "remote" and provider.client.failed:
+        print(
+            f"warning: {provider.client.failed} of {provider.client.requests} LLM requests failed "
+            "after every retry: their queries fell back to the knowledge base and their "
+            "debates to the offline rule",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -246,26 +239,36 @@ class _Chunk(typing.NamedTuple):
     counts: tuple[dict[str, int], ...] = ()  # each scene's decision counts
 
 
-def _refine_in_chunks(config: RunConfig, provider, workers: int) -> list[dict[str, int]]:
-    """Static refine on ``workers`` processes, each parsing, refining and
-    formatting chunks of ``pipeline._CHUNK_SCENES`` lines of the file; one
-    worker runs the chunks in this process.
+# Scenes per job of `refine`'s workers. Enough solves (about 150 at the
+# synthetic workload's density) to amortise a job's round trip to a process.
+_CHUNK_SCENES = 32
 
-    The main process reads the lines, checks the scene ids for repeats in
-    file order, and writes both files once every chunk has succeeded. It
-    raises what the inline run raises: the first bad line, repeated id or
-    refine error, by chunk in file order. Returns each scene's decision
-    counts.
+
+def _refine_in_chunks(config: RunConfig, provider, workers: int) -> list[dict[str, int]]:
+    """Refine on ``workers`` processes, each parsing, refining and formatting
+    chunks of ``_CHUNK_SCENES`` lines of the file; one worker runs the chunks
+    in this process. A remote provider refines them on ``2 * workers``
+    threads in this process instead, so that its answer cache, each-query-once
+    rule and bound on requests in flight hold for the whole run.
+
+    This process reads the lines, checks the scene ids for repeats in file
+    order, and writes both files once every chunk has succeeded. It raises
+    what the inline run raises: the first bad line, repeated id or refine
+    error, by chunk in file order. Returns each scene's decision counts.
     """
     from . import pipeline, processes
 
+    pool = None  # worker processes
+    if config.llm == "remote":
+        # imported here, not with the module, so that static refine does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool, workers = ThreadPoolExecutor, 2 * workers
     path = config.detections
-    jobs = (
-        (config, provider, lines) for lines in _chunks(read_lines(path), pipeline._CHUNK_SCENES)
-    )
+    jobs = ((config, provider, lines) for lines in _chunks(read_lines(path), _CHUNK_SCENES))
     first_line: dict[str, int] = {}
     out, log, totals = [], [], []
-    with contextlib.closing(processes.map_in_order(_refine_chunk, jobs, workers)) as chunks:
+    with contextlib.closing(processes.map_in_order(_refine_chunk, jobs, workers, pool)) as chunks:
         for chunk in chunks:
             for scene_id, lineno in chunk.ids:
                 pipeline.check_scene_id(first_line, scene_id, path, lineno)
@@ -323,7 +326,7 @@ def _refine_chunk(job: tuple[RunConfig, typing.Any, list[tuple[int, str]]]) -> _
     ids = [(record.scene_id, lineno) for record, (lineno, _) in zip(records, lines)]
     if bad_line is not None:
         return _Chunk(ids, bad_line)
-    results = pipeline.refine_chunk(records, provider, config.refinement())
+    results = pipeline.refine_scenes(records, provider, config.refinement())
     logs = [log for _, log in results]
     return _Chunk(
         ids,
@@ -552,8 +555,9 @@ _ARGUMENTS = {
     "--workers": {
         "type": int,
         "metavar": "N",
-        "help": "N worker processes (default: cores); a refine with the remote LLM runs 2N "
-        "threads in one process instead; outputs are byte-identical for any N",
+        "help": "N worker processes (default: cores); refine with the remote LLM runs its "
+        "chunks of scenes on 2N threads in one process instead; outputs are byte-identical "
+        "for any N",
     },
     "--seed": {"type": int},
     "--llm": {"choices": _LLM_MODES},

@@ -289,10 +289,15 @@ class LlmClient:
         if not 0 < timeout < math.inf:
             raise ValueError(f"timeout must be a finite number above 0, got {timeout}")
         self._gate = threading.BoundedSemaphore(max_in_flight)
+        # the requests sent to the endpoint, and those that failed after every retry
+        self.requests = self.failed = 0
+        self._counts = threading.Lock()
 
     def complete(self, prompt: str) -> str:
         if not self.endpoint:
             raise ProviderError(f"no LLM endpoint configured (set {ENDPOINT_ENV})")
+        with self._counts:
+            self.requests += 1
         payload = {"prompt": prompt, "max_tokens": MAX_TOKENS}
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -305,6 +310,8 @@ class LlmClient:
             # a reply nested past the recursion limit makes the decoder raise
             except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
                 last_error = exc
+        with self._counts:
+            self.failed += 1
         raise ProviderError(
             f"LLM request failed after {self.retries + 1} attempts: {last_error}"
         )

@@ -6,9 +6,10 @@ Base-class detections pass through untouched; each novel-class detection is
 scored against the knowledge provider, solved, and kept, removed, or
 reclassified. A reclassified object goes to a debate that the same provider
 judges, with an offline strength rule deciding when it gives no verdict.
-Scenes are independent units of work: `refine_scenes` refines chunks of them
-on threads, so that remote provider lookups and debates overlap, and the
-`refine` command spreads chunks of its file over worker processes.
+Scenes are independent units of work: `refine_scenes` refines any number of
+them with one solver call, and the `refine` command spreads chunks of its
+file over worker processes, or over threads for a remote provider, so that
+its lookups and debates overlap.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "debate",
     "refine_scene",
     "refine_scenes",
-    "refine_chunk",
     "ApReport",
     "eval_ap25",
     "generate_synthetic_scenes",
@@ -285,52 +285,22 @@ def refine_scene(
     propagate before anything is returned, so a scene is never partially
     mutated.
     """
-    return refine_chunk([record], provider, cfg)[0]
-
-
-# Scenes per unit of work: one job of the `refine` command's worker processes,
-# and one chunk of a `refine_scenes` thread. Enough solves (about 150 at the
-# synthetic workload's density) to amortise a job's round trip to a process.
-_CHUNK_SCENES = 32
+    return refine_scenes([record], provider, cfg)[0]
 
 
 def refine_scenes(
     records: Sequence[SceneRecord],
     provider,
     cfg: RefinementConfig = RefinementConfig(),
-    workers: int = 1,
 ) -> list[tuple[SceneRecord, RefinementLog]]:
-    """Refine many scenes; order follows the input, output is identical for
-    any worker count.
-
-    Scenes go through in chunks of ``_CHUNK_SCENES`` on ``2 * workers``
-    provider I/O threads, each taking one chunk at a time (`refine_chunk`),
-    so at most that many chunks are in flight and remote lookups overlap.
-    Every thread solves inline, and no process starts: the `refine` command
-    spreads a static run over worker processes itself. Any error, a
-    provider's too, propagates, and no chunk starts once it has reached the
-    caller.
+    """Refine many scenes, in input order: assemble every scene's constraint
+    vectors, solve them in one call, then decide and debate each scene's
+    objects. Any error, a provider's too, propagates.
     """
-    # imported here, not with the module, so that `eval` and static `refine` do not load it
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = [records[i : i + _CHUNK_SCENES] for i in range(0, len(records), _CHUNK_SCENES)]
-    with ThreadPoolExecutor(2 * workers) as io:
-        done = io.map(lambda chunk: refine_chunk(chunk, provider, cfg), chunks)
-        return [result for results in done for result in results]
-
-
-def refine_chunk(
-    chunk: Sequence[SceneRecord], provider, cfg: RefinementConfig
-) -> list[tuple[SceneRecord, RefinementLog]]:
-    """One chunk of scenes: assemble every scene's constraint vectors, solve
-    them in one call, then decide and debate each scene's objects. Any error,
-    a provider's too, propagates.
-    """
-    parts = [_assemble(record, provider, cfg) for record in chunk]
+    parts = [_assemble(record, provider, cfg) for record in records]
     xs = [x.as_tuple() for part in parts for x in part if x is not None]
     solved = iter(solve_decisions(xs, cfg.rule_weights, cfg.policy))
-    return [_finish(record, part, solved, provider, cfg) for record, part in zip(chunk, parts)]
+    return [_finish(record, part, solved, provider, cfg) for record, part in zip(records, parts)]
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,12 @@
-"""Worker processes for the commands that spread independent work over cores.
+"""The pools that the commands spread independent work over.
 
-``map_in_order`` maps a function over a stream of jobs on worker processes,
-in order and with a bounded queue: ``baol`` maps it over the lines of its
-proposals file, and static ``refine`` over chunks of lines of its detections
-file, each worker parsing, computing and formatting its own jobs. One worker
-runs the jobs inline and starts no process. ``process_pool``, which starts
-the processes by fork or by spawn, serves ``map_in_order`` alone: ``refine
---llm remote`` and the library's ``refine_scenes`` run on threads in one
-process.
+``map_in_order`` maps a function over a stream of jobs on a pool, in order
+and with a bounded queue: ``baol`` maps it over the lines of its proposals
+file on worker processes, and ``refine`` over chunks of lines of its
+detections file, on worker processes for the static provider and on threads
+for a remote one, each worker parsing, computing and formatting its own
+jobs. One worker runs the jobs inline and starts no pool. ``process_pool``
+starts the processes by fork or by spawn.
 """
 
 from __future__ import annotations
@@ -48,14 +47,21 @@ def process_pool(workers: int) -> Executor:
     return pool
 
 
-def map_in_order(fn: Callable[[J], R], jobs: Iterable[J], workers: int) -> Iterator[R]:
-    """``fn`` of each of ``jobs``, in order, on up to ``workers`` processes.
+def map_in_order(
+    fn: Callable[[J], R],
+    jobs: Iterable[J],
+    workers: int,
+    pool: Callable[[int], Executor] | None = None,
+) -> Iterator[R]:
+    """``fn`` of each of ``jobs``, in order, on up to ``workers`` workers of
+    ``pool(n)``, by default ``process_pool(n)``.
 
-    One worker, or at most one job, runs inline and starts no process.
-    Otherwise one process per job of the first ``workers`` starts before the
-    rest of ``jobs`` is read, and at most two jobs per process wait, so no
-    process holds more than a few jobs. ``fn`` and its jobs and results must
-    pickle, and ``fn`` must be a module-level function, for a spawned worker.
+    One worker, or at most one job, runs inline and starts no pool.
+    Otherwise a pool of one worker per job of the first ``workers`` starts
+    before the rest of ``jobs`` is read, and at most two jobs per worker
+    wait, so no worker holds more than a few jobs. On processes, ``fn`` and
+    its jobs and results must pickle, and ``fn`` must be a module-level
+    function, for a spawned worker.
 
     An error is raised where the inline run raises it: ``fn``'s once every
     result before it has been taken, and one in reading a later job once
@@ -75,8 +81,8 @@ def map_in_order(fn: Callable[[J], R], jobs: Iterable[J], workers: int) -> Itera
     if len(first) <= 1:
         yield from map(fn, chain(first, jobs))
         return
-    with process_pool(len(first)) as pool:
-        pending = deque(pool.submit(fn, job) for job in first)
+    with (pool or process_pool)(len(first)) as executor:
+        pending = deque(executor.submit(fn, job) for job in first)
         try:
             while pending:
                 try:
@@ -86,7 +92,7 @@ def map_in_order(fn: Callable[[J], R], jobs: Iterable[J], workers: int) -> Itera
                         yield pending.popleft().result()
                     raise
                 if job is not None:
-                    pending.append(pool.submit(fn, job))
+                    pending.append(executor.submit(fn, job))
                 if job is None or len(pending) > 2 * len(first):
                     yield pending.popleft().result()
         finally:

@@ -277,7 +277,7 @@ def test_c09_end_to_end_synthetic_improvement():
             kb, seed=7, n_scenes=200, corruption_rate=0.2
         )
         before = eval_ap25(detections, ground_truth).mean
-        results = refine_scenes(detections, provider, workers=1)
+        results = refine_scenes(detections, provider)
         refined = [record for record, _ in results]
         after = eval_ap25(refined, ground_truth).mean
         assert after > before, f"mAP did not improve: {before:.4f} -> {after:.4f}"

@@ -357,6 +357,39 @@ class TestRefine:
             assert remote_files == offline_files
         assert [d.label for d in load_scenes(tmp_path / "remote.jsonl")[0].detections] == ["zebra"]
 
+    def test_remote_run_whose_requests_all_fail_warns_with_the_counts(
+        self, case_files, tmp_path, monkeypatch, capsys
+    ):
+        from ovrefine import commonsense
+
+        sent = []
+
+        def refused(url, key, payload, timeout):
+            sent.append(payload["prompt"])
+            raise OSError("connection refused")
+
+        # the run's LlmClient takes its transport from the module when it is built
+        monkeypatch.setattr(commonsense, "_http_post", refused)
+        monkeypatch.setenv("GLRD_LLM_ENDPOINT", "http://llm.test")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"llm_retries": 0}))
+        runs = []
+        for mode in ("remote", "off"):
+            out, log = tmp_path / f"{mode}.jsonl", tmp_path / f"{mode}.log.jsonl"
+            code = main(["refine", "--detections", case_files["detections"], "--out", str(out),
+                         "--log", str(log), "--llm", mode, "--config", str(config)])
+            runs.append((code, capsys.readouterr(), out.read_bytes(), log.read_bytes()))
+        (remote_code, remote, *remote_files), (offline_code, offline, *offline_files) = runs
+        assert remote_code == offline_code == 0
+        # each query was sent once, failed, and fell back; the run says how many
+        assert sent and len(sent) == len(set(sent))
+        assert remote.err == (
+            f"warning: {len(sent)} of {len(sent)} LLM requests failed after every retry: their "
+            "queries fell back to the knowledge base and their debates to the offline rule\n"
+        )
+        assert offline == (remote.out, "")
+        assert remote_files == offline_files
+
     def test_worker_count_determinism(self, tmp_path):
         kb = default_knowledge_base()
         _, detections = generate_synthetic_scenes(kb, seed=7, n_scenes=20)

@@ -341,6 +341,15 @@ class TestLlmClient:
         client = LlmClient(transport=StubTransport())
         with pytest.raises(ProviderError):
             client.complete("hello")
+        assert (client.requests, client.failed) == (0, 0)  # nothing was sent
+
+    def test_counts_requests_and_those_failed_after_every_retry(self):
+        client = make_client(StubTransport({"": "Yes."}, fail_first=4), retries=2)
+        with pytest.raises(ProviderError):
+            client.complete("first")  # three attempts fail
+        assert client.complete("second") == "Yes."  # on its second attempt
+        assert client.complete("third") == "Yes."
+        assert (client.requests, client.failed) == (3, 1)
 
     def test_endpoint_from_environment(self, monkeypatch):
         monkeypatch.setenv("GLRD_LLM_ENDPOINT", "http://env.test")

@@ -144,7 +144,8 @@ class TestWhatEachCommandLoads:
     def test_refine_of_at_most_one_chunk_loads_no_process_machinery(
         self, tmp_path, scenes, workers
     ):
-        from ovrefine.pipeline import _CHUNK_SCENES, generate_synthetic_scenes, save_scenes
+        from ovrefine.cli import _CHUNK_SCENES
+        from ovrefine.pipeline import generate_synthetic_scenes, save_scenes
 
         assert scenes <= _CHUNK_SCENES
         _, detections = generate_synthetic_scenes(
@@ -158,7 +159,8 @@ class TestWhatEachCommandLoads:
         assert "multiprocessing" not in loaded
 
     def test_static_refine_at_one_worker_loads_no_threads_or_processes(self, tmp_path):
-        from ovrefine.pipeline import _CHUNK_SCENES, generate_synthetic_scenes, save_scenes
+        from ovrefine.cli import _CHUNK_SCENES
+        from ovrefine.pipeline import generate_synthetic_scenes, save_scenes
 
         # three chunks, which one worker refines in turn in the main process
         _, detections = generate_synthetic_scenes(

@@ -464,8 +464,8 @@ class TestRemoteProviderPipeline:
         # a debate candidate without a KB size gets size fit 0, as offline
         zebra = Detection(Box7DoF(0, 0, 0.5, 1.6, 1.0, 1.0), "book", 0.95, {"zebra": 0.99})
         records.append(simple_scene([zebra], scene_id="zebra"))
-        remote = refine_scenes(records, RemoteKnowledgeProvider(client, kb), workers=1)
-        static = refine_scenes(records, StaticKnowledgeProvider(kb), workers=1)
+        remote = refine_scenes(records, RemoteKnowledgeProvider(client, kb))
+        static = refine_scenes(records, StaticKnowledgeProvider(kb))
         assert remote == static
         assert [log.counts() for _, log in remote] == [log.counts() for _, log in static]
         assert static[-1][1].objects[0].final_label == "zebra"
@@ -494,7 +494,7 @@ class TestRemoteProviderPipeline:
 
         _, records = generate_synthetic_scenes(kb, seed=7, n_scenes=60)
         client = LlmClient(endpoint="http://llm.test", transport=transport, backoff=0.0)
-        refine_scenes(records, RemoteKnowledgeProvider(client, kb), workers=1)
+        refine_scenes(records, RemoteKnowledgeProvider(client, kb))
         assert len(prompts) == 90
         assert sum(p.startswith("Debaters argue") for p in prompts) == 5
         digest = hashlib.sha256("\n".join(sorted(prompts)).encode()).hexdigest()
@@ -592,7 +592,7 @@ def reference_outcome(detection, scene, provider, cfg):
 
 @st.composite
 def refine_runs(draw):
-    """Scenes, a provider, a config and a worker count for one refine run."""
+    """Scenes, a provider and a config for one refine run."""
     kb = default_knowledge_base()
     _, scenes = generate_synthetic_scenes(
         kb, seed=draw(st.integers(0, 2**16)), n_scenes=draw(st.integers(1, 4))
@@ -614,15 +614,15 @@ def refine_runs(draw):
     ]
     scenes.append(SceneRecord("unknown", SceneContext("attic"), first.detections + tuple(near)))
     provider = draw(st.sampled_from([StaticKnowledgeProvider, ContraryJudge]))(kb)
-    return scenes, provider, cfg, draw(st.sampled_from([1, 2]))
+    return scenes, provider, cfg
 
 
 class TestRefineOracle:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(refine_runs())
     def test_refine_scenes_matches_the_corner_reference(self, run):
-        scenes, provider, cfg, workers = run
-        results = refine_scenes(scenes, provider, cfg, workers=workers)
+        scenes, provider, cfg = run
+        results = refine_scenes(scenes, provider, cfg)
         assert len(results) == len(scenes)
         for record, (refined, log) in zip(scenes, results):
             logged = {o.index: o for o in log.objects}

@@ -1,5 +1,6 @@
-"""refine_scenes on its threads, and the `refine` command over worker
-processes: same results for any worker count."""
+"""The `refine` command over its workers: worker processes for the static
+provider, threads in one process for a remote one. Same files and the same
+errors, in file order, for any worker count."""
 
 import concurrent.futures
 import json
@@ -20,38 +21,19 @@ from ovrefine.commonsense import (
     default_knowledge_base,
 )
 from ovrefine.jsonl import read_lines
-from ovrefine.pipeline import (
-    Detection,
-    generate_synthetic_scenes,
-    refine_scene,
-    refine_scenes,
-)
+from ovrefine.pipeline import Detection, generate_synthetic_scenes
 
-CHUNK = pipeline._CHUNK_SCENES
+CHUNK = cli._CHUNK_SCENES
 WORKER_COUNTS = (1, 2, 3)
 
 
 @pytest.fixture(scope="module")
 def scenes():
-    # more chunks than the 2 x 3 threads of the largest worker count take at once
+    # more chunks than the 2 x 3 threads of the largest remote worker count take at once
     _, detections = generate_synthetic_scenes(
         default_knowledge_base(), seed=7, n_scenes=2 * max(WORKER_COUNTS) * CHUNK + CHUNK // 2
     )
     return detections
-
-
-def solver_reprs(results):
-    return [
-        tuple(repr(v) for v in (o.solution.y_keep, o.solution.y_recls, o.solution.objective))
-        for _, log in results
-        for o in log.objects
-    ]
-
-
-def assert_same(results, reference):
-    assert [record for record, _ in results] == [record for record, _ in reference]
-    assert [log for _, log in results] == [log for _, log in reference]
-    assert solver_reprs(results) == solver_reprs(reference)
 
 
 @pytest.fixture
@@ -68,110 +50,70 @@ def pools(monkeypatch):
     return made
 
 
-class TestWorkerCounts:
-    def test_identical_for_any_worker_count(self, scenes, pools):
-        provider = StaticKnowledgeProvider(default_knowledge_base())
-        reference = [refine_scene(record, provider) for record in scenes]
-        assert len(scenes) > 2 * max(WORKER_COUNTS) * CHUNK
-        for workers in WORKER_COUNTS:
-            assert_same(refine_scenes(scenes, provider, workers=workers), reference)
-        assert pools == []  # every count solves on its threads, in this process
+def abstain(candidates):
+    """A judge's reply that names no candidate, leaving the offline rule to decide."""
+    return "I cannot say."
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_other_errors_propagate_and_stop_the_run(self, scenes, monkeypatch, workers):
-        chunk = 4
-        monkeypatch.setattr(pipeline, "_CHUNK_SCENES", chunk)
-        # the failing chunk comes after the first 2 * workers chunks the
-        # threads take; the last chunk lies more than that many beyond it
-        failing = 2 * max(WORKER_COUNTS) + 1
-        n_chunks = failing + 2 * max(WORKER_COUNTS) + 2
-        release = threading.Event()
-        seen = set()
 
-        class Gryphons(StaticKnowledgeProvider):
-            def is_novel(self, label):
-                return label == "gryphon" or super().is_novel(label)
+class RemoteModel:
+    """Makes `refine --llm remote` refine with ``provider`` over the built-in
+    KB, whose model answers size and scene prompts from the KB and a judge's
+    prompt with ``judge`` of its candidates. ``runs`` holds the prompts of
+    each remote run, in the order sent."""
 
-            def scene_compatible(self, label, scene_type):
-                # scenes after the failing chunk wait until refine_scenes
-                # shuts its threads down, so none can finish and free a
-                # thread for a further chunk before the error arrives
-                if scene_type.startswith("later "):
-                    seen.add(int(scene_type.removeprefix("later ")))
-                    assert release.wait(60)
-                return super().scene_compatible(label, scene_type)
+    def __init__(self, monkeypatch):
+        self.kb = default_knowledge_base()
+        self.judge = abstain
+        self.provider = RemoteKnowledgeProvider
+        self.runs = []
+        self.make_offline = cli._make_provider
+        monkeypatch.setattr(cli, "_make_provider", self.make)
 
-        class Unreachable(Gryphons):
-            def size_prior(self, label):
-                if label == "gryphon":
-                    raise ProviderError("no answer about 'gryphon'")
-                return super().size_prior(label)
-
-        class Releasing(concurrent.futures.ThreadPoolExecutor):
-            def shutdown(self, *args, **kwargs):
-                release.set()
-                super().shutdown(*args, **kwargs)
-
-        # refine_scenes imports it from concurrent.futures when it runs
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Releasing)
-        kb = default_knowledge_base()
-        records = list(scenes[: n_chunks * chunk])
-        first = records[failing * chunk]
-        gryphon = Detection(first.detections[0].box, "gryphon", 0.9)
-        records[failing * chunk] = replace(first, detections=(gryphon, *first.detections))
-        for i in range((failing + 1) * chunk, len(records)):
-            records[i] = replace(records[i], scene=SceneContext(f"later {i}"))
-        last = range((n_chunks - 1) * chunk, len(records))
-        assert any(d.label in kb.novel_classes for i in last for d in records[i].detections)
-
-        # a provider's own failure propagates as any other error does
-        failures = ((Gryphons(kb), MissingSizePriorError), (Unreachable(kb), ProviderError))
-        for provider, error in failures:
-            release.clear()
-            seen.clear()
-            with pytest.raises(error, match="gryphon"):
-                refine_scenes(records, provider, workers=workers)
-            assert seen.isdisjoint(last)
-
-    def test_remote_provider_and_judge(self, scenes):
-        kb = default_knowledge_base()
-        static = StaticKnowledgeProvider(kb)
-        prompts = []
-        lock = threading.Lock()
+    def make(self, config):
+        if config.llm != "remote":
+            return self.make_offline(config)
+        static = StaticKnowledgeProvider(self.kb)
+        prompts, lock = [], threading.Lock()
+        self.runs.append(prompts)
 
         def transport(url, key, payload, timeout):
             prompt = payload["prompt"]
             with lock:
                 prompts.append(prompt)
             if prompt.startswith("What is the common size of a "):
-                label = prompt.removeprefix("What is the common size of a ").split("?")[0]
-                prior = kb.sizes[label]
-                return {"text": f"{prior.length}*{prior.width}*{prior.height}"}
+                # a class without a KB size fails the request
+                prior = self.kb.sizes[
+                    prompt.removeprefix("What is the common size of a ").split("?")[0]
+                ]
+                return {"text": f"{prior.length!r}*{prior.width!r}*{prior.height!r}"}
             if prompt.startswith("Is it normal to see a "):
                 label, scene_type = prompt[len("Is it normal to see a ") : -1].split(" in a ")
                 return {"text": "Yes." if static.scene_compatible(label, scene_type) else "No."}
-            # the judge names the last candidate the debaters argued for
             candidates = prompt.split("candidate classes ")[1].split(" of an object")[0]
-            return {"text": f"It is a {candidates.split(', ')[-1]}."}
+            return {"text": self.judge(candidates.split(", "))}
 
-        records = scenes[: 2 * CHUNK + 5]
-        outputs = []
-        for workers in WORKER_COUNTS:
-            client = LlmClient(
-                endpoint="http://llm.test", transport=transport, max_in_flight=workers
-            )
-            provider = RemoteKnowledgeProvider(client, kb)
-            outputs.append(refine_scenes(records, provider, workers=workers))
-        judged = [p for p in prompts if p.startswith("Debaters argue")]
-        assert judged and len(judged) % len(WORKER_COUNTS) == 0
-        for results in outputs:
-            assert_same(results, outputs[0])
-        # the remote judge, not the offline one, decided the debates
-        transcripts = [o.transcript for _, log in outputs[0] for o in log.objects if o.transcript]
-        assert transcripts
-        for transcript in transcripts:
-            last_debater = transcript[-2][0].removeprefix("debater:")
-            assert transcript[-1] == ("judge", f"selects {last_debater!r}")
+        client = LlmClient(endpoint="http://llm.test", transport=transport, backoff=0.0)
+        return self.provider(client, self.kb)
+
+
+@pytest.fixture
+def remote(monkeypatch):
+    return RemoteModel(monkeypatch)
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The thread count of every thread pool made while the test runs."""
+    made = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            made.append(workers)
+            super().__init__(workers)
+
+    # `refine` imports it from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return made
 
 
 def detection_lines(scenes, n):
@@ -230,33 +172,52 @@ BAD_LINES = {
 }
 
 
-class TestRefineCommand:
-    """Static `refine --workers N` parses, refines and formats chunks of the
-    file's lines in its worker processes; it must write and report exactly
-    what `--workers 1` does."""
+class RefineErrors:
+    """The first error in the file or the options of a `refine` run with
+    ``--llm`` ``llm``: it is reported as the inline run reports it, by chunk
+    in file order, and no file is written."""
+
+    llm = "off"
+
+    @pytest.fixture
+    def refine(self, tmp_path, capsys, monkeypatch):
+        """``run_refine`` with this class's ``--llm``. A remote run must have
+        refined the chunks before the error's chunk, and sent their requests,
+        before it reports the error, unless ``refined_first`` is false, when
+        it must have sent none."""
+        model = RemoteModel(monkeypatch) if self.llm == "remote" else None
+
+        def run(path, workers, *options, refined_first=True):
+            result = run_refine(tmp_path, capsys, path, workers, "--llm", self.llm, *options)
+            if model is not None:
+                assert bool(model.runs and model.runs.pop()) == refined_first
+            return result
+
+        return run
 
     @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=list(BAD_LINES))
-    def test_bad_line_read_after_the_processes_start(self, scenes, tmp_path, capsys, bad):
-        # the largest worker count has read 3 chunks when its processes start
+    def test_bad_line_read_after_the_processes_start(self, scenes, tmp_path, refine, bad):
+        # the largest static worker count has read 3 chunks when its processes
+        # start; a remote one reads up to 6 before its threads start
         lineno = 3 * CHUNK + 20
         lines = detection_lines(scenes, 5 * CHUNK)
         lines[lineno - 1] = bad[0]
         path = tmp_path / "detections.jsonl"
         write_lines(path, lines)
         for workers in WORKER_COUNTS:
-            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            code, output, out, log = refine(path, workers)
             assert (code, output.out, out, log) == (1, "", None, None)
             assert output.err.startswith(f"input error: {path}:{lineno}: {bad[1]}")
 
     def test_scene_id_repeated_across_a_chunk_boundary_names_the_earlier_line(
-        self, scenes, tmp_path, capsys
+        self, scenes, tmp_path, refine
     ):
         lines = detection_lines(scenes, 3 * CHUNK)
         lines[CHUNK + 5] = with_scene_id(lines[CHUNK + 5], scene_id_of(lines[CHUNK - 3]))
         path = tmp_path / "detections.jsonl"
         write_lines(path, lines)
         for workers in WORKER_COUNTS:
-            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            code, output, out, log = refine(path, workers)
             assert (code, output.out, out, log) == (1, "", None, None)
             assert output.err == (
                 f"input error: {path}:{CHUNK + 6}: scene_id {scene_id_of(lines[CHUNK - 3])!r} "
@@ -264,7 +225,7 @@ class TestRefineCommand:
             )
 
     @pytest.mark.parametrize("scene_id", [None, ["a"], 1], ids=["null", "list", "int"])
-    def test_scene_id_that_is_not_a_string(self, scenes, tmp_path, capsys, scene_id):
+    def test_scene_id_that_is_not_a_string(self, scenes, tmp_path, refine, scene_id):
         # in the third chunk, which a worker process parses unless --workers 1
         lineno = 2 * CHUNK + 4
         lines = detection_lines(scenes, 3 * CHUNK)
@@ -272,7 +233,7 @@ class TestRefineCommand:
         path = tmp_path / "detections.jsonl"
         write_lines(path, lines)
         for workers in WORKER_COUNTS:
-            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            code, output, out, log = refine(path, workers)
             assert (code, output.out, out, log) == (1, "", None, None)
             assert output.err == (
                 f"input error: {path}:{lineno}: scene_id must be a string, "
@@ -288,7 +249,7 @@ class TestRefineCommand:
              "bad-first-two-chunks"],
     )
     def test_the_first_of_a_repeat_and_a_bad_line_is_reported(
-        self, scenes, tmp_path, capsys, repeat_at, bad_at, bad
+        self, scenes, tmp_path, refine, repeat_at, bad_at, bad
     ):
         # line numbers from 1; the repeated id is the first line's
         lines = detection_lines(scenes, 4 * CHUNK)
@@ -301,9 +262,38 @@ class TestRefineCommand:
         else:
             expected = f"input error: {path}:{bad_at}: {bad[1]}"
         for workers in WORKER_COUNTS:
-            code, output, out, log = run_refine(tmp_path, capsys, path, workers)
+            code, output, out, log = refine(path, workers)
             assert (code, output.out, out, log) == (1, "", None, None)
             assert output.err.startswith(expected)
+
+    @pytest.mark.parametrize("scenes_in_file", [0, 3 * CHUNK], ids=["empty", "three-chunks"])
+    def test_refinement_options_are_checked_before_the_file(
+        self, scenes, tmp_path, refine, scenes_in_file
+    ):
+        config = tmp_path / "config.json"
+        lines = detection_lines(scenes, scenes_in_file)
+        path = tmp_path / "detections.jsonl"
+        for options, message in (
+            ({"phi_keep": 2.0}, "phi_keep must be in [0, 1], got 2.0"),
+            (
+                {"alpha1": 1e308, "alpha2": 1e308, "alpha3": 1e308},
+                "rule weights must sum to at most 2.247e+307, beyond which the solver's sums "
+                "overflow, got 1e+308, 1e+308, 1e+308",
+            ),
+        ):
+            config.write_text(json.dumps(options))
+            # the option error wins over a bad last line, which is never read
+            for last in ([], ["{not json"]):
+                write_lines(path, lines + last)
+                for workers in WORKER_COUNTS:
+                    run = refine(path, workers, "--config", str(config), refined_first=False)
+                    assert run == (1, ("", f"input error: {message}\n"), None, None)
+
+
+class TestRefineCommand(RefineErrors):
+    """Static `refine --workers N` parses, refines and formats chunks of the
+    file's lines in its worker processes; it must write and report exactly
+    what `--workers 1` does."""
 
     def test_file_is_read_as_the_chunks_are_refined(self, scenes, tmp_path, capsys, monkeypatch):
         from ovrefine import processes
@@ -378,25 +368,124 @@ class TestRefineCommand:
             assert (code, output.out, out, log) == (1, "", None, None)
             assert output.err.startswith(f"input error: {path}:3: Expecting")
 
-    @pytest.mark.parametrize("scenes_in_file", [0, 3 * CHUNK], ids=["empty", "three-chunks"])
-    def test_refinement_options_are_checked_before_the_file(
-        self, scenes, tmp_path, capsys, scenes_in_file
+
+class TestRemoteRefineCommand(RefineErrors):
+    """`refine --llm remote --workers N` refines the chunks of the file on 2N
+    threads in this process; it reads the file chunk by chunk as static
+    `refine` does, and reports its errors in the same order."""
+
+    llm = "remote"
+
+
+class TestWorkerCounts:
+    """`refine --llm remote` at any worker count: the same files, each query
+    asked once, on 2N threads in this process."""
+
+    def test_identical_for_any_worker_count(
+        self, scenes, tmp_path, capsys, remote, pools, thread_pools
     ):
-        config = tmp_path / "config.json"
-        lines = detection_lines(scenes, scenes_in_file)
         path = tmp_path / "detections.jsonl"
-        for options, message in (
-            ({"phi_keep": 2.0}, "phi_keep must be in [0, 1], got 2.0"),
-            (
-                {"alpha1": 1e308, "alpha2": 1e308, "alpha3": 1e308},
-                "rule weights must sum to at most 2.247e+307, beyond which the solver's sums "
-                "overflow, got 1e+308, 1e+308, 1e+308",
-            ),
-        ):
-            config.write_text(json.dumps(options))
-            # the option error wins over a bad last line, which is never read
-            for last in ([], ["{not json"]):
-                write_lines(path, lines + last)
-                for workers in WORKER_COUNTS:
-                    run = run_refine(tmp_path, capsys, path, workers, "--config", str(config))
-                    assert run == (1, ("", f"input error: {message}\n"), None, None)
+        write_lines(path, detection_lines(scenes, len(scenes)))
+        static = run_refine(tmp_path, capsys, path, 1)
+        assert static[0] == 0
+        for workers in WORKER_COUNTS:
+            # a model that answers as the KB does and judges no debate: the static run's bytes
+            assert run_refine(tmp_path, capsys, path, workers, "--llm", "remote") == static
+        assert len(remote.runs) == len(WORKER_COUNTS)
+        for prompts in remote.runs:
+            assert prompts and len(prompts) == len(set(prompts))
+            assert sorted(prompts) == sorted(remote.runs[0])
+        assert pools == []
+        assert len(scenes) > 2 * max(WORKER_COUNTS) * CHUNK
+        assert thread_pools == [2 * workers for workers in WORKER_COUNTS]
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_other_errors_propagate_and_stop_the_run(
+        self, scenes, tmp_path, capsys, monkeypatch, remote, workers
+    ):
+        chunk = 4
+        monkeypatch.setattr(cli, "_CHUNK_SCENES", chunk)
+        # the failing chunk comes after the first chunks that the 2N threads
+        # take; map_in_order starts no chunk more than 2 x 2N beyond it, and
+        # the last chunk lies beyond that at every worker count
+        failing = 2 * max(WORKER_COUNTS) + 1
+        bound = failing + 2 * (2 * workers)
+        n_chunks = failing + 4 * max(WORKER_COUNTS) + 2
+        release = threading.Event()
+        seen = set()
+
+        class Gryphons(RemoteKnowledgeProvider):
+            def is_novel(self, label):
+                return label == "gryphon" or super().is_novel(label)
+
+            def scene_compatible(self, label, scene_type):
+                # scenes after the failing chunk wait until the run shuts its
+                # threads down, so none can finish and free a thread for a
+                # further chunk before the error arrives
+                if scene_type.startswith("later "):
+                    seen.add(int(scene_type.removeprefix("later ")))
+                    assert release.wait(60)
+                return super().scene_compatible(label, scene_type)
+
+        class Unreachable(Gryphons):
+            def size_prior(self, label):
+                if label == "gryphon":
+                    raise ProviderError("no answer about 'gryphon'")
+                return super().size_prior(label)
+
+        class Releasing(concurrent.futures.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                release.set()
+                super().shutdown(*args, **kwargs)
+
+        # `refine` imports it from concurrent.futures when it runs
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Releasing)
+        records = list(scenes[: n_chunks * chunk])
+        first = records[failing * chunk]
+        gryphon = Detection(first.detections[0].box, "gryphon", 0.9)
+        records[failing * chunk] = replace(first, detections=(gryphon, *first.detections))
+        for i in range((failing + 1) * chunk, len(records)):
+            records[i] = replace(records[i], scene=SceneContext(f"later {i}"))
+        beyond = range((bound + 1) * chunk, len(records))
+        last = range((n_chunks - 1) * chunk, len(records))
+        novel = remote.kb.novel_classes
+        assert any(d.label in novel for i in last for d in records[i].detections)
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, [pipeline.scene_line(record).rstrip("\n") for record in records])
+
+        # the remote query fails, and no KB size answers it: an input error
+        remote.provider = Gryphons
+        run = run_refine(tmp_path, capsys, path, workers, "--llm", "remote")
+        assert run == (1, ("", "input error: no size prior for class 'gryphon'\n"), None, None)
+        assert seen.isdisjoint(beyond)
+        # a provider's own failure propagates as any other error does
+        release.clear()
+        seen.clear()
+        remote.provider = Unreachable
+        with pytest.raises(ProviderError, match="gryphon"):
+            run_refine(tmp_path, capsys, path, workers, "--llm", "remote")
+        assert not (tmp_path / f"out-{workers}.jsonl").exists()
+        assert seen.isdisjoint(beyond)
+
+    def test_remote_provider_and_judge(self, scenes, tmp_path, capsys, remote):
+        # the judge names the last candidate the debaters argued for
+        remote.judge = lambda candidates: f"It is a {candidates[-1]}."
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, detection_lines(scenes, 2 * CHUNK + 5))
+        runs = [
+            run_refine(tmp_path, capsys, path, workers, "--llm", "remote")
+            for workers in WORKER_COUNTS
+        ]
+        assert runs[0][:2] == (0, (runs[0][1].out, ""))
+        assert runs == [runs[0]] * len(WORKER_COUNTS)
+        for prompts in remote.runs:
+            assert len(prompts) == len(set(prompts))
+            assert sorted(prompts) == sorted(remote.runs[0])
+        assert any(prompt.startswith("Debaters argue") for prompt in remote.runs[0])
+        # the remote judge, not the offline one, decided the debates
+        logs = [json.loads(line) for line in runs[0][3].splitlines()]
+        transcripts = [o["transcript"] for log in logs for o in log["objects"] if o["transcript"]]
+        assert transcripts
+        for transcript in transcripts:
+            last_debater = transcript[-2][0].removeprefix("debater:")
+            assert transcript[-1] == ["judge", f"selects {last_debater!r}"]
