@@ -76,7 +76,6 @@ _MODULES = {
         "SelectionPolicy",
         "SolverOutput",
         "Var",
-        "brute_force_solve",
         "build_decision_rules",
         "decide",
         "eval_expr",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .geometry import Box7DoF, _circles_meet, footprint_circles, iou3d, parse_box
+from .geometry import Box7DoF, _circles_meet, _is_number, footprint_circles, iou3d, parse_box
 from .jsonl import number, read_jsonl
 
 # numpy is imported inside the proposal-scoring functions, the only code here
@@ -77,6 +77,9 @@ class PseudoLabel2D:
         x1, y1, x2, y2 = self.bbox
         if not (x1 < x2 and y1 < y2):
             raise ValueError(f"degenerate bbox {self.bbox}")
+        for name in ("confidence", "sim_pos", "sim_neg"):
+            if not _is_number(getattr(self, name)):
+                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
         # reflect_filter would drop a label with a NaN similarity without a word

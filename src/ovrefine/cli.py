@@ -353,8 +353,19 @@ def cmd_solve_psl(config: RunConfig, x_conf: float, x_size: float, x_scene: floa
 def cmd_balance(config: RunConfig, labels_path: str) -> int:
     from . import balancers
 
-    records = balancers.load_pseudo_labels(labels_path)
+    params = dict(
+        delta_phi=config.sbc_delta_phi,
+        d_bound=config.sbc_d_bound,
+        phi_lo=config.sbc_phi_lo,
+        phi_hi=config.sbc_phi_hi,
+        max_iters=config.sbc_max_iters,
+    )
+    # bad options fail before any line is read; with no class, only the
+    # checks that need none run
+    balancers.reflect_filter([], config.phi_clip)
+    balancers.SbcState.uniform([], **params)
     kb = _load_kb(config)
+    records = balancers.load_pseudo_labels(labels_path)
     pool = [label for _, labels in records for label in labels]
     pool = balancers.reflect_filter(pool, config.phi_clip)
     classes = sorted({label.label for label in pool} & kb.novel_classes)
@@ -369,15 +380,7 @@ def cmd_balance(config: RunConfig, labels_path: str) -> int:
             for cls in phi_by_class
         }
 
-    state = balancers.SbcState.uniform(
-        classes,
-        config.sbc_phi_init,
-        delta_phi=config.sbc_delta_phi,
-        d_bound=config.sbc_d_bound,
-        phi_lo=config.sbc_phi_lo,
-        phi_hi=config.sbc_phi_hi,
-        max_iters=config.sbc_max_iters,
-    )
+    state = balancers.SbcState.uniform(classes, config.sbc_phi_init, **params)
     final, iterations = balancers.sbc_loop(source, state)
     print(f"converged after {iterations} iteration(s)")
     for cls in classes:
@@ -396,18 +399,19 @@ def cmd_balance(config: RunConfig, labels_path: str) -> int:
 def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
     from . import balancers
 
-    stream = balancers.load_loss_stream(losses_path)
-    if not stream:
-        raise ValueError("empty loss stream")
-    classes = sorted({cls for record in stream for cls in record})
-    state = balancers.DbcState.initial(
-        classes,
+    params = dict(
         update_interval=config.dbc_interval,
         k=config.dbc_k,
         delta_w=config.dbc_delta_w,
         w_lo=config.dbc_w_lo,
         w_hi=config.dbc_w_hi,
     )
+    balancers.DbcState.initial([], **params)  # bad options fail before any line is read
+    stream = balancers.load_loss_stream(losses_path)
+    if not stream:
+        raise ValueError("empty loss stream")
+    classes = sorted({cls for record in stream for cls in record})
+    state = balancers.DbcState.initial(classes, **params)
     trace = []
     for iteration, record in enumerate(stream, start=1):
         before = dict(state.w_by_class)

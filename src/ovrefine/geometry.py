@@ -41,6 +41,19 @@ def _wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number other than a bool.
+
+    ``numbers.Real`` admits numpy scalars; a bool is a Real but not a number
+    here. The exact types a JSON file gives are tested first, as the ABC
+    check is slow.
+    """
+    kind = type(value)
+    return kind is float or kind is int or (
+        kind is not bool and isinstance(value, numbers.Real)
+    )
+
+
 @dataclass(frozen=True)
 class Box7DoF:
     """A 3D oriented box: center, extents along local axes, heading.
@@ -76,17 +89,6 @@ class Box7DoF:
     def volume(self) -> float:
         return self.l * self.w * self.h
 
-    def bev_corners(self) -> list[tuple[float, float]]:
-        """Ground-plane footprint corners, counter-clockwise."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        hl, hw = self.l / 2.0, self.w / 2.0
-        return [
-            (self.cx + c * hl - s * hw, self.cy + s * hl + c * hw),
-            (self.cx - c * hl - s * hw, self.cy - s * hl + c * hw),
-            (self.cx - c * hl + s * hw, self.cy - s * hl - c * hw),
-            (self.cx + c * hl + s * hw, self.cy + s * hl - c * hw),
-        ]
-
 
 def parse_box(values, where: str) -> Box7DoF:
     """A box from a JSON ``box`` entry, which must be seven finite numbers.
@@ -113,8 +115,7 @@ class ScoredBox:
     class_id: int = 0
 
     def __post_init__(self) -> None:
-        # Real admits numpy scalars; a bool is a Real but not a score
-        if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
+        if not _is_number(self.score):
             raise TypeError(f"score must be a number, got {self.score!r}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +25,7 @@ from .commonsense import (
     constraint_vector,
     size_constraint,
 )
-from .geometry import Box7DoF, iou3d, parse_box
+from .geometry import Box7DoF, _is_number, iou3d, parse_box
 from .jsonl import ARRAY, expect, number, parse_line, read_lines
 from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
 from .psl import _decision_rules
@@ -60,14 +59,6 @@ __all__ = [
 ]
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a real number other than a bool."""
-    kind = type(value)
-    return kind is float or kind is int or (
-        kind is not bool and isinstance(value, numbers.Real)
-    )
-
-
 @dataclass(frozen=True)
 class Detection:
     """One detected object: box, class label, confidence, optional score vector."""
@@ -80,8 +71,6 @@ class Detection:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
             raise TypeError(f"label must be a string, got {type(self.label).__name__}")
-        # Real admits numpy scalars; a bool is a Real but not a score. The
-        # exact types a JSON file gives are tested first, as the ABC check is slow
         if not _is_number(self.score):
             raise TypeError(f"score must be a number, got {self.score!r}")
         if not 0.0 <= self.score <= 1.0:

@@ -14,13 +14,11 @@ Rules are built from the constructors `Var`, `Const`, `Not`, `And`, `Or` and
 A weighted rule set over the free variables ``y_keep`` and ``y_recls`` is a
 piecewise-linear function of the pair, so its exact maximum is found by
 propagating a cell complex (convex polygons, each carrying an affine
-function) through the expression trees and scanning cell vertices. A grid
-scanner (`brute_force_solve`) serves as an independent oracle.
+function) through the expression trees and scanning cell vertices. Only
+plain Python floats are used: the module imports no numpy.
 
 `eval_expr` is duck-typed over scalar number types: floats and Fractions
-both work, which the tests use for exact-arithmetic identity checks. Its
-builtin ``max``/``min`` reject numpy arrays; `_eval_array` is the numpy twin
-that the grid oracle uses.
+both work, which the tests use for exact-arithmetic identity checks.
 """
 
 from __future__ import annotations
@@ -30,10 +28,6 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
-
-# numpy is imported only by the grid oracle (`_eval_array`,
-# `brute_force_solve`), so that `solve` and the commands built on it start
-# without loading it
 
 __all__ = [
     "Const",
@@ -55,7 +49,6 @@ __all__ = [
     "SolverOutput",
     "solve",
     "solve_decisions",
-    "brute_force_solve",
     "Decision",
     "decide",
 ]
@@ -122,8 +115,9 @@ class UnboundVariableError(LookupError):
 def eval_expr(expr: SoftExpr, bindings: Mapping[str, float]):
     """Evaluate an expression under a full set of variable bindings.
 
-    Works for any number type supporting +, -, and comparison with 0/1
-    (floats, Fractions); the result lies in [0, 1].
+    Works for any scalar number type supporting +, -, and comparison with
+    0/1 (floats, Fractions); the result lies in [0, 1]. Its builtin
+    ``max``/``min`` reject numpy arrays.
     """
     if isinstance(expr, Const):
         return expr.value
@@ -141,59 +135,6 @@ def eval_expr(expr: SoftExpr, bindings: Mapping[str, float]):
         s = eval_expr(expr.left, bindings) + eval_expr(expr.right, bindings)
         return min(s, 1)
     raise TypeError(f"not a soft-logic expression: {expr!r}")
-
-
-def _eval_array(expr: SoftExpr, bindings: Mapping[str, object], cache=None, tag=None):
-    # numpy twin of eval_expr, used by the grid scanner; broadcasting keeps
-    # single-variable subtrees cheap when bindings are row/column vectors.
-    # `cache` (keyed by (expr, tag)) memoizes subtrees that mention free grid
-    # variables only, which are identical across rule sets that differ just
-    # in their bindings. No array is ever written in place, so cached grids
-    # are safe to share.
-    import numpy as np
-
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return bindings[expr.name]
-        except KeyError:
-            raise UnboundVariableError(expr.name) from None
-    if cache is not None and not _depends_on(expr, cache["bound"]):
-        key = (expr, tag)
-        hit = cache["grids"].get(key)
-        if hit is None:
-            hit = _eval_array(expr, bindings)
-            if len(cache["grids"]) >= _GRID_CACHE_CAP:
-                cache["grids"].clear()
-            cache["grids"][key] = hit
-        return hit
-    if isinstance(expr, Not):
-        value = _eval_array(expr.operand, bindings, cache, tag)
-        # keep scalars weakly typed so they do not promote array dtypes
-        return 1.0 - value if isinstance(value, np.ndarray) else 1.0 - float(value)
-    if isinstance(expr, (And, Or)):
-        left = _eval_array(expr.left, bindings, cache, tag)
-        s = left + _eval_array(expr.right, bindings, cache, tag)
-        if not isinstance(s, np.ndarray):
-            s = float(s)
-            return max(s - 1.0, 0.0) if isinstance(expr, And) else min(s, 1.0)
-        return np.maximum(s - 1.0, 0.0) if isinstance(expr, And) else np.minimum(s, 1.0)
-    raise TypeError(f"not a soft-logic expression: {expr!r}")
-
-
-_GRID_CACHE_CAP = 64
-_GRID_CACHE: dict = {}
-
-
-def _depends_on(expr, bound: frozenset) -> bool:
-    if isinstance(expr, Const):
-        return False
-    if isinstance(expr, Var):
-        return expr.name in bound
-    if isinstance(expr, Not):
-        return _depends_on(expr.operand, bound)
-    return _depends_on(expr.left, bound) or _depends_on(expr.right, bound)
 
 
 def _expr_vars(expr: SoftExpr, acc: set[str]) -> set[str]:
@@ -325,7 +266,9 @@ def build_decision_rules(
 # --------------------------------------------------------------------------
 # Exact solver
 
-_EPS = 1e-12
+# a clip keeps a vertex up to _EPS outside its halfplane, where a cell's affine
+# misses the rule's truth by up to _EPS per unit weight; clip points round ~1e-16
+_EPS = 1e-14
 # near-tie slack between vertex coordinates, and between vertex objectives per
 # unit of the largest rule weight (`_tie`): generous against float noise (~1e-15
 # here) yet far below any meaningful gap, so a rule whose weight is below about
@@ -632,48 +575,6 @@ def _pick(complex_, tie: float, scene: float, policy: SelectionPolicy) -> Solver
         chosen = min(pool, key=lambda p: (p[1], p[0]))
 
     return SolverOutput(chosen[0], chosen[1], best)
-
-
-def brute_force_solve(
-    ruleset: RuleSet, resolution: float, dtype="float64"
-) -> SolverOutput:
-    """Exhaustive grid scan over [0,1]^2 at the given step; test oracle.
-
-    Independent of `solve`: evaluates the weighted expression trees at
-    every point of the (y_keep, y_recls) grid and returns the best one.
-    """
-    import numpy as np
-
-    if not 0.0 < resolution <= 0.1:
-        raise ValueError(f"resolution must be in (0, 0.1], got {resolution}")
-    cache = {"bound": frozenset(ruleset.bindings), "grids": _GRID_CACHE}
-
-    def total(bindings, tag):
-        return sum(
-            (rule.weight * _eval_array(rule.expr, bindings, cache, tag) for rule in ruleset.rules),
-            0.0,
-        )
-
-    n = int(round(1.0 / resolution)) + 1
-    axis = np.linspace(0.0, 1.0, n, dtype=dtype)
-    dtype_key = np.dtype(dtype).str
-
-    # scanned in column strips so temporaries stay cache-resident
-    col = axis[:, None]
-    best, keep, recls = -float("inf"), 0.0, 0.0
-    strip = 128
-    for j0 in range(0, n, strip):
-        row = axis[None, j0 : j0 + strip]
-        tag = (n, dtype_key, j0)
-        values = total({**ruleset.bindings, KEEP_VAR: col, RECLS_VAR: row}, tag)
-        values = np.broadcast_to(values, (n, row.shape[1]))
-        m = float(values.max())
-        if m > best:
-            best = m
-            flat = int(values.argmax())
-            keep = float(axis[flat // row.shape[1]])
-            recls = float(axis[j0 + flat % row.shape[1]])
-    return SolverOutput(keep, recls, best)
 
 
 # --------------------------------------------------------------------------

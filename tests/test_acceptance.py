@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import library_scene, living_room_scene
+from psl_reference import brute_force_solve
 from ovrefine.balancers import DbcState, SbcState, dbc_accumulate, sbc_loop, sbc_step
 from ovrefine.cli import main as cli_main
 from ovrefine.commonsense import (
@@ -41,7 +42,6 @@ from ovrefine.psl import (
     Or,
     SelectionPolicy,
     Var,
-    brute_force_solve,
     build_decision_rules,
     eval_expr,
     implies,

@@ -79,6 +79,18 @@ class TestReflectFilter:
             PseudoLabel2D(bbox, cls, 0.5, *sims)
         assert str(err.value).startswith(message)
 
+    @pytest.mark.parametrize("field", ["confidence", "sim_pos", "sim_neg"])
+    @pytest.mark.parametrize("bad", [True, "0.9"], ids=["bool", "str"])
+    def test_number_fields_refuse_bools_and_strings(self, field, bad):
+        values = {"confidence": 0.5, "sim_pos": 0.0, "sim_neg": 0.0, field: bad}
+        with pytest.raises(TypeError) as err:
+            PseudoLabel2D((0, 0, 1, 1), "chair", **values)
+        assert str(err.value) == f"{field} must be a number, got {bad!r}"
+
+    def test_number_fields_take_numpy_scalars(self):
+        label = PseudoLabel2D((0, 0, 1, 1), "chair", np.float32(0.5), np.float64(1.0), 0)
+        assert label.confidence == 0.5
+
     def test_bbox_list_stored_as_tuple(self):
         assert PseudoLabel2D([0, 0, 1, 1], "chair", 0.5, 0.0, 0.0).bbox == (0, 0, 1, 1)
 

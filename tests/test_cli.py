@@ -540,6 +540,30 @@ class TestBalance:
             "", f"input error: {config}: sbc_max_iters must be at least 1, got 0\n"
         )
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"phi_clip": 2.0}, "phi_clip must be in [0, 1], got 2.0"),
+            ({"sbc_delta_phi": 0.0}, "delta_phi must be positive and finite, got 0.0"),
+            ({"sbc_phi_lo": 0.95}, "phi_lo 0.95 exceeds phi_hi 0.9"),
+        ],
+        ids=["phi_clip", "delta_phi", "phi_lo-above-phi_hi"],
+    )
+    def test_bad_option_is_reported_before_the_file_is_read(
+        self, tmp_path, capsys, options, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        missing = tmp_path / "missing.jsonl"
+        assert main(["balance", "--labels", str(missing), "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    def test_missing_kb_is_reported_before_the_file_is_read(self, tmp_path, capsys):
+        missing, kb = tmp_path / "missing.jsonl", tmp_path / "kb.json"
+        assert main(["balance", "--labels", str(missing), "--kb", str(kb)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"input error: [Errno 2] No such file or directory: {str(kb)!r}\n"
+
     def test_no_novel_labels(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text(json.dumps({"image_id": "i", "labels": []}) + "\n")
@@ -589,6 +613,23 @@ class TestDbcSim:
         path = tmp_path / "losses.jsonl"
         path.write_text(json.dumps({"A": 5.0, "B": 1.0, "C": 3.0}) + "\n")
         assert main(["dbc-sim", "--losses", str(path), flag, value]) == 1
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"dbc_w_lo": 2.0}, "w_lo 2.0 exceeds w_hi 1.5"),
+            ({"dbc_delta_w": 0.0}, "delta_w must be positive and finite, got 0.0"),
+        ],
+        ids=["w_lo-above-w_hi", "delta_w"],
+    )
+    def test_bad_option_is_reported_before_the_file_is_read(
+        self, tmp_path, capsys, options, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        missing = tmp_path / "missing.jsonl"
+        assert main(["dbc-sim", "--losses", str(missing), "--config", str(config)]) == 1
         assert capsys.readouterr() == ("", f"input error: {message}\n")
 
     def test_trace_file(self, tmp_path):

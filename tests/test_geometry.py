@@ -152,6 +152,18 @@ class TestIou3d:
             assert abs(exact - estimate) <= 5e-3
 
 
+def bev_corners(box):
+    """Ground-plane footprint corners of ``box``, counter-clockwise."""
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    hl, hw = box.l / 2.0, box.w / 2.0
+    return [
+        (box.cx + c * hl - s * hw, box.cy + s * hl + c * hw),
+        (box.cx - c * hl - s * hw, box.cy - s * hl + c * hw),
+        (box.cx - c * hl + s * hw, box.cy - s * hl - c * hw),
+        (box.cx + c * hl + s * hw, box.cy + s * hl - c * hw),
+    ]
+
+
 def _edge_intersection(p, q, a, b):
     # Intersection of lines (p, q) and (a, b); callers guarantee they cross.
     x1, y1 = p
@@ -200,7 +212,7 @@ def polygon_clip_iou3d(a, b):
     dz = min(a.cz + a.h / 2.0, b.cz + b.h / 2.0) - max(a.cz - a.h / 2.0, b.cz - b.h / 2.0)
     if dz <= 0.0:
         return 0.0
-    overlap = _clip_polygon(a.bev_corners(), b.bev_corners())
+    overlap = _clip_polygon(bev_corners(a), bev_corners(b))
     if len(overlap) < 3:
         return 0.0
     inter = _polygon_area(overlap) * dz
@@ -252,7 +264,7 @@ def footprint_gap(a, b):
     minus the least depth of their overlap along those normals.
     """
     gap = -math.inf
-    pa, pb = a.bev_corners(), b.bev_corners()
+    pa, pb = bev_corners(a), bev_corners(b)
     for theta in (a.theta, b.theta):
         c, s = math.cos(theta), math.sin(theta)
         for nx, ny in ((c, s), (-s, c)):

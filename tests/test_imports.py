@@ -34,8 +34,8 @@ EXPORTED = {
     ],
     "psl": [
         "And", "Const", "ConstraintVector", "Decision", "Not", "Or", "RuleSet",
-        "SelectionPolicy", "SolverOutput", "Var", "brute_force_solve", "build_decision_rules",
-        "decide", "eval_expr", "implies", "solve", "solve_decisions",
+        "SelectionPolicy", "SolverOutput", "Var", "build_decision_rules", "decide",
+        "eval_expr", "implies", "solve", "solve_decisions",
     ],
 }
 HOMES = [(module, name) for module, names in EXPORTED.items() for name in names]
@@ -180,6 +180,31 @@ class TestWhatEachCommandLoads:
         assert "ovrefine.pipeline" in loaded
         # processes serves only the commands that start worker processes
         assert not loaded & {"ovrefine.balancers", "concurrent.futures", "ovrefine.processes"}
+
+
+# solves with every solver entry point of ovrefine.psl, then checks what it loaded
+PSL_SCRIPT = """
+import sys
+import ovrefine
+from ovrefine import psl
+
+rules = psl.build_decision_rules(psl.ConstraintVector(0.9, 0.5419, 1.0))
+solution = psl.solve(rules)
+(same,) = psl.solve_decisions([(0.9, 0.5419, 1.0)])
+assert same == solution
+assert psl.decide(solution, 0.01, 0.2) is psl.Decision.RECLASSIFY
+assert "numpy" not in sys.modules
+assert not hasattr(psl, "brute_force_solve")
+assert not hasattr(ovrefine, "brute_force_solve")
+"""
+
+
+def test_psl_solves_without_numpy_and_ships_no_grid_scanner():
+    # the grid oracle lives in the tests, in psl_reference
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", PSL_SCRIPT], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 # records the ovrefine modules loaded when baol asks for its worker processes

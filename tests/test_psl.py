@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ovrefine import psl
@@ -21,7 +21,6 @@ from ovrefine.psl import (
     RuleSet,
     SelectionPolicy,
     Var,
-    brute_force_solve,
     build_decision_rules,
     decide,
     eval_expr,
@@ -31,6 +30,7 @@ from ovrefine.psl import (
     UnboundVariableError,
 )
 from ovrefine.pipeline import RefinementConfig
+from psl_reference import brute_force_solve
 
 
 def paper_rules():
@@ -285,6 +285,14 @@ class TestWhatTheRulesDecide:
         x=st.tuples(*[st.floats(0.0, 1.0)] * 3),
         weights=st.tuples(*[st.floats(0.0, 10.0)] * 3),
         policy=st.sampled_from(list(SelectionPolicy)),
+    )
+    # conf below the clip tolerance: at a tolerance of 1e-12 the cell x >= conf
+    # kept the vertex (0, 0), where rule 3 read 1 + conf, so the objective was
+    # 3 + 1.3e-12
+    @example(
+        x=(4.413853081208735e-13, 0.0, 0.0),
+        weights=(0.0, 0.0, 3.0),
+        policy=SelectionPolicy.MAX_KEEP_MIN_RECLS,
     )
     def test_objective_is_the_weight_sum(self, x, weights, policy):
         out = solve(build_decision_rules(ConstraintVector(*x), weights), policy)
