@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -286,20 +287,8 @@ def _refine_in_chunks(config: RunConfig, provider, workers: int) -> list[dict[st
 
 
 def _chunks(lines: typing.Iterator, size: int) -> typing.Iterator[list]:
-    """``lines`` in lists of ``size``, the last one shorter. An error in
-    reading a line is raised once the lines before it have been given."""
-    chunk = []
-    try:
-        for line in lines:
-            chunk.append(line)
-            if len(chunk) == size:
-                yield chunk
-                chunk = []
-    except Exception:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
+    """``lines`` in lists of ``size``, the last one shorter."""
+    while chunk := list(itertools.islice(lines, size)):
         yield chunk
 
 

@@ -317,26 +317,35 @@ class LlmClient:
         )
 
 
+# each unit a size reply may name, in meters
+_UNIT_SCALE = {
+    "m": 1.0, "meter": 1.0, "meters": 1.0,
+    "cm": 0.01, "centimeter": 0.01, "centimeters": 0.01,
+    "mm": 0.001, "millimeter": 0.001, "millimeters": 0.001,
+    "inch": 0.0254, "inches": 0.0254,
+    "ft": 0.3048, "foot": 0.3048, "feet": 0.3048,
+}
+
 _TRIPLE_RE = re.compile(
     r"(\d+(?:\.\d+)?)\s*\*\s*(\d+(?:\.\d+)?)\s*\*\s*(\d+(?:\.\d+)?)"
-    r"\s*(centimeters?|millimeters?|meters?|cm|mm|m)?\b",
+    # "in" counts only before a unit, so "2*1*0.5 in a bedroom" is in meters;
+    # the unit matches ASCII case only, so that its lower case is a key
+    rf"(?:\s*(?:in\s+)?(?a:({'|'.join(sorted(_UNIT_SCALE, key=len, reverse=True))})))?\b",
     re.IGNORECASE,
 )
-
-_UNIT_SCALE = {"m": 1.0, "meter": 1.0, "cm": 0.01, "centimeter": 0.01, "mm": 0.001, "millimeter": 0.001}
 
 
 def parse_size_reply(text: str) -> SizePrior | None:
     """Extract the first ``number*number*number`` triple from a reply.
 
-    Dimensions are interpreted in meters unless a cm/mm suffix follows the
-    triple. Returns None when no well-formed triple is present.
+    Dimensions are interpreted in meters unless a unit of ``_UNIT_SCALE``
+    follows the triple, directly or after "in". Returns None when no
+    well-formed triple is present.
     """
     match = _TRIPLE_RE.search(text)
     if match is None:
         return None
-    unit = (match.group(4) or "m").lower().rstrip("s")
-    scale = _UNIT_SCALE.get(unit, 1.0)
+    scale = _UNIT_SCALE[(match.group(4) or "m").lower()]
     dims = [float(g) * scale for g in match.groups()[:3]]
     # a digit run past float range parses as inf, which no SizePrior accepts
     if not all(0 < d < math.inf for d in dims):
@@ -349,13 +358,16 @@ _NO_WORDS = {"no", "nope", "never"}
 
 
 def parse_yes_no(text: str) -> int | None:
-    """1 for an affirmative-leading reply, 0 for negative-leading, else None."""
-    match = re.search(r"[A-Za-z]+", text)
+    """1 for an affirmative-leading reply, 0 for negative-leading, else None.
+
+    An affirmative word followed by "not", as in "Absolutely not.", is negative.
+    """
+    match = re.search(r"([A-Za-z]+)(\s+(?i:not)\b)?", text)
     if match is None:
         return None
-    word = match.group().lower()
+    word = match.group(1).lower()
     if word in _YES_WORDS:
-        return 1
+        return 0 if match.group(2) else 1
     if word in _NO_WORDS:
         return 0
     return None
@@ -430,13 +442,16 @@ class RemoteKnowledgeProvider:
     def judge(
         self, candidates: Sequence[str], scene_type: str, cases: Sequence[str]
     ) -> str | None:
-        """The candidate the model names, the longest one when it names
-        several; None when the request fails or the reply names none."""
+        """The candidate the model names as a whole word, the longest one
+        when it names several; None when the request fails or the reply
+        names none ("cabinet" does not name "bin")."""
 
         def named(reply: str) -> str | None:
             reply = reply.lower()
-            longest_first = sorted(candidates, key=len, reverse=True)
-            return next((label for label in longest_first if label.lower() in reply), None)
+            for label in sorted(candidates, key=len, reverse=True):
+                if re.search(rf"(?<!\w){re.escape(label.lower())}(?!\w)", reply):
+                    return label
+            return None
 
         return self._ask(judge_prompt(candidates, scene_type, cases), named)
 

@@ -13,17 +13,12 @@ ARRAY = (list, tuple)
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """``(line number, text)`` of each non-blank line of ``path``, numbered from 1.
 
-    A line that is not UTF-8 raises ``ValueError`` prefixed ``path:line:``.
+    A byte that is not UTF-8 stays in its line, for ``parse_line`` to reject.
     """
     # a strict decoder fails on a whole 8 KiB read, which names no line; this
     # one keeps each undecodable byte as a lone surrogate, for its line to find
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
             if line.strip():
                 yield lineno, line
 
@@ -31,11 +26,15 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
 def parse_line(path, lineno: int, line: str, parse: Callable[[dict], T]) -> T:
     """``parse`` of line ``lineno`` of ``path``, whose text is ``line``, a JSON object.
 
-    A line that is not a JSON object, that nests too deeply for the decoder,
-    or whose object ``parse`` rejects with a ``ValueError``, ``TypeError`` or
-    ``KeyError``, raises ``ValueError`` prefixed ``path:line:``.
+    A line that is not UTF-8 (as ``read_lines`` reads it), that is not a JSON
+    object, that nests too deeply for the decoder, or whose object ``parse``
+    rejects with a ``ValueError``, ``TypeError`` or ``KeyError``, raises
+    ``ValueError`` prefixed ``path:line:``.
     """
     try:
+        if not line.isascii():
+            # a UnicodeDecodeError is a ValueError
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
         data = json.loads(line)
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")

@@ -23,6 +23,7 @@ from .commonsense import (
     SceneContext,
     SizeConstraintConfig,
     constraint_vector,
+    scene_constraint,
     size_constraint,
 )
 from .geometry import Box7DoF, _is_number, iou3d, parse_box
@@ -199,7 +200,7 @@ def debate(
             fit = size_constraint(detection.box, provider.size_prior(label), cfg.size)
         except LookupError:
             fit = 0.0  # cannot vouch for a class without a size prior
-        scene_fit = provider.scene_compatible(label, scene.scene_type)
+        scene_fit = scene_constraint(label, scene.scene_type, provider)
         strengths[label] = fit * scene_fit * class_scores[label]
         cases.append(
             f"size fit {fit:.4f}, scene fit {scene_fit}, "

@@ -42,6 +42,25 @@ def case_study_scenes():
     return [living_room_scene(), library_scene()]
 
 
+# what the commands report when reading their input file fails
+READ_ERROR = "input error: [Errno 5] Input/output error\n"
+
+
+def fail_reading_after(monkeypatch, last):
+    """Make the commands' file reader fail with an I/O error, as ``READ_ERROR``
+    reports it, in reading the line after line ``last``."""
+    from ovrefine import cli
+    from ovrefine.jsonl import read_lines
+
+    def lines(path):
+        for lineno, line in read_lines(path):
+            if lineno > last:
+                raise OSError(5, "Input/output error")
+            yield lineno, line
+
+    monkeypatch.setattr(cli, "read_lines", lines)
+
+
 @pytest.fixture
 def kb():
     return default_knowledge_base()

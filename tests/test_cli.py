@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import case_study_scenes
+from conftest import READ_ERROR, case_study_scenes, fail_reading_after
 from ovrefine.cli import RunConfig, _build_parser, main
 from ovrefine.pipeline import (
     Detection,
@@ -877,6 +877,35 @@ class TestBaol:
             assert not multiprocessing.active_children()
         assert errors[0].err.startswith(f"input error: {path}:2: Expecting property name")
         assert errors[0] == errors[1] == errors[2]
+
+    @pytest.mark.parametrize(
+        "bad_at, read_fails_after, reported",
+        [(None, 1, "read"), (None, 4, "read"), (1, 1, "bad"), (2, 4, "bad")],
+        ids=["within-the-first-workers-lines", "after-them", "bad-line-before-within",
+             "bad-line-before-after"],
+    )
+    def test_read_error_mid_file(
+        self, tmp_path, capsys, monkeypatch, bad_at, read_fails_after, reported
+    ):
+        scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
+        lines = [json.dumps(scene)] * 6
+        if bad_at is not None:
+            lines[bad_at - 1] = "{not json"
+        path = tmp_path / "proposals.jsonl"
+        write_lines(path, *lines)
+        fail_reading_after(monkeypatch, read_fails_after)
+        errors = []
+        for workers in ("1", "2", "3"):
+            argv = ["baol", "--proposals", str(path), "--lambda-baol", "1", "--workers", workers]
+            assert main(argv) == 1
+            errors.append(capsys.readouterr())
+            assert not multiprocessing.active_children()
+        assert errors[0].out == ""
+        if reported == "read":
+            assert errors[0].err == READ_ERROR
+        else:
+            assert errors[0].err.startswith(f"input error: {path}:{bad_at}: Expecting property name")
+        assert errors == [errors[0]] * 3
 
     def test_config_error_is_the_same_at_any_worker_count(self, tmp_path, capsys):
         proposals = tmp_path / "proposals.jsonl"

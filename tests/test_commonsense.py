@@ -249,6 +249,38 @@ class TestReplyParsing:
         assert parse_yes_no("No, that would be unusual.") == 0
         assert parse_yes_no("Perhaps.") is None
 
+    @pytest.mark.parametrize(
+        "reply, meters",
+        [
+            ("About 80*60*30 inches", (2.032, 1.524, 0.762)),
+            ("6*3*2.5 ft", (1.8288, 0.9144, 0.762)),
+            ("120*60*75 in centimeters", (1.2, 0.6, 0.75)),
+            # unchanged: meters after "in", centimeters, no unit, and "in" before no unit
+            ("1.9*0.9*0.5 in meters", (1.9, 0.9, 0.5)),
+            ("120*60*75 cm", (1.2, 0.6, 0.75)),
+            ("2*1*0.5", (2.0, 1.0, 0.5)),
+            ("2*1*0.5 in a bedroom", (2.0, 1.0, 0.5)),
+        ],
+    )
+    def test_size_units(self, reply, meters):
+        got = parse_size_reply(reply)
+        dims = (got.length, got.width, got.height)
+        assert all(map(math.isclose, dims, meters)), dims
+
+    @pytest.mark.parametrize(
+        "reply, verdict",
+        [
+            ("Absolutely not.", 0),
+            ("Certainly not", 0),
+            ("Definitely not, it belongs in a bathroom.", 0),
+            ("Yes, but not in every home.", 1),
+            ("Yes.", 1),
+            ("No.", 0),
+        ],
+    )
+    def test_affirmative_word_then_not_is_no(self, reply, verdict):
+        assert parse_yes_no(reply) == verdict
+
 
 class StubTransport:
     """Canned-reply transport; records payloads, can fail first N calls."""
@@ -660,6 +692,19 @@ class TestRemoteProvider:
         assert [call["prompt"] for call in transport.calls] == [
             judge_prompt(candidates, "library", cases)
         ]
+
+    @pytest.mark.parametrize(
+        "candidates, reply, winner",
+        [
+            (("bin", "stool"), "It is a cabinet.", None),
+            (("book", "stool"), "A bookshelf.", None),
+            (("table", "coffee table"), "It is a coffee table.", "coffee table"),
+        ],
+        ids=["bin-in-cabinet", "book-in-bookshelf", "coffee-table"],
+    )
+    def test_judge_takes_a_candidate_named_as_a_whole_word(self, candidates, reply, winner):
+        provider = make_provider(StubTransport({"Debaters argue": reply}))
+        assert provider.judge(candidates, "library", ("a",) * len(candidates)) == winner
 
     def test_judge_prompt_template(self):
         assert judge_prompt(("book", "stool"), "library", ("fits", "does not fit")) == (

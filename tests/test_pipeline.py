@@ -171,6 +171,16 @@ class TestDebate:
         b = debate(det, SceneContext("library"), provider)
         assert a == b
 
+    def test_scene_verdict_is_checked_as_in_assembly(self, kb):
+        det = library_scene().detections[0]
+
+        class HalfSure(StaticKnowledgeProvider):
+            def scene_compatible(self, label, scene_type):
+                return 0.5 if label != det.label else super().scene_compatible(label, scene_type)
+
+        with pytest.raises(ValueError, match="^provider returned non-binary scene verdict 0.5$"):
+            debate(det, SceneContext("library"), HalfSure(kb))
+
     @staticmethod
     def remote_provider(kb, reply):
         from ovrefine.commonsense import LlmClient, RemoteKnowledgeProvider

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import READ_ERROR, fail_reading_after
 from ovrefine import cli, pipeline
 from ovrefine.commonsense import (
     LlmClient,
@@ -265,6 +266,39 @@ class RefineErrors:
             code, output, out, log = refine(path, workers)
             assert (code, output.out, out, log) == (1, "", None, None)
             assert output.err.startswith(expected)
+
+    @pytest.mark.parametrize(
+        "bad_at, read_fails_after, reported",
+        [
+            (None, CHUNK // 2, "read"),
+            (None, 3 * CHUNK + 20, "read"),
+            (CHUNK + 5, 3 * CHUNK + 20, "bad"),
+            # the failing read stops its chunk before any of its lines is parsed
+            (3 * CHUNK + 5, 3 * CHUNK + 20, "read"),
+        ],
+        ids=["in-the-first-chunk", "after-the-processes-start", "bad-line-in-an-earlier-chunk",
+             "bad-line-earlier-in-its-chunk"],
+    )
+    def test_read_error_mid_file(
+        self, scenes, tmp_path, refine, monkeypatch, bad_at, read_fails_after, reported
+    ):
+        lines = detection_lines(scenes, 5 * CHUNK)
+        if bad_at is not None:
+            lines[bad_at - 1] = "{not json"
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, lines)
+        fail_reading_after(monkeypatch, read_fails_after)
+        errors = []
+        for workers in WORKER_COUNTS:
+            # the chunks before the failing read's are refined first
+            code, output, out, log = refine(path, workers, refined_first=read_fails_after >= CHUNK)
+            assert (code, output.out, out, log) == (1, "", None, None)
+            errors.append(output.err)
+        if reported == "read":
+            assert errors[0] == READ_ERROR
+        else:
+            assert errors[0].startswith(f"input error: {path}:{bad_at}: Expecting property name")
+        assert errors == [errors[0]] * len(WORKER_COUNTS)
 
     @pytest.mark.parametrize("scenes_in_file", [0, 3 * CHUNK], ids=["empty", "three-chunks"])
     def test_refinement_options_are_checked_before_the_file(
