@@ -215,7 +215,7 @@ def cmd_refine(config: RunConfig) -> int:
     _require(config, "detections", "out")
     config.refinement()  # bad options fail before any line is read
     provider = _make_provider(config)
-    totals = _refine_in_chunks(config, provider, _workers(config))
+    totals = _refine_in_chunks(config, provider)
     kept, removed, reclassified = (
         sum(counts[decision] for counts in totals) for decision in ("keep", "remove", "reclassify")
     )
@@ -245,12 +245,15 @@ class _Chunk(typing.NamedTuple):
 _CHUNK_SCENES = 32
 
 
-def _refine_in_chunks(config: RunConfig, provider, workers: int) -> list[dict[str, int]]:
-    """Refine on ``workers`` processes, each parsing, refining and formatting
-    chunks of ``_CHUNK_SCENES`` lines of the file; one worker runs the chunks
-    in this process. A remote provider refines them on ``2 * workers``
-    threads in this process instead, so that its answer cache, each-query-once
-    rule and bound on requests in flight hold for the whole run.
+def _refine_in_chunks(config: RunConfig, provider) -> list[dict[str, int]]:
+    """Refine on ``--workers`` processes, each parsing, refining and
+    formatting chunks of ``_CHUNK_SCENES`` lines of the file; one worker runs
+    the chunks in this process. A remote provider refines them on
+    ``2 * llm_max_in_flight`` threads in this process instead, whatever
+    ``--workers`` is, so that its answer cache, each-query-once rule and
+    bound on requests in flight hold for the whole run, and while a full
+    window of threads waits on replies, as many again parse, solve and
+    format.
 
     This process reads the lines, checks the scene ids for repeats in file
     order, and writes both files once every chunk has succeeded. It raises
@@ -259,12 +262,12 @@ def _refine_in_chunks(config: RunConfig, provider, workers: int) -> list[dict[st
     """
     from . import pipeline, processes
 
-    pool = None  # worker processes
+    pool, workers = None, _workers(config)  # worker processes
     if config.llm == "remote":
         # imported here, not with the module, so that static refine does not load it
         from concurrent.futures import ThreadPoolExecutor
 
-        pool, workers = ThreadPoolExecutor, 2 * workers
+        pool, workers = ThreadPoolExecutor, 2 * config.llm_max_in_flight
     path = config.detections
     jobs = ((config, provider, lines) for lines in _chunks(read_lines(path), _CHUNK_SCENES))
     first_line: dict[str, int] = {}
@@ -481,8 +484,16 @@ def cmd_eval(config: RunConfig) -> int:
     from . import pipeline
 
     _require(config, "detections", "gt")
-    predictions = pipeline.load_scenes(config.detections)
+    lines: dict[str, int] = {}
+    predictions = pipeline.load_scenes(config.detections, lines)
     ground_truth = pipeline.load_scenes(config.gt)
+    known = {record.scene_id for record in ground_truth}
+    for record in predictions:
+        if record.scene_id not in known:
+            raise ValueError(
+                f"{config.detections}:{lines[record.scene_id]}: scene_id {record.scene_id!r} "
+                f"is not in the ground truth {config.gt}"
+            )
     report = pipeline.eval_ap25(predictions, ground_truth)
     for label in sorted(report.per_class):
         print(f"AP[{label}] = {report.per_class[label]:.4f}")
@@ -549,8 +560,8 @@ _ARGUMENTS = {
         "type": int,
         "metavar": "N",
         "help": "N worker processes (default: cores); refine with the remote LLM runs its "
-        "chunks of scenes on 2N threads in one process instead; outputs are byte-identical "
-        "for any N",
+        "chunks of scenes on 2 x llm_max_in_flight threads in one process instead, at any N; "
+        "outputs are byte-identical for any N",
     },
     "--seed": {"type": int},
     "--llm": {"choices": _LLM_MODES},

@@ -28,6 +28,11 @@ __all__ = [
 _REACH_SCALE = 1.0 + 1e-9
 _REACH_PAD = 1e-9
 
+# The largest magnitude, in meters, of a box's centre coordinates and
+# extents: far beyond any scene, ten times inside the range where the broad
+# phase of ``iou3d`` is exact, and far from where its volumes overflow
+_MAX_METERS = 1e5
+
 # Rows of a class's pair matrix that ``soft_nms`` tests at once, so that its
 # temporaries hold at most this many rows times the class size
 _NEIGHBOUR_BLOCK_ROWS = 256
@@ -60,8 +65,8 @@ class Box7DoF:
 
     Lengths are meters; ``theta`` is the rotation of the length axis about
     the vertical axis, normalized to [-pi, pi) at construction. All seven
-    fields must be finite numbers (not bools) and the extents strictly
-    positive.
+    fields must be finite numbers (not bools), the first six at most 1e5 in
+    magnitude, and the extents strictly positive.
     """
 
     cx: float
@@ -77,13 +82,19 @@ class Box7DoF:
         # a JSON true or false would pass as 1 or 0
         if bool in map(type, values):
             raise TypeError(f"box fields must be numbers, got {values}")
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"box fields must be finite, got {values}")
-        if self.l <= 0.0 or self.w <= 0.0 or self.h <= 0.0:
+        cx, cy, cz, l, w, h, theta = values
+        # a NaN fails every comparison; the chain is as fast as a finiteness test
+        m = _MAX_METERS
+        if not (
+            -m <= cx <= m and -m <= cy <= m and -m <= cz <= m
+            and -m <= l <= m and -m <= w <= m and -m <= h <= m and math.isfinite(theta)
+        ):
             raise ValueError(
-                f"box extents must be positive, got ({self.l}, {self.w}, {self.h})"
+                f"box fields must be finite, and cx to h at most 1e5 m in magnitude, got {values}"
             )
-        object.__setattr__(self, "theta", _wrap_angle(self.theta))
+        if l <= 0.0 or w <= 0.0 or h <= 0.0:
+            raise ValueError(f"box extents must be positive, got ({l}, {w}, {h})")
+        object.__setattr__(self, "theta", _wrap_angle(theta))
 
     @property
     def volume(self) -> float:
@@ -237,7 +248,8 @@ def iou3d(a: Box7DoF, b: Box7DoF) -> float:
     fraction in [0, 1] of its edge, within a few ulps of the coordinates,
     far inside the margin; so some pass keeps no corner, and the clip gives
     0.0 too. This holds while the coordinates are well below 1e6 m, where a
-    few ulps stay under the 1e-9 m margin.
+    few ulps stay under the 1e-9 m margin; ``Box7DoF`` keeps them within
+    1e5 m, where no volume overflows either, so the result is never NaN.
     """
     z_lo = max(a.cz - a.h / 2.0, b.cz - b.h / 2.0)
     z_hi = min(a.cz + a.h / 2.0, b.cz + b.h / 2.0)

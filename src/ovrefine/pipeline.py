@@ -570,13 +570,15 @@ def check_scene_id(first_line: dict[str, int], scene_id: str, path, lineno: int)
         raise ValueError(f"{path}:{lineno}: scene_id {scene_id!r} already appears on line {first}")
 
 
-def load_scenes(path) -> list[SceneRecord]:
+def load_scenes(path, first_line: dict[str, int] | None = None) -> list[SceneRecord]:
     """Read scene records; missing scores (ground-truth files) default to 1.
 
     A ``scene_id`` may appear on one line only: `eval_ap25` matches
     predictions to ground truth by id, and would pool two scenes' boxes.
+    ``first_line``, if given, receives the line number of each scene id.
     """
-    first_line: dict[str, int] = {}
+    if first_line is None:
+        first_line = {}
     records = []
     for lineno, line in read_lines(path):
         record = parse_line(path, lineno, line, scene_record)

@@ -1,15 +1,23 @@
-"""The grid oracle for the soft-logic solver: an exhaustive numpy scan of the
-(y_keep, y_recls) square, independent of `ovrefine.psl.solve`'s cell complex.
+"""Oracles for the soft-logic solver, independent of `ovrefine.psl.solve`'s
+cell complex: an exhaustive numpy scan of the (y_keep, y_recls) square, and
+the decision program's optimal corner in exact arithmetic.
 
 `_eval_array` is the numpy twin of `ovrefine.psl.eval_expr`, whose builtin
 ``max``/``min`` reject arrays. `brute_force_solve` evaluates the weighted
 expression trees with it at every grid point and returns the best one;
 `_GRID_CACHE` keeps the subtrees over the grid variables alone, which every
 rule set of one shape shares, so that a thousand scans at 1e-3 stay quick.
+
+`exact_solution` needs no search: the three decision rules always hold
+together, so the optimum is the weight sum, and each policy picks a known
+corner of the polygon where every rule of positive weight holds (Bach et
+al., "Hinge-Loss Markov Random Fields and Probabilistic Soft Logic", JMLR
+2017, for MAP inference over such rules as a linear program).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 from ovrefine.psl import (
@@ -20,6 +28,7 @@ from ovrefine.psl import (
     Not,
     Or,
     RuleSet,
+    SelectionPolicy,
     SoftExpr,
     SolverOutput,
     UnboundVariableError,
@@ -120,3 +129,34 @@ def brute_force_solve(
             keep = float(axis[flat // row.shape[1]])
             recls = float(axis[j0 + flat % row.shape[1]])
     return SolverOutput(keep, recls, best)
+
+
+def exact_solution(
+    x: tuple[float, float, float],
+    weights: tuple[float, float, float],
+    policy: SelectionPolicy,
+) -> tuple[Fraction, Fraction, Fraction]:
+    """The policy's optimal ``(y_keep, y_recls, objective)`` of the decision
+    rules at constraints ``x = (conf, size, scene)``, in exact ``Fraction``s.
+
+    With ``k = y_keep``, ``r = y_recls``, ``a = max(conf+size+scene-2, 0)``
+    and ``b = max(conf - max(size+scene-1, 0), 0)``, rule 1 has truth 1
+    where ``k - r >= a``, rule 2 where ``r >= k + b - 1`` and rule 3 where
+    ``k <= conf``. Since ``a <= conf`` and ``a + b <= 1`` the three always
+    meet, so the optimum is ``w1 + w2 + w3``. Max-keep takes ``k = conf``
+    (1 if ``w3`` is 0), min-keep ``k = a`` (0 if ``w1`` is 0), and
+    scene-conservative min-keep at ``scene == 0``, else max-keep; then
+    ``r = max(k + b - 1, 0)``, or 0 if ``w2`` is 0.
+    """
+    conf, size, scene = map(Fraction, x)
+    w1, w2, w3 = map(Fraction, weights)
+    a = max(conf + size + scene - 2, 0)
+    b = max(conf - max(size + scene - 1, 0), 0)
+    if policy is SelectionPolicy.SCENE_CONSERVATIVE:
+        policy = SelectionPolicy.MIN_KEEP if scene == 0 else SelectionPolicy.MAX_KEEP_MIN_RECLS
+    if policy is SelectionPolicy.MAX_KEEP_MIN_RECLS:
+        keep = conf if w3 else Fraction(1)
+    else:
+        keep = Fraction(a) if w1 else Fraction(0)
+    recls = Fraction(max(keep + b - 1, 0)) if w2 else Fraction(0)
+    return keep, recls, w1 + w2 + w3

@@ -1007,6 +1007,58 @@ class TestEval:
         assert out == ""
         assert err == f'input error: {det}:1: score must be a number, got "0.9"\n'
 
+    def test_unknown_scene_names_file_and_line(self, tmp_path, capsys):
+        # it used to name the ids alone: "predictions reference unknown scenes: ['s1']"
+        box = [0, 0, 0.5, 1, 1, 1, 0]
+        lamp = {"box": box, "label": "lamp", "score": 0.9}
+        gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
+        scene = {"scene_id": "s0", "scene_type": "office", "detections": [lamp]}
+        write_lines(gt, json.dumps(scene))
+        write_lines(
+            det,
+            json.dumps(scene),
+            "",
+            *(json.dumps({**scene, "scene_id": scene_id}) for scene_id in ("s1", "s2")),
+        )
+        assert main(["eval", "--detections", str(det), "--gt", str(gt)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {det}:3: scene_id 's1' is not in the ground truth {gt}\n"
+
+
+@pytest.mark.parametrize("field", range(6))
+@pytest.mark.parametrize("command", ["refine", "eval", "baol"])
+def test_box_beyond_1e5_m_names_file_and_line(tmp_path, capsys, command, field):
+    # an extent of 1e150 made a volume of 1e450 overflow, and iou3d return NaN:
+    # eval printed AP 0 and exited 0, baol named no file
+    box = [1.0] * 6 + [0.0]
+    box[field] = 1e150 if field >= 3 else -1.5e5
+    path = tmp_path / "scenes.jsonl"
+    if command == "baol":
+        good = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.5]], "fg_scores": [0.9]}
+        bad = {"boxes": [[0, 0, 0, 1, 1, 1, 0], box], "class_scores": [[0.5]] * 2,
+               "fg_scores": [0.9] * 2}
+        where = "scene 1 proposal 1"
+        argv = ["baol", "--proposals", str(path), "--lambda-baol", "1.0"]
+    else:
+        chair = {"box": [0, 0, 0.5, 1, 1, 1, 0], "label": "chair", "score": 0.9}
+        good = {"scene_id": "s0", "scene_type": "library", "detections": [chair]}
+        bad = {"scene_id": "s1", "scene_type": "library",
+               "detections": [chair, {**chair, "box": box}]}
+        where = "scene s1 detection 1"
+        argv = {
+            "refine": ["refine", "--detections", str(path), "--out", str(tmp_path / "o.jsonl")],
+            "eval": ["eval", "--detections", str(path), "--gt", str(path)],
+        }[command]
+    write_lines(path, json.dumps(good), json.dumps(bad))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        f"input error: {path}:2: {where}: box fields must be finite, and cx to h at most 1e5 m "
+        "in magnitude, got "
+    )
+
 
 class TestGenSynthetic:
     def test_deterministic_outputs(self, tmp_path):

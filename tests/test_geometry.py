@@ -58,6 +58,17 @@ class TestBox7DoF:
         with pytest.raises(ValueError, match="finite"):
             Box7DoF(*values)
 
+    @pytest.mark.parametrize("field", range(6))
+    @pytest.mark.parametrize("bad", [1.0000001e5, 1e150, -1.0000001e5, -1e150])
+    def test_rejects_fields_beyond_1e5_m(self, field, bad):
+        values = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite, and cx to h at most 1e5 m in magnitude"):
+            Box7DoF(*values)
+        values[field] = math.copysign(1e5, bad)
+        if field < 3 or bad > 0:
+            Box7DoF(*values)
+
     @pytest.mark.parametrize("field", range(7))
     def test_rejects_boolean_fields(self, field):
         values = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
@@ -86,7 +97,27 @@ class TestBox7DoF:
         assert -math.pi <= b.theta < math.pi
 
 
+# every box that Box7DoF accepts, up to its 1e5 m bound
+METERS = st.floats(-1e5, 1e5)
+EXTENTS = st.floats(1e-4, 1e5)
+BOXES = st.builds(
+    Box7DoF, METERS, METERS, METERS, EXTENTS, EXTENTS, EXTENTS, st.floats(-1e3, 1e3)
+)
+
+
 class TestIou3d:
+    @settings(max_examples=300, deadline=None)
+    @given(a=BOXES, b=BOXES, shift=st.floats(-2.0, 2.0))
+    def test_in_unit_interval_and_one_on_itself(self, a, b, shift):
+        # beyond the bound, a volume overflowed and iou3d returned NaN
+        near = Box7DoF(min(max(a.cx + shift, -1e5), 1e5), a.cy, a.cz, a.l, a.w, a.h, a.theta)
+        for other in (b, near):
+            assert 0.0 <= iou3d(a, other) <= 1.0
+        # the vertical interval's ends round at the scale of cz: a box 0.1 mm
+        # tall at cz = 128 m has IoU 1 - 2.2e-10 with itself
+        rounding = 4 * math.ulp(abs(a.cz) + a.h) / a.h
+        assert abs(iou3d(a, a) - 1.0) <= 1e-12 + rounding
+
     def test_identity(self):
         b = Box7DoF(0.3, -1.2, 0.5, 2.0, 1.0, 0.7, 0.3)
         assert iou3d(b, b) == 1.0

@@ -29,8 +29,10 @@ from ovrefine.psl import (
     solve_decisions,
     UnboundVariableError,
 )
-from ovrefine.pipeline import RefinementConfig
-from psl_reference import brute_force_solve
+from ovrefine import pipeline
+from ovrefine.commonsense import StaticKnowledgeProvider, default_knowledge_base
+from ovrefine.pipeline import RefinementConfig, generate_synthetic_scenes
+from psl_reference import brute_force_solve, exact_solution
 
 
 def paper_rules():
@@ -396,6 +398,56 @@ class TestSolveDecisions:
             x, (1.0, 1.0, 1.0), SelectionPolicy.SCENE_CONSERVATIVE
         )
         assert solve_decisions([]) == []
+
+    # today's cell complex misses the exact corner by at most these; measured
+    # worst 3.3e-16 in y_recls, 4.4e-16 in y_keep and 8.9e-16 in objective
+    SCORE_GAP = Fraction(1, 2**51)
+    OBJECTIVE_GAP = Fraction(1, 2**50)
+
+    def assert_near_the_exact_corner(self, xs, weights, policy, checked):
+        """Each solution within the gaps of `exact_solution`, where every rule
+        of positive weight has truth exactly 1; returns the solutions with
+        their exact corners. ``checked`` holds the corners whose truth was
+        checked already, under another policy that picks the same one."""
+        rules = [rule for rule in psl._decision_rules(weights) if rule.weight > 0]
+        switched_on = tuple(weight > 0 for weight in weights)
+        corners = []
+        for x, out in zip(xs, solve_decisions(xs, weights, policy)):
+            keep, recls, objective = corner = exact_solution(x, weights, policy)
+            assert abs(Fraction(out.y_keep) - keep) <= self.SCORE_GAP, (x, weights, policy)
+            assert abs(Fraction(out.y_recls) - recls) <= self.SCORE_GAP, (x, weights, policy)
+            assert abs(Fraction(out.objective) - objective) <= self.OBJECTIVE_GAP
+            if (x, switched_on, keep, recls) not in checked:
+                env = dict(zip((psl.CONF_VAR, psl.SIZE_VAR, psl.SCENE_VAR), map(Fraction, x)))
+                env.update({psl.KEEP_VAR: keep, psl.RECLS_VAR: recls})
+                assert all(eval_expr(rule.expr, env) == 1 for rule in rules), (x, weights, policy)
+                checked.add((x, switched_on, keep, recls))
+            corners.append((out, corner))
+        return corners
+
+    def test_near_the_exact_corner(self):
+        xs, checked = self.instances(), set()
+        for policy in SelectionPolicy:
+            for weights in self.WEIGHTS:
+                self.assert_near_the_exact_corner(xs, weights, policy, checked)
+
+    def test_near_the_exact_corner_on_the_benchmark_scenes(self):
+        # the constraints that static refine solves on the seed-7 file of 500 scenes
+        kb = default_knowledge_base()
+        _, scenes = generate_synthetic_scenes(kb, seed=7, n_scenes=500)
+        provider, cfg = StaticKnowledgeProvider(kb), RefinementConfig()
+        xs = [x.as_tuple() for record in scenes for x in pipeline._assemble(record, provider, cfg)
+              if x is not None]
+        assert len(xs) > 2000
+        checked = set()
+        for policy in SelectionPolicy:
+            for out, (keep, recls, objective) in self.assert_near_the_exact_corner(
+                xs, cfg.rule_weights, policy, checked
+            ):
+                exact = psl.SolverOutput(keep, recls, objective)
+                assert decide(out, cfg.phi_keep, cfg.phi_recls) is decide(
+                    exact, cfg.phi_keep, cfg.phi_recls
+                )
 
     @pytest.mark.parametrize(
         "x", [(float("nan"), 0.5, 0.5), (0.5, -0.1, 0.5), (0.5, 0.5, 1.1), (0.5, 0.5, float("inf"))]

@@ -26,13 +26,15 @@ from ovrefine.pipeline import Detection, generate_synthetic_scenes
 
 CHUNK = cli._CHUNK_SCENES
 WORKER_COUNTS = (1, 2, 3)
+# llm_max_in_flight values: a remote run refines on twice as many threads
+WINDOWS = (1, 2, 3)
 
 
 @pytest.fixture(scope="module")
 def scenes():
-    # more chunks than the 2 x 3 threads of the largest remote worker count take at once
+    # more chunks than the 2 x 3 threads of the largest remote window take at once
     _, detections = generate_synthetic_scenes(
-        default_knowledge_base(), seed=7, n_scenes=2 * max(WORKER_COUNTS) * CHUNK + CHUNK // 2
+        default_knowledge_base(), seed=7, n_scenes=2 * max(WINDOWS) * CHUNK + CHUNK // 2
     )
     return detections
 
@@ -120,6 +122,13 @@ def thread_pools(monkeypatch):
 def detection_lines(scenes, n):
     """The first ``n`` of ``scenes`` as the lines of a detections file, without newlines."""
     return [pipeline.scene_line(record).rstrip("\n") for record in scenes[:n]]
+
+
+def window(tmp_path, llm_max_in_flight):
+    """The options of a config file that sets ``llm_max_in_flight``."""
+    path = tmp_path / f"window-{llm_max_in_flight}.json"
+    path.write_text(json.dumps({"llm_max_in_flight": llm_max_in_flight}), encoding="utf-8")
+    return "--config", str(path)
 
 
 def with_scene_id(line, scene_id):
@@ -404,16 +413,17 @@ class TestRefineCommand(RefineErrors):
 
 
 class TestRemoteRefineCommand(RefineErrors):
-    """`refine --llm remote --workers N` refines the chunks of the file on 2N
-    threads in this process; it reads the file chunk by chunk as static
-    `refine` does, and reports its errors in the same order."""
+    """`refine --llm remote` refines the chunks of the file on
+    2 x llm_max_in_flight threads in this process; it reads the file chunk
+    by chunk as static `refine` does, and reports its errors in the same
+    order."""
 
     llm = "remote"
 
 
 class TestWorkerCounts:
     """`refine --llm remote` at any worker count: the same files, each query
-    asked once, on 2N threads in this process."""
+    asked once, on 2 x llm_max_in_flight threads in this process."""
 
     def test_identical_for_any_worker_count(
         self, scenes, tmp_path, capsys, remote, pools, thread_pools
@@ -422,29 +432,49 @@ class TestWorkerCounts:
         write_lines(path, detection_lines(scenes, len(scenes)))
         static = run_refine(tmp_path, capsys, path, 1)
         assert static[0] == 0
+        options = ("--llm", "remote", *window(tmp_path, max(WINDOWS)))
         for workers in WORKER_COUNTS:
             # a model that answers as the KB does and judges no debate: the static run's bytes
-            assert run_refine(tmp_path, capsys, path, workers, "--llm", "remote") == static
+            assert run_refine(tmp_path, capsys, path, workers, *options) == static
         assert len(remote.runs) == len(WORKER_COUNTS)
         for prompts in remote.runs:
             assert prompts and len(prompts) == len(set(prompts))
             assert sorted(prompts) == sorted(remote.runs[0])
         assert pools == []
-        assert len(scenes) > 2 * max(WORKER_COUNTS) * CHUNK
-        assert thread_pools == [2 * workers for workers in WORKER_COUNTS]
+        assert len(scenes) > 2 * max(WINDOWS) * CHUNK
+        assert thread_pools == [2 * max(WINDOWS)] * len(WORKER_COUNTS)
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_default_window_fills_at_one_worker(
+        self, scenes, tmp_path, capsys, monkeypatch, remote, pools, thread_pools
+    ):
+        # --workers 1, the default on a one-core host, still runs a thread per
+        # request that the default window of 4 lets in flight, and as many more
+        chunk = 4
+        monkeypatch.setattr(cli, "_CHUNK_SCENES", chunk)
+        path = tmp_path / "detections.jsonl"
+        write_lines(path, detection_lines(scenes, len(scenes)))
+        assert len(scenes) > 2 * cli.RunConfig().llm_max_in_flight * chunk
+        static = run_refine(tmp_path, capsys, path, 1)
+        assert static[0] == 0
+        assert run_refine(tmp_path, capsys, path, 1, "--llm", "remote") == static
+        assert pools == []
+        assert thread_pools == [8]
+
+    @pytest.mark.parametrize(
+        ("llm_max_in_flight", "workers"), zip(WINDOWS, reversed(WORKER_COUNTS))
+    )
     def test_other_errors_propagate_and_stop_the_run(
-        self, scenes, tmp_path, capsys, monkeypatch, remote, workers
+        self, scenes, tmp_path, capsys, monkeypatch, remote, llm_max_in_flight, workers
     ):
         chunk = 4
         monkeypatch.setattr(cli, "_CHUNK_SCENES", chunk)
-        # the failing chunk comes after the first chunks that the 2N threads
-        # take; map_in_order starts no chunk more than 2 x 2N beyond it, and
-        # the last chunk lies beyond that at every worker count
-        failing = 2 * max(WORKER_COUNTS) + 1
-        bound = failing + 2 * (2 * workers)
-        n_chunks = failing + 4 * max(WORKER_COUNTS) + 2
+        # the failing chunk comes after the first chunks that the
+        # 2 x llm_max_in_flight threads take; map_in_order starts no chunk more
+        # than 2 x that many beyond it, and the last chunk lies beyond that at
+        # every window, whatever --workers is
+        failing = 2 * max(WINDOWS) + 1
+        bound = failing + 2 * (2 * llm_max_in_flight)
+        n_chunks = failing + 4 * max(WINDOWS) + 2
         release = threading.Event()
         seen = set()
 
@@ -489,7 +519,8 @@ class TestWorkerCounts:
 
         # the remote query fails, and no KB size answers it: an input error
         remote.provider = Gryphons
-        run = run_refine(tmp_path, capsys, path, workers, "--llm", "remote")
+        options = ("--llm", "remote", *window(tmp_path, llm_max_in_flight))
+        run = run_refine(tmp_path, capsys, path, workers, *options)
         assert run == (1, ("", "input error: no size prior for class 'gryphon'\n"), None, None)
         assert seen.isdisjoint(beyond)
         # a provider's own failure propagates as any other error does
@@ -497,7 +528,7 @@ class TestWorkerCounts:
         seen.clear()
         remote.provider = Unreachable
         with pytest.raises(ProviderError, match="gryphon"):
-            run_refine(tmp_path, capsys, path, workers, "--llm", "remote")
+            run_refine(tmp_path, capsys, path, workers, *options)
         assert not (tmp_path / f"out-{workers}.jsonl").exists()
         assert seen.isdisjoint(beyond)
 
