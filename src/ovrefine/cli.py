@@ -7,10 +7,10 @@ other error, a custom knowledge provider's among them, propagates.
 
 Each command imports the library layers it runs, when it runs: `baol` never
 loads the refine stack (`pipeline`, `commonsense`, `psl`), and loads
-`concurrent.futures` only when it starts worker processes; `refine` and
-`eval` load no `balancers`. `refine` runs chunks of its file on worker
-processes, or on threads with `--llm remote`. The library is called through
-its module objects, where the benchmark's tracer wraps it.
+`concurrent.futures` only when it starts worker processes, and numpy before
+they fork; `refine` and `eval` load no `balancers`. `refine` runs chunks of
+its file on worker processes, or on threads with `--llm remote`. The library
+is called through its module objects, where the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -211,8 +211,16 @@ def _require(config: RunConfig, *names: str) -> None:
         raise ValueError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
 
+def _require_distinct(config: RunConfig, first: str, second: str) -> None:
+    """Refuse two output options that name one file, which the second would overwrite."""
+    a, b = getattr(config, first), getattr(config, second)
+    if a and b and os.path.realpath(a) == os.path.realpath(b):
+        raise ValueError(f"--{first} {a} and --{second} {b} name the same file")
+
+
 def cmd_refine(config: RunConfig) -> int:
     _require(config, "detections", "out")
+    _require_distinct(config, "out", "log")
     config.refinement()  # bad options fail before any line is read
     provider = _make_provider(config)
     totals = _refine_in_chunks(config, provider)
@@ -423,8 +431,9 @@ def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
 
 
 def cmd_baol(config: RunConfig, proposals_path: str) -> int:
-    # balancers is loaded here, and geometry with this module, before any
-    # worker process forks, so that the workers inherit both
+    # balancers is loaded here, geometry with this module and numpy by
+    # `_numpy_process_pool`, before any worker process forks, so that the
+    # workers inherit all three
     from . import balancers  # noqa: F401
 
     if config.lambda_baol is None:
@@ -438,10 +447,26 @@ def cmd_baol(config: RunConfig, proposals_path: str) -> int:
     )
     # one worker, or one scene, runs inline and starts no process; the first
     # bad line, in file order, raises before any scene is printed
-    reports = list(processes.map_in_order(_baol_scene, jobs, _workers(config)))
+    reports = list(
+        processes.map_in_order(_baol_scene, jobs, _workers(config), _numpy_process_pool)
+    )
     for report in reports:
         print(report)
     return 0
+
+
+def _numpy_process_pool(workers: int):
+    """``processes.process_pool(workers)``, started once numpy is loaded.
+
+    Forked workers inherit numpy from this process, where each would import
+    it again; ``map_in_order`` calls this only when it starts a pool, so a
+    run without one, an empty file among them, loads no numpy here.
+    """
+    import numpy  # noqa: F401
+
+    from . import processes
+
+    return processes.process_pool(workers)
 
 
 def _baol_scene(job: tuple[str, int, int, str, RunConfig]) -> str:
@@ -513,6 +538,7 @@ def cmd_gen_synthetic(config: RunConfig) -> int:
     from . import commonsense, pipeline
 
     _require(config, "out", "gt")
+    _require_distinct(config, "out", "gt")
     kb = _load_kb(config)
     ground_truth, detections = pipeline.generate_synthetic_scenes(
         kb,

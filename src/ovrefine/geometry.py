@@ -280,47 +280,62 @@ def soft_nms(
     tie), then rescales every remaining box of the same class by
     exp(-iou^2 / sigma). Boxes whose score decays below ``score_floor`` are
     dropped. The result is sorted by final score, descending; scores never
-    increase.
+    increase. ``sigma`` must be positive and finite, ``score_floor`` in
+    [0, 1].
 
     A table built once per call lists, for each box, the boxes of its class
     whose footprint circles meet its own (``_neighbour_table``). A pick
     passes only its remaining neighbours to ``iou3d``. For every other box of
     the class the IoU is exactly 0.0 and the factor exactly 1.0, so its
     score is left as it is, and the result is the same as rescaling all of
-    them. A pick therefore costs one ``np.argmax`` over the n scores and one
-    ``iou3d`` per remaining neighbour. A box whose initial score is already
-    below the floor is dropped at its class's first pick; after that, only a
-    rescaled neighbour can fall below it.
+    them. The picks come from a heap of ``(-score, index)``, so the highest
+    score comes first, the lowest index on a tie. An entry whose score is no
+    longer its box's is skipped when it is popped, and a neighbour is pushed
+    again only when its rescaled score changed, so a pick costs one heap pop
+    (plus those of skipped entries), one ``iou3d`` per remaining neighbour
+    and one push per neighbour whose score changed. A box whose initial score
+    is already below the floor is dropped at its class's first pick; after
+    that, only a rescaled neighbour can fall below it.
     """
-    import numpy as np
+    # imported here, as numpy is, so that commands without Soft-NMS load neither
+    import heapq
 
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not 0.0 <= score_floor <= 1.0:
+        raise ValueError(f"score_floor must be in [0, 1], got {score_floor}")
     if not boxes:
         return []
-    # -inf marks a box already picked or dropped; argmax returns the first
-    # maximum, which is the tie order by original index
-    live = np.array([sb.score for sb in boxes], dtype=float)
+    # -inf marks a box already picked or dropped; scores are plain floats,
+    # so that each rescale and comparison stays in Python
+    live = [float(sb.score) for sb in boxes]
+    heap = [(-score, i) for i, score in enumerate(live)]
+    heapq.heapify(heap)
     members: dict = {}
     for i, sb in enumerate(boxes):
         members.setdefault(sb.class_id, []).append(i)
     neighbours = _neighbour_table(members, *footprint_circles([sb.box for sb in boxes]))
     out: list[ScoredBox] = []
-    while True:
-        best = int(np.argmax(live))
-        score = float(live[best])
-        if score == -math.inf:
-            break
+    while heap:
+        negated, best = heapq.heappop(heap)
+        score = live[best]
+        # scores only fall, so at most one entry of a box matches it
+        if score != -negated:
+            continue
         live[best] = -math.inf
         picked = boxes[best]
         out.append(ScoredBox(picked.box, score, picked.class_id))
         for j in neighbours[best]:
-            rescaled = live[j]
-            if rescaled == -math.inf:
+            current = live[j]
+            if current == -math.inf:
                 continue
             overlap = iou3d(picked.box, boxes[j].box)
-            rescaled *= math.exp(-(overlap * overlap) / sigma)
-            live[j] = -math.inf if rescaled < score_floor else rescaled
+            rescaled = current * math.exp(-(overlap * overlap) / sigma)
+            if rescaled < score_floor:
+                live[j] = -math.inf
+            elif rescaled != current:
+                live[j] = rescaled
+                heapq.heappush(heap, (-rescaled, j))
         # at a class's first pick, boxes that start under the floor go too
         for j in members.pop(picked.class_id, ()):
             if live[j] < score_floor:

@@ -205,6 +205,33 @@ class TestSoftNmsEquivalence:
             boxes = soft_nms_instance(rng)
             assert soft_nms(boxes, sigma, floor) == oracle_soft_nms(boxes, sigma, floor)
 
+    @pytest.mark.parametrize("sigma, floor", [(0.5, 0.01), (0.1, 0.2), (2.0, 0.0)])
+    def test_integer_scores_and_ties_across_classes_equal_oracle_as_floats(self, sigma, floor):
+        # integer scores 0 and 1, and scores shared by every class, so that
+        # picks tie across classes; ties go in index order, and every score
+        # comes out as a float
+        rng = np.random.default_rng(int(sigma * 100) + 8)
+        for _ in range(100):
+            boxes = [
+                ScoredBox(sb.box, int(rng.integers(2)) if rng.random() < 0.5 else 0.5, sb.class_id)
+                for sb in soft_nms_instance(rng)
+            ]
+            out = soft_nms(boxes, sigma, floor)
+            assert out == oracle_soft_nms(boxes, sigma, floor)
+            assert all(type(sb.score) is float for sb in out)
+
+    def test_equal_scores_across_classes_pick_in_index_order(self):
+        cube = Box7DoF(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        far = Box7DoF(50.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        boxes = [
+            ScoredBox(far, 1, 2), ScoredBox(cube, 1, 0), ScoredBox(cube, 1, 1),
+            ScoredBox(cube, 1, 0), ScoredBox(far, 0, 2), ScoredBox(far, 0, 1),
+        ]
+        out = soft_nms(boxes, 0.5, 0.0)
+        assert out == oracle_soft_nms(boxes, 0.5, 0.0)
+        assert [(sb.box, sb.class_id) for sb in out[:3]] == [(far, 2), (cube, 0), (cube, 1)]
+        assert all(type(sb.score) is float for sb in out)
+
     def test_floor_drops_low_initial_score_only_after_same_class_pick(self):
         far = Box7DoF(50.0, 0.0, 0.0, 1.0, 1.0, 1.0)
         boxes = [

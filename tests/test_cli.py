@@ -99,6 +99,19 @@ ZEBRA_SCENE = {
 }
 
 
+def same_file(path, form):
+    """Another name for ``path``, from the directory that holds it: the path
+    itself, a relative path through a subdirectory, or a symlink."""
+    if form == "same":
+        return str(path)
+    if form == "relative":
+        (path.parent / "sub").mkdir()
+        return os.path.join("sub", os.pardir, path.name)
+    link = path.parent / "link.jsonl"
+    link.symlink_to(path)
+    return str(link)
+
+
 @pytest.fixture
 def case_files(tmp_path):
     detections = tmp_path / "detections.jsonl"
@@ -325,6 +338,20 @@ class TestRefine:
             ["refine", "--detections", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("form", ["same", "relative", "symlink"])
+    def test_log_naming_the_out_file_is_input_error(self, tmp_path, monkeypatch, capsys, form):
+        out = tmp_path / "refined.jsonl"
+        out.write_text("earlier\n")
+        monkeypatch.chdir(tmp_path)
+        log = same_file(out, form)
+        # a detections file that does not exist: the check comes before any line is read
+        code = main(["refine", "--detections", "missing.jsonl", "--out", str(out), "--log", log])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"input error: --out {out} and --log {log} name the same file\n"
+        )
+        assert out.read_text() == "earlier\n"
 
     def test_remote_mode_degrades_to_kb_when_endpoint_dead(
         self, case_files, tmp_path, monkeypatch, capsys
@@ -1085,6 +1112,20 @@ class TestGenSynthetic:
         assert code == 1
         assert capsys.readouterr() == ("", "input error: scenes must be at least 0, got -3\n")
         assert not out.exists() and not gt.exists()
+
+    @pytest.mark.parametrize("form", ["same", "relative", "symlink"])
+    def test_gt_naming_the_out_file_is_input_error(self, tmp_path, monkeypatch, capsys, form):
+        out = tmp_path / "det.jsonl"
+        out.write_text("earlier\n")
+        monkeypatch.chdir(tmp_path)
+        gt = same_file(out, form)
+        # a knowledge base that does not exist: the check comes before it is read
+        code = main(["gen-synthetic", "--kb", "missing.json", "--out", str(out), "--gt", gt])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"input error: --out {out} and --gt {gt} name the same file\n"
+        )
+        assert out.read_text() == "earlier\n"
 
     def test_negative_seed_is_input_error(self, tmp_path, capsys):
         out, gt = tmp_path / "det.jsonl", tmp_path / "gt.jsonl"

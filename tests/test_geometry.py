@@ -390,3 +390,16 @@ class TestSoftNms:
         for sigma in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma must be positive and finite"):
                 soft_nms([], sigma=sigma)
+
+    @pytest.mark.parametrize("floor", [math.nan, -0.01, 1.5, math.inf, -math.inf])
+    def test_score_floor_validation(self, floor):
+        # a NaN floor would keep every box, as no score compares below it
+        boxes = [ScoredBox(unit_cube(), 0.9), ScoredBox(unit_cube(), 0.005)]
+        for given in ([], boxes):
+            with pytest.raises(ValueError, match=r"score_floor must be in \[0, 1\]"):
+                soft_nms(given, 0.5, floor)
+
+    @pytest.mark.parametrize("floor, scores", [(0.0, [1.0, 0.5 * math.exp(-2.0)]), (1.0, [1.0])])
+    def test_score_floor_bounds_are_accepted(self, floor, scores):
+        boxes = [ScoredBox(unit_cube(), 1.0), ScoredBox(unit_cube(), 0.5)]
+        assert [sb.score for sb in soft_nms(boxes, 0.5, floor)] == pytest.approx(scores)

@@ -207,7 +207,7 @@ def test_psl_solves_without_numpy_and_ships_no_grid_scanner():
     assert result.returncode == 0, result.stderr
 
 
-# records the ovrefine modules loaded when baol asks for its worker processes
+# records the ovrefine modules, and numpy, loaded when baol asks for its worker processes
 FORK_SCRIPT = """
 import sys
 from ovrefine import cli, processes
@@ -215,7 +215,9 @@ from ovrefine import cli, processes
 real = processes.process_pool
 
 def recorded(workers):
-    print(" ".join(sorted(name for name in sys.modules if name.startswith("ovrefine."))))
+    print(" ".join(sorted(
+        name for name in sys.modules if name.startswith("ovrefine.") or name == "numpy"
+    )))
     return real(workers)
 
 processes.process_pool = recorded
@@ -235,6 +237,6 @@ def test_baol_loads_its_layers_before_the_workers_fork(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     before_fork, *reports = result.stdout.splitlines()
-    # the workers inherit both, rather than import them again
-    assert {"ovrefine.balancers", "ovrefine.geometry"} <= set(before_fork.split())
+    # the workers inherit all three, rather than import them again
+    assert {"ovrefine.balancers", "ovrefine.geometry", "numpy"} <= set(before_fork.split())
     assert len(reports) == 3
