@@ -211,16 +211,30 @@ def _require(config: RunConfig, *names: str) -> None:
         raise ValueError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
 
-def _require_distinct(config: RunConfig, first: str, second: str) -> None:
-    """Refuse two output options that name one file, which the second would overwrite."""
-    a, b = getattr(config, first), getattr(config, second)
-    if a and b and os.path.realpath(a) == os.path.realpath(b):
-        raise ValueError(f"--{first} {a} and --{second} {b} name the same file")
+# the files each command writes, and the files it reads, by option
+_FILES = {
+    "refine": (("out", "log"), ("config", "detections", "kb")),
+    "balance": (("out",), ("config", "labels", "kb")),
+    "dbc-sim": (("out",), ("config", "losses")),
+    "eval": (("out",), ("config", "detections", "gt")),
+    "gen-synthetic": (("out", "gt"), ("config", "kb")),
+}
+
+
+def _require_distinct(command: str, config: RunConfig, args: argparse.Namespace) -> None:
+    """Refuse a file the command writes that is also another file it writes
+    or reads, which it would overwrite."""
+    writes, reads = _FILES.get(command, ((), ()))
+    # --config, --labels and --losses are flags only, the others RunConfig fields
+    paths = [(name, getattr(config, name, getattr(args, name, None))) for name in writes + reads]
+    for i, (first, a) in enumerate(paths[: len(writes)]):
+        for second, b in paths[i + 1 :]:
+            if a and b and os.path.realpath(a) == os.path.realpath(b):
+                raise ValueError(f"--{first} {a} and --{second} {b} name the same file")
 
 
 def cmd_refine(config: RunConfig) -> int:
     _require(config, "detections", "out")
-    _require_distinct(config, "out", "log")
     config.refinement()  # bad options fail before any line is read
     provider = _make_provider(config)
     totals = _refine_in_chunks(config, provider)
@@ -258,10 +272,9 @@ def _refine_in_chunks(config: RunConfig, provider) -> list[dict[str, int]]:
     formatting chunks of ``_CHUNK_SCENES`` lines of the file; one worker runs
     the chunks in this process. A remote provider refines them on
     ``2 * llm_max_in_flight`` threads in this process instead, whatever
-    ``--workers`` is, so that its answer cache, each-query-once rule and
-    bound on requests in flight hold for the whole run, and while a full
-    window of threads waits on replies, as many again parse, solve and
-    format.
+    ``--workers`` is, so that its per-prompt cache and bound on requests in
+    flight hold for the whole run, and while a full window of threads waits
+    on replies, as many again parse, solve and format.
 
     This process reads the lines, checks the scene ids for repeats in file
     order, and writes both files once every chunk has succeeded. It raises
@@ -538,7 +551,6 @@ def cmd_gen_synthetic(config: RunConfig) -> int:
     from . import commonsense, pipeline
 
     _require(config, "out", "gt")
-    _require_distinct(config, "out", "gt")
     kb = _load_kb(config)
     ground_truth, detections = pipeline.generate_synthetic_scenes(
         kb,
@@ -650,6 +662,8 @@ def main(argv=None) -> int:
     try:
         config = RunConfig.load(args.config) if args.config else RunConfig()
         config = config.override(args)
+        # before any other input is read, or any output written
+        _require_distinct(args.command, config, args)
         if args.command == "refine":
             return cmd_refine(config)
         if args.command == "solve-psl":

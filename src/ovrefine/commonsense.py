@@ -2,10 +2,11 @@
 
 Two providers are available: a static knowledge-base file (offline, the
 source of truth for tests and reproducible runs) and a remote LLM service
-queried with fixed prompt templates. Remote answers are cached per run;
-where the model gives none, the static provider answers instead. A provider
-also judges debates: the remote one asks the model to name a candidate, and
-the static one abstains, leaving the verdict to the offline strength rule.
+queried with fixed prompt templates. Each distinct prompt is sent once per
+run; where the model gives no answer, the static provider answers instead.
+A provider also judges debates: the remote one asks the model to name a
+candidate, and the static one abstains, leaving the verdict to the offline
+strength rule.
 """
 
 from __future__ import annotations
@@ -376,65 +377,54 @@ def parse_yes_no(text: str) -> int | None:
 class RemoteKnowledgeProvider:
     """Knowledge provider backed by the LLM endpoint, over a knowledge base.
 
-    The model answers size and scene queries and judges debates. When a
-    request fails or its reply holds no answer, a size or scene query gets
-    the answer of the static provider over ``kb``, and a debate gets no
-    verdict, so a run whose requests all fail equals the static run.
-    Novel-class gating is always the static provider's. Size and scene
-    answers are cached per (class) and (scene, class) for the life of the
-    provider, and each is asked once: a thread that looks up a query already
-    in flight waits for that request and shares its answer or its error. A
-    lookup that raises (a class without a KB size whose request failed) is
-    not remembered, so a later lookup asks again. Debate verdicts are not
-    cached: each debate asks once.
+    The model answers size and scene queries and judges debates. Each
+    distinct prompt is sent once per provider: its parsed reply, or its
+    failure, is kept for the life of the provider and shared by every
+    lookup, and a thread that asks for a prompt already in flight waits for
+    that request. Each lookup falls back on its own: when the request failed
+    or its reply holds no answer, a size or scene query gets the answer of
+    the static provider over ``kb`` (a class without a KB size raises at
+    every lookup, with no second request), and a debate gets no verdict, so
+    a run whose requests all fail equals the static run. Novel-class gating
+    is always the static provider's.
     """
 
     def __init__(self, client: LlmClient, kb: KnowledgeBase):
         self.client = client
         self.static = StaticKnowledgeProvider(kb)
-        self._answers: dict[str | tuple[str, str], Future] = {}
+        self._answers: dict[str, Future] = {}
         self._lock = threading.Lock()
 
-    def _answer(self, key: str | tuple[str, str], query: Callable[[], object]):
+    def _ask(self, prompt: str, parse: Callable[[str], T | None]) -> T | None:
+        """``parse`` of the model's reply to ``prompt``; None when the request
+        fails or the reply holds no answer. Sent the first time any thread
+        asks; any error but ``ProviderError`` is raised to every caller."""
         # imported here, not with the module, so that `eval` does not load it
         from concurrent.futures import Future
 
         with self._lock:
-            answer = self._answers.get(key)
+            answer = self._answers.get(prompt)
             ask = answer is None
             if ask:
-                answer = self._answers[key] = Future()
+                answer = self._answers[prompt] = Future()
         if ask:
             try:
-                answer.set_result(query())
+                result = parse(self.client.complete(prompt))
+            except ProviderError:
+                result = None
             except BaseException as exc:
-                with self._lock:
-                    del self._answers[key]
                 answer.set_exception(exc)
                 raise
+            answer.set_result(result)
         return answer.result()
 
-    def _ask(self, prompt: str, parse: Callable[[str], T | None]) -> T | None:
-        """``parse`` of the model's reply to ``prompt``; None when the request
-        fails or the reply holds no answer."""
-        try:
-            return parse(self.client.complete(prompt))
-        except ProviderError:
-            return None
-
     def size_prior(self, label: str) -> SizePrior:
-        def query() -> SizePrior:
-            prior = self._ask(size_prompt(label), parse_size_reply)
-            return self.static.size_prior(label) if prior is None else prior
-
-        return self._answer(label, query)
+        prior = self._ask(size_prompt(label), parse_size_reply)
+        return self.static.size_prior(label) if prior is None else prior
 
     def scene_compatible(self, label: str, scene_type: str) -> int:
-        def query() -> int:
-            verdict = self._ask(scene_prompt(label, scene_type), parse_yes_no)
-            return self.static.scene_compatible(label, scene_type) if verdict is None else verdict
-
-        return self._answer((scene_type, label), query)
+        verdict = self._ask(scene_prompt(label, scene_type), parse_yes_no)
+        return self.static.scene_compatible(label, scene_type) if verdict is None else verdict
 
     def is_novel(self, label: str) -> bool:
         return self.static.is_novel(label)

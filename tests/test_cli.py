@@ -1135,6 +1135,85 @@ class TestGenSynthetic:
         assert not out.exists() and not gt.exists()
 
 
+def valid_inputs(tmp_path):
+    """A file each command can read without error, by the option that names it."""
+    files = {option: tmp_path / name for option, name in (
+        ("--detections", "scenes.jsonl"), ("--gt", "gt.jsonl"), ("--kb", "kb.json"),
+        ("--labels", "labels.jsonl"), ("--losses", "losses.jsonl"), ("--config", "config.json"),
+    )}
+    save_scenes(case_study_scenes(), files["--detections"])
+    save_scenes(case_study_scenes(), files["--gt"], include_scores=False)
+    files["--kb"].write_text(json.dumps(default_knowledge_base().to_dict()))
+    label = {"bbox": [0, 0, 5, 5], "label": "chair", "confidence": 0.9, "sim_pos": 2.0,
+             "sim_neg": 0.0}
+    files["--labels"].write_text(json.dumps({"image_id": "i", "labels": [label]}) + "\n")
+    files["--losses"].write_text(json.dumps({"A": 5.0, "B": 1.0}) + "\n")
+    files["--config"].write_text("{}\n")
+    return files
+
+
+class TestNoCommandWritesOverItsInputs:
+    """A file that a command writes may name no other file it writes or reads,
+    under any path that resolves to it; the refusal comes before any input
+    but the config file is read."""
+
+    # the files each command writes, and those it reads
+    COMMANDS = {
+        "refine": (("--out", "--log"), ("--detections", "--kb", "--config")),
+        "balance": (("--out",), ("--labels", "--kb", "--config")),
+        "dbc-sim": (("--out",), ("--losses", "--config")),
+        "eval": (("--out",), ("--detections", "--gt", "--config")),
+        "gen-synthetic": (("--out", "--gt"), ("--kb", "--config")),
+    }
+
+    @pytest.mark.parametrize(
+        "command, written, other",
+        [
+            ("refine", "--out", "--detections"),
+            ("refine", "--out", "--kb"),
+            ("refine", "--out", "--config"),
+            ("refine", "--log", "--detections"),
+            ("refine", "--log", "--kb"),
+            ("refine", "--log", "--config"),
+            ("balance", "--out", "--labels"),
+            ("balance", "--out", "--kb"),
+            ("balance", "--out", "--config"),
+            ("dbc-sim", "--out", "--losses"),
+            ("dbc-sim", "--out", "--config"),
+            ("eval", "--out", "--detections"),
+            ("eval", "--out", "--gt"),
+            ("eval", "--out", "--config"),
+            ("gen-synthetic", "--out", "--kb"),
+            ("gen-synthetic", "--out", "--config"),
+            ("gen-synthetic", "--gt", "--kb"),
+            ("gen-synthetic", "--gt", "--config"),
+        ],
+    )
+    def test_output_naming_an_input_is_input_error(
+        self, tmp_path, monkeypatch, capsys, command, written, other
+    ):
+        writes, reads = self.COMMANDS[command]
+        inputs = valid_inputs(tmp_path)
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        options = {option: str(outputs / option.strip("-")) for option in writes}
+        options.update((option, str(inputs[option])) for option in reads)
+        target = inputs[other]
+        before = target.read_bytes()
+        # the same file under another name: the command would succeed and replace it
+        monkeypatch.chdir(tmp_path)
+        options[written] = same_file(target, "relative")
+        code = main([command, *(arg for pair in options.items() for arg in pair)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "",
+            f"input error: {written} {options[written]} and {other} {options[other]} "
+            "name the same file\n",
+        )
+        assert target.read_bytes() == before
+        assert list(outputs.iterdir()) == []
+
+
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "config.json"

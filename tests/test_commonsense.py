@@ -617,8 +617,9 @@ class TestRemoteProvider:
         assert look_up_at_once(4, lambda _: lookup(provider)) == [answer] * 4
         assert transport.calls == 1
 
-    def test_lookups_at_once_share_a_failure_that_is_not_remembered(self):
-        # only a class without a KB size fails once its request has failed
+    def test_lookups_at_once_share_a_failure_that_is_remembered(self):
+        # only a class without a KB size fails once its request has failed;
+        # each lookup falls back on its own, and none sends the prompt again
         transport = HoldingTransport(4)
         provider = make_provider(transport, retries=0)
         errors = look_up_at_once(4, lambda _: provider.size_prior("gargoyle"))
@@ -626,7 +627,22 @@ class TestRemoteProvider:
         assert transport.calls == 1
         with pytest.raises(MissingSizePriorError):
             provider.size_prior("gargoyle")
-        assert transport.calls == 2
+        assert transport.calls == 1
+
+    def test_other_errors_are_shared_and_remembered(self):
+        class Broken(HoldingTransport):
+            def __call__(self, url, api_key, payload, timeout):
+                super().__call__(url, api_key, payload, timeout)
+                raise RuntimeError("transport bug")
+
+        transport = Broken(4, "0.5*0.5*0.9")
+        provider = make_provider(transport)
+        errors = look_up_at_once(4, lambda _: provider.size_prior("chair"))
+        assert all(isinstance(e, RuntimeError) for e in errors)
+        assert transport.calls == 1
+        with pytest.raises(RuntimeError, match="transport bug"):
+            provider.size_prior("chair")
+        assert transport.calls == 1
 
     def test_caches_per_class(self):
         transport = StubTransport({"common size of a desk": "1.4*0.7*0.75"})
@@ -721,12 +737,26 @@ class TestRemoteProvider:
         provider = make_provider(transport)
         assert provider.judge(("book", "stool"), "library", ("a", "b")) is None
 
-    def test_judge_is_not_cached(self):
+    def test_identical_judge_prompts_share_one_request(self):
         transport = StubTransport({"Debaters argue": "stool"})
         provider = make_provider(transport)
         for _ in range(2):
             assert provider.judge(("book", "stool"), "library", ("a", "b")) == "stool"
-        assert len(transport.calls) == 2
+        assert len(transport.calls) == 1
+        # other cases are another prompt, sent on its own
+        assert provider.judge(("book", "stool"), "library", ("b", "a")) == "stool"
+        assert [call["prompt"] for call in transport.calls] == [
+            judge_prompt(("book", "stool"), "library", cases) for cases in (("a", "b"), ("b", "a"))
+        ]
+
+    def test_judges_at_once_share_one_request(self):
+        transport = HoldingTransport(4, "It is a stool.")
+        provider = make_provider(transport)
+        verdicts = look_up_at_once(
+            4, lambda _: provider.judge(("book", "stool"), "library", ("a", "b"))
+        )
+        assert verdicts == ["stool"] * 4
+        assert transport.calls == 1
 
     def test_static_provider_gives_no_verdict(self):
         provider = StaticKnowledgeProvider(default_knowledge_base())

@@ -181,6 +181,34 @@ class TestWhatEachCommandLoads:
         # processes serves only the commands that start worker processes
         assert not loaded & {"ovrefine.balancers", "concurrent.futures", "ovrefine.processes"}
 
+    def test_solve_psl_loads_psl_only(self, tmp_path):
+        loaded = loaded_by(tmp_path, "solve-psl", "0.9", "0.5419", "1")
+        assert "ovrefine.psl" in loaded
+        assert not loaded & {"ovrefine.pipeline", "ovrefine.commonsense", "ovrefine.balancers",
+                             "numpy"}
+
+    def test_dbc_sim_loads_balancers_and_no_refine_stack(self, tmp_path):
+        losses = tmp_path / "losses.jsonl"
+        losses.write_text(json.dumps({"A": 5.0, "B": 1.0}) + "\n")
+        loaded = loaded_by(tmp_path, "dbc-sim", "--losses", str(losses))
+        assert "ovrefine.balancers" in loaded
+        assert not loaded & {*REFINE_STACK, "numpy"}
+
+    def test_balance_loads_balancers_and_commonsense(self, tmp_path):
+        label = {"bbox": [0, 0, 5, 5], "label": "chair", "confidence": 0.9,
+                 "sim_pos": 2.0, "sim_neg": 0.0}
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps({"image_id": "i", "labels": [label]}) + "\n")
+        loaded = loaded_by(tmp_path, "balance", "--labels", str(labels))
+        assert {"ovrefine.balancers", "ovrefine.commonsense"} <= loaded
+        assert not loaded & {"ovrefine.pipeline", "numpy"}
+
+    def test_gen_synthetic_loads_pipeline_and_numpy(self, tmp_path):
+        loaded = loaded_by(tmp_path, "gen-synthetic", "--scenes", "1",
+                           "--out", str(tmp_path / "det.jsonl"), "--gt", str(tmp_path / "gt.jsonl"))
+        assert {"ovrefine.pipeline", "numpy"} <= loaded
+        assert "ovrefine.balancers" not in loaded
+
 
 # solves with every solver entry point of ovrefine.psl, then checks what it loaded
 PSL_SCRIPT = """

@@ -68,7 +68,9 @@ class RemoteModel:
         self.kb = default_knowledge_base()
         self.judge = abstain
         self.provider = RemoteKnowledgeProvider
+        self.failing = False  # whether every request fails
         self.runs = []
+        self.clients = []
         self.make_offline = cli._make_provider
         monkeypatch.setattr(cli, "_make_provider", self.make)
 
@@ -83,6 +85,8 @@ class RemoteModel:
             prompt = payload["prompt"]
             with lock:
                 prompts.append(prompt)
+            if self.failing:
+                raise OSError("connection refused")
             if prompt.startswith("What is the common size of a "):
                 # a class without a KB size fails the request
                 prior = self.kb.sizes[
@@ -96,6 +100,7 @@ class RemoteModel:
             return {"text": self.judge(candidates.split(", "))}
 
         client = LlmClient(endpoint="http://llm.test", transport=transport, backoff=0.0)
+        self.clients.append(client)
         return self.provider(client, self.kb)
 
 
@@ -122,6 +127,21 @@ def thread_pools(monkeypatch):
 def detection_lines(scenes, n):
     """The first ``n`` of ``scenes`` as the lines of a detections file, without newlines."""
     return [pipeline.scene_line(record).rstrip("\n") for record in scenes[:n]]
+
+
+def contested_lines():
+    """Three identical scenes, each a library whose chair is reclassified and
+    debated among chair, gargoyle (which the KB has no size for) and book."""
+    detection = {
+        "box": [0, 0, 2.5, 10, 10, 5, 0],
+        "label": "chair",
+        "score": 0.9,
+        "class_scores": {"chair": 0.9, "gargoyle": 0.5, "book": 0.3},
+    }
+    return [
+        json.dumps({"scene_id": f"s{i}", "scene_type": "library", "detections": [detection]})
+        for i in range(3)
+    ]
 
 
 def window(tmp_path, llm_max_in_flight):
@@ -531,6 +551,32 @@ class TestWorkerCounts:
             run_refine(tmp_path, capsys, path, workers, *options)
         assert not (tmp_path / f"out-{workers}.jsonl").exists()
         assert seen.isdisjoint(beyond)
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["replying", "failing"])
+    def test_repeated_debates_send_each_prompt_once(
+        self, tmp_path, capsys, monkeypatch, remote, failing
+    ):
+        # a chunk per scene, so that the two threads of window 1 debate at once
+        monkeypatch.setattr(cli, "_CHUNK_SCENES", 1)
+        remote.failing = failing
+        path = tmp_path / "contested.jsonl"
+        write_lines(path, contested_lines())
+        static = run_refine(tmp_path, capsys, path, 1)
+        assert static[:2] == (0, ("kept 0, removed 0, reclassified 3\n", ""))
+        # the model fails only the gargoyle's size prompt, whose lookups all
+        # fall back on the KB, which has no size either
+        warning = (
+            f"warning: {7 if failing else 1} of 7 LLM requests failed after every retry: their "
+            "queries fell back to the knowledge base and their debates to the offline rule\n"
+        )
+        options = ("--llm", "remote", *window(tmp_path, 1))
+        for workers in WORKER_COUNTS:
+            code, output, out, log = run_refine(tmp_path, capsys, path, workers, *options)
+            assert (code, output.out, out, log) == (0, static[1].out, *static[2:])
+            assert output.err == warning
+            # a size and a scene prompt for each candidate, and one judge prompt
+            assert remote.clients[-1].requests == 7
+            assert len(set(remote.runs[-1])) == 7
 
     def test_remote_provider_and_judge(self, scenes, tmp_path, capsys, remote):
         # the judge names the last candidate the debaters argued for
