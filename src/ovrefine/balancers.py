@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .geometry import Box7DoF, _circles_meet, _is_number, footprint_circles, iou3d, parse_box
-from .jsonl import number, read_jsonl
+from .jsonl import number, parse_line, read_lines
 
 # numpy is imported inside the proposal-scoring functions, the only code here
 # that builds arrays, so that `balance` and `dbc-sim` start without loading it
@@ -63,15 +63,11 @@ class PseudoLabel2D:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
             raise TypeError(f"label must be a string, got {type(self.label).__name__}")
-        # isfinite raises TypeError on a non-number, such as a character of a
-        # string, and takes a JSON true or false as 1 or 0
-        try:
-            finite = len(self.bbox) == 4 and all(
-                not isinstance(v, bool) and math.isfinite(v) for v in self.bbox
-            )
-        except TypeError:
-            finite = False
-        if not finite:
+        # a JSON true or false would pass as 1 or 0, a string of 4 characters as 4 items
+        if not (
+            isinstance(self.bbox, (list, tuple)) and len(self.bbox) == 4
+            and all(_is_number(v) and math.isfinite(v) for v in self.bbox)
+        ):
             raise ValueError(f"bbox must be 4 finite numbers, got {self.bbox!r}")
         object.__setattr__(self, "bbox", tuple(self.bbox))
         x1, y1, x2, y2 = self.bbox
@@ -462,7 +458,7 @@ def load_pseudo_labels(path) -> list[tuple[str, list[PseudoLabel2D]]]:
         ]
         return str(data.get("image_id", next(position))), labels
 
-    return read_jsonl(path, record)
+    return [parse_line(path, lineno, line, record) for lineno, line in read_lines(path)]
 
 
 def load_loss_stream(path) -> list[dict[str, float]]:
@@ -482,7 +478,7 @@ def load_loss_stream(path) -> list[dict[str, float]]:
                 )
         return losses
 
-    return read_jsonl(path, record)
+    return [parse_line(path, lineno, line, record) for lineno, line in read_lines(path)]
 
 
 def proposal_record(data: dict, index: int) -> tuple[ProposalSet, tuple[Box7DoF, ...]]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 # geometry is light; perfbench/tracecli.py wraps soft_nms on this module
 from .geometry import ScoredBox, soft_nms
-from .jsonl import parse_line, read_lines
+from .jsonl import expect, parse_file, parse_line, read_lines
 
 if typing.TYPE_CHECKING:
     from . import pipeline
@@ -138,18 +138,15 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-                if not isinstance(data, dict):
-                    raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-                unknown = set(data) - {f.name for f in fields(cls)}
-                if unknown:
-                    raise ValueError(f"unknown config keys: {sorted(unknown)}")
-                return cls(**data)
-            # a document nested past the recursion limit makes the decoder raise
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        """The options in the JSON config file ``path``; errors are prefixed ``path:``."""
+
+        def from_dict(data) -> RunConfig:
+            unknown = set(expect(data, dict, "config")) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            return cls(**data)
+
+        return parse_file(path, from_dict)
 
     def override(self, args: argparse.Namespace) -> "RunConfig":
         updates = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 from .geometry import Box7DoF
-from .jsonl import ARRAY, expect, number
+from .jsonl import ARRAY, expect, number, parse_file
 from .psl import ConstraintVector
 
 if TYPE_CHECKING:
@@ -162,7 +162,9 @@ class KnowledgeBase:
         sizes = {}
         for label, dims in expect(data.get("sizes", {}), Mapping, "sizes").items():
             where = f"sizes[{label!r}]"
-            sizes[label] = SizePrior(*(number(d, where) for d in expect(dims, ARRAY, where)))
+            if len(expect(dims, ARRAY, where)) != 3:
+                raise ValueError(f"{where} must be 3 numbers, got {json.dumps(dims)}")
+            sizes[label] = SizePrior(*(number(d, where) for d in dims))
         compat = {
             scene: set(expect(classes, ARRAY, f"compat[{scene!r}]"))
             for scene, classes in expect(data.get("compat", {}), Mapping, "compat").items()
@@ -182,12 +184,8 @@ class KnowledgeBase:
 
 
 def load_knowledge_base(path) -> KnowledgeBase:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return KnowledgeBase.from_dict(json.load(fh))
-        # a document nested past the recursion limit makes the decoder raise
-        except (ValueError, TypeError, RecursionError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    """The knowledge base in the JSON file ``path``; errors are prefixed ``path:``."""
+    return parse_file(path, KnowledgeBase.from_dict)
 
 
 def default_knowledge_base() -> KnowledgeBase:

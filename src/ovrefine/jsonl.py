@@ -1,4 +1,5 @@
-"""Reading line-delimited JSON input files with errors that name the line."""
+"""Decoding every input file, a JSONL line or a whole JSON document at a time,
+with errors that name the file, and the line where there is one."""
 
 from __future__ import annotations
 
@@ -24,30 +25,38 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
 
 
 def parse_line(path, lineno: int, line: str, parse: Callable[[dict], T]) -> T:
-    """``parse`` of line ``lineno`` of ``path``, whose text is ``line``, a JSON object.
+    """``_parse`` of line ``lineno`` of ``path``, ``line``, a JSON object; errors
+    are prefixed ``path:line:``."""
 
-    A line that is not UTF-8 (as ``read_lines`` reads it), that is not a JSON
-    object, that nests too deeply for the decoder, or whose object ``parse``
-    rejects with a ``ValueError``, ``TypeError`` or ``KeyError``, raises
-    ``ValueError`` prefixed ``path:line:``.
-    """
-    try:
-        if not line.isascii():
-            # a UnicodeDecodeError is a ValueError
-            line.encode("utf-8", "surrogateescape").decode("utf-8")
-        data = json.loads(line)
+    def parse_object(data) -> T:
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         return parse(data)
+
+    return _parse(f"{path}:{lineno}", line, parse_object)
+
+
+def parse_file(path, parse: Callable[[object], T]) -> T:
+    """``_parse`` of the whole of ``path``, read as ``read_lines`` reads; errors
+    are prefixed ``path:``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return _parse(path, fh.read(), parse)
+
+
+def _parse(where, text: str, parse: Callable[[object], T]) -> T:
+    """``parse`` of ``text``, a JSON value in UTF-8: the one place where an input
+    error becomes a ``ValueError`` prefixed ``where:``. Text not UTF-8 or JSON, nesting
+    past the recursion limit, and a ``KeyError``, ``ValueError``, ``TypeError`` or
+    ``OverflowError`` (a number past the float range) from ``parse`` are input errors."""
+    try:
+        if not text.isascii():
+            # a UnicodeDecodeError is a ValueError
+            text.encode("utf-8", "surrogateescape").decode("utf-8")
+        return parse(json.loads(text))
     except KeyError as exc:
-        raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-    except (ValueError, TypeError, RecursionError) as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
-
-
-def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
-    """``parse`` of each non-blank line of ``path``, checked as ``parse_line`` does."""
-    return [parse_line(path, lineno, line, parse) for lineno, line in read_lines(path)]
+        raise ValueError(f"{where}: missing field {exc}") from None
+    except (ValueError, TypeError, RecursionError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def number(value, what: str) -> float:

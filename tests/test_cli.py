@@ -1229,6 +1229,16 @@ class TestConfigFile:
         # phi_recls 0.5 from the config: 0.2581 <= 0.5, so the object is kept
         assert "decision=keep" in out
 
+    @pytest.mark.parametrize("document", ["[1]", '"policy"', "null"], ids=["list", "str", "null"])
+    def test_config_that_is_no_object_names_the_file(self, tmp_path, capsys, document):
+        config = tmp_path / "config.json"
+        config.write_text(document)
+        assert main(["solve-psl", "1", "1", "1", "--config", str(config)]) == 1
+        kind = type(json.loads(document)).__name__
+        assert capsys.readouterr().err == (
+            f"input error: {config}: config must be a JSON object, got {kind}\n"
+        )
+
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "config.json"
         for key in ("frobnicate", "n_pro"):
@@ -1408,6 +1418,93 @@ class TestConfigFile:
         config.write_text(json.dumps({"alpha1": 1, "phi_recls": 0, "lambda_baol": None}))
         assert main(["solve-psl", "0.9", "0.5419", "1", "--config", str(config)]) == 0
         assert "decision=reclassify" in capsys.readouterr().out
+
+
+# a JSON integer that Python reads exactly and float() cannot convert
+HUGE = "1" + "0" * 399
+
+
+def library_chair(scene_id, score="0.9", theta="0"):
+    """A scenes line with one library chair, its score and box angle as JSON text."""
+    return (
+        f'{{"scene_id": "{scene_id}", "scene_type": "library", "detections": [{{"box": '
+        f'[0, 0, 0.5, 1, 1, 1, {theta}], "label": "chair", "score": {score}}}]}}'
+    )
+
+
+def proposals_line(class_score="0.9"):
+    return (
+        '{"boxes": [[0, 0, 0, 1, 1, 1, 0]], '
+        f'"class_scores": [[{class_score}]], "fg_scores": [0.9]}}'
+    )
+
+
+# 33 good scenes before the bad one: at --workers 2, refine parses the bad
+# line in its second chunk of 32, on a worker process
+GOOD_SCENES = [library_chair(f"s{i}") for i in range(33)]
+
+# per input kind: the argv (``{input}`` is the file, ``{dir}`` its folder),
+# the file's lines, the line of the error (None for a whole-file input) and
+# the worker counts the command is run at
+PAST_FLOAT_RANGE_ROWS = {
+    "refine-score": (
+        ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
+        [*GOOD_SCENES, library_chair("bad", score=HUGE)], 34, ("1", "2"),
+    ),
+    "refine-theta": (
+        ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
+        [*GOOD_SCENES, library_chair("bad", theta=HUGE)], 34, ("1", "2"),
+    ),
+    "eval-score": (
+        ["eval", "--detections", "{input}", "--gt", "{dir}/gt.jsonl"],
+        [library_chair("s0", score=HUGE)], 1, (None,),
+    ),
+    "baol-class-score": (
+        ["baol", "--proposals", "{input}", "--lambda-baol", "1"],
+        [proposals_line(), proposals_line(HUGE)], 2, ("1", "2"),
+    ),
+    "balance-bbox": (
+        ["balance", "--labels", "{input}"],
+        ['{"image_id": "i0", "labels": [{"bbox": [0, 0, %s, 1], "label": "chair", '
+         '"confidence": 0.5, "sim_pos": 0.5, "sim_neg": 0.1}]}' % HUGE], 1, (None,),
+    ),
+    "dbc-sim-loss": (["dbc-sim", "--losses", "{input}"], ['{"chair": %s}' % HUGE], 1, (None,)),
+    "kb-size": (
+        ["refine", "--kb", "{input}", "--detections", "{dir}/gt.jsonl", "--out", "{dir}/out.jsonl"],
+        ['{"sizes": {"chair": [%s, 1, 1]}}' % HUGE], None, (None,),
+    ),
+    "config-float": (
+        ["solve-psl", "0.9", "0.5", "1", "--config", "{input}"],
+        ['{"phi_keep": %s}' % HUGE], None, (None,),
+    ),
+}
+
+
+class TestNumbersPastTheFloatRange:
+    """A 400-digit integer in any input file is an input error that names the
+    file, and the line of a JSONL file, at every worker count."""
+
+    @pytest.mark.parametrize(
+        "argv, lines, lineno, worker_counts",
+        PAST_FLOAT_RANGE_ROWS.values(),
+        ids=PAST_FLOAT_RANGE_ROWS,
+    )
+    def test_is_input_error_naming_the_file(
+        self, tmp_path, capsys, argv, lines, lineno, worker_counts
+    ):
+        path = tmp_path / "input.json"
+        write_lines(path, *lines)
+        write_lines(tmp_path / "gt.jsonl", library_chair("s0"))
+        where = f"{path}:" if lineno is None else f"{path}:{lineno}:"
+        argv = [arg.format(input=path, dir=tmp_path) for arg in argv]
+        for workers in worker_counts:
+            flags = [] if workers is None else ["--workers", workers]
+            assert main([*argv, *flags]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"input error: {where} ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+            assert not multiprocessing.active_children()
 
 
 class TestUsageErrors:

@@ -145,6 +145,9 @@ class TestKnowledgeBase:
             ({"sizes": {"chair": "0.5"}}, "sizes['chair'] must be a JSON array, got str"),
             ({"compat": {"library": "chair"}}, "compat['library'] must be a JSON array, got str"),
             ({"novel_classes": "chair"}, "novel_classes must be a JSON array, got str"),
+            ({"sizes": {"chair": [1, 2]}}, "sizes['chair'] must be 3 numbers, got [1, 2]"),
+            ({"sizes": {"chair": [1, 2, 3, 4]}},
+             "sizes['chair'] must be 3 numbers, got [1, 2, 3, 4]"),
         ],
     )
     def test_from_dict_requires_objects_and_arrays(self, data, message):
