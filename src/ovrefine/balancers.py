@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .geometry import Box7DoF, _circles_meet, _is_number, footprint_circles, iou3d, parse_box
+from .geometry import (
+    _MAX_FLOAT, Box7DoF, _circles_meet, _is_number, footprint_circles, iou3d, parse_box,
+)
 from .jsonl import number, parse_line, read_lines
 
 # numpy is imported inside the proposal-scoring functions, the only code here
@@ -66,7 +68,7 @@ class PseudoLabel2D:
         # a JSON true or false would pass as 1 or 0, a string of 4 characters as 4 items
         if not (
             isinstance(self.bbox, (list, tuple)) and len(self.bbox) == 4
-            and all(_is_number(v) and math.isfinite(v) for v in self.bbox)
+            and all(_is_number(v) and -_MAX_FLOAT <= v <= _MAX_FLOAT for v in self.bbox)
         ):
             raise ValueError(f"bbox must be 4 finite numbers, got {self.bbox!r}")
         object.__setattr__(self, "bbox", tuple(self.bbox))
@@ -301,9 +303,11 @@ class ProposalSet:
         import numpy as np
 
         # numpy's messages for what it cannot read (ragged rows, a row beside a
-        # number, an object) do not name the field
+        # number, an object, an int past the float range) do not name the field
         try:
             scores = np.asarray(self.class_scores, dtype=float)
+        except OverflowError:
+            raise ValueError("class_scores must hold numbers within the float range") from None
         except (TypeError, ValueError):
             rows = self.class_scores if isinstance(self.class_scores, list) else []
             lengths = sorted({len(row) for row in rows if isinstance(row, list)})
@@ -314,6 +318,8 @@ class ProposalSet:
             raise ValueError("class_scores must be a list of rows of numbers") from None
         try:
             fg = np.asarray(self.fg_scores, dtype=float)
+        except OverflowError:
+            raise ValueError("fg_scores must hold numbers within the float range") from None
         except (TypeError, ValueError):
             raise ValueError("fg_scores must be a list of numbers") from None
         object.__setattr__(self, "boxes", tuple(self.boxes))

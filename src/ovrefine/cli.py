@@ -1,7 +1,8 @@
 """Command-line surface: refinement runs, solver one-shots, balancing
 simulations, evaluation, and synthetic-fixture generation.
 
-One binary with subcommands; options come from an optional JSON config file
+One binary with subcommands, each one `_COMMANDS` entry plus its
+`cmd_<name>(config, args)`; options come from an optional JSON config file
 plus flags, with flags winning. Exit codes: 0 success, 1 input error; any
 other error, a custom knowledge provider's among them, propagates.
 
@@ -16,6 +17,7 @@ is called through its module objects, where the benchmark's tracer wraps it.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import itertools
 import json
@@ -149,12 +151,8 @@ class RunConfig:
         return parse_file(path, from_dict)
 
     def override(self, args: argparse.Namespace) -> "RunConfig":
-        updates = {}
-        for f in fields(self):
-            value = getattr(args, f.name, None)
-            if value is not None:
-                updates[f.name] = value
-        return replace(self, **updates)
+        given = {f.name: getattr(args, f.name, None) for f in fields(self)}
+        return replace(self, **{name: value for name, value in given.items() if value is not None})
 
     def refinement(self) -> pipeline.RefinementConfig:
         from . import commonsense, pipeline
@@ -202,43 +200,37 @@ def _workers(config: RunConfig) -> int:
     return config.workers if config.workers is not None else (os.cpu_count() or 1)
 
 
-def _require(config: RunConfig, *names: str) -> None:
-    missing = [name for name in names if not getattr(config, name)]
+def _require(command: _Command, config: RunConfig) -> None:
+    missing = [name for name in command.requires.split() if not getattr(config, name[2:])]
     if missing:
-        raise ValueError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
+        raise ValueError(f"missing required option(s): {', '.join(missing)}")
 
 
-# the files each command writes, and the files it reads, by option
-_FILES = {
-    "refine": (("out", "log"), ("config", "detections", "kb")),
-    "balance": (("out",), ("config", "labels", "kb")),
-    "dbc-sim": (("out",), ("config", "losses")),
-    "eval": (("out",), ("config", "detections", "gt")),
-    "gen-synthetic": (("out", "gt"), ("config", "kb")),
-}
-
-
-def _require_distinct(command: str, config: RunConfig, args: argparse.Namespace) -> None:
+def _require_distinct(command: _Command, config: RunConfig, args: argparse.Namespace) -> None:
     """Refuse a file the command writes that is also another file it writes
-    or reads, which it would overwrite."""
-    writes, reads = _FILES.get(command, ((), ()))
+    or reads, --config among them, which it would overwrite."""
+    writes, reads = command.writes.split(), ["--config", *command.reads.split()]
     # --config, --labels and --losses are flags only, the others RunConfig fields
-    paths = [(name, getattr(config, name, getattr(args, name, None))) for name in writes + reads]
+    paths = [(f, getattr(config, f[2:], getattr(args, f[2:], None))) for f in writes + reads]
     for i, (first, a) in enumerate(paths[: len(writes)]):
         for second, b in paths[i + 1 :]:
             if a and b and os.path.realpath(a) == os.path.realpath(b):
-                raise ValueError(f"--{first} {a} and --{second} {b} name the same file")
+                raise ValueError(f"{first} {a} and {second} {b} name the same file")
 
 
-def cmd_refine(config: RunConfig) -> int:
-    _require(config, "detections", "out")
+def _write_report(path: str | None, data: dict) -> None:
+    """``data`` as indented JSON in ``path``, if the run names one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+
+
+def cmd_refine(config: RunConfig, args: argparse.Namespace) -> int:
     config.refinement()  # bad options fail before any line is read
     provider = _make_provider(config)
-    totals = _refine_in_chunks(config, provider)
-    kept, removed, reclassified = (
-        sum(counts[decision] for counts in totals) for decision in ("keep", "remove", "reclassify")
-    )
-    print(f"kept {kept}, removed {removed}, reclassified {reclassified}")
+    tally = _refine_in_chunks(config, provider)
+    print(f"kept {tally['keep']}, removed {tally['remove']}, reclassified {tally['reclassify']}")
     if config.llm == "remote" and provider.client.failed:
         print(
             f"warning: {provider.client.failed} of {provider.client.requests} LLM requests failed "
@@ -256,7 +248,7 @@ class _Chunk(typing.NamedTuple):
     bad_line: ValueError | None = None  # the first line that does not parse
     out: str = ""  # the chunk's --out lines
     log: str = ""  # its --log lines, if the run writes a log
-    counts: tuple[dict[str, int], ...] = ()  # each scene's decision counts
+    tally: typing.Mapping[str, int] = {}  # the chunk's decision counts
 
 
 # Scenes per job of `refine`'s workers. Enough solves (about 150 at the
@@ -264,7 +256,7 @@ class _Chunk(typing.NamedTuple):
 _CHUNK_SCENES = 32
 
 
-def _refine_in_chunks(config: RunConfig, provider) -> list[dict[str, int]]:
+def _refine_in_chunks(config: RunConfig, provider) -> collections.Counter:
     """Refine on ``--workers`` processes, each parsing, refining and
     formatting chunks of ``_CHUNK_SCENES`` lines of the file; one worker runs
     the chunks in this process. A remote provider refines them on
@@ -276,7 +268,7 @@ def _refine_in_chunks(config: RunConfig, provider) -> list[dict[str, int]]:
     This process reads the lines, checks the scene ids for repeats in file
     order, and writes both files once every chunk has succeeded. It raises
     what the inline run raises: the first bad line, repeated id or refine
-    error, by chunk in file order. Returns each scene's decision counts.
+    error, by chunk in file order. Returns the run's decision counts.
     """
     from . import pipeline, processes
 
@@ -287,30 +279,27 @@ def _refine_in_chunks(config: RunConfig, provider) -> list[dict[str, int]]:
 
         pool, workers = ThreadPoolExecutor, 2 * config.llm_max_in_flight
     path = config.detections
-    jobs = ((config, provider, lines) for lines in _chunks(read_lines(path), _CHUNK_SCENES))
+    lines = read_lines(path)
+    # lists of _CHUNK_SCENES lines, the last one shorter, until one comes back empty
+    chunks = iter(lambda: list(itertools.islice(lines, _CHUNK_SCENES)), [])
+    jobs = ((config, provider, chunk) for chunk in chunks)
     first_line: dict[str, int] = {}
-    out, log, totals = [], [], []
-    with contextlib.closing(processes.map_in_order(_refine_chunk, jobs, workers, pool)) as chunks:
-        for chunk in chunks:
+    out, log, tally = [], [], collections.Counter()
+    with contextlib.closing(processes.map_in_order(_refine_chunk, jobs, workers, pool)) as results:
+        for chunk in results:
             for scene_id, lineno in chunk.ids:
                 pipeline.check_scene_id(first_line, scene_id, path, lineno)
             if chunk.bad_line is not None:
                 raise chunk.bad_line
             out.append(chunk.out)
             log.append(chunk.log)
-            totals += chunk.counts
+            tally.update(chunk.tally)
     with open(config.out, "w", encoding="utf-8") as fh:
         fh.writelines(out)
     if config.log:
         with open(config.log, "w", encoding="utf-8") as fh:
             fh.writelines(log)
-    return totals
-
-
-def _chunks(lines: typing.Iterator, size: int) -> typing.Iterator[list]:
-    """``lines`` in lists of ``size``, the last one shorter."""
-    while chunk := list(itertools.islice(lines, size)):
-        yield chunk
+    return tally
 
 
 def _refine_chunk(job: tuple[RunConfig, typing.Any, list[tuple[int, str]]]) -> _Chunk:
@@ -342,16 +331,19 @@ def _refine_chunk(job: tuple[RunConfig, typing.Any, list[tuple[int, str]]]) -> _
         ids,
         out="".join(pipeline.scene_line(record) for record, _ in results),
         log="".join(map(pipeline.log_line, logs)) if config.log else "",
-        counts=tuple(log.counts() for log in logs),
+        tally=collections.Counter(obj.decision.value for log in logs for obj in log.objects),
     )
 
 
-def cmd_solve_psl(config: RunConfig, x_conf: float, x_size: float, x_scene: float) -> int:
+def cmd_solve_psl(config: RunConfig, args: argparse.Namespace) -> int:
     from .psl import SelectionPolicy, decide, solve_decisions
 
+    if args.weights is not None:
+        alpha1, alpha2, alpha3 = args.weights
+        config = replace(config, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3)
     weights = (config.alpha1, config.alpha2, config.alpha3)
     policy = SelectionPolicy(config.policy)
-    (solution,) = solve_decisions([(x_conf, x_size, x_scene)], weights, policy)
+    (solution,) = solve_decisions([tuple(args.x)], weights, policy)
     decision = decide(solution, config.phi_keep, config.phi_recls)
     print(
         f"y_keep={solution.y_keep:.6f} y_recls={solution.y_recls:.6f} "
@@ -360,7 +352,7 @@ def cmd_solve_psl(config: RunConfig, x_conf: float, x_size: float, x_scene: floa
     return 0
 
 
-def cmd_balance(config: RunConfig, labels_path: str) -> int:
+def cmd_balance(config: RunConfig, args: argparse.Namespace) -> int:
     from . import balancers
 
     params = dict(
@@ -375,7 +367,7 @@ def cmd_balance(config: RunConfig, labels_path: str) -> int:
     balancers.reflect_filter([], config.phi_clip)
     balancers.SbcState.uniform([], **params)
     kb = _load_kb(config)
-    records = balancers.load_pseudo_labels(labels_path)
+    records = balancers.load_pseudo_labels(args.labels)
     pool = [label for _, labels in records for label in labels]
     pool = balancers.reflect_filter(pool, config.phi_clip)
     classes = sorted({label.label for label in pool} & kb.novel_classes)
@@ -395,18 +387,12 @@ def cmd_balance(config: RunConfig, labels_path: str) -> int:
     print(f"converged after {iterations} iteration(s)")
     for cls in classes:
         print(f"phi[{cls}] = {final.phi_by_class[cls]:.4f}")
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"iterations": iterations, "phi_by_class": dict(sorted(final.phi_by_class.items()))},
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+    phi_by_class = dict(sorted(final.phi_by_class.items()))
+    _write_report(config.out, {"iterations": iterations, "phi_by_class": phi_by_class})
     return 0
 
 
-def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
+def cmd_dbc_sim(config: RunConfig, args: argparse.Namespace) -> int:
     from . import balancers
 
     params = dict(
@@ -417,7 +403,7 @@ def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
         w_hi=config.dbc_w_hi,
     )
     balancers.DbcState.initial([], **params)  # bad options fail before any line is read
-    stream = balancers.load_loss_stream(losses_path)
+    stream = balancers.load_loss_stream(args.losses)
     if not stream:
         raise ValueError("empty loss stream")
     classes = sorted({cls for record in stream for cls in record})
@@ -435,31 +421,27 @@ def cmd_dbc_sim(config: RunConfig, losses_path: str) -> int:
     print(f"final: {final}")
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
-            for entry in trace:
-                fh.write(json.dumps(entry) + "\n")
+            fh.writelines(json.dumps(entry) + "\n" for entry in trace)
     return 0
 
 
-def cmd_baol(config: RunConfig, proposals_path: str) -> int:
+def cmd_baol(config: RunConfig, args: argparse.Namespace) -> int:
     # balancers is loaded here, geometry with this module and numpy by
     # `_numpy_process_pool`, before any worker process forks, so that the
     # workers inherit all three
-    from . import balancers  # noqa: F401
+    from . import balancers, processes  # noqa: F401
 
     if config.lambda_baol is None:
         raise ValueError("missing required option --lambda-baol (it has no default)")
-    from . import processes
 
     # read as the scenes are scored, so that no process holds the whole file
     jobs = (
-        (proposals_path, index, lineno, line, config)
-        for index, (lineno, line) in enumerate(read_lines(proposals_path))
+        (args.proposals, index, lineno, line, config)
+        for index, (lineno, line) in enumerate(read_lines(args.proposals))
     )
     # one worker, or one scene, runs inline and starts no process; the first
     # bad line, in file order, raises before any scene is printed
-    reports = list(
-        processes.map_in_order(_baol_scene, jobs, _workers(config), _numpy_process_pool)
-    )
+    reports = list(processes.map_in_order(_baol_scene, jobs, _workers(config), _numpy_process_pool))
     for report in reports:
         print(report)
     return 0
@@ -515,10 +497,9 @@ def _baol_scene(job: tuple[str, int, int, str, RunConfig]) -> str:
     )
 
 
-def cmd_eval(config: RunConfig) -> int:
+def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
     from . import pipeline
 
-    _require(config, "detections", "gt")
     lines: dict[str, int] = {}
     predictions = pipeline.load_scenes(config.detections, lines)
     ground_truth = pipeline.load_scenes(config.gt)
@@ -533,24 +514,17 @@ def cmd_eval(config: RunConfig) -> int:
     for label in sorted(report.per_class):
         print(f"AP[{label}] = {report.per_class[label]:.4f}")
     print(f"mAP {report.mean:.4f}")
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"per_class": dict(sorted(report.per_class.items())), "mean": report.mean},
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+    _write_report(
+        config.out, {"per_class": dict(sorted(report.per_class.items())), "mean": report.mean}
+    )
     return 0
 
 
-def cmd_gen_synthetic(config: RunConfig) -> int:
+def cmd_gen_synthetic(config: RunConfig, args: argparse.Namespace) -> int:
     from . import commonsense, pipeline
 
-    _require(config, "out", "gt")
-    kb = _load_kb(config)
     ground_truth, detections = pipeline.generate_synthetic_scenes(
-        kb,
+        _load_kb(config),
         seed=config.seed,
         n_scenes=config.scenes,
         corruption_rate=config.corruption,
@@ -623,20 +597,43 @@ _ARGUMENTS = {
     "--corruption": {"type": float},
 }
 
-# each subcommand's help and the arguments it reads besides --config; no other is accepted
+
+class _Command(typing.NamedTuple):
+    """One subcommand, run by its ``cmd_<name>``; the fields after ``help`` list arguments."""
+
+    help: str
+    arguments: str  # what it reads besides --config; no other argument is accepted
+    requires: str = ""  # options it must be given, by flag or config
+    writes: str = ""  # files it writes: each must differ from every other file
+    reads: str = ""  # files it reads besides --config, which it must not overwrite
+
+
 _COMMANDS = {
-    "refine": ("refine a detections file", "--detections --kb --out --log --policy --workers --llm"),
-    "solve-psl": ("solve one constraint vector", "x --weights --policy"),
-    "balance": ("run the threshold circulation on pseudo labels", "--labels --phi-init --kb --out"),
-    "dbc-sim": ("replay a loss stream through the weight scheduler", "--losses --interval --top-k --out"),
-    "baol": (
+    "refine": _Command(
+        "refine a detections file", "--detections --kb --out --log --policy --workers --llm",
+        requires="--detections --out", writes="--out --log", reads="--detections --kb",
+    ),
+    "solve-psl": _Command("solve one constraint vector", "x --weights --policy"),
+    "balance": _Command(
+        "run the threshold circulation on pseudo labels", "--labels --phi-init --kb --out",
+        writes="--out", reads="--labels --kb",
+    ),
+    "dbc-sim": _Command(
+        "replay a loss stream through the weight scheduler", "--losses --interval --top-k --out",
+        writes="--out", reads="--losses",
+    ),
+    "baol": _Command(
         "compress proposals, assign labels, compute the loss",
         "--proposals --lambda-baol --k-pro --workers",
     ),
-    "eval": ("mAP@0.25 of detections against ground truth", "--detections --gt --out"),
-    "gen-synthetic": (
+    "eval": _Command(
+        "mAP@0.25 of detections against ground truth", "--detections --gt --out",
+        requires="--detections --gt", writes="--out", reads="--detections --gt",
+    ),
+    "gen-synthetic": _Command(
         "write a synthetic ground-truth/detections pair",
         "--seed --scenes --corruption --kb --out --gt",
+        requires="--out --gt", writes="--out --gt", reads="--kb",
     ),
 }
 
@@ -647,38 +644,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Soft-logic refinement of open-vocabulary 3D detections",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for name in ("--config", *names.split()):
-            p.add_argument(name, **_ARGUMENTS[name])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for argument in ("--config", *command.arguments.split()):
+            p.add_argument(argument, **_ARGUMENTS[argument])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         config = RunConfig.load(args.config) if args.config else RunConfig()
         config = config.override(args)
         # before any other input is read, or any output written
-        _require_distinct(args.command, config, args)
-        if args.command == "refine":
-            return cmd_refine(config)
-        if args.command == "solve-psl":
-            if args.weights is not None:
-                alpha1, alpha2, alpha3 = args.weights
-                config = replace(config, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3)
-            return cmd_solve_psl(config, *args.x)
-        if args.command == "balance":
-            return cmd_balance(config, args.labels)
-        if args.command == "dbc-sim":
-            return cmd_dbc_sim(config, args.losses)
-        if args.command == "baol":
-            return cmd_baol(config, args.proposals)
-        if args.command == "eval":
-            return cmd_eval(config)
-        if args.command == "gen-synthetic":
-            return cmd_gen_synthetic(config)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        _require_distinct(command, config, args)
+        _require(command, config)
+        # looked up when called, so that a replaced cmd_<name> runs
+        return globals()["cmd_" + args.command.replace("-", "_")](config, args)
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,6 +33,9 @@ _REACH_PAD = 1e-9
 # extents: far beyond any scene, ten times inside the range where the broad
 # phase of ``iou3d`` is exact, and far from where its volumes overflow
 _MAX_METERS = 1e5
+# the largest finite float; an int compares with it exactly, where math.isfinite
+# of an int past it raises OverflowError
+_MAX_FLOAT = sys.float_info.max
 
 # Rows of a class's pair matrix that ``soft_nms`` tests at once, so that its
 # temporaries hold at most this many rows times the class size
@@ -84,10 +88,10 @@ class Box7DoF:
             raise TypeError(f"box fields must be numbers, got {values}")
         cx, cy, cz, l, w, h, theta = values
         # a NaN fails every comparison; the chain is as fast as a finiteness test
-        m = _MAX_METERS
+        m, f = _MAX_METERS, _MAX_FLOAT
         if not (
             -m <= cx <= m and -m <= cy <= m and -m <= cz <= m
-            and -m <= l <= m and -m <= w <= m and -m <= h <= m and math.isfinite(theta)
+            and -m <= l <= m and -m <= w <= m and -m <= h <= m and -f <= theta <= f
         ):
             raise ValueError(
                 f"box fields must be finite, and cx to h at most 1e5 m in magnitude, got {values}"

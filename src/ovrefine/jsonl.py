@@ -60,15 +60,20 @@ def _parse(where, text: str, parse: Callable[[object], T]) -> T:
 
 
 def number(value, what: str) -> float:
-    """``value`` of the JSON field ``what`` as a float, if it is a JSON number.
+    """``value`` of the JSON field ``what`` as a float, if it is a JSON number
+    within the float range.
 
     ``float`` would also take ``true`` and ``false`` as 1 and 0, and a string
-    such as ``"0.9"`` as its number; both are refused.
+    such as ``"0.9"`` as its number; both are refused, as is an integer past
+    the float range, which JSON allows.
     """
     # exact types: bool subclasses int
     if type(value) not in (int, float):
         raise TypeError(f"{what} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a number within the float range") from None
 
 
 def expect(value, kind, what: str):

@@ -1444,53 +1444,61 @@ def proposals_line(class_score="0.9"):
 GOOD_SCENES = [library_chair(f"s{i}") for i in range(33)]
 
 # per input kind: the argv (``{input}`` is the file, ``{dir}`` its folder),
-# the file's lines, the line of the error (None for a whole-file input) and
-# the worker counts the command is run at
+# the file's lines, the line of the error (None for a whole-file input), the
+# worker counts the command is run at, and the field the message names
 PAST_FLOAT_RANGE_ROWS = {
     "refine-score": (
         ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
-        [*GOOD_SCENES, library_chair("bad", score=HUGE)], 34, ("1", "2"),
+        [*GOOD_SCENES, library_chair("bad", score=HUGE)], 34, ("1", "2"), "score",
     ),
     "refine-theta": (
         ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
-        [*GOOD_SCENES, library_chair("bad", theta=HUGE)], 34, ("1", "2"),
+        [*GOOD_SCENES, library_chair("bad", theta=HUGE)], 34, ("1", "2"), "box fields",
     ),
     "eval-score": (
         ["eval", "--detections", "{input}", "--gt", "{dir}/gt.jsonl"],
-        [library_chair("s0", score=HUGE)], 1, (None,),
+        [library_chair("s0", score=HUGE)], 1, (None,), "score",
     ),
     "baol-class-score": (
         ["baol", "--proposals", "{input}", "--lambda-baol", "1"],
-        [proposals_line(), proposals_line(HUGE)], 2, ("1", "2"),
+        [proposals_line(), proposals_line(HUGE)], 2, ("1", "2"), "class_scores",
+    ),
+    "baol-fg-score": (
+        ["baol", "--proposals", "{input}", "--lambda-baol", "1"],
+        ['{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [%s]}' % HUGE],
+        1, ("1",), "fg_scores",
     ),
     "balance-bbox": (
         ["balance", "--labels", "{input}"],
         ['{"image_id": "i0", "labels": [{"bbox": [0, 0, %s, 1], "label": "chair", '
-         '"confidence": 0.5, "sim_pos": 0.5, "sim_neg": 0.1}]}' % HUGE], 1, (None,),
+         '"confidence": 0.5, "sim_pos": 0.5, "sim_neg": 0.1}]}' % HUGE], 1, (None,), "bbox",
     ),
-    "dbc-sim-loss": (["dbc-sim", "--losses", "{input}"], ['{"chair": %s}' % HUGE], 1, (None,)),
+    "dbc-sim-loss": (
+        ["dbc-sim", "--losses", "{input}"],
+        ['{"chair": %s}' % HUGE], 1, (None,), "loss for 'chair'",
+    ),
     "kb-size": (
         ["refine", "--kb", "{input}", "--detections", "{dir}/gt.jsonl", "--out", "{dir}/out.jsonl"],
-        ['{"sizes": {"chair": [%s, 1, 1]}}' % HUGE], None, (None,),
+        ['{"sizes": {"chair": [%s, 1, 1]}}' % HUGE], None, (None,), "sizes['chair']",
     ),
     "config-float": (
         ["solve-psl", "0.9", "0.5", "1", "--config", "{input}"],
-        ['{"phi_keep": %s}' % HUGE], None, (None,),
+        ['{"phi_keep": %s}' % HUGE], None, (None,), "phi_keep",
     ),
 }
 
 
 class TestNumbersPastTheFloatRange:
     """A 400-digit integer in any input file is an input error that names the
-    file, and the line of a JSONL file, at every worker count."""
+    file, the line of a JSONL file and the field, at every worker count."""
 
     @pytest.mark.parametrize(
-        "argv, lines, lineno, worker_counts",
+        "argv, lines, lineno, worker_counts, field",
         PAST_FLOAT_RANGE_ROWS.values(),
         ids=PAST_FLOAT_RANGE_ROWS,
     )
     def test_is_input_error_naming_the_file(
-        self, tmp_path, capsys, argv, lines, lineno, worker_counts
+        self, tmp_path, capsys, argv, lines, lineno, worker_counts, field
     ):
         path = tmp_path / "input.json"
         write_lines(path, *lines)
@@ -1503,8 +1511,42 @@ class TestNumbersPastTheFloatRange:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith(f"input error: {where} ") and err.count("\n") == 1, err
+            assert f"{field} must " in err.removeprefix(f"input error: {where} "), err
             assert "Traceback" not in err
             assert not multiprocessing.active_children()
+
+
+class TestRequiredOptions:
+    """A command run without an option it needs exits 1, naming the option,
+    and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["refine", "--detections", "{scenes}", "--log", "{dir}/log.jsonl"], "--out"),
+            (["refine", "--out", "{dir}/out.jsonl", "--log", "{dir}/log.jsonl"], "--detections"),
+            (["eval", "--detections", "{scenes}", "--out", "{dir}/report.json"], "--gt"),
+            (["gen-synthetic", "--out", "{dir}/out.jsonl", "--scenes", "2"], "--gt"),
+        ],
+        ids=["refine-out", "refine-detections", "eval-gt", "gen-synthetic-gt"],
+    )
+    def test_missing_option_is_input_error(self, tmp_path, capsys, argv, missing):
+        scenes = tmp_path / "scenes.jsonl"
+        write_lines(scenes, library_chair("s0"))
+        assert main([arg.format(scenes=scenes, dir=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr() == (
+            "", f"input error: missing required option(s): {missing}\n"
+        )
+        assert [child.name for child in tmp_path.iterdir()] == ["scenes.jsonl"]
+
+    def test_baol_without_lambda_names_it(self, tmp_path, capsys):
+        path = tmp_path / "proposals.jsonl"
+        write_lines(path, proposals_line())
+        assert main(["baol", "--proposals", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "input error: missing required option --lambda-baol (it has no default)\n"
+        )
+        assert [child.name for child in tmp_path.iterdir()] == ["proposals.jsonl"]
 
 
 class TestUsageErrors:
