@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from .geometry import (
     _MAX_FLOAT, Box7DoF, _circles_meet, _is_number, footprint_circles, iou3d, parse_box,
 )
-from .jsonl import number, parse_line, read_lines
+from .jsonl import brief, number, parse_line, read_lines
 
 # numpy is imported inside the proposal-scoring functions, the only code here
 # that builds arrays, so that `balance` and `dbc-sim` start without loading it
@@ -70,7 +70,7 @@ class PseudoLabel2D:
             isinstance(self.bbox, (list, tuple)) and len(self.bbox) == 4
             and all(_is_number(v) and -_MAX_FLOAT <= v <= _MAX_FLOAT for v in self.bbox)
         ):
-            raise ValueError(f"bbox must be 4 finite numbers, got {self.bbox!r}")
+            raise ValueError(f"bbox must be 4 finite numbers, got {brief(repr(self.bbox))}")
         object.__setattr__(self, "bbox", tuple(self.bbox))
         x1, y1, x2, y2 = self.bbox
         if not (x1 < x2 and y1 < y2):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 # geometry is light; perfbench/tracecli.py wraps soft_nms on this module
 from .geometry import ScoredBox, soft_nms
-from .jsonl import expect, parse_file, parse_line, read_lines
+from .jsonl import brief, expect, parse_file, parse_line, read_lines
 
 if typing.TYPE_CHECKING:
     from . import pipeline
@@ -112,7 +112,11 @@ class RunConfig:
             # a NaN slips past every `value < least` check, an infinity defeats a clamp,
             # and an int beyond the float range overflows where it is used
             if allowed[0] is float and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number, got {value}")
+                raise ValueError(f"{name} must be a finite number, got {brief(str(value))}")
+        # an empty path would quietly mean no file, or the built-in knowledge base
+        for name in ("detections", "kb", "gt", "out", "log"):
+            if getattr(self, name) == "":
+                raise ValueError(f"{name} must name a file, got an empty string")
         for name, least in (
             ("workers", 1), ("k_pro", 1), ("llm_max_in_flight", 1), ("llm_retries", 0),
             ("dbc_k", 0), ("dbc_interval", 1), ("sbc_max_iters", 1), ("scenes", 0),
@@ -655,6 +659,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
+        if args.config == "":
+            raise ValueError("--config must name a file, got an empty string")
         config = RunConfig.load(args.config) if args.config else RunConfig()
         config = config.override(args)
         # before any other input is read, or any output written

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
 from .geometry import Box7DoF
-from .jsonl import ARRAY, expect, number, parse_file
+from .jsonl import ARRAY, brief, expect, number, parse_file
 from .psl import ConstraintVector
 
 if TYPE_CHECKING:
@@ -166,11 +166,10 @@ class KnowledgeBase:
                 raise ValueError(f"{where} must be 3 numbers, got {json.dumps(dims)}")
             sizes[label] = SizePrior(*(number(d, where) for d in dims))
         compat = {
-            scene: set(expect(classes, ARRAY, f"compat[{scene!r}]"))
+            scene: _class_names(classes, f"compat[{scene!r}]")
             for scene, classes in expect(data.get("compat", {}), Mapping, "compat").items()
         }
-        novel = expect(data.get("novel_classes", []), ARRAY, "novel_classes")
-        return cls(sizes, compat, set(novel))
+        return cls(sizes, compat, _class_names(data.get("novel_classes", []), "novel_classes"))
 
     def to_dict(self) -> dict:
         return {
@@ -181,6 +180,14 @@ class KnowledgeBase:
             "compat": {scene: sorted(cls) for scene, cls in sorted(self.compat.items())},
             "novel_classes": sorted(self.novel_classes),
         }
+
+
+def _class_names(values, where: str) -> set[str]:
+    """The JSON array ``values`` of the field ``where`` as a set of class names."""
+    for name in expect(values, ARRAY, where):
+        if not isinstance(name, str):
+            raise ValueError(f"{where} must hold class names, got {brief(json.dumps(name))}")
+    return set(values)
 
 
 def load_knowledge_base(path) -> KnowledgeBase:

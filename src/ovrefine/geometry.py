@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .jsonl import brief
+
 # numpy is imported inside the functions that build arrays, so that commands
 # which never build one (``refine``, ``solve-psl``) start without loading it
 if TYPE_CHECKING:
@@ -93,9 +95,13 @@ class Box7DoF:
             -m <= cx <= m and -m <= cy <= m and -m <= cz <= m
             and -m <= l <= m and -m <= w <= m and -m <= h <= m and -f <= theta <= f
         ):
-            raise ValueError(
-                f"box fields must be finite, and cx to h at most 1e5 m in magnitude, got {values}"
-            )
+            for name, value in zip(("cx", "cy", "cz", "l", "w", "h"), values):
+                if not -m <= value <= m:
+                    raise ValueError(
+                        f"box {name} must be finite and at most 1e5 m in magnitude, "
+                        f"got {brief(str(value))}"
+                    )
+            raise ValueError(f"box theta must be finite, got {brief(str(theta))}")
         if l <= 0.0 or w <= 0.0 or h <= 0.0:
             raise ValueError(f"box extents must be positive, got ({l}, {w}, {h})")
         object.__setattr__(self, "theta", _wrap_angle(theta))

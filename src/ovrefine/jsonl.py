@@ -76,6 +76,12 @@ def number(value, what: str) -> float:
         raise ValueError(f"{what} must be a number within the float range") from None
 
 
+def brief(text: str) -> str:
+    """``text``, a value an error message quotes, cut to its first 20
+    characters and its length, as JSON allows an integer of any length."""
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def expect(value, kind, what: str):
     """``value``, if it is the JSON ``kind`` that the field ``what`` needs:
     ``ARRAY`` for an array, a mapping type for an object."""

@@ -27,7 +27,7 @@ from .commonsense import (
     size_constraint,
 )
 from .geometry import Box7DoF, _is_number, iou3d, parse_box
-from .jsonl import ARRAY, expect, number, parse_line, read_lines
+from .jsonl import ARRAY, brief, expect, number, parse_line, read_lines
 from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
 from .psl import _decision_rules
 
@@ -87,7 +87,9 @@ class Detection:
                 if not _is_number(value):
                     raise TypeError(f"class score for {label!r} must be a number, got {value!r}")
                 if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"class score for {label!r} is {value}, outside [0, 1]")
+                    raise ValueError(
+                        f"class score for {label!r} must be in [0, 1], got {brief(str(value))}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -414,8 +416,18 @@ def generate_synthetic_scenes(
 
     if not 0.0 <= corruption_rate <= 1.0:
         raise ValueError(f"corruption_rate must be in [0, 1], got {corruption_rate}")
-    rng = np.random.default_rng(seed)
     scene_types = sorted(kb.compat)
+    # each scene draws its type, and each object a class of that type with a size
+    if n_scenes > 0:
+        if not scene_types:
+            raise ValueError("the knowledge base's compat is empty: it has no scene type to sample")
+        for scene_type in scene_types:
+            if not any(c in kb.sizes for c in kb.compat[scene_type]):
+                raise ValueError(
+                    f"no class in the knowledge base's compat[{scene_type!r}] has a size, "
+                    "so no scene of that type can be sampled"
+                )
+    rng = np.random.default_rng(seed)
     novel_sorted = sorted(kb.novel_classes)
     ground_truth: list[SceneRecord] = []
     detections: list[SceneRecord] = []

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
+from .geometry import _polygon_area
+
 __all__ = [
     "Const",
     "Var",
@@ -55,6 +57,7 @@ __all__ = [
 
 KEEP_VAR = "y_keep"
 RECLS_VAR = "y_recls"
+_DECISION_VARS = frozenset((KEEP_VAR, RECLS_VAR))
 
 CONF_VAR = "x_conf"
 SIZE_VAR = "x_size"
@@ -178,11 +181,10 @@ class RuleSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "bindings", dict(self.bindings))
-        decision = {KEEP_VAR, RECLS_VAR}
-        bound = decision & set(self.bindings)
+        bound = _DECISION_VARS & set(self.bindings)
         if bound:
             raise ValueError(f"decision variables cannot be bound: {sorted(bound)}")
-        missing = self.variables() - decision - set(self.bindings)
+        missing = self.variables() - _DECISION_VARS - set(self.bindings)
         if missing:
             raise ValueError(f"variables neither bound nor decision variables: {sorted(missing)}")
         for name, value in self.bindings.items():
@@ -310,16 +312,6 @@ def _clip_halfplane(poly, a, b, c):
     return out
 
 
-def _poly_area(poly) -> float:
-    area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        area += x1 * y2 - x2 * y1
-    return area / 2.0
-
-
 def _poly_intersect(p, q):
     """``p`` clipped by each CCW edge of ``q`` in turn ([] if under 3 vertices).
 
@@ -364,31 +356,26 @@ def _split_piece(poly, t, threshold, below_affine, above_affine):
     a, b, c = t
     pieces = []
     below = _clip_halfplane(poly, a, b, threshold - c)
-    if len(below) >= 3 and abs(_poly_area(below)) > 1e-14:
+    if len(below) >= 3 and _polygon_area(below) > 1e-14:
         pieces.append((below, below_affine))
     above = _clip_halfplane(poly, -a, -b, c - threshold)
-    if len(above) >= 3 and abs(_poly_area(above)) > 1e-14:
+    if len(above) >= 3 and _polygon_area(above) > 1e-14:
         pieces.append((above, above_affine))
     return pieces
 
 
 def _pwl(expr: SoftExpr, bindings: Mapping[str, float]):
     """Cell complex of (convex polygon, affine (a, b, c)) pairs covering the
-    unit square; the affine gives a*y_keep + b*y_recls + c on its polygon."""
-    if isinstance(expr, Const):
-        return [(list(_UNIT_SQUARE), (0.0, 0.0, float(expr.value)))]
+    unit square; the affine gives a*y_keep + b*y_recls + c on its polygon. A
+    subtree that holds neither decision variable is one cell, at the value
+    `eval_expr` gives it."""
+    if _expr_vars(expr, set()).isdisjoint(_DECISION_VARS):
+        return [(list(_UNIT_SQUARE), (0.0, 0.0, float(eval_expr(expr, bindings))))]
     if isinstance(expr, Var):
-        if expr.name in bindings:
-            return [(list(_UNIT_SQUARE), (0.0, 0.0, float(bindings[expr.name])))]
-        if expr.name == KEEP_VAR:
-            return [(list(_UNIT_SQUARE), (1.0, 0.0, 0.0))]
-        if expr.name == RECLS_VAR:
-            return [(list(_UNIT_SQUARE), (0.0, 1.0, 0.0))]
-        raise UnboundVariableError(expr.name)
+        affine = (1.0, 0.0, 0.0) if expr.name == KEEP_VAR else (0.0, 1.0, 0.0)
+        return [(list(_UNIT_SQUARE), affine)]
     if isinstance(expr, Not):
         return [(poly, (-a, -b, 1.0 - c)) for poly, (a, b, c) in _pwl(expr.operand, bindings)]
-    if not isinstance(expr, (And, Or)):
-        raise TypeError(f"not a soft-logic expression: {expr!r}")
     left, right = _pwl(expr.left, bindings), _pwl(expr.right, bindings)
     return _combine(expr, left, right, _overlaps(left, right))
 
@@ -415,27 +402,13 @@ def _combine(expr: And | Or, left, right, overlaps):
     return pieces
 
 
-def _bound_affine(expr: SoftExpr, bindings: Mapping[str, float]):
-    """The affine of the one cell of `_pwl` on a subtree of bound variables and
-    constants, by the same float operations, without building the cell."""
-    if isinstance(expr, Const):
-        return (0.0, 0.0, float(expr.value))
-    if isinstance(expr, Var):
-        return (0.0, 0.0, float(bindings[expr.name]))
-    if isinstance(expr, Not):
-        a, b, c = _bound_affine(expr.operand, bindings)
-        return (-a, -b, 1.0 - c)
-    c = _bound_affine(expr.left, bindings)[2] + _bound_affine(expr.right, bindings)[2]
-    return (0.0, 0.0, max(c - 1.0, 0.0) if isinstance(expr, And) else min(c, 1.0))
-
-
 def _overlaps(left, right):
     # (polygon, i, j) for each pair of cells left[i], right[j] that overlap
     out = []
     for i, (poly_l, _) in enumerate(left):
         for j, (poly_r, _) in enumerate(right):
             poly = _poly_intersect(poly_l, poly_r)
-            if len(poly) >= 3 and abs(_poly_area(poly)) > 1e-14:
+            if len(poly) >= 3 and _polygon_area(poly) > 1e-14:
                 out.append((poly, i, j))
     return out
 
@@ -507,9 +480,9 @@ def solve_decisions(
     values alone in the antecedent and ``y_keep``, ``y_recls`` alone in the
     consequent. So each consequent's cells, and their overlaps with the unit
     square, are built once per call, with no `RuleSet` per object. Per triple,
-    the negated antecedent is one unit-square cell, whose affine
-    `_bound_affine` reads; `_combine` splits the consequent's cells at it,
-    `_merge` adds the three rules and `_pick` applies the policy. The merge
+    the negated antecedent is one unit-square cell at the value `eval_expr`
+    gives it, as `_pwl` builds it; `_combine` splits the consequent's cells
+    at it, `_merge` adds the three rules and `_pick` applies the policy. The merge
     skips every clip by a side of the unit square that would cut nothing
     (`_poly_intersect`), about 31 of the 54 clips per object on the
     benchmark's scenes.
@@ -534,7 +507,8 @@ def solve_decisions(
     out = []
     for bound in bindings:
         complex_ = _merge(
-            (_combine(expr, [(None, _bound_affine(expr.left, bound))], cells, overlaps), w)
+            (_combine(expr, [(None, (0.0, 0.0, float(eval_expr(expr.left, bound))))],
+                      cells, overlaps), w)
             for expr, w, cells, overlaps in consequents
         )
         out.append(_pick(complex_, tie, bound[SCENE_VAR], policy))

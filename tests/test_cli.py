@@ -253,7 +253,7 @@ class TestRefine:
             *[
                 (
                     chair_line(f'"score": 0.9, "class_scores": {{"chair": {bad}}}'),
-                    f"class score for 'chair' is {shown}, outside [0, 1]",
+                    f"class score for 'chair' must be in [0, 1], got {shown}",
                 )
                 for bad, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"))
             ],
@@ -1081,9 +1081,10 @@ def test_box_beyond_1e5_m_names_file_and_line(tmp_path, capsys, command, field):
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(
-        f"input error: {path}:2: {where}: box fields must be finite, and cx to h at most 1e5 m "
-        "in magnitude, got "
+    name = ("cx", "cy", "cz", "l", "w", "h")[field]
+    assert err == (
+        f"input error: {path}:2: {where}: box {name} must be finite and at most 1e5 m "
+        f"in magnitude, got {box[field]}\n"
     )
 
 
@@ -1279,11 +1280,13 @@ class TestConfigFile:
             ("alpha3", -1, "alpha3 must be a finite number at least 0, got -1"),
             # an int too large for a float would overflow where it is used
             pytest.param(
-                "alpha1", 10**400, f"alpha1 must be a finite number, got {10**400}",
+                "alpha1", 10**400,
+                "alpha1 must be a finite number, got 10000000000000000000... (401 characters)",
                 id="alpha1-int-1e400",
             ),
             pytest.param(
-                "phi_keep", -10**400, f"phi_keep must be a finite number, got {-10**400}",
+                "phi_keep", -10**400,
+                "phi_keep must be a finite number, got -1000000000000000000... (402 characters)",
                 id="phi_keep-int--1e400",
             ),
             # a negative k raises all but the last-ranked class and lowers all but the first
@@ -1424,11 +1427,13 @@ class TestConfigFile:
 HUGE = "1" + "0" * 399
 
 
-def library_chair(scene_id, score="0.9", theta="0"):
-    """A scenes line with one library chair, its score and box angle as JSON text."""
+def library_chair(scene_id, score="0.9", theta="0", cx="0", class_score=None):
+    """A scenes line with one library chair, its score, box centre x and angle,
+    and its class score if given, as JSON text."""
+    scores = "" if class_score is None else f', "class_scores": {{"chair": {class_score}}}'
     return (
         f'{{"scene_id": "{scene_id}", "scene_type": "library", "detections": [{{"box": '
-        f'[0, 0, 0.5, 1, 1, 1, {theta}], "label": "chair", "score": {score}}}]}}'
+        f'[{cx}, 0, 0.5, 1, 1, 1, {theta}], "label": "chair", "score": {score}{scores}}}]}}'
     )
 
 
@@ -1453,7 +1458,16 @@ PAST_FLOAT_RANGE_ROWS = {
     ),
     "refine-theta": (
         ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
-        [*GOOD_SCENES, library_chair("bad", theta=HUGE)], 34, ("1", "2"), "box fields",
+        [*GOOD_SCENES, library_chair("bad", theta=HUGE)], 34, ("1", "2"), "box theta",
+    ),
+    "refine-cx": (
+        ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
+        [*GOOD_SCENES, library_chair("bad", cx=HUGE)], 34, ("1", "2"), "box cx",
+    ),
+    "refine-class-score": (
+        ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
+        [*GOOD_SCENES, library_chair("bad", class_score=HUGE)], 34, ("1", "2"),
+        "class score for 'chair'",
     ),
     "eval-score": (
         ["eval", "--detections", "{input}", "--gt", "{dir}/gt.jsonl"],
@@ -1490,7 +1504,8 @@ PAST_FLOAT_RANGE_ROWS = {
 
 class TestNumbersPastTheFloatRange:
     """A 400-digit integer in any input file is an input error that names the
-    file, the line of a JSONL file and the field, at every worker count."""
+    file, the line of a JSONL file and the field, at every worker count, on
+    one short line."""
 
     @pytest.mark.parametrize(
         "argv, lines, lineno, worker_counts, field",
@@ -1498,9 +1513,11 @@ class TestNumbersPastTheFloatRange:
         ids=PAST_FLOAT_RANGE_ROWS,
     )
     def test_is_input_error_naming_the_file(
-        self, tmp_path, capsys, argv, lines, lineno, worker_counts, field
+        self, tmp_path, monkeypatch, capsys, argv, lines, lineno, worker_counts, field
     ):
-        path = tmp_path / "input.json"
+        # a relative path, so that the line's length does not depend on tmp_path's
+        monkeypatch.chdir(tmp_path)
+        path = "input.json"
         write_lines(path, *lines)
         write_lines(tmp_path / "gt.jsonl", library_chair("s0"))
         where = f"{path}:" if lineno is None else f"{path}:{lineno}:"
@@ -1512,6 +1529,8 @@ class TestNumbersPastTheFloatRange:
             assert out == ""
             assert err.startswith(f"input error: {where} ") and err.count("\n") == 1, err
             assert f"{field} must " in err.removeprefix(f"input error: {where} "), err
+            # the value is quoted by a short prefix, not in all its digits
+            assert len(err) < 200, err
             assert "Traceback" not in err
             assert not multiprocessing.active_children()
 
@@ -1547,6 +1566,76 @@ class TestRequiredOptions:
             "", "input error: missing required option --lambda-baol (it has no default)\n"
         )
         assert [child.name for child in tmp_path.iterdir()] == ["proposals.jsonl"]
+
+
+class TestEmptyFileOptions:
+    """An empty file option is an input error that names the option, not a
+    file left out, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["refine", "--kb", ""], "kb must name a file, got an empty string"),
+            (["refine", "--log", ""], "log must name a file, got an empty string"),
+            (["eval", "--out", ""], "out must name a file, got an empty string"),
+            (["refine", "--config", ""], "--config must name a file, got an empty string"),
+            (["refine", "--config", "{dir}/config.json"],
+             "{dir}/config.json: kb must name a file, got an empty string"),
+        ],
+        ids=["kb", "log", "eval-out", "config", "config-kb"],
+    )
+    def test_is_input_error_naming_the_option(self, tmp_path, capsys, argv, message):
+        scenes = tmp_path / "scenes.jsonl"
+        write_lines(scenes, library_chair("s0"))
+        (tmp_path / "config.json").write_text('{"kb": ""}\n')
+        files = {"refine": ["--out", "{dir}/out.jsonl"], "eval": ["--gt", "{scenes}"]}
+        argv = [*argv, "--detections", "{scenes}", *files[argv[0]]]
+        assert main([arg.format(scenes=scenes, dir=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"input error: {message.format(dir=tmp_path)}\n")
+        assert sorted(child.name for child in tmp_path.iterdir()) == [
+            "config.json", "scenes.jsonl"
+        ]
+
+
+class TestKnowledgeBaseClasses:
+    def test_class_name_that_is_no_string_is_input_error(self, tmp_path, capsys):
+        # the class 7 never matched a label, and refine exited 0
+        kb = default_knowledge_base().to_dict()
+        kb["compat"]["bedroom"] += [7, None]
+        kb_path, scenes = tmp_path / "kb.json", tmp_path / "scenes.jsonl"
+        kb_path.write_text(json.dumps(kb))
+        write_lines(scenes, library_chair("s0"))
+        out = tmp_path / "out.jsonl"
+        argv = ["refine", "--kb", str(kb_path), "--detections", str(scenes), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"input error: {kb_path}: compat['bedroom'] must hold class names, got 7\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "compat, message",
+        [
+            ({}, "the knowledge base's compat is empty: it has no scene type to sample"),
+            ({"library": ["chair"], "attic": ["gargoyle"]},
+             "no class in the knowledge base's compat['attic'] has a size, "
+             "so no scene of that type can be sampled"),
+        ],
+        ids=["empty-compat", "no-sized-class"],
+    )
+    def test_gen_synthetic_names_the_scene_type_it_cannot_fill(
+        self, tmp_path, capsys, compat, message
+    ):
+        kb_path = tmp_path / "kb.json"
+        kb_path.write_text(json.dumps({"sizes": {"chair": [0.5, 0.5, 0.9]}, "compat": compat}))
+        out, gt = tmp_path / "det.jsonl", tmp_path / "gt.jsonl"
+        argv = ["gen-synthetic", "--kb", str(kb_path), "--out", str(out), "--gt", str(gt)]
+        assert main([*argv, "--scenes", "1"]) == 1
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+        assert not out.exists() and not gt.exists()
+        # no scene asked for, none to fill
+        assert main([*argv, "--scenes", "0"]) == 0
+        assert out.read_text() == gt.read_text() == ""
 
 
 class TestUsageErrors:

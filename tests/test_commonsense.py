@@ -145,6 +145,13 @@ class TestKnowledgeBase:
             ({"sizes": {"chair": "0.5"}}, "sizes['chair'] must be a JSON array, got str"),
             ({"compat": {"library": "chair"}}, "compat['library'] must be a JSON array, got str"),
             ({"novel_classes": "chair"}, "novel_classes must be a JSON array, got str"),
+            # a class that is no string never matches a label, and a list is no set member
+            ({"compat": {"bedroom": ["bed", 7, None]}},
+             "compat['bedroom'] must hold class names, got 7"),
+            ({"compat": {"bedroom": [["bed"]]}},
+             'compat[\'bedroom\'] must hold class names, got ["bed"]'),
+            ({"novel_classes": [["toilet"]]},
+             'novel_classes must hold class names, got ["toilet"]'),
             ({"sizes": {"chair": [1, 2]}}, "sizes['chair'] must be 3 numbers, got [1, 2]"),
             ({"sizes": {"chair": [1, 2, 3, 4]}},
              "sizes['chair'] must be 3 numbers, got [1, 2, 3, 4]"),

@@ -63,7 +63,8 @@ class TestBox7DoF:
     def test_rejects_fields_beyond_1e5_m(self, field, bad):
         values = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
         values[field] = bad
-        with pytest.raises(ValueError, match="finite, and cx to h at most 1e5 m in magnitude"):
+        name = ("cx", "cy", "cz", "l", "w", "h")[field]
+        with pytest.raises(ValueError, match=f"^box {name} must be finite and at most 1e5 m in "):
             Box7DoF(*values)
         values[field] = math.copysign(1e5, bad)
         if field < 3 or bad > 0:
@@ -83,7 +84,8 @@ class TestBox7DoF:
                     [0, 0, 0, True, True, True, False]):
             with pytest.raises(ValueError, match=r"^scene s detection 4: box must be 7 numbers"):
                 parse_box(bad, "scene s detection 4")
-        with pytest.raises(ValueError, match=r"^scene s detection 4: box fields must be finite"):
+        message = r"^scene s detection 4: box l must be finite and at most 1e5 m in magnitude, "
+        with pytest.raises(ValueError, match=message + "got nan$"):
             parse_box([0, 0, 0, math.nan, 1, 1, 0], "scene s detection 4")
         with pytest.raises(ValueError, match=r"^p 1: box extents must be positive"):
             parse_box([0, 0, 0, 0, 1, 1, 0], "p 1")

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -272,6 +273,53 @@ class TestSolve:
                 out = solve(rs, policy)
                 at_point = rs.total_value({"y_keep": out.y_keep, "y_recls": out.y_recls})
                 assert at_point == pytest.approx(out.objective, abs=1e-9)
+
+
+def general_rule_sets(n, seed):
+    """``n`` seeded rule sets over y_keep, y_recls and the bound a, b, c, with
+    Const leaves and And/Or/Not subtrees that hold no decision variable."""
+    rng = random.Random(seed)
+    # ints and a signed zero, as a caller may pass them, beside plain floats
+    special = [0, 1, 0.0, -0.0, 1.0, 0.5]
+
+    def value():
+        return rng.choice(special) if rng.random() < 0.4 else rng.random()
+
+    def tree(depth, free):
+        if depth == 0 or rng.random() < 0.2:
+            if free and rng.random() < 0.5:
+                return Var(rng.choice([psl.KEEP_VAR, psl.RECLS_VAR]))
+            return Var(rng.choice("abc")) if rng.random() < 0.6 else Const(value())
+        op = rng.choice((Not, And, Or))
+        # a side with free=False is bound: no decision variable below it
+        if op is Not:
+            return Not(tree(depth - 1, free and rng.random() < 0.7))
+        return op(*(tree(depth - 1, free and rng.random() < 0.7) for _ in range(2)))
+
+    sets = []
+    for _ in range(n):
+        rules = tuple(
+            Rule(rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)]), tree(rng.randint(1, 4), True))
+            for _ in range(rng.randint(1, 4))
+        )
+        sets.append(RuleSet(rules, {name: value() for name in "abc"}))
+    return sets
+
+
+class TestGeneralSolve:
+    # sha256 of one repr((y_keep, y_recls, objective)) line per solution, over
+    # general_rule_sets(600, 33) under each policy in turn; recorded while _pwl
+    # still built bound subtrees leaf by leaf
+    GOLDEN = "ae472d8c5d41b971e7ba599beb4dcb7f2426450012c989646d3a20406fb8bf6c"
+
+    def test_matches_recorded_digest(self):
+        rule_sets = general_rule_sets(600, 33)
+        assert any(not rs.variables() & {psl.KEEP_VAR, psl.RECLS_VAR} for rs in rule_sets)
+        digest = hashlib.sha256()
+        for policy in SelectionPolicy:
+            for rs in rule_sets:
+                digest.update(floats(solve(rs, policy)).encode() + b"\n")
+        assert digest.hexdigest() == self.GOLDEN
 
 
 class TestWhatTheRulesDecide:
@@ -598,14 +646,16 @@ class TestSolveDecisions:
     @given(
         x=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))] * 3),
     )
-    def test_bound_affine_is_the_pwl_affine(self, x):
+    def test_a_bound_subtree_is_one_cell_at_its_value(self, x):
+        # solve_decisions reads each negated antecedent by eval_expr alone
         bindings = psl._constraint_bindings(*x)
         for rule in psl._decision_rules((1.0, 1.0, 1.0)):
-            negated = rule.expr.left  # !antecedent, the side that solve_decisions reads
+            negated = rule.expr.left
             for expr in (negated, negated.operand):
                 (cell,) = psl._pwl(expr, bindings)
+                assert cell[0] == list(psl._UNIT_SQUARE)
                 # repr tells signed zeros apart
-                assert repr(psl._bound_affine(expr, bindings)) == repr(cell[1])
+                assert repr(cell[1]) == repr((0.0, 0.0, float(eval_expr(expr, bindings))))
 
 
 def reference_intersect(p, q):
