@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from .geometry import (
     _MAX_FLOAT, Box7DoF, _circles_meet, _is_number, footprint_circles, iou3d, parse_box,
 )
-from .jsonl import brief, number, parse_line, read_lines
+from .jsonl import ARRAY, brief, expect, number, numbers, parse_line, read_lines
 
 # numpy is imported inside the proposal-scoring functions, the only code here
 # that builds arrays, so that `balance` and `dbc-sim` start without loading it
@@ -44,9 +44,6 @@ __all__ = [
     "proposal_record",
 ]
 
-# the JSON name of each scalar type that is not a number
-_JSON_SCALARS = {bool: "boolean", str: "string", type(None): "null"}
-
 
 # --------------------------------------------------------------------------
 # Reflection filtering
@@ -70,7 +67,7 @@ class PseudoLabel2D:
             isinstance(self.bbox, (list, tuple)) and len(self.bbox) == 4
             and all(_is_number(v) and -_MAX_FLOAT <= v <= _MAX_FLOAT for v in self.bbox)
         ):
-            raise ValueError(f"bbox must be 4 finite numbers, got {brief(repr(self.bbox))}")
+            raise ValueError(f"bbox must be 4 finite numbers, got {brief(self.bbox, repr)}")
         object.__setattr__(self, "bbox", tuple(self.bbox))
         x1, y1, x2, y2 = self.bbox
         if not (x1 < x2 and y1 < y2):
@@ -302,26 +299,8 @@ class ProposalSet:
     def __post_init__(self) -> None:
         import numpy as np
 
-        # numpy's messages for what it cannot read (ragged rows, a row beside a
-        # number, an object, an int past the float range) do not name the field
-        try:
-            scores = np.asarray(self.class_scores, dtype=float)
-        except OverflowError:
-            raise ValueError("class_scores must hold numbers within the float range") from None
-        except (TypeError, ValueError):
-            rows = self.class_scores if isinstance(self.class_scores, list) else []
-            lengths = sorted({len(row) for row in rows if isinstance(row, list)})
-            if len(lengths) > 1:
-                raise ValueError(
-                    f"class_scores rows must have equal lengths, got lengths {lengths}"
-                ) from None
-            raise ValueError("class_scores must be a list of rows of numbers") from None
-        try:
-            fg = np.asarray(self.fg_scores, dtype=float)
-        except OverflowError:
-            raise ValueError("fg_scores must hold numbers within the float range") from None
-        except (TypeError, ValueError):
-            raise ValueError("fg_scores must be a list of numbers") from None
+        scores = np.asarray(self.class_scores, dtype=float)
+        fg = np.asarray(self.fg_scores, dtype=float)
         object.__setattr__(self, "boxes", tuple(self.boxes))
         if not self.boxes and scores.shape == (0,):
             # no boxes, so no rows: JSON writes the empty matrix as []
@@ -492,22 +471,14 @@ def proposal_record(data: dict, index: int) -> tuple[ProposalSet, tuple[Box7DoF,
     boxes = tuple(
         parse_box(b, f"scene {index} proposal {i}") for i, b in enumerate(data["boxes"])
     )
-    # numpy takes a JSON true or false as 1 or 0, a numeric string as its
-    # number and null as NaN, so the kinds are checked before ProposalSet
-    for name in ("class_scores", "fg_scores"):
-        odd = set(map(type, _cells(data[name]))) & _JSON_SCALARS.keys()
-        if odd:
-            kind = min(_JSON_SCALARS[t] for t in odd)
-            raise TypeError(f"{name} must hold numbers, got a JSON {kind}")
-    proposals = ProposalSet(boxes, data["class_scores"], data["fg_scores"])
+    # numpy would take a JSON true or false as 1 or 0, a numeric string as its
+    # number and null as NaN, and its messages do not name the field
+    rows = expect(data["class_scores"], ARRAY, "class_scores")
+    lengths = sorted({len(numbers(row, "class_scores")) for row in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"class_scores rows must have equal lengths, got lengths {brief(lengths)}")
+    proposals = ProposalSet(boxes, rows, numbers(data["fg_scores"], "fg_scores"))
     labels = tuple(
         parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
     )
     return proposals, labels
-
-
-def _cells(value) -> list:
-    """The items of a JSON list, with the items of each list inside it in its place."""
-    if not isinstance(value, list):
-        return []
-    return [cell for item in value for cell in (item if isinstance(item, list) else (item,))]

@@ -112,7 +112,7 @@ class RunConfig:
             # a NaN slips past every `value < least` check, an infinity defeats a clamp,
             # and an int beyond the float range overflows where it is used
             if allowed[0] is float and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number, got {brief(str(value))}")
+                raise ValueError(f"{name} must be a finite number, got {brief(value, str)}")
         # an empty path would quietly mean no file, or the built-in knowledge base
         for name in ("detections", "kb", "gt", "out", "log"):
             if getattr(self, name) == "":
@@ -214,7 +214,7 @@ def _require_distinct(command: _Command, config: RunConfig, args: argparse.Names
     """Refuse a file the command writes that is also another file it writes
     or reads, --config among them, which it would overwrite."""
     writes, reads = command.writes.split(), ["--config", *command.reads.split()]
-    # --config, --labels and --losses are flags only, the others RunConfig fields
+    # --config, --labels, --losses and --proposals are flags only, the others RunConfig fields
     paths = [(f, getattr(config, f[2:], getattr(args, f[2:], None))) for f in writes + reads]
     for i, (first, a) in enumerate(paths[: len(writes)]):
         for second, b in paths[i + 1 :]:
@@ -628,7 +628,7 @@ _COMMANDS = {
     ),
     "baol": _Command(
         "compress proposals, assign labels, compute the loss",
-        "--proposals --lambda-baol --k-pro --workers",
+        "--proposals --lambda-baol --k-pro --workers", reads="--proposals",
     ),
     "eval": _Command(
         "mAP@0.25 of detections against ground truth", "--detections --gt --out",
@@ -659,8 +659,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        if args.config == "":
-            raise ValueError("--config must name a file, got an empty string")
+        # RunConfig refuses an empty file of its own; a flag-only one would reach open()
+        for flag in ("--config", *command.reads.split()):
+            if not hasattr(RunConfig, flag[2:]) and getattr(args, flag[2:]) == "":
+                raise ValueError(f"{flag} must name a file, got an empty string")
         config = RunConfig.load(args.config) if args.config else RunConfig()
         config = config.override(args)
         # before any other input is read, or any output written

@@ -163,7 +163,7 @@ class KnowledgeBase:
         for label, dims in expect(data.get("sizes", {}), Mapping, "sizes").items():
             where = f"sizes[{label!r}]"
             if len(expect(dims, ARRAY, where)) != 3:
-                raise ValueError(f"{where} must be 3 numbers, got {json.dumps(dims)}")
+                raise ValueError(f"{where} must be 3 numbers, got {brief(dims)}")
             sizes[label] = SizePrior(*(number(d, where) for d in dims))
         compat = {
             scene: _class_names(classes, f"compat[{scene!r}]")
@@ -186,7 +186,7 @@ def _class_names(values, where: str) -> set[str]:
     """The JSON array ``values`` of the field ``where`` as a set of class names."""
     for name in expect(values, ARRAY, where):
         if not isinstance(name, str):
-            raise ValueError(f"{where} must hold class names, got {brief(json.dumps(name))}")
+            raise ValueError(f"{where} must hold class names, got {brief(name)}")
     return set(values)
 
 

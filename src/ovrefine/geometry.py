@@ -99,9 +99,9 @@ class Box7DoF:
                 if not -m <= value <= m:
                     raise ValueError(
                         f"box {name} must be finite and at most 1e5 m in magnitude, "
-                        f"got {brief(str(value))}"
+                        f"got {brief(value, str)}"
                     )
-            raise ValueError(f"box theta must be finite, got {brief(str(theta))}")
+            raise ValueError(f"box theta must be finite, got {brief(theta, str)}")
         if l <= 0.0 or w <= 0.0 or h <= 0.0:
             raise ValueError(f"box extents must be positive, got ({l}, {w}, {h})")
         object.__setattr__(self, "theta", _wrap_angle(theta))
@@ -124,7 +124,7 @@ def parse_box(values, where: str) -> Box7DoF:
         pass
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-    raise ValueError(f"{where}: box must be 7 numbers, got {values!r}")
+    raise ValueError(f"{where}: box must be 7 numbers, got {brief(values, repr)}")
 
 
 @dataclass(frozen=True)

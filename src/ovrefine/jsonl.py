@@ -69,16 +69,32 @@ def number(value, what: str) -> float:
     """
     # exact types: bool subclasses int
     if type(value) not in (int, float):
-        raise TypeError(f"{what} must be a number, got {json.dumps(value)}")
+        raise TypeError(f"{what} must be a number, got {brief(value)}")
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"{what} must be a number within the float range") from None
 
 
-def brief(text: str) -> str:
-    """``text``, a value an error message quotes, cut to its first 20
-    characters and its length, as JSON allows an integer of any length."""
+def numbers(values, what: str) -> list:
+    """``values``, the JSON array of the field ``what``, if ``number`` takes
+    each of its items; else what ``number`` raises for the first it refuses."""
+    # a row of floats, the usual one, is checked at C speed
+    if set(map(type, expect(values, ARRAY, what))) - {float}:
+        for value in values:
+            number(value, what)
+    return values
+
+
+def brief(value, quote: Callable[[object], str] = json.dumps) -> str:
+    """``value`` as an error message quotes it: written by ``quote`` and cut to
+    its first 20 characters and its length, as JSON allows an integer of any
+    length, or, for an array, as its first 8 items, each written and cut so,
+    and its length if it has more."""
+    if isinstance(value, ARRAY):
+        more = f", ... ({len(value)} items)" if len(value) > 8 else ""
+        return f"[{', '.join(brief(quote(item), str) for item in value[:8])}{more}]"
+    text = quote(value)
     return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
 
 

@@ -88,7 +88,7 @@ class Detection:
                     raise TypeError(f"class score for {label!r} must be a number, got {value!r}")
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(
-                        f"class score for {label!r} must be in [0, 1], got {brief(str(value))}"
+                        f"class score for {label!r} must be in [0, 1], got {brief(value, str)}"
                     )
 
 

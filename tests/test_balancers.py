@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovrefine.balancers import (
     DbcState,
@@ -16,6 +18,7 @@ from ovrefine.balancers import (
     load_loss_stream,
     load_pseudo_labels,
     positive_similarity,
+    proposal_record,
     reflect_filter,
     sbc_loop,
     sbc_step,
@@ -434,6 +437,18 @@ class TestBaolLoss:
         assert baol_loss([1], [0.6], lam=1.0) < base
 
 
+# a score as JSON gives it: a float in [0, 1], -0.0, or the int 0 or 1
+SCORES = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0, 1]))
+
+
+@st.composite
+def score_matrices(draw):
+    """A proposal record's ``class_scores`` rows and ``fg_scores``, one per box."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(SCORES, min_size=m, max_size=m), min_size=n, max_size=n))
+    return rows, draw(st.lists(SCORES, min_size=n, max_size=n))
+
+
 class TestFileFormats:
     def test_pseudo_label_round_trip(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -452,3 +467,17 @@ class TestFileFormats:
         path.write_text('{"A": 1.0, "B": 2.5}\n{"A": 0.5, "B": 0.25}\n')
         stream = load_loss_stream(path)
         assert stream == [{"A": 1.0, "B": 2.5}, {"A": 0.5, "B": 0.25}]
+
+    @settings(max_examples=300, deadline=None)
+    @given(score_matrices())
+    def test_proposal_scores_are_read_as_numpy_reads_them(self, scores):
+        class_scores, fg_scores = scores
+        data = {
+            "boxes": [[i, 0, 0, 1, 1, 1, 0] for i in range(len(fg_scores))],
+            "class_scores": class_scores,
+            "fg_scores": fg_scores,
+        }
+        proposals, labels = proposal_record(data, 0)
+        assert labels == ()
+        for name, raw in (("class_scores", class_scores), ("fg_scores", fg_scores)):
+            assert getattr(proposals, name).tobytes() == np.asarray(raw, dtype=float).tobytes()

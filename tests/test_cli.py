@@ -725,16 +725,16 @@ class TestBaol:
             ('{"boxes": [], "fg_scores": []}', "missing field 'class_scores'"),
             # numpy takes JSON true and false as 1 and 0
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[true]], "fg_scores": [0.9]}',
-             "class_scores must hold numbers, got a JSON boolean"),
+             "class_scores must be a number, got true"),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [false]}',
-             "fg_scores must hold numbers, got a JSON boolean"),
+             "fg_scores must be a number, got false"),
             # and a numeric string as its number, null as NaN
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [["0.5"]], "fg_scores": [0.9]}',
-             "class_scores must hold numbers, got a JSON string"),
+             'class_scores must be a number, got "0.5"'),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": ["0.2"]}',
-             "fg_scores must hold numbers, got a JSON string"),
+             'fg_scores must be a number, got "0.2"'),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[null]], "fg_scores": [0.9]}',
-             "class_scores must hold numbers, got a JSON null"),
+             "class_scores must be a number, got null"),
             # scores outside [0, 1], NaN among them, name the field and the value
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[1.5]], "fg_scores": [0.9]}',
              "class_scores must lie in [0, 1], got 1.5"),
@@ -751,14 +751,14 @@ class TestBaol:
             # numpy cannot read these, and its own messages do not name the field
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 1, 1, 0]], '
              '"class_scores": [0.5, [0.5]], "fg_scores": [0.9, 0.9]}',
-             "class_scores must be a list of rows of numbers"),
+             "class_scores must be a JSON array, got float"),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 1, 1, 0]], '
              '"class_scores": [[0.5], {"a": 1}], "fg_scores": [0.9, 0.9]}',
-             "class_scores must be a list of rows of numbers"),
+             "class_scores must be a JSON array, got dict"),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [{"a": 1}], "fg_scores": [0.9]}',
-             "class_scores must be a list of rows of numbers"),
+             "class_scores must be a JSON array, got dict"),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [{"a": 1}]}',
-             "fg_scores must be a list of numbers"),
+             'fg_scores must be a number, got {"a": 1}'),
             (b'{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9], '
              b'"note": "\xff"}',
              "'utf-8' codec can't decode byte 0xff in position 89: invalid start byte"),
@@ -1495,6 +1495,21 @@ PAST_FLOAT_RANGE_ROWS = {
         ["refine", "--kb", "{input}", "--detections", "{dir}/gt.jsonl", "--out", "{dir}/out.jsonl"],
         ['{"sizes": {"chair": [%s, 1, 1]}}' % HUGE], None, (None,), "sizes['chair']",
     ),
+    # the value of a wrong length is quoted short, item by item
+    "kb-size-of-four": (
+        ["refine", "--kb", "{input}", "--detections", "{dir}/gt.jsonl", "--out", "{dir}/out.jsonl"],
+        ['{"sizes": {"chair": [%s, 1, 1, 1]}}' % HUGE], None, (None,), "sizes['chair']",
+    ),
+    "refine-six-number-box": (
+        ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
+        [*GOOD_SCENES, library_chair("bad", cx=HUGE).replace(", 0]", "]")], 34, ("1", "2"),
+        "box",
+    ),
+    "refine-1000-number-box": (
+        ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
+        [*GOOD_SCENES, library_chair("bad", theta=", ".join(["0"] * 994))], 34, ("1", "2"),
+        "box",
+    ),
     "config-float": (
         ["solve-psl", "0.9", "0.5", "1", "--config", "{input}"],
         ['{"phi_keep": %s}' % HUGE], None, (None,), "phi_keep",
@@ -1503,9 +1518,9 @@ PAST_FLOAT_RANGE_ROWS = {
 
 
 class TestNumbersPastTheFloatRange:
-    """A 400-digit integer in any input file is an input error that names the
-    file, the line of a JSONL file and the field, at every worker count, on
-    one short line."""
+    """A 400-digit integer in any input file, or an array of the wrong length,
+    is an input error that names the file, the line of a JSONL file and the
+    field, at every worker count, on one short line."""
 
     @pytest.mark.parametrize(
         "argv, lines, lineno, worker_counts, field",
@@ -1581,15 +1596,26 @@ class TestEmptyFileOptions:
             (["refine", "--config", ""], "--config must name a file, got an empty string"),
             (["refine", "--config", "{dir}/config.json"],
              "{dir}/config.json: kb must name a file, got an empty string"),
+            # flags that no RunConfig field holds
+            (["balance", "--labels", ""], "--labels must name a file, got an empty string"),
+            (["dbc-sim", "--losses", ""], "--losses must name a file, got an empty string"),
+            (["baol", "--proposals", "", "--lambda-baol", "1"],
+             "--proposals must name a file, got an empty string"),
         ],
-        ids=["kb", "log", "eval-out", "config", "config-kb"],
+        ids=["kb", "log", "eval-out", "config", "config-kb", "labels", "losses", "proposals"],
     )
     def test_is_input_error_naming_the_option(self, tmp_path, capsys, argv, message):
         scenes = tmp_path / "scenes.jsonl"
         write_lines(scenes, library_chair("s0"))
         (tmp_path / "config.json").write_text('{"kb": ""}\n')
-        files = {"refine": ["--out", "{dir}/out.jsonl"], "eval": ["--gt", "{scenes}"]}
-        argv = [*argv, "--detections", "{scenes}", *files[argv[0]]]
+        files = {
+            "refine": ["--detections", "{scenes}", "--out", "{dir}/out.jsonl"],
+            "eval": ["--detections", "{scenes}", "--gt", "{scenes}"],
+            "balance": ["--out", "{dir}/out.json"],
+            "dbc-sim": ["--out", "{dir}/out.jsonl"],
+            "baol": [],
+        }
+        argv = [*argv, *files[argv[0]]]
         assert main([arg.format(scenes=scenes, dir=tmp_path) for arg in argv]) == 1
         assert capsys.readouterr() == ("", f"input error: {message.format(dir=tmp_path)}\n")
         assert sorted(child.name for child in tmp_path.iterdir()) == [

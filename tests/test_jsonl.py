@@ -2,9 +2,11 @@
 every check of a line's content, and `parse_file` the same checks of a whole
 JSON file."""
 
+import math
+
 import pytest
 
-from ovrefine.jsonl import number, parse_file, parse_line, read_lines
+from ovrefine.jsonl import brief, number, numbers, parse_file, parse_line, read_lines
 
 
 def test_a_line_that_is_not_utf8_is_read_and_rejected_where_it_is_parsed(tmp_path):
@@ -63,3 +65,55 @@ def test_a_file_error_is_prefixed_with_its_path(tmp_path, content, parse, messag
     with pytest.raises(ValueError) as err:
         parse_file(path, parse)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+# one item of each kind that `number` refuses, as `json.loads` gives it
+NOT_NUMBERS = {
+    "true": True,
+    "false": False,
+    "string": "0.5",
+    "null": None,
+    "array": [0.5],
+    "object": {"a": 1},
+    "int-past-float-range": 10**399,
+    "long-string": "a" * 1000,
+}
+
+
+@pytest.mark.parametrize("before", [[], [0.5, 1e-3, 1.0]], ids=["alone", "after-floats"])
+@pytest.mark.parametrize("item", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_numbers_refuses_the_first_item_that_number_refuses(before, item):
+    with pytest.raises((TypeError, ValueError)) as refused:
+        number(item, "x")
+    # a second bad item, which would give another message
+    with pytest.raises(type(refused.value)) as err:
+        numbers([*before, item, "later"], "x")
+    message = str(err.value)
+    assert message == str(refused.value)
+    assert message.startswith("x must be a number")
+    assert len(message.partition(", got ")[2]) < 60, message
+
+
+@pytest.mark.parametrize(
+    "row", [[0.5, 1.0, 0.0, -0.0], [0, 1, 1], [math.nan, 0.5], [], [1e-300, 1]],
+    ids=["floats", "ints", "nan", "empty", "mixed"],
+)
+def test_numbers_returns_a_row_of_numbers_itself(row):
+    assert numbers(row, "x") is row
+
+
+@pytest.mark.parametrize("values, kind", [(0.5, "float"), ({"a": 1}, "dict"), ("0.5", "str")])
+def test_numbers_needs_an_array(values, kind):
+    with pytest.raises(ValueError) as err:
+        numbers(values, "x")
+    assert str(err.value) == f"x must be a JSON array, got {kind}"
+
+
+def test_brief_quotes_an_array_item_by_item():
+    assert brief([0, 0, 0.5, True, None], repr) == "[0, 0, 0.5, True, None]"
+    assert brief([1, 2, 3, 4]) == "[1, 2, 3, 4]"
+    assert brief([1, 10**399, "a" * 100]) == (
+        '[1, 10000000000000000000... (400 characters), "aaaaaaaaaaaaaaaaaaa... (102 characters)]'
+    )
+    assert brief(list(range(1000))) == "[0, 1, 2, 3, 4, 5, 6, 7, ... (1000 items)]"
+    assert brief("a" * 30, str) == "aaaaaaaaaaaaaaaaaaaa... (30 characters)"
