@@ -431,16 +431,18 @@ def load_pseudo_labels(path) -> list[tuple[str, list[PseudoLabel2D]]]:
     position = itertools.count()
 
     def record(data: dict) -> tuple[str, list[PseudoLabel2D]]:
-        labels = [
-            PseudoLabel2D(
-                entry["bbox"],
-                entry["label"],
-                number(entry["confidence"], "confidence"),
-                number(entry["sim_pos"], "sim_pos"),
-                number(entry["sim_neg"], "sim_neg"),
+        labels = []
+        for k, entry in enumerate(expect(data.get("labels", []), ARRAY, "labels")):
+            expect(entry, dict, f"labels[{k}]")
+            labels.append(
+                PseudoLabel2D(
+                    entry["bbox"],
+                    entry["label"],
+                    number(entry["confidence"], "confidence"),
+                    number(entry["sim_pos"], "sim_pos"),
+                    number(entry["sim_neg"], "sim_neg"),
+                )
             )
-            for entry in data.get("labels", [])
-        ]
         return str(data.get("image_id", next(position))), labels
 
     return [parse_line(path, lineno, line, record) for lineno, line in read_lines(path)]
@@ -469,7 +471,8 @@ def load_loss_stream(path) -> list[dict[str, float]]:
 def proposal_record(data: dict, index: int) -> tuple[ProposalSet, tuple[Box7DoF, ...]]:
     """Scene ``index``'s proposal record from its JSON object; box errors name the scene."""
     boxes = tuple(
-        parse_box(b, f"scene {index} proposal {i}") for i, b in enumerate(data["boxes"])
+        parse_box(b, f"scene {index} proposal {i}")
+        for i, b in enumerate(expect(data["boxes"], ARRAY, "boxes"))
     )
     # numpy would take a JSON true or false as 1 or 0, a numeric string as its
     # number and null as NaN, and its messages do not name the field
@@ -479,6 +482,7 @@ def proposal_record(data: dict, index: int) -> tuple[ProposalSet, tuple[Box7DoF,
         raise ValueError(f"class_scores rows must have equal lengths, got lengths {brief(lengths)}")
     proposals = ProposalSet(boxes, rows, numbers(data["fg_scores"], "fg_scores"))
     labels = tuple(
-        parse_box(b, f"scene {index} label {j}") for j, b in enumerate(data.get("labels", []))
+        parse_box(b, f"scene {index} label {j}")
+        for j, b in enumerate(expect(data.get("labels", []), ARRAY, "labels"))
     )
     return proposals, labels

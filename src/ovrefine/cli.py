@@ -133,8 +133,10 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be a finite number at least 0, got {value}")
-        if not 0 <= self.nms_floor <= 1:
-            raise ValueError(f"nms_floor must be in [0, 1], got {self.nms_floor}")
+        for name in ("nms_floor", "corruption"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.iou_lo >= self.iou_hi:
             raise ValueError(f"iou_lo must be below iou_hi, got {self.iou_lo} >= {self.iou_hi}")
         for name, allowed in (("policy", sorted(_POLICIES)), ("llm", _LLM_MODES)):

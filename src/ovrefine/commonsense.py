@@ -47,7 +47,6 @@ __all__ = [
     "size_fit",
     "size_constraint",
     "scene_constraint",
-    "confidence_constraint",
     "constraint_vector",
 ]
 
@@ -171,16 +170,6 @@ class KnowledgeBase:
         }
         return cls(sizes, compat, _class_names(data.get("novel_classes", []), "novel_classes"))
 
-    def to_dict(self) -> dict:
-        return {
-            "sizes": {
-                label: [p.length, p.width, p.height]
-                for label, p in sorted(self.sizes.items())
-            },
-            "compat": {scene: sorted(cls) for scene, cls in sorted(self.compat.items())},
-            "novel_classes": sorted(self.novel_classes),
-        }
-
 
 def _class_names(values, where: str) -> set[str]:
     """The JSON array ``values`` of the field ``where`` as a set of class names."""
@@ -199,8 +188,7 @@ def default_knowledge_base() -> KnowledgeBase:
     """The indoor-furniture knowledge base shipped with the package."""
     from importlib.resources import files
 
-    text = files("ovrefine.data").joinpath("kb_indoor.json").read_text(encoding="utf-8")
-    return KnowledgeBase.from_dict(json.loads(text))
+    return load_knowledge_base(files("ovrefine.data").joinpath("kb_indoor.json"))
 
 
 class StaticKnowledgeProvider:
@@ -484,13 +472,6 @@ def scene_constraint(label: str, scene_type: str, provider) -> int:
     return verdict
 
 
-def confidence_constraint(score: float) -> float:
-    """Identity on the detector confidence score."""
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"confidence score must be in [0, 1], got {score}")
-    return score
-
-
 def constraint_vector(
     box: Box7DoF,
     label: str,
@@ -499,10 +480,11 @@ def constraint_vector(
     provider,
     cfg: SizeConstraintConfig = SizeConstraintConfig(),
 ) -> ConstraintVector:
-    """Assemble the (confidence, size, scene) constraints for one detection."""
+    """Assemble the (confidence, size, scene) constraints for one detection;
+    the confidence constraint is ``score`` itself."""
     prior = provider.size_prior(label)
     return ConstraintVector(
-        confidence_constraint(score),
+        score,
         size_constraint(box, prior, cfg),
         scene_constraint(label, scene.scene_type, provider),
     )

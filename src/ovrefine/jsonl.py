@@ -30,7 +30,7 @@ def parse_line(path, lineno: int, line: str, parse: Callable[[dict], T]) -> T:
 
     def parse_object(data) -> T:
         if not isinstance(data, dict):
-            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+            raise ValueError(f"expected a JSON object, got {brief(data)}")
         return parse(data)
 
     return _parse(f"{path}:{lineno}", line, parse_object)
@@ -86,7 +86,16 @@ def numbers(values, what: str) -> list:
     return values
 
 
-def brief(value, quote: Callable[[object], str] = json.dumps) -> str:
+def _written(value) -> str:
+    """``value`` as JSON writes it, or the name of its Python type where JSON
+    cannot write it, as for a set."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return type(value).__name__
+
+
+def brief(value, quote: Callable[[object], str] = _written) -> str:
     """``value`` as an error message quotes it: written by ``quote`` and cut to
     its first 20 characters and its length, as JSON allows an integer of any
     length, or, for an array, as its first 8 items, each written and cut so,
@@ -103,5 +112,5 @@ def expect(value, kind, what: str):
     ``ARRAY`` for an array, a mapping type for an object."""
     if not isinstance(value, kind):
         name = "array" if kind is ARRAY else "object"
-        raise ValueError(f"{what} must be a JSON {name}, got {type(value).__name__}")
+        raise ValueError(f"{what} must be a JSON {name}, got {brief(value)}")
     return value

@@ -1,8 +1,21 @@
+import json
+from importlib.resources import files
+
 import pytest
 
 from ovrefine.commonsense import SceneContext, StaticKnowledgeProvider, default_knowledge_base
 from ovrefine.geometry import Box7DoF
 from ovrefine.pipeline import Detection, SceneRecord
+
+# the knowledge base shipped with the package, which `default_knowledge_base` reads
+SHIPPED_KB = files("ovrefine.data").joinpath("kb_indoor.json")
+
+
+def shipped_kb_data():
+    """The shipped knowledge base as its JSON file holds it, for a test to edit
+    and write as a ``--kb`` file."""
+    return json.loads(SHIPPED_KB.read_text(encoding="utf-8"))
+
 
 # Case-study boxes: dimensions chosen so the mean per-dimension fit against
 # the shipped priors lands exactly on the constraint values the tests pin

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import READ_ERROR, case_study_scenes, fail_reading_after
+from conftest import READ_ERROR, case_study_scenes, fail_reading_after, shipped_kb_data
 from ovrefine.cli import RunConfig, _build_parser, main
 from ovrefine.pipeline import (
     Detection,
@@ -71,11 +71,11 @@ SCENE_FILE_ROWS = {
     "repeated-id": ('{"scene_id": "living-room-case", "scene_type": "office", "detections": []}',
                     "scene_id 'living-room-case' already appears on line 1"),
     "detections-empty-object": ('{"scene_id": "s1", "scene_type": "office", "detections": {}}',
-                                "scene s1: detections must be a JSON array, got dict"),
+                                "scene s1: detections must be a JSON array, got {}"),
     "detections-object": ('{"scene_id": "s1", "scene_type": "office", "detections": {"x": 1}}',
-                          "scene s1: detections must be a JSON array, got dict"),
+                          'scene s1: detections must be a JSON array, got {"x": 1}'),
     "detection-int": ('{"scene_id": "s1", "scene_type": "office", "detections": [5]}',
-                      "scene s1 detection 0 must be a JSON object, got int"),
+                      "scene s1 detection 0 must be a JSON object, got 5"),
     # each would have been refined under its str(): "None", "['a']" and "1"
     "scene-id-null": ('{"scene_id": null, "scene_type": "office", "detections": []}',
                       "scene_id must be a string, got NoneType"),
@@ -190,7 +190,7 @@ class TestRefine:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_non_finite_size_prior_is_input_error(self, case_files, tmp_path, capsys, bad):
         # a NaN length used to score every chair a perfect length fit
-        kb = default_knowledge_base().to_dict()
+        kb = shipped_kb_data()
         kb["sizes"]["chair"][0] = bad
         kb_path = tmp_path / "kb.json"
         kb_path.write_text(json.dumps(kb))
@@ -205,7 +205,7 @@ class TestRefine:
 
     def test_string_size_prior_is_input_error(self, case_files, tmp_path, capsys):
         # float would take "0.5" as 0.5
-        kb = default_knowledge_base().to_dict()
+        kb = shipped_kb_data()
         kb["sizes"]["chair"][0] = "0.5"
         kb_path = tmp_path / "kb.json"
         kb_path.write_text(json.dumps(kb))
@@ -243,7 +243,7 @@ class TestRefine:
         "line, message",
         [
             ("{not json", "Expecting property name"),
-            ("[1, 2]", "expected a JSON object, got list"),
+            ("[1, 2]", "expected a JSON object, got [1, 2]"),
             ('{"scene_id": "s1", "detections": []}', "missing field 'scene_type'"),
             (chair_line('"score": 2'), "score must be in [0, 1]"),
             # JSON NaN and Infinity parse as floats, and no comparison admits NaN
@@ -299,7 +299,7 @@ class TestRefine:
         assert err.startswith(f"input error: {path}:2: ") and message in err
 
     def test_missing_kb_entry_names_class(self, tmp_path, capsys):
-        kb = default_knowledge_base().to_dict()
+        kb = shipped_kb_data()
         kb["novel_classes"].append("gryphon")
         kb["sizes"]["gryphon"] = [1.0, 1.0, 1.0]
         kb_path = tmp_path / "kb.json"
@@ -556,6 +556,25 @@ class TestBalance:
         assert main(["balance", "--labels", str(path)]) == 1
         assert capsys.readouterr().err == f"input error: {path}:2: {message}\n"
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"labels": 5}, "labels must be a JSON array, got 5"),
+            ({"labels": {"a": 1}}, 'labels must be a JSON array, got {"a": 1}'),
+            ({"labels": ["x"]}, 'labels[0] must be a JSON object, got "x"'),
+        ],
+        ids=["int", "object", "entry-string"],
+    )
+    def test_labels_not_an_array_of_objects_names_the_field(
+        self, tmp_path, capsys, record, message
+    ):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "out.json"
+        assert main(["balance", "--labels", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"input error: {path}:1: {message}\n")
+        assert not out.exists()
+
     def test_max_iters_below_one_is_input_error(self, tmp_path, capsys):
         # balance has no flag for it, so the config file sets it
         config = tmp_path / "config.json"
@@ -707,6 +726,25 @@ class TestBaol:
         assert code == 1
         assert capsys.readouterr() == ("", "input error: k_pro must be at least 1, got 0\n")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"boxes": 5}, "boxes must be a JSON array, got 5"),
+            # an object's keys would be read as its boxes
+            ({"boxes": {"a": 1}}, 'boxes must be a JSON array, got {"a": 1}'),
+            ({"labels": 7}, "labels must be a JSON array, got 7"),
+        ],
+        ids=["boxes-int", "boxes-object", "labels-int"],
+    )
+    def test_boxes_or_labels_not_an_array_names_the_field(self, tmp_path, capsys, fields, message):
+        scene = {"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9]}
+        path = tmp_path / "proposals.jsonl"
+        path.write_text(json.dumps({**scene, **fields}) + "\n")
+        for workers in ("1", "2"):
+            argv = ["baol", "--proposals", str(path), "--lambda-baol", "1.0", "--workers", workers]
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"input error: {path}:1: {message}\n")
+
     def test_wrong_arity_box_is_input_error(self, tmp_path, capsys):
         scene = {
             "boxes": [[0, 0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 1]],
@@ -751,12 +789,12 @@ class TestBaol:
             # numpy cannot read these, and its own messages do not name the field
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 1, 1, 0]], '
              '"class_scores": [0.5, [0.5]], "fg_scores": [0.9, 0.9]}',
-             "class_scores must be a JSON array, got float"),
+             "class_scores must be a JSON array, got 0.5"),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 1, 1, 0]], '
              '"class_scores": [[0.5], {"a": 1}], "fg_scores": [0.9, 0.9]}',
-             "class_scores must be a JSON array, got dict"),
+             'class_scores must be a JSON array, got {"a": 1}'),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [{"a": 1}], "fg_scores": [0.9]}',
-             "class_scores must be a JSON array, got dict"),
+             'class_scores must be a JSON array, got {"a": 1}'),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [{"a": 1}]}',
              'fg_scores must be a number, got {"a": 1}'),
             (b'{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9], '
@@ -1135,6 +1173,26 @@ class TestGenSynthetic:
         assert capsys.readouterr() == ("", "input error: seed must be at least 0, got -1\n")
         assert not out.exists() and not gt.exists()
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--corruption", "2"], "corruption must be in [0, 1], got 2.0"),
+            (["--config", "{config}"], "{config}: corruption must be in [0, 1], got -0.5"),
+        ],
+        ids=["flag", "config"],
+    )
+    def test_corruption_outside_unit_interval_names_its_key(
+        self, tmp_path, capsys, options, message
+    ):
+        out, gt, config = tmp_path / "det.jsonl", tmp_path / "gt.jsonl", tmp_path / "config.json"
+        config.write_text(json.dumps({"corruption": -0.5}))
+        # a knowledge base that does not exist: the check comes before it is read
+        argv = ["gen-synthetic", "--kb", str(tmp_path / "missing.json"), "--out", str(out),
+                "--gt", str(gt), *(option.format(config=config) for option in options)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"input error: {message.format(config=config)}\n")
+        assert not out.exists() and not gt.exists()
+
 
 def valid_inputs(tmp_path):
     """A file each command can read without error, by the option that names it."""
@@ -1144,7 +1202,7 @@ def valid_inputs(tmp_path):
     )}
     save_scenes(case_study_scenes(), files["--detections"])
     save_scenes(case_study_scenes(), files["--gt"], include_scores=False)
-    files["--kb"].write_text(json.dumps(default_knowledge_base().to_dict()))
+    files["--kb"].write_text(json.dumps(shipped_kb_data()))
     label = {"bbox": [0, 0, 5, 5], "label": "chair", "confidence": 0.9, "sim_pos": 2.0,
              "sim_neg": 0.0}
     files["--labels"].write_text(json.dumps({"image_id": "i", "labels": [label]}) + "\n")
@@ -1235,9 +1293,8 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text(document)
         assert main(["solve-psl", "1", "1", "1", "--config", str(config)]) == 1
-        kind = type(json.loads(document)).__name__
         assert capsys.readouterr().err == (
-            f"input error: {config}: config must be a JSON object, got {kind}\n"
+            f"input error: {config}: config must be a JSON object, got {document}\n"
         )
 
     def test_unknown_config_key(self, tmp_path):
@@ -1626,7 +1683,7 @@ class TestEmptyFileOptions:
 class TestKnowledgeBaseClasses:
     def test_class_name_that_is_no_string_is_input_error(self, tmp_path, capsys):
         # the class 7 never matched a label, and refine exited 0
-        kb = default_knowledge_base().to_dict()
+        kb = shipped_kb_data()
         kb["compat"]["bedroom"] += [7, None]
         kb_path, scenes = tmp_path / "kb.json", tmp_path / "scenes.jsonl"
         kb_path.write_text(json.dumps(kb))

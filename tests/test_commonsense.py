@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from conftest import SHIPPED_KB, shipped_kb_data
 from ovrefine import commonsense
 from ovrefine.commonsense import (
     KnowledgeBase,
@@ -22,10 +23,10 @@ from ovrefine.commonsense import (
     SizeConstraintConfig,
     SizePrior,
     StaticKnowledgeProvider,
-    confidence_constraint,
     constraint_vector,
     default_knowledge_base,
     judge_prompt,
+    load_knowledge_base,
     parse_size_reply,
     parse_yes_no,
     scene_constraint,
@@ -126,25 +127,29 @@ class TestKnowledgeBase:
         with pytest.raises(ValueError):
             KnowledgeBase(sizes={}, compat={}, novel_classes={"ghost"})
 
-    def test_round_trip(self, tmp_path):
-        kb = default_knowledge_base()
-        path = tmp_path / "kb.json"
-        path.write_text(__import__("json").dumps(kb.to_dict()))
-        from ovrefine.commonsense import load_knowledge_base
+    def test_default_is_the_shipped_file_read_as_any_file(self):
+        assert default_knowledge_base() == load_knowledge_base(SHIPPED_KB)
 
-        again = load_knowledge_base(path)
-        assert again.sizes == kb.sizes
-        assert again.compat == kb.compat
-        assert again.novel_classes == kb.novel_classes
+    def test_a_file_of_the_shipped_data_reads_back_equal(self, tmp_path):
+        path = tmp_path / "kb.json"
+        path.write_text(json.dumps(shipped_kb_data()))
+        assert load_knowledge_base(path) == default_knowledge_base()
 
     @pytest.mark.parametrize(
         "data, message",
         [
-            ([], "knowledge base must be a JSON object, got list"),
-            ({"sizes": [["chair", 1, 1, 1]]}, "sizes must be a JSON object, got list"),
-            ({"sizes": {"chair": "0.5"}}, "sizes['chair'] must be a JSON array, got str"),
-            ({"compat": {"library": "chair"}}, "compat['library'] must be a JSON array, got str"),
-            ({"novel_classes": "chair"}, "novel_classes must be a JSON array, got str"),
+            ([], "knowledge base must be a JSON object, got []"),
+            ({"sizes": [["chair", 1, 1, 1]]},
+             'sizes must be a JSON object, got [["chair", 1, 1, 1]]'),
+            ({"sizes": {"chair": "0.5"}}, 'sizes[\'chair\'] must be a JSON array, got "0.5"'),
+            ({"compat": {"library": "chair"}},
+             'compat[\'library\'] must be a JSON array, got "chair"'),
+            ({"novel_classes": "chair"}, 'novel_classes must be a JSON array, got "chair"'),
+            ({"sizes": None}, "sizes must be a JSON object, got null"),
+            # no JSON file holds a set, and JSON cannot write one: named by its type
+            ({"novel_classes": {"chair"}}, "novel_classes must be a JSON array, got set"),
+            ({"compat": {"library": frozenset()}},
+             "compat['library'] must be a JSON array, got frozenset"),
             # a class that is no string never matches a label, and a list is no set member
             ({"compat": {"bedroom": ["bed", 7, None]}},
              "compat['bedroom'] must hold class names, got 7"),
@@ -197,17 +202,19 @@ class TestSceneConstraint:
                 assert scene_constraint(label, scene, provider) in (0, 1)
 
 
-class TestConfidenceConstraint:
-    @pytest.mark.parametrize("score", [0.0, 0.73, 1.0])
-    def test_identity(self, score):
-        assert confidence_constraint(score) == score
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            confidence_constraint(1.0001)
-
-
 class TestConstraintVector:
+    @pytest.mark.parametrize("score", [0.0, 0.73, 1.0])
+    def test_confidence_is_the_score(self, provider, score):
+        box = Box7DoF(0, 0, 0.45, 0.55, 0.55, 0.90)
+        x = constraint_vector(box, "chair", score, SceneContext("library"), provider, CFG)
+        assert x.conf == score
+
+    def test_score_outside_unit_range_is_refused(self, provider):
+        box = Box7DoF(0, 0, 0.45, 0.55, 0.55, 0.90)
+        with pytest.raises(ValueError) as err:
+            constraint_vector(box, "chair", 1.0001, SceneContext("library"), provider, CFG)
+        assert str(err.value) == "constraint conf=1.0001 outside [0, 1]"
+
     def test_all_pass(self):
         provider = StaticKnowledgeProvider(default_knowledge_base())
         box = Box7DoF(0, 0, 0.45, 0.55, 0.55, 0.90)

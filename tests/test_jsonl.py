@@ -41,7 +41,7 @@ def test_a_line_must_be_an_object_a_file_need_not(tmp_path):
     path.write_text("[1, 2]\n")
     with pytest.raises(ValueError) as err:
         parse_line(path, 1, "[1, 2]", list)
-    assert str(err.value) == f"{path}:1: expected a JSON object, got list"
+    assert str(err.value) == f"{path}:1: expected a JSON object, got [1, 2]"
     assert parse_file(path, list) == [1, 2]
 
 
@@ -102,11 +102,16 @@ def test_numbers_returns_a_row_of_numbers_itself(row):
     assert numbers(row, "x") is row
 
 
-@pytest.mark.parametrize("values, kind", [(0.5, "float"), ({"a": 1}, "dict"), ("0.5", "str")])
-def test_numbers_needs_an_array(values, kind):
+@pytest.mark.parametrize(
+    "values, written",
+    [(0.5, "0.5"), ({"a": 1}, '{"a": 1}'), ("0.5", '"0.5"'), (None, "null"), ({1, 2}, "set")],
+    ids=["number", "object", "string", "null", "set"],
+)
+def test_numbers_needs_an_array(values, written):
+    # a value is quoted as JSON writes it, or, where JSON cannot, named by its type
     with pytest.raises(ValueError) as err:
         numbers(values, "x")
-    assert str(err.value) == f"x must be a JSON array, got {kind}"
+    assert str(err.value) == f"x must be a JSON array, got {written}"
 
 
 def test_brief_quotes_an_array_item_by_item():
