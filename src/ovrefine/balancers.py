@@ -8,15 +8,12 @@ State objects are immutable; every step returns a new state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .geometry import (
-    _MAX_FLOAT, Box7DoF, _circles_meet, _is_number, footprint_circles, iou3d, parse_box,
-)
-from .jsonl import ARRAY, brief, expect, number, numbers, parse_line, read_lines
+from .geometry import _MAX_FLOAT, Box7DoF, _circles_meet, footprint_circles, iou3d, parse_box
+from .jsonl import ARRAY, brief, expect, is_number, number, numbers, parse_line, read_lines
 
 # numpy is imported inside the proposal-scoring functions, the only code here
 # that builds arrays, so that `balance` and `dbc-sim` start without loading it
@@ -61,26 +58,25 @@ class PseudoLabel2D:
 
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
-            raise TypeError(f"label must be a string, got {type(self.label).__name__}")
+            raise TypeError(f"label must be a string, got {brief(self.label)}")
         # a JSON true or false would pass as 1 or 0, a string of 4 characters as 4 items
         if not (
             isinstance(self.bbox, (list, tuple)) and len(self.bbox) == 4
-            and all(_is_number(v) and -_MAX_FLOAT <= v <= _MAX_FLOAT for v in self.bbox)
+            and all(is_number(v) and -_MAX_FLOAT <= v <= _MAX_FLOAT for v in self.bbox)
         ):
-            raise ValueError(f"bbox must be 4 finite numbers, got {brief(self.bbox, repr)}")
+            raise ValueError(f"bbox must be 4 finite numbers, got {brief(self.bbox)}")
         object.__setattr__(self, "bbox", tuple(self.bbox))
         x1, y1, x2, y2 = self.bbox
         if not (x1 < x2 and y1 < y2):
-            raise ValueError(f"degenerate bbox {self.bbox}")
+            raise ValueError(f"degenerate bbox {brief(self.bbox)}")
         for name in ("confidence", "sim_pos", "sim_neg"):
-            if not _is_number(getattr(self, name)):
-                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, number(getattr(self, name), name))
         if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+            raise ValueError(f"confidence must be in [0, 1], got {brief(self.confidence)}")
         # reflect_filter would drop a label with a NaN similarity without a word
         for name in ("sim_pos", "sim_neg"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be finite, got {brief(getattr(self, name))}")
 
 
 def positive_similarity(label: PseudoLabel2D) -> float:
@@ -127,7 +123,8 @@ class SbcState:
         for label, phi in self.phi_by_class.items():
             if not self.phi_lo <= phi <= self.phi_hi:
                 raise ValueError(
-                    f"threshold for {label!r} is {phi}, outside [{self.phi_lo}, {self.phi_hi}]"
+                    f"threshold for {brief(label)} is {brief(phi)}, "
+                    f"outside [{self.phi_lo}, {self.phi_hi}]"
                 )
 
     @classmethod
@@ -219,7 +216,7 @@ class DbcState:
         for label, w in self.w_by_class.items():
             if not self.w_lo <= w <= self.w_hi:
                 raise ValueError(
-                    f"weight for {label!r} is {w}, outside [{self.w_lo}, {self.w_hi}]"
+                    f"weight for {brief(label)} is {brief(w)}, outside [{self.w_lo}, {self.w_hi}]"
                 )
 
     @classmethod
@@ -244,7 +241,7 @@ def dbc_accumulate(loss_by_class: Mapping[str, float], state: DbcState) -> DbcSt
     """
     for label, value in loss_by_class.items():
         if value < 0:
-            raise ValueError(f"loss for {label!r} is negative: {value}")
+            raise ValueError(f"loss for {brief(label)} is negative: {brief(value)}")
     scaled = scale_loss(loss_by_class, state)
     sums = dict(state.sum_by_class)
     weights = dict(state.w_by_class)
@@ -317,7 +314,7 @@ class ProposalSet:
             # written so that NaN, which fails every comparison, is outside too
             outside = values[~((values >= 0.0) & (values <= 1.0))]
             if outside.size:
-                raise ValueError(f"{name} must lie in [0, 1], got {float(outside[0])}")
+                raise ValueError(f"{name} must lie in [0, 1], got {brief(float(outside[0]))}")
 
 
 @dataclass(frozen=True)
@@ -425,25 +422,17 @@ def baol_loss(y: Sequence[int], o: Sequence[float], lam: float) -> float:
 # File formats
 
 
-def load_pseudo_labels(path) -> list[tuple[str, list[PseudoLabel2D]]]:
-    """Pseudo-label records, one JSON object per image per line; an image
-    without an ``image_id`` is named by its record's position."""
-    position = itertools.count()
+def load_pseudo_labels(path) -> list[list[PseudoLabel2D]]:
+    """The labels of each pseudo-label record, one JSON object per image per
+    line; any key of the record but ``labels`` is ignored."""
 
-    def record(data: dict) -> tuple[str, list[PseudoLabel2D]]:
+    def record(data: dict) -> list[PseudoLabel2D]:
         labels = []
         for k, entry in enumerate(expect(data.get("labels", []), ARRAY, "labels")):
             expect(entry, dict, f"labels[{k}]")
-            labels.append(
-                PseudoLabel2D(
-                    entry["bbox"],
-                    entry["label"],
-                    number(entry["confidence"], "confidence"),
-                    number(entry["sim_pos"], "sim_pos"),
-                    number(entry["sim_neg"], "sim_neg"),
-                )
-            )
-        return str(data.get("image_id", next(position))), labels
+            values = (entry[key] for key in ("bbox", "label", "confidence", "sim_pos", "sim_neg"))
+            labels.append(PseudoLabel2D(*values))
+        return labels
 
     return [parse_line(path, lineno, line, record) for lineno, line in read_lines(path)]
 
@@ -457,11 +446,12 @@ def load_loss_stream(path) -> list[dict[str, float]]:
     """
 
     def record(data: dict) -> dict[str, float]:
-        losses = {str(k): number(v, f"loss for {k!r}") for k, v in data.items()}
+        losses = {str(k): number(v, f"loss for {brief(k)}") for k, v in data.items()}
         for label, value in losses.items():
             if not 0 <= value < math.inf:
                 raise ValueError(
-                    f"loss for {label!r} must be a finite number at least 0, got {value}"
+                    f"loss for {brief(label)} must be a finite number at least 0, "
+                    f"got {brief(value)}"
                 )
         return losses
 

@@ -39,8 +39,18 @@ __all__ = ["RunConfig", "main", "entry_point"]
 # the values of psl.SelectionPolicy, named here so that no command loads psl to parse its flags
 _POLICIES = ("max-keep-min-recls", "min-keep", "scene-conservative")
 _LLM_MODES = ("off", "remote")
-# the values a RunConfig field of each type accepts: a float field takes an int
-_ACCEPTS = {str: str, int: int, float: (int, float)}
+# the values a RunConfig field of each type accepts, and their JSON kind: a float takes an int
+_ACCEPTS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
+# each bounded RunConfig number, in the order checked, with its bound and the test of it
+_BOUNDS = (
+    ("workers k_pro llm_max_in_flight", "at least 1", lambda value: value >= 1),
+    ("llm_retries dbc_k", "at least 0", lambda value: value >= 0),
+    ("dbc_interval sbc_max_iters", "at least 1", lambda value: value >= 1),
+    ("scenes seed", "at least 0", lambda value: value >= 0),
+    ("llm_timeout nms_sigma", "a finite number above 0", lambda value: value > 0),
+    ("alpha1 alpha2 alpha3 lambda_baol", "a finite number at least 0", lambda value: value >= 0),
+    ("nms_floor corruption", "in [0, 1]", lambda value: 0 <= value <= 1),
+)
 # what `main` reports as input errors: JSON errors and rejected values are
 # ValueErrors, and a missing size prior is a LookupError
 _INPUT_ERRORS = (OSError, ValueError, LookupError, TypeError)
@@ -104,45 +114,29 @@ class RunConfig:
             allowed = typing.get_args(hint) or (hint,)
             if value is None and type(None) in allowed:
                 continue
+            kinds, kind = _ACCEPTS[allowed[0]]
             # JSON true is no number, though bool subclasses int
-            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[allowed[0]]):
-                raise ValueError(
-                    f"{name} must be {allowed[0].__name__}, got {type(value).__name__} {value!r}"
-                )
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} must be {kind}, got {brief(value)}")
             # a NaN slips past every `value < least` check, an infinity defeats a clamp,
             # and an int beyond the float range overflows where it is used
             if allowed[0] is float and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number, got {brief(value, str)}")
+                raise ValueError(f"{name} must be a finite number, got {brief(value)}")
         # an empty path would quietly mean no file, or the built-in knowledge base
         for name in ("detections", "kb", "gt", "out", "log"):
             if getattr(self, name) == "":
                 raise ValueError(f"{name} must name a file, got an empty string")
-        for name, least in (
-            ("workers", 1), ("k_pro", 1), ("llm_max_in_flight", 1), ("llm_retries", 0),
-            ("dbc_k", 0), ("dbc_interval", 1), ("sbc_max_iters", 1), ("scenes", 0),
-            ("seed", 0),
-        ):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
-        for name in ("llm_timeout", "nms_sigma"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be a finite number above 0, got {value}")
-        for name in ("alpha1", "alpha2", "alpha3", "lambda_baol"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be a finite number at least 0, got {value}")
-        for name in ("nms_floor", "corruption"):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for names, bound, holds in _BOUNDS:
+            for name in names.split():
+                value = getattr(self, name)
+                if value is not None and not holds(value):
+                    raise ValueError(f"{name} must be {bound}, got {brief(value)}")
         if self.iou_lo >= self.iou_hi:
             raise ValueError(f"iou_lo must be below iou_hi, got {self.iou_lo} >= {self.iou_hi}")
         for name, allowed in (("policy", sorted(_POLICIES)), ("llm", _LLM_MODES)):
             value = getattr(self, name)
             if value not in allowed:
-                raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {brief(value)}")
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -151,7 +145,7 @@ class RunConfig:
         def from_dict(data) -> RunConfig:
             unknown = set(expect(data, dict, "config")) - {f.name for f in fields(cls)}
             if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+                raise ValueError(f"unknown config keys: {brief(sorted(unknown))}")
             return cls(**data)
 
         return parse_file(path, from_dict)
@@ -373,8 +367,7 @@ def cmd_balance(config: RunConfig, args: argparse.Namespace) -> int:
     balancers.reflect_filter([], config.phi_clip)
     balancers.SbcState.uniform([], **params)
     kb = _load_kb(config)
-    records = balancers.load_pseudo_labels(args.labels)
-    pool = [label for _, labels in records for label in labels]
+    pool = [label for labels in balancers.load_pseudo_labels(args.labels) for label in labels]
     pool = balancers.reflect_filter(pool, config.phi_clip)
     classes = sorted({label.label for label in pool} & kb.novel_classes)
     if not classes:
@@ -513,7 +506,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
     for record in predictions:
         if record.scene_id not in known:
             raise ValueError(
-                f"{config.detections}:{lines[record.scene_id]}: scene_id {record.scene_id!r} "
+                f"{config.detections}:{lines[record.scene_id]}: scene_id {brief(record.scene_id)} "
                 f"is not in the ground truth {config.gt}"
             )
     report = pipeline.eval_ap25(predictions, ground_truth)

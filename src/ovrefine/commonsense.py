@@ -93,7 +93,7 @@ class SizePrior:
         dims = (self.length, self.width, self.height)
         # NaN would pass a `<= 0` test and then score every box a perfect fit
         if not all(math.isfinite(d) and d > 0 for d in dims):
-            raise ValueError(f"size prior must be finite and positive, got {dims}")
+            raise ValueError(f"size prior must be finite and positive, got {brief(dims)}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class SceneContext:
         for name in ("scene_type", "description"):
             value = getattr(self, name)
             if not isinstance(value, str):
-                raise TypeError(f"{name} must be a string, got {type(value).__name__}")
+                raise TypeError(f"{name} must be a string, got {brief(value)}")
         if not self.scene_type:
             raise ValueError("scene_type must be non-empty")
 
@@ -130,7 +130,7 @@ class MissingSizePriorError(LookupError):
     """No size prior available for a class name."""
 
     def __init__(self, label: str):
-        super().__init__(f"no size prior for class {label!r}")
+        super().__init__(f"no size prior for class {brief(label)}")
         self.label = label
 
     def __reduce__(self):
@@ -153,19 +153,19 @@ class KnowledgeBase:
     def __post_init__(self) -> None:
         missing = sorted(c for c in self.novel_classes if c not in self.sizes)
         if missing:
-            raise ValueError(f"novel classes without a size entry: {missing}")
+            raise ValueError(f"novel classes without a size entry: {brief(missing)}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "KnowledgeBase":
         expect(data, Mapping, "knowledge base")
         sizes = {}
         for label, dims in expect(data.get("sizes", {}), Mapping, "sizes").items():
-            where = f"sizes[{label!r}]"
+            where = f"sizes[{brief(label)}]"
             if len(expect(dims, ARRAY, where)) != 3:
                 raise ValueError(f"{where} must be 3 numbers, got {brief(dims)}")
             sizes[label] = SizePrior(*(number(d, where) for d in dims))
         compat = {
-            scene: _class_names(classes, f"compat[{scene!r}]")
+            scene: _class_names(classes, f"compat[{brief(scene)}]")
             for scene, classes in expect(data.get("compat", {}), Mapping, "compat").items()
         }
         return cls(sizes, compat, _class_names(data.get("novel_classes", []), "novel_classes"))
@@ -468,7 +468,7 @@ def scene_constraint(label: str, scene_type: str, provider) -> int:
     """1 when the class is judged reasonable in the scene, else 0."""
     verdict = provider.scene_compatible(label, scene_type)
     if verdict not in (0, 1):
-        raise ValueError(f"provider returned non-binary scene verdict {verdict!r}")
+        raise ValueError(f"provider returned non-binary scene verdict {brief(verdict)}")
     return verdict
 
 

@@ -10,12 +10,11 @@ clip for pairs that cannot touch. All functions are pure.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .jsonl import brief
+from .jsonl import brief, is_number
 
 # numpy is imported inside the functions that build arrays, so that commands
 # which never build one (``refine``, ``solve-psl``) start without loading it
@@ -52,19 +51,6 @@ def _wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a real number other than a bool.
-
-    ``numbers.Real`` admits numpy scalars; a bool is a Real but not a number
-    here. The exact types a JSON file gives are tested first, as the ABC
-    check is slow.
-    """
-    kind = type(value)
-    return kind is float or kind is int or (
-        kind is not bool and isinstance(value, numbers.Real)
-    )
-
-
 @dataclass(frozen=True)
 class Box7DoF:
     """A 3D oriented box: center, extents along local axes, heading.
@@ -87,7 +73,7 @@ class Box7DoF:
         values = (self.cx, self.cy, self.cz, self.l, self.w, self.h, self.theta)
         # a JSON true or false would pass as 1 or 0
         if bool in map(type, values):
-            raise TypeError(f"box fields must be numbers, got {values}")
+            raise TypeError(f"box fields must be numbers, got {brief(values)}")
         cx, cy, cz, l, w, h, theta = values
         # a NaN fails every comparison; the chain is as fast as a finiteness test
         m, f = _MAX_METERS, _MAX_FLOAT
@@ -99,11 +85,11 @@ class Box7DoF:
                 if not -m <= value <= m:
                     raise ValueError(
                         f"box {name} must be finite and at most 1e5 m in magnitude, "
-                        f"got {brief(value, str)}"
+                        f"got {brief(value)}"
                     )
-            raise ValueError(f"box theta must be finite, got {brief(theta, str)}")
+            raise ValueError(f"box theta must be finite, got {brief(theta)}")
         if l <= 0.0 or w <= 0.0 or h <= 0.0:
-            raise ValueError(f"box extents must be positive, got ({l}, {w}, {h})")
+            raise ValueError(f"box extents must be positive, got {brief((l, w, h))}")
         object.__setattr__(self, "theta", _wrap_angle(theta))
 
     @property
@@ -124,7 +110,7 @@ def parse_box(values, where: str) -> Box7DoF:
         pass
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-    raise ValueError(f"{where}: box must be 7 numbers, got {brief(values, repr)}")
+    raise ValueError(f"{where}: box must be 7 numbers, got {brief(values)}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +122,10 @@ class ScoredBox:
     class_id: int = 0
 
     def __post_init__(self) -> None:
-        if not _is_number(self.score):
-            raise TypeError(f"score must be a number, got {self.score!r}")
+        if not is_number(self.score):
+            raise TypeError(f"score must be a number, got {brief(self.score)}")
         if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+            raise ValueError(f"score must be in [0, 1], got {brief(self.score)}")
 
 
 def _clip_footprint(a: Box7DoF, b: Box7DoF) -> list[tuple[float, float]]:

@@ -1,9 +1,19 @@
 """Decoding every input file, a JSONL line or a whole JSON document at a time,
-with errors that name the file, and the line where there is one."""
+with errors that name the file, and the line where there is one.
+
+A refused input exits 1 with one ``input error:`` line that names ``path:line:``
+(or ``path:``, or the option) and the field; its message after that prefix is
+under 200 characters. ``brief`` quotes every value and key taken from the file,
+as JSON writes it: ``got null``, ``got "0.5"``, ``got true``, ``got NaN``,
+``class_scores["chair"]``, ``missing field "label"``, ``unknown config keys:
+["n_pro"]``. A message never uses a Python type name, a Python literal such as
+``True``, ``None``, ``nan`` or ``inf``, or a single-quoted ``repr``.
+"""
 
 from __future__ import annotations
 
 import json
+import numbers as _numbers
 from typing import Callable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -54,21 +64,27 @@ def _parse(where, text: str, parse: Callable[[object], T]) -> T:
             text.encode("utf-8", "surrogateescape").decode("utf-8")
         return parse(json.loads(text))
     except KeyError as exc:
-        raise ValueError(f"{where}: missing field {exc}") from None
+        raise ValueError(f"{where}: missing field {brief(exc.args[0])}") from None
     except (ValueError, TypeError, RecursionError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number other than a bool: a JSON number, or a numpy
+    scalar that a library caller passes, a ``numbers.Real`` (tested last, as it is slow)."""
+    kind = type(value)
+    return kind is float or kind is int or (kind is not bool and isinstance(value, _numbers.Real))
+
+
 def number(value, what: str) -> float:
-    """``value`` of the JSON field ``what`` as a float, if it is a JSON number
-    within the float range.
+    """``value`` of the field ``what`` as a float, if ``is_number`` takes it and
+    it is within the float range.
 
     ``float`` would also take ``true`` and ``false`` as 1 and 0, and a string
     such as ``"0.9"`` as its number; both are refused, as is an integer past
     the float range, which JSON allows.
     """
-    # exact types: bool subclasses int
-    if type(value) not in (int, float):
+    if not is_number(value):
         raise TypeError(f"{what} must be a number, got {brief(value)}")
     try:
         return float(value)
@@ -95,16 +111,23 @@ def _written(value) -> str:
         return type(value).__name__
 
 
-def brief(value, quote: Callable[[object], str] = _written) -> str:
-    """``value`` as an error message quotes it: written by ``quote`` and cut to
-    its first 20 characters and its length, as JSON allows an integer of any
-    length, or, for an array, as its first 8 items, each written and cut so,
-    and its length if it has more."""
-    if isinstance(value, ARRAY):
-        more = f", ... ({len(value)} items)" if len(value) > 8 else ""
-        return f"[{', '.join(brief(quote(item), str) for item in value[:8])}{more}]"
-    text = quote(value)
+def _cut(text: str) -> str:
+    """``text`` cut to its first 20 characters and its length."""
     return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def brief(value) -> str:
+    """``value`` as an error message quotes it: as JSON writes it, cut to its first
+    20 characters and its length, as JSON allows a string or an integer of any length;
+    an array item by item, each so cut, as many of its first 8 as fit in 60
+    characters, and its length if some are left out."""
+    if not isinstance(value, ARRAY):
+        return _cut(_written(value))
+    items = [_cut(_written(item)) for item in value[:8]]
+    while len(", ".join(items)) > 60:
+        items.pop()
+    more = f", ... ({len(value)} items)" if len(items) < len(value) else ""
+    return f"[{', '.join(items)}{more}]"
 
 
 def expect(value, kind, what: str):

@@ -26,8 +26,8 @@ from .commonsense import (
     scene_constraint,
     size_constraint,
 )
-from .geometry import Box7DoF, _is_number, iou3d, parse_box
-from .jsonl import ARRAY, brief, expect, number, parse_line, read_lines
+from .geometry import Box7DoF, iou3d, parse_box
+from .jsonl import ARRAY, brief, expect, is_number, number, parse_line, read_lines
 from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
 from .psl import _decision_rules
 
@@ -71,24 +71,27 @@ class Detection:
 
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
-            raise TypeError(f"label must be a string, got {type(self.label).__name__}")
-        if not _is_number(self.score):
-            raise TypeError(f"score must be a number, got {self.score!r}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+            raise TypeError(f"label must be a string, got {brief(self.label)}")
+        # a float, so that a JSON integer score is written back as 1.0
+        score = number(self.score, "score")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score must be in [0, 1], got {brief(score)}")
+        object.__setattr__(self, "score", score)
         if self.class_scores is not None:
             if type(self.class_scores) is not dict and not isinstance(self.class_scores, Mapping):
                 raise TypeError(
                     "class_scores must be an object of class scores, "
-                    f"got {type(self.class_scores).__name__}"
+                    f"got {brief(self.class_scores)}"
                 )
             object.__setattr__(self, "class_scores", dict(self.class_scores))
             for label, value in self.class_scores.items():
-                if not _is_number(value):
-                    raise TypeError(f"class score for {label!r} must be a number, got {value!r}")
+                if not is_number(value):
+                    raise TypeError(
+                        f"class_scores[{brief(label)}] must be a number, got {brief(value)}"
+                    )
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(
-                        f"class score for {label!r} must be in [0, 1], got {brief(value, str)}"
+                        f"class_scores[{brief(label)}] must be in [0, 1], got {brief(value)}"
                     )
 
 
@@ -103,7 +106,7 @@ class SceneRecord:
     def __post_init__(self) -> None:
         # as scene_type must be: a JSON null or 1 would otherwise become "None" or "1"
         if not isinstance(self.scene_id, str):
-            raise TypeError(f"scene_id must be a string, got {type(self.scene_id).__name__}")
+            raise TypeError(f"scene_id must be a string, got {brief(self.scene_id)}")
         object.__setattr__(self, "detections", tuple(self.detections))
 
 
@@ -424,7 +427,7 @@ def generate_synthetic_scenes(
         for scene_type in scene_types:
             if not any(c in kb.sizes for c in kb.compat[scene_type]):
                 raise ValueError(
-                    f"no class in the knowledge base's compat[{scene_type!r}] has a size, "
+                    f"no class in the knowledge base's compat[{brief(scene_type)}] has a size, "
                     "so no scene of that type can be sampled"
                 )
     rng = np.random.default_rng(seed)
@@ -553,7 +556,11 @@ def save_scenes(records: Sequence[SceneRecord], path, include_scores: bool = Tru
 def scene_record(data: dict) -> SceneRecord:
     """The scene record of one line of a scenes file, from its JSON object;
     a missing score (as in a ground-truth file) is 1."""
-    where = f"scene {data.get('scene_id')}"
+    # the record checks its id before a detection's error names the scene by it
+    record = SceneRecord(
+        data["scene_id"], SceneContext(data["scene_type"], data.get("description", "")), ()
+    )
+    where = f"scene {brief(record.scene_id)}"
     entries = expect(data.get("detections", []), ARRAY, f"{where}: detections")
     detections = []
     for k, entry in enumerate(entries):
@@ -563,15 +570,11 @@ def scene_record(data: dict) -> SceneRecord:
             Detection(
                 parse_box(entry["box"], what),
                 entry["label"],
-                number(entry.get("score", 1.0), "score"),
+                entry.get("score", 1.0),
                 entry.get("class_scores"),
             )
         )
-    return SceneRecord(
-        data["scene_id"],
-        SceneContext(data["scene_type"], data.get("description", "")),
-        detections,
-    )
+    return replace(record, detections=detections)
 
 
 def check_scene_id(first_line: dict[str, int], scene_id: str, path, lineno: int) -> None:
@@ -579,7 +582,9 @@ def check_scene_id(first_line: dict[str, int], scene_id: str, path, lineno: int)
     ``ValueError`` prefixed ``path:line:`` if ``first_line`` has it already."""
     first = first_line.setdefault(scene_id, lineno)
     if first != lineno:
-        raise ValueError(f"{path}:{lineno}: scene_id {scene_id!r} already appears on line {first}")
+        raise ValueError(
+            f"{path}:{lineno}: scene_id {brief(scene_id)} already appears on line {first}"
+        )
 
 
 def load_scenes(path, first_line: dict[str, int] | None = None) -> list[SceneRecord]:

@@ -30,6 +30,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
 from .geometry import _polygon_area
+from .jsonl import brief
 
 __all__ = [
     "Const",
@@ -226,7 +227,7 @@ def _constraint_bindings(conf: float, size: float, scene: float) -> dict[str, fl
     """The bound variables of the decision rules, each checked to lie in [0, 1]."""
     for name, value in (("conf", conf), ("size", size), ("scene", scene)):
         if not 0 <= value <= 1:
-            raise ValueError(f"constraint {name}={value} outside [0, 1]")
+            raise ValueError(f"constraint {name}={brief(value)} outside [0, 1]")
     return {CONF_VAR: conf, SIZE_VAR: size, SCENE_VAR: scene}
 
 

@@ -67,13 +67,13 @@ class TestReflectFilter:
     @pytest.mark.parametrize(
         "bbox, cls, sims, error, message",
         [
-            ((0, 0, 1, 1), ["chair"], (0.0, 0.0), TypeError, "label must be a string, got list"),
+            ((0, 0, 1, 1), ["chair"], (0.0, 0.0), TypeError, 'label must be a string, got ["chair"]'),
             # unpacked, a string of four characters would pass as a box
-            ("0123", "chair", (0.0, 0.0), ValueError, "bbox must be 4 finite numbers, got '0123'"),
+            ("0123", "chair", (0.0, 0.0), ValueError, 'bbox must be 4 finite numbers, got "0123"'),
             ((0, 0, 1), "chair", (0.0, 0.0), ValueError, "bbox must be 4 finite numbers"),
             ((0, 0, 1, math.inf), "chair", (0.0, 0.0), ValueError, "bbox must be 4 finite numbers"),
-            ((0, 0, 1, 1), "chair", (math.nan, 0.0), ValueError, "sim_pos must be finite, got nan"),
-            ((0, 0, 1, 1), "chair", (0.0, -math.inf), ValueError, "sim_neg must be finite, got -inf"),
+            ((0, 0, 1, 1), "chair", (math.nan, 0.0), ValueError, "sim_pos must be finite, got NaN"),
+            ((0, 0, 1, 1), "chair", (0.0, -math.inf), ValueError, "sim_neg must be finite, got -Infinity"),
         ],
         ids=["label-list", "bbox-string", "bbox-short", "bbox-inf", "sim_pos-nan", "sim_neg-inf"],
     )
@@ -83,12 +83,12 @@ class TestReflectFilter:
         assert str(err.value).startswith(message)
 
     @pytest.mark.parametrize("field", ["confidence", "sim_pos", "sim_neg"])
-    @pytest.mark.parametrize("bad", [True, "0.9"], ids=["bool", "str"])
-    def test_number_fields_refuse_bools_and_strings(self, field, bad):
+    @pytest.mark.parametrize("bad, shown", [(True, "true"), ("0.9", '"0.9"')], ids=["bool", "str"])
+    def test_number_fields_refuse_bools_and_strings(self, field, bad, shown):
         values = {"confidence": 0.5, "sim_pos": 0.0, "sim_neg": 0.0, field: bad}
         with pytest.raises(TypeError) as err:
             PseudoLabel2D((0, 0, 1, 1), "chair", **values)
-        assert str(err.value) == f"{field} must be a number, got {bad!r}"
+        assert str(err.value) == f"{field} must be a number, got {shown}"
 
     def test_number_fields_take_numpy_scalars(self):
         label = PseudoLabel2D((0, 0, 1, 1), "chair", np.float32(0.5), np.float64(1.0), 0)
@@ -457,10 +457,14 @@ class TestFileFormats:
             '"confidence": 0.8, "sim_pos": 2.0, "sim_neg": 0.0}]}\n'
             '\n'
             '{"image_id": "img1", "labels": []}\n'
+            '{"labels": []}\n'
+            # any key but labels is ignored, image_id among them
+            '{"image_id": null, "labels": []}\n'
+            '{"image_id": ["a"], "labels": []}\n'
         )
         records = load_pseudo_labels(path)
-        assert [rid for rid, _ in records] == ["img0", "img1"]
-        assert records[0][1][0].label == "chair"
+        assert [len(labels) for labels in records] == [1, 0, 0, 0, 0]
+        assert records[0][0].label == "chair"
 
     def test_loss_stream(self, tmp_path):
         path = tmp_path / "losses.jsonl"

@@ -69,20 +69,38 @@ def chair_line(fields):
 SCENE_FILE_ROWS = {
     # eval would pool the boxes of two scenes of one id
     "repeated-id": ('{"scene_id": "living-room-case", "scene_type": "office", "detections": []}',
-                    "scene_id 'living-room-case' already appears on line 1"),
+                    'scene_id "living-room-case" already appears on line 1'),
     "detections-empty-object": ('{"scene_id": "s1", "scene_type": "office", "detections": {}}',
-                                "scene s1: detections must be a JSON array, got {}"),
+                                'scene "s1": detections must be a JSON array, got {}'),
     "detections-object": ('{"scene_id": "s1", "scene_type": "office", "detections": {"x": 1}}',
-                          'scene s1: detections must be a JSON array, got {"x": 1}'),
+                          'scene "s1": detections must be a JSON array, got {"x": 1}'),
     "detection-int": ('{"scene_id": "s1", "scene_type": "office", "detections": [5]}',
-                      "scene s1 detection 0 must be a JSON object, got 5"),
+                      'scene "s1" detection 0 must be a JSON object, got 5'),
     # each would have been refined under its str(): "None", "['a']" and "1"
     "scene-id-null": ('{"scene_id": null, "scene_type": "office", "detections": []}',
-                      "scene_id must be a string, got NoneType"),
+                      "scene_id must be a string, got null"),
     "scene-id-list": ('{"scene_id": ["a"], "scene_type": "office", "detections": []}',
-                      "scene_id must be a string, got list"),
+                      'scene_id must be a string, got ["a"]'),
     "scene-id-int": ('{"scene_id": 1, "scene_type": "office", "detections": []}',
-                     "scene_id must be a string, got int"),
+                     "scene_id must be a string, got 1"),
+    # the id is checked before a detection's error names the scene by it
+    "scene-id-null-bad-detection": (
+        '{"scene_id": null, "scene_type": "office", "detections": [{"box": [0]}]}',
+        "scene_id must be a string, got null",
+    ),
+    "scene-id-missing-bad-detection": (
+        '{"scene_type": "office", "detections": [{"box": [0]}]}', 'missing field "scene_id"'
+    ),
+    "scene-id-1000-items": (
+        json.dumps({"scene_id": list(range(1000)), "scene_type": "office", "detections": {}}),
+        "scene_id must be a string, got [0, 1, 2, 3, 4, 5, 6, 7, ... (1000 items)]",
+    ),
+    "scene-id-1000-characters": (
+        json.dumps({"scene_id": "a" * 1000, "scene_type": "office",
+                    "detections": [{"box": [0, 0, 0.5, 1, 1, 1], "label": "chair"}]}),
+        'scene "aaaaaaaaaaaaaaaaaaa... (1002 characters) detection 0: box must be 7 numbers, '
+        "got [0, 0, 0.5, 1, 1, 1]",
+    ),
     # written in Latin-1, where UTF-8 reads é as the start of a longer character
     "not-utf-8": (b'{"scene_id": "s1", "scene_type": "caf\xe9", "detections": []}',
                   "'utf-8' codec can't decode byte 0xe9 in position 37: invalid continuation byte"),
@@ -180,12 +198,12 @@ class TestRefine:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:")
-        assert "scene s0 detection 0" in err and "finite" in err
+        assert 'scene "s0" detection 0' in err and "finite" in err
 
     def test_wrong_arity_box_is_input_error(self, tmp_path, capsys):
         path = write_short_box_scene(tmp_path)
         code = main(["refine", "--detections", str(path), "--out", str(tmp_path / "o.jsonl")])
-        assert_short_box_error(code, capsys, "scene s0 detection 1")
+        assert_short_box_error(code, capsys, 'scene "s0" detection 1')
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_non_finite_size_prior_is_input_error(self, case_files, tmp_path, capsys, bad):
@@ -215,7 +233,7 @@ class TestRefine:
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            f"input error: {kb_path}: sizes['chair'] must be a number, got \"0.5\"\n"
+            f'input error: {kb_path}: sizes["chair"] must be a number, got "0.5"\n'
         )
 
     def test_workers_below_one_is_input_error(self, case_files, capsys):
@@ -244,40 +262,40 @@ class TestRefine:
         [
             ("{not json", "Expecting property name"),
             ("[1, 2]", "expected a JSON object, got [1, 2]"),
-            ('{"scene_id": "s1", "detections": []}', "missing field 'scene_type'"),
+            ('{"scene_id": "s1", "detections": []}', 'missing field "scene_type"'),
             (chair_line('"score": 2'), "score must be in [0, 1]"),
             # JSON NaN and Infinity parse as floats, and no comparison admits NaN
-            (chair_line('"score": NaN'), "score must be in [0, 1], got nan"),
-            (chair_line('"score": Infinity'), "score must be in [0, 1], got inf"),
-            (chair_line('"score": -Infinity'), "score must be in [0, 1], got -inf"),
+            (chair_line('"score": NaN'), "score must be in [0, 1], got NaN"),
+            (chair_line('"score": Infinity'), "score must be in [0, 1], got Infinity"),
+            (chair_line('"score": -Infinity'), "score must be in [0, 1], got -Infinity"),
             *[
                 (
                     chair_line(f'"score": 0.9, "class_scores": {{"chair": {bad}}}'),
-                    f"class score for 'chair' must be in [0, 1], got {shown}",
+                    f'class_scores["chair"] must be in [0, 1], got {bad}',
                 )
-                for bad, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"))
+                for bad in ("NaN", "Infinity", "-Infinity")
             ],
             # a list label or scene type would fail later as an unhashable dict key
             (chair_line('"score": 0.9').replace('"chair"', '["chair"]'),
-             "label must be a string, got list"),
+             'label must be a string, got ["chair"]'),
             ('{"scene_id": "s1", "scene_type": ["office"], "detections": []}',
-             "scene_type must be a string, got list"),
+             'scene_type must be a string, got ["office"]'),
             ('{"scene_id": "s1", "scene_type": "office", "description": 3, "detections": []}',
-             "description must be a string, got int"),
+             "description must be a string, got 3"),
             # Python counts JSON true and false as the numbers 1 and 0
             (chair_line('"score": true'), "score must be a number, got true"),
             (chair_line('"score": 0.9, "class_scores": {"chair": true}'),
-             "class score for 'chair' must be a number, got True"),
+             'class_scores["chair"] must be a number, got true'),
             (chair_line('"score": 0.9').replace("1, 1, 1, 0]", "true, true, true, false]"),
-             "box must be 7 numbers, got [0, 0, 0.5, True, True, True, False]"),
+             "box must be 7 numbers, got [0, 0, 0.5, true, true, true, false]"),
             # float takes a numeric string as its number
             (chair_line('"score": "0.9"'), 'score must be a number, got "0.9"'),
             (chair_line('"score": 0.9, "class_scores": {"chair": "0.5"}'),
-             "class score for 'chair' must be a number, got '0.5'"),
+             'class_scores["chair"] must be a number, got "0.5"'),
             (chair_line('"score": 0.9, "class_scores": {"chair": null}'),
-             "class score for 'chair' must be a number, got None"),
+             'class_scores["chair"] must be a number, got null'),
             (chair_line('"score": 0.9, "class_scores": [0.5]'),
-             "class_scores must be an object of class scores, got list"),
+             "class_scores must be an object of class scores, got [0.5]"),
             *SCENE_FILE_ROWS.values(),
         ],
         ids=[
@@ -297,6 +315,7 @@ class TestRefine:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {path}:2: ") and message in err
+        assert err.count("\n") == 1 and not Path(case_files["out"]).exists()
 
     def test_missing_kb_entry_names_class(self, tmp_path, capsys):
         kb = shipped_kb_data()
@@ -462,6 +481,13 @@ class TestSolvePsl:
     def test_out_of_range_rejected(self, capsys):
         assert main(["solve-psl", "1.5", "0", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "value, shown", [("nan", "NaN"), ("inf", "Infinity")], ids=["nan", "inf"]
+    )
+    def test_non_finite_constraint_named_as_json_writes_it(self, capsys, value, shown):
+        assert main(["solve-psl", "0.9", value, "1"]) == 1
+        assert capsys.readouterr().err == f"input error: constraint size={shown} outside [0, 1]\n"
+
     def test_weights_flag(self, capsys):
         # zeroing the third rule's weight frees y_keep from the confidence cap
         assert main(["solve-psl", "0.5", "1", "1", "--weights", "1", "1", "0",
@@ -471,7 +497,7 @@ class TestSolvePsl:
     def test_infinite_weight_flag_names_key(self, capsys):
         assert main(["solve-psl", "0.9", "0.5", "1", "--weights", "inf", "1", "1"]) == 1
         assert capsys.readouterr().err == (
-            "input error: alpha1 must be a finite number, got inf\n"
+            "input error: alpha1 must be a finite number, got Infinity\n"
         )
 
 
@@ -517,21 +543,21 @@ class TestBalance:
         )
         assert main(["balance", "--labels", str(path)]) == 1
         assert capsys.readouterr().err == (
-            f"input error: {path}:3: missing field 'confidence'\n"
+            f'input error: {path}:3: missing field "confidence"\n'
         )
 
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"label": ["chair"]}, "label must be a string, got list"),
-            ({"bbox": "abcd"}, "bbox must be 4 finite numbers, got 'abcd'"),
+            ({"label": ["chair"]}, 'label must be a string, got ["chair"]'),
+            ({"bbox": "abcd"}, 'bbox must be 4 finite numbers, got "abcd"'),
             ({"bbox": [0, 0, 5]}, "bbox must be 4 finite numbers, got [0, 0, 5]"),
-            ({"bbox": [0, 0, 5, math.nan]}, "bbox must be 4 finite numbers, got [0, 0, 5, nan]"),
+            ({"bbox": [0, 0, 5, math.nan]}, "bbox must be 4 finite numbers, got [0, 0, 5, NaN]"),
             # reflect_filter would drop the label without a word
-            ({"sim_pos": math.nan}, "sim_pos must be finite, got nan"),
-            ({"sim_neg": math.inf}, "sim_neg must be finite, got inf"),
+            ({"sim_pos": math.nan}, "sim_pos must be finite, got NaN"),
+            ({"sim_neg": math.inf}, "sim_neg must be finite, got Infinity"),
             # Python counts JSON true and false as the numbers 1 and 0
-            ({"bbox": [0, 0, True, True]}, "bbox must be 4 finite numbers, got [0, 0, True, True]"),
+            ({"bbox": [0, 0, True, True]}, "bbox must be 4 finite numbers, got [0, 0, true, true]"),
             ({"confidence": True}, "confidence must be a number, got true"),
             ({"sim_pos": False}, "sim_pos must be a number, got false"),
             ({"sim_neg": True}, "sim_neg must be a number, got true"),
@@ -629,15 +655,15 @@ class TestDbcSim:
         "line, message",
         [
             ("{", "Expecting property name"),
-            ('{"A": "high"}', "loss for 'A' must be a number, got \"high\""),
+            ('{"A": "high"}', 'loss for "A" must be a number, got "high"'),
             # a NaN loss would rank first and have its weight raised
-            ('{"A": NaN}', "loss for 'A' must be a finite number at least 0, got nan"),
-            ('{"A": "nan"}', "loss for 'A' must be a number, got \"nan\""),
-            ('{"A": Infinity}', "loss for 'A' must be a finite number at least 0, got inf"),
-            ('{"A": -1.5}', "loss for 'A' must be a finite number at least 0, got -1.5"),
-            ('{"A": true}', "loss for 'A' must be a number, got true"),
+            ('{"A": NaN}', 'loss for "A" must be a finite number at least 0, got NaN'),
+            ('{"A": "nan"}', 'loss for "A" must be a number, got "nan"'),
+            ('{"A": Infinity}', 'loss for "A" must be a finite number at least 0, got Infinity'),
+            ('{"A": -1.5}', 'loss for "A" must be a finite number at least 0, got -1.5'),
+            ('{"A": true}', 'loss for "A" must be a number, got true'),
             # float takes a numeric string as its number
-            ('{"A": "1.5"}', "loss for 'A' must be a number, got \"1.5\""),
+            ('{"A": "1.5"}', 'loss for "A" must be a number, got "1.5"'),
         ],
         ids=["json", "value", "NaN", "nan-string", "Infinity", "negative", "true", "string"],
     )
@@ -760,7 +786,7 @@ class TestBaol:
         "line, message",
         [
             ("{not json", "Expecting property name"),
-            ('{"boxes": [], "fg_scores": []}', "missing field 'class_scores'"),
+            ('{"boxes": [], "fg_scores": []}', 'missing field "class_scores"'),
             # numpy takes JSON true and false as 1 and 0
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[true]], "fg_scores": [0.9]}',
              "class_scores must be a number, got true"),
@@ -779,7 +805,7 @@ class TestBaol:
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [-2]}',
              "fg_scores must lie in [0, 1], got -2.0"),
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [NaN]}',
-             "fg_scores must lie in [0, 1], got nan"),
+             "fg_scores must lie in [0, 1], got NaN"),
             # the scaled score 0.15 is in range, so no later check would see it
             ('{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.1]], "fg_scores": [1.5]}',
              "fg_scores must lie in [0, 1], got 1.5"),
@@ -995,14 +1021,14 @@ class TestBaol:
             "", "input error: lambda_baol must be a finite number at least 0, got -3.0\n"
         )
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_lambda_names_key(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value, shown", [("nan", "NaN"), ("inf", "Infinity")], ids=["nan", "inf"])
+    def test_non_finite_lambda_names_key(self, tmp_path, capsys, value, shown):
         path = tmp_path / "proposals.jsonl"
         path.write_text("{}\n")
         assert main(["baol", "--proposals", str(path), "--lambda-baol", value]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"input error: lambda_baol must be a finite number, got {value}\n"
+        assert err == f"input error: lambda_baol must be a finite number, got {shown}\n"
 
     def test_lambda_required(self, tmp_path, capsys):
         path = tmp_path / "proposals.jsonl"
@@ -1042,7 +1068,7 @@ class TestEval:
     def test_wrong_arity_box_is_input_error(self, tmp_path, capsys):
         path = write_short_box_scene(tmp_path)
         code = main(["eval", "--detections", str(path), "--gt", str(path)])
-        assert_short_box_error(code, capsys, "scene s0 detection 1")
+        assert_short_box_error(code, capsys, 'scene "s0" detection 1')
 
     def test_boolean_score_is_input_error(self, tmp_path, capsys):
         # it used to load as a perfect detection: exit 0 with mAP 1.0
@@ -1088,7 +1114,7 @@ class TestEval:
         assert main(["eval", "--detections", str(det), "--gt", str(gt)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"input error: {det}:3: scene_id 's1' is not in the ground truth {gt}\n"
+        assert err == f'input error: {det}:3: scene_id "s1" is not in the ground truth {gt}\n'
 
 
 @pytest.mark.parametrize("field", range(6))
@@ -1110,7 +1136,7 @@ def test_box_beyond_1e5_m_names_file_and_line(tmp_path, capsys, command, field):
         good = {"scene_id": "s0", "scene_type": "library", "detections": [chair]}
         bad = {"scene_id": "s1", "scene_type": "library",
                "detections": [chair, {**chair, "box": box}]}
-        where = "scene s1 detection 1"
+        where = 'scene "s1" detection 1'
         argv = {
             "refine": ["refine", "--detections", str(path), "--out", str(tmp_path / "o.jsonl")],
             "eval": ["eval", "--detections", str(path), "--gt", str(path)],
@@ -1297,11 +1323,14 @@ class TestConfigFile:
             f"input error: {config}: config must be a JSON object, got {document}\n"
         )
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         for key in ("frobnicate", "n_pro"):
-            config.write_text(json.dumps({key: 1}))
+            config.write_text(json.dumps({key: 1, "seed": 1}))
             assert main(["solve-psl", "1", "1", "1", "--config", str(config)]) == 1
+            assert capsys.readouterr().err == (
+                f'input error: {config}: unknown config keys: ["{key}"]\n'
+            )
 
     def test_mistyped_config_value_is_input_error(self, case_files, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -1312,17 +1341,23 @@ class TestConfigFile:
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            f"input error: {config}: workers must be int, got str '2'\n"
+            f'input error: {config}: workers must be an integer, got "2"\n'
         )
 
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("workers", 2.0, "workers must be int, got float 2.0"),
-            ("workers", True, "workers must be int, got bool True"),
+            ("workers", 2.0, "workers must be an integer, got 2.0"),
+            ("workers", True, "workers must be an integer, got true"),
             ("workers", 0, "workers must be at least 1, got 0"),
-            ("alpha1", "1", "alpha1 must be float, got str '1'"),
-            ("policy", None, "policy must be str, got NoneType None"),
+            # quoted short, as any value from the file
+            pytest.param(
+                "workers", list(range(1000)),
+                "workers must be an integer, got [0, 1, 2, 3, 4, 5, 6, 7, ... (1000 items)]",
+                id="workers-1000-items",
+            ),
+            ("alpha1", "1", 'alpha1 must be a number, got "1"'),
+            ("policy", None, "policy must be a string, got null"),
             # a semaphore of 0 admits no request, so `refine --llm remote` would hang
             ("llm_max_in_flight", 0, "llm_max_in_flight must be at least 1, got 0"),
             ("llm_max_in_flight", -1, "llm_max_in_flight must be at least 1, got -1"),
@@ -1330,10 +1365,10 @@ class TestConfigFile:
             ("llm_retries", -1, "llm_retries must be at least 0, got -1"),
             ("llm_timeout", 0, "llm_timeout must be a finite number above 0, got 0"),
             ("llm_timeout", -1, "llm_timeout must be a finite number above 0, got -1"),
-            ("llm_timeout", float("nan"), "llm_timeout must be a finite number, got nan"),
+            ("llm_timeout", float("nan"), "llm_timeout must be a finite number, got NaN"),
             # an infinite weight times a zero coefficient leaves the solver only NaNs
-            ("alpha1", float("inf"), "alpha1 must be a finite number, got inf"),
-            ("alpha2", float("nan"), "alpha2 must be a finite number, got nan"),
+            ("alpha1", float("inf"), "alpha1 must be a finite number, got Infinity"),
+            ("alpha2", float("nan"), "alpha2 must be a finite number, got NaN"),
             ("alpha3", -1, "alpha3 must be a finite number at least 0, got -1"),
             # an int too large for a float would overflow where it is used
             pytest.param(
@@ -1359,9 +1394,9 @@ class TestConfigFile:
                 "policy",
                 "bogus",
                 "policy must be one of max-keep-min-recls, min-keep, scene-conservative, "
-                "got 'bogus'",
+                'got "bogus"',
             ),
-            ("llm", "bogus", "llm must be one of off, remote, got 'bogus'"),
+            ("llm", "bogus", 'llm must be one of off, remote, got "bogus"'),
         ],
     )
     def test_bad_config_value_is_input_error(
@@ -1375,17 +1410,22 @@ class TestConfigFile:
         )
         assert code == 1
         assert capsys.readouterr().err == f"input error: {config}: {message}\n"
+        assert not Path(case_files["out"]).exists()
 
     @pytest.mark.parametrize(
         "key",
         [name for name, hint in typing.get_type_hints(RunConfig).items()
          if (typing.get_args(hint) or (hint,))[0] is float],
     )
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_float_key_rejected(self, key, value):
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_float_key_rejected(self, key, value, shown):
         with pytest.raises(ValueError) as err:
             RunConfig(**{key: value})
-        assert str(err.value) == f"{key} must be a finite number, got {value}"
+        assert str(err.value) == f"{key} must be a finite number, got {shown}"
 
     @pytest.mark.parametrize(
         "key, argv",
@@ -1410,7 +1450,7 @@ class TestConfigFile:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"input error: {config}: {key} must be a finite number, got nan\n"
+        assert err == f"input error: {config}: {key} must be a finite number, got NaN\n"
 
     @pytest.mark.parametrize(
         "options, message",
@@ -1524,7 +1564,7 @@ PAST_FLOAT_RANGE_ROWS = {
     "refine-class-score": (
         ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
         [*GOOD_SCENES, library_chair("bad", class_score=HUGE)], 34, ("1", "2"),
-        "class score for 'chair'",
+        'class_scores["chair"]',
     ),
     "eval-score": (
         ["eval", "--detections", "{input}", "--gt", "{dir}/gt.jsonl"],
@@ -1546,16 +1586,16 @@ PAST_FLOAT_RANGE_ROWS = {
     ),
     "dbc-sim-loss": (
         ["dbc-sim", "--losses", "{input}"],
-        ['{"chair": %s}' % HUGE], 1, (None,), "loss for 'chair'",
+        ['{"chair": %s}' % HUGE], 1, (None,), 'loss for "chair"',
     ),
     "kb-size": (
         ["refine", "--kb", "{input}", "--detections", "{dir}/gt.jsonl", "--out", "{dir}/out.jsonl"],
-        ['{"sizes": {"chair": [%s, 1, 1]}}' % HUGE], None, (None,), "sizes['chair']",
+        ['{"sizes": {"chair": [%s, 1, 1]}}' % HUGE], None, (None,), 'sizes["chair"]',
     ),
     # the value of a wrong length is quoted short, item by item
     "kb-size-of-four": (
         ["refine", "--kb", "{input}", "--detections", "{dir}/gt.jsonl", "--out", "{dir}/out.jsonl"],
-        ['{"sizes": {"chair": [%s, 1, 1, 1]}}' % HUGE], None, (None,), "sizes['chair']",
+        ['{"sizes": {"chair": [%s, 1, 1, 1]}}' % HUGE], None, (None,), 'sizes["chair"]',
     ),
     "refine-six-number-box": (
         ["refine", "--detections", "{input}", "--out", "{dir}/out.jsonl"],
@@ -1692,7 +1732,7 @@ class TestKnowledgeBaseClasses:
         argv = ["refine", "--kb", str(kb_path), "--detections", str(scenes), "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr() == (
-            "", f"input error: {kb_path}: compat['bedroom'] must hold class names, got 7\n"
+            "", f'input error: {kb_path}: compat["bedroom"] must hold class names, got 7\n'
         )
         assert not out.exists()
 
@@ -1701,7 +1741,7 @@ class TestKnowledgeBaseClasses:
         [
             ({}, "the knowledge base's compat is empty: it has no scene type to sample"),
             ({"library": ["chair"], "attic": ["gargoyle"]},
-             "no class in the knowledge base's compat['attic'] has a size, "
+             "no class in the knowledge base's compat[\"attic\"] has a size, "
              "so no scene of that type can be sampled"),
         ],
         ids=["empty-compat", "no-sized-class"],

@@ -141,25 +141,25 @@ class TestKnowledgeBase:
             ([], "knowledge base must be a JSON object, got []"),
             ({"sizes": [["chair", 1, 1, 1]]},
              'sizes must be a JSON object, got [["chair", 1, 1, 1]]'),
-            ({"sizes": {"chair": "0.5"}}, 'sizes[\'chair\'] must be a JSON array, got "0.5"'),
+            ({"sizes": {"chair": "0.5"}}, 'sizes["chair"] must be a JSON array, got "0.5"'),
             ({"compat": {"library": "chair"}},
-             'compat[\'library\'] must be a JSON array, got "chair"'),
+             'compat["library"] must be a JSON array, got "chair"'),
             ({"novel_classes": "chair"}, 'novel_classes must be a JSON array, got "chair"'),
             ({"sizes": None}, "sizes must be a JSON object, got null"),
             # no JSON file holds a set, and JSON cannot write one: named by its type
             ({"novel_classes": {"chair"}}, "novel_classes must be a JSON array, got set"),
             ({"compat": {"library": frozenset()}},
-             "compat['library'] must be a JSON array, got frozenset"),
+             'compat["library"] must be a JSON array, got frozenset'),
             # a class that is no string never matches a label, and a list is no set member
             ({"compat": {"bedroom": ["bed", 7, None]}},
-             "compat['bedroom'] must hold class names, got 7"),
+             'compat["bedroom"] must hold class names, got 7'),
             ({"compat": {"bedroom": [["bed"]]}},
-             'compat[\'bedroom\'] must hold class names, got ["bed"]'),
+             'compat["bedroom"] must hold class names, got ["bed"]'),
             ({"novel_classes": [["toilet"]]},
              'novel_classes must hold class names, got ["toilet"]'),
-            ({"sizes": {"chair": [1, 2]}}, "sizes['chair'] must be 3 numbers, got [1, 2]"),
+            ({"sizes": {"chair": [1, 2]}}, 'sizes["chair"] must be 3 numbers, got [1, 2]'),
             ({"sizes": {"chair": [1, 2, 3, 4]}},
-             "sizes['chair'] must be 3 numbers, got [1, 2, 3, 4]"),
+             'sizes["chair"] must be 3 numbers, got [1, 2, 3, 4]'),
         ],
     )
     def test_from_dict_requires_objects_and_arrays(self, data, message):
@@ -171,7 +171,7 @@ class TestKnowledgeBase:
         # float would take JSON true as 1.0
         with pytest.raises(TypeError) as err:
             KnowledgeBase.from_dict({"sizes": {"chair": [1.0, True, 1.0]}})
-        assert str(err.value) == "sizes['chair'] must be a number, got true"
+        assert str(err.value) == 'sizes["chair"] must be a number, got true'
 
     def test_shipped_kb_covers_case_studies(self):
         kb = default_knowledge_base()

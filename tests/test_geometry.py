@@ -82,11 +82,11 @@ class TestBox7DoF:
         for bad in ([0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 0, 0],
                     ["a", 0, 0, 1, 1, 1, 0], None, 3.0, {"cx": 0},
                     [0, 0, 0, True, True, True, False]):
-            with pytest.raises(ValueError, match=r"^scene s detection 4: box must be 7 numbers"):
-                parse_box(bad, "scene s detection 4")
-        message = r"^scene s detection 4: box l must be finite and at most 1e5 m in magnitude, "
-        with pytest.raises(ValueError, match=message + "got nan$"):
-            parse_box([0, 0, 0, math.nan, 1, 1, 0], "scene s detection 4")
+            with pytest.raises(ValueError, match=r'^scene "s" detection 4: box must be 7 numbers'):
+                parse_box(bad, 'scene "s" detection 4')
+        message = r'^scene "s" detection 4: box l must be finite and at most 1e5 m in magnitude, '
+        with pytest.raises(ValueError, match=message + "got NaN$"):
+            parse_box([0, 0, 0, math.nan, 1, 1, 0], 'scene "s" detection 4')
         with pytest.raises(ValueError, match=r"^p 1: box extents must be positive"):
             parse_box([0, 0, 0, 0, 1, 1, 0], "p 1")
 
@@ -338,11 +338,13 @@ class TestIou3dMatchesPolygonClip:
 
 
 class TestScoredBox:
-    @pytest.mark.parametrize("score", [True, "0.9", None], ids=["bool", "str", "none"])
-    def test_score_must_be_a_number(self, score):
+    @pytest.mark.parametrize(
+        "score, shown", [(True, "true"), ("0.9", '"0.9"'), (None, "null")], ids=["bool", "str", "none"]
+    )
+    def test_score_must_be_a_number(self, score, shown):
         with pytest.raises(TypeError) as err:
             ScoredBox(unit_cube(), score)
-        assert str(err.value) == f"score must be a number, got {score!r}"
+        assert str(err.value) == f"score must be a number, got {shown}"
 
     def test_numpy_score_accepted(self):
         assert ScoredBox(unit_cube(), np.float32(0.5)).score == 0.5

@@ -4,7 +4,9 @@ For arbitrary JSON lines and documents, every loader raises only the errors
 that ``cli.main`` reports as input errors (``OSError``, ``ValueError``,
 ``LookupError``, ``TypeError``), and the message names the file. The command
 that reads the file exits 0 or 1, and on 1 prints one ``input error:`` line
-and no traceback.
+and no traceback. Where the file is JSON, that line keeps ``jsonl``'s contract:
+under 200 characters after the file's prefix, and every value from the file
+quoted as JSON writes it, never in a Python spelling.
 
 The generated values mix arbitrary JSON with objects that carry the fields
 each loader reads, so that they get past the first check and into the
@@ -14,6 +16,7 @@ parsing behind it.
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from dataclasses import fields
@@ -108,6 +111,58 @@ def lines(shape):
     return st.lists(document(shape), max_size=4).map(lambda ls: "".join(f"{l}\n" for l in ls))
 
 
+# brief's mark of a value cut short: a string so cut has no closing quote
+CUT = re.compile(r"\.\.\. \(\d+ characters\)")
+PYTHON_SPELLING = re.compile(
+    r"'|\b(?:True|False|None|nan|inf)\b"
+    r"|got (?:int|float|str|list|dict|tuple|bool|NoneType|set|frozenset|bytes)\b"
+)
+
+
+def outside_strings(message):
+    """``message`` with the content of each JSON string literal taken out."""
+    out, i, quoted = [], 0, False
+    while i < len(message):
+        char, cut = message[i], CUT.match(message, i)
+        if not quoted:
+            out.append(char)
+            quoted = char == '"'
+        elif cut:
+            out.append('"')
+            quoted, i = False, cut.end() - 1
+        elif char == "\\" and not CUT.match(message, i + 1):
+            i += 1
+        elif char == '"':
+            out.append(char)
+            quoted = False
+        i += 1
+    return "".join(out)
+
+
+def parses(text):
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError):
+        return False
+    return True
+
+
+def is_json(path):
+    """Whether the file ``path`` is one JSON value, or holds one on each line that
+    ``read_lines`` reads."""
+    return parses(path.read_text(encoding="utf-8")) or all(
+        parses(line) for _, line in read_lines(path)
+    )
+
+
+def check_message(err, path):
+    """The message of the ``input error:`` line ``err`` about ``path`` keeps the contract."""
+    message = err.removeprefix("input error: ").rstrip("\n")
+    message = re.sub(rf"^{re.escape(str(path))}:(?:\d+:)? ", "", message)
+    assert len(message) < 200, message
+    assert not PYTHON_SPELLING.search(outside_strings(message)), message
+
+
 def check(load, argv, text):
     """``load`` (if given) of a file holding ``text``, then ``main(argv)`` on that file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -128,6 +183,8 @@ def check(load, argv, text):
         assert code in (0, 1), err
         if code == 1:
             assert err.startswith("input error: ") and err.count("\n") == 1, err
+            if is_json(path):
+                check_message(err, path)
         return code
 
 

@@ -48,7 +48,7 @@ def test_a_line_must_be_an_object_a_file_need_not(tmp_path):
 @pytest.mark.parametrize(
     "content, parse, message",
     [
-        (b'{"a": 1}', lambda data: data["b"], "missing field 'b'"),
+        (b'{"a": 1}', lambda data: data["b"], 'missing field "b"'),
         (b'{"a": 1', dict, "Expecting ',' delimiter: line 1 column 8 (char 7)"),
         (b'{"a": "\xff"}', dict,
          "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
@@ -115,10 +115,31 @@ def test_numbers_needs_an_array(values, written):
 
 
 def test_brief_quotes_an_array_item_by_item():
-    assert brief([0, 0, 0.5, True, None], repr) == "[0, 0, 0.5, True, None]"
+    assert brief([0, 0, 0.5, True, None]) == "[0, 0, 0.5, true, null]"
     assert brief([1, 2, 3, 4]) == "[1, 2, 3, 4]"
     assert brief([1, 10**399, "a" * 100]) == (
-        '[1, 10000000000000000000... (400 characters), "aaaaaaaaaaaaaaaaaaa... (102 characters)]'
+        "[1, 10000000000000000000... (400 characters), ... (3 items)]"
     )
+    assert brief([1, "a" * 100]) == '[1, "aaaaaaaaaaaaaaaaaaa... (102 characters)]'
     assert brief(list(range(1000))) == "[0, 1, 2, 3, 4, 5, 6, 7, ... (1000 items)]"
-    assert brief("a" * 30, str) == "aaaaaaaaaaaaaaaaaaaa... (30 characters)"
+    assert brief("a" * 30) == '"aaaaaaaaaaaaaaaaaaa... (32 characters)'
+
+
+@pytest.mark.parametrize(
+    "value, written",
+    [(math.nan, "NaN"), (-math.inf, "-Infinity"), (True, "true"), (None, "null"),
+     ({"chair": 1}, '{"chair": 1}'), ("it's", '"it\'s"'), ("café", '"caf\\u00e9"')],
+    ids=["nan", "-inf", "true", "null", "object", "quote", "non-ascii"],
+)
+def test_brief_writes_a_value_as_json_does(value, written):
+    assert brief(value) == written
+
+
+@pytest.mark.parametrize(
+    "items",
+    [["a" * 1000] * 8, [10**4000] * 100, [[0] * 1000] * 8],
+    ids=["long-strings", "long-integers", "long-arrays"],
+)
+def test_brief_of_an_array_is_bounded(items):
+    # each item is cut to its first 20 characters, and as many items shown as fit
+    assert len(brief(items)) <= 100, brief(items)

@@ -95,11 +95,13 @@ class TestRefineScene:
 
 
 class TestDetection:
-    @pytest.mark.parametrize("score", [True, "0.9", None], ids=["bool", "str", "none"])
-    def test_score_must_be_a_number(self, score):
+    @pytest.mark.parametrize(
+        "score, shown", [(True, "true"), ("0.9", '"0.9"'), (None, "null")], ids=["bool", "str", "none"]
+    )
+    def test_score_must_be_a_number(self, score, shown):
         with pytest.raises(TypeError) as err:
             Detection(Box7DoF(0, 0, 0, 1, 1, 1), "chair", score)
-        assert str(err.value) == f"score must be a number, got {score!r}"
+        assert str(err.value) == f"score must be a number, got {shown}"
 
     def test_numpy_score_accepted(self):
         assert Detection(Box7DoF(0, 0, 0, 1, 1, 1), "chair", np.float64(0.5)).score == 0.5

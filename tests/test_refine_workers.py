@@ -250,12 +250,14 @@ class RefineErrors:
             code, output, out, log = refine(path, workers)
             assert (code, output.out, out, log) == (1, "", None, None)
             assert output.err == (
-                f"input error: {path}:{CHUNK + 6}: scene_id {scene_id_of(lines[CHUNK - 3])!r} "
+                f'input error: {path}:{CHUNK + 6}: scene_id "{scene_id_of(lines[CHUNK - 3])}" '
                 f"already appears on line {CHUNK - 2}\n"
             )
 
-    @pytest.mark.parametrize("scene_id", [None, ["a"], 1], ids=["null", "list", "int"])
-    def test_scene_id_that_is_not_a_string(self, scenes, tmp_path, refine, scene_id):
+    @pytest.mark.parametrize(
+        "scene_id, shown", [(None, "null"), (["a"], '["a"]'), (1, "1")], ids=["null", "list", "int"]
+    )
+    def test_scene_id_that_is_not_a_string(self, scenes, tmp_path, refine, scene_id, shown):
         # in the third chunk, which a worker process parses unless --workers 1
         lineno = 2 * CHUNK + 4
         lines = detection_lines(scenes, 3 * CHUNK)
@@ -266,8 +268,7 @@ class RefineErrors:
             code, output, out, log = refine(path, workers)
             assert (code, output.out, out, log) == (1, "", None, None)
             assert output.err == (
-                f"input error: {path}:{lineno}: scene_id must be a string, "
-                f"got {type(scene_id).__name__}\n"
+                f"input error: {path}:{lineno}: scene_id must be a string, got {shown}\n"
             )
 
     @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=list(BAD_LINES))
@@ -288,7 +289,7 @@ class RefineErrors:
         path = tmp_path / "detections.jsonl"
         write_lines(path, lines)
         if repeat_at < bad_at:
-            expected = f"input error: {path}:{repeat_at}: scene_id {scene_id_of(lines[0])!r}"
+            expected = f'input error: {path}:{repeat_at}: scene_id "{scene_id_of(lines[0])}"'
         else:
             expected = f"input error: {path}:{bad_at}: {bad[1]}"
         for workers in WORKER_COUNTS:
@@ -416,7 +417,7 @@ class TestRefineCommand(RefineErrors):
         monkeypatch.setattr(cli, "_make_provider", lambda config: Forgetful(kb, label))
         lines = detection_lines(scenes, 5 * CHUNK)
         path = tmp_path / "detections.jsonl"
-        refine_error = ("", f"input error: no size prior for class {label!r}\n")
+        refine_error = ("", f'input error: no size prior for class "{label}"\n')
         # the refine error beats a bad line in the fifth chunk, which is read
         # after the processes start, at every worker count
         for file_lines in (lines, lines[:-1] + ["{not json"]):
@@ -541,7 +542,7 @@ class TestWorkerCounts:
         remote.provider = Gryphons
         options = ("--llm", "remote", *window(tmp_path, llm_max_in_flight))
         run = run_refine(tmp_path, capsys, path, workers, *options)
-        assert run == (1, ("", "input error: no size prior for class 'gryphon'\n"), None, None)
+        assert run == (1, ("", 'input error: no size prior for class "gryphon"\n'), None, None)
         assert seen.isdisjoint(beyond)
         # a provider's own failure propagates as any other error does
         release.clear()
