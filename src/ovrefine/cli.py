@@ -41,15 +41,30 @@ _POLICIES = ("max-keep-min-recls", "min-keep", "scene-conservative")
 _LLM_MODES = ("off", "remote")
 # the values a RunConfig field of each type accepts, and their JSON kind: a float takes an int
 _ACCEPTS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
-# each bounded RunConfig number, in the order checked, with its bound and the test of it
+# psl's bound on the rule weights' sum, named here so that no command loads psl to check it
+_MAX_WEIGHT_SUM = sys.float_info.max / 8
+# each bounded RunConfig option (or sum of options), in the order checked, with its bound,
+# formatted with the options' values, and the test of its value v in the config c
 _BOUNDS = (
-    ("workers k_pro llm_max_in_flight", "at least 1", lambda value: value >= 1),
-    ("llm_retries dbc_k", "at least 0", lambda value: value >= 0),
-    ("dbc_interval sbc_max_iters", "at least 1", lambda value: value >= 1),
-    ("scenes seed", "at least 0", lambda value: value >= 0),
-    ("llm_timeout nms_sigma", "a finite number above 0", lambda value: value > 0),
-    ("alpha1 alpha2 alpha3 lambda_baol", "a finite number at least 0", lambda value: value >= 0),
-    ("nms_floor corruption", "in [0, 1]", lambda value: 0 <= value <= 1),
+    ("workers k_pro llm_max_in_flight", "at least 1", lambda v, c: v >= 1),
+    ("llm_retries dbc_k", "at least 0", lambda v, c: v >= 0),
+    ("dbc_interval sbc_max_iters", "at least 1", lambda v, c: v >= 1),
+    ("scenes seed", "at least 0", lambda v, c: v >= 0),
+    ("llm_timeout nms_sigma", "a finite number above 0", lambda v, c: v > 0),
+    ("sbc_delta_phi dbc_delta_w", "a finite number above 0", lambda v, c: v > 0),
+    ("alpha1 alpha2 alpha3 lambda_baol", "a finite number at least 0", lambda v, c: v >= 0),
+    ("size_alpha sbc_d_bound", "a finite number at least 0", lambda v, c: v >= 0),
+    ("nms_floor corruption", "in [0, 1]", lambda v, c: 0 <= v <= 1),
+    ("phi_keep phi_recls phi_clip iou_lo iou_hi", "in [0, 1]", lambda v, c: 0 <= v <= 1),
+    ("sbc_phi_lo sbc_phi_hi sbc_phi_init", "in [0, 1]", lambda v, c: 0 <= v <= 1),
+    ("phi_size", "in [0, 1)", lambda v, c: 0 <= v < 1),
+    # every class's weight starts at 1
+    ("dbc_w_lo", "at most 1", lambda v, c: v <= 1),
+    ("dbc_w_hi", "at least 1", lambda v, c: v >= 1),
+    ("sbc_phi_init", "in [sbc_phi_lo, sbc_phi_hi] = [{sbc_phi_lo}, {sbc_phi_hi}]",
+     lambda v, c: c.sbc_phi_lo <= v <= c.sbc_phi_hi),
+    ("iou_lo", "below iou_hi = {iou_hi}", lambda v, c: v < c.iou_hi),
+    ("alpha1+alpha2+alpha3", f"at most {_MAX_WEIGHT_SUM:.4g}", lambda v, c: v <= _MAX_WEIGHT_SUM),
 )
 # what `main` reports as input errors: JSON errors and rejected values are
 # ValueErrors, and a missing size prior is a LookupError
@@ -128,11 +143,13 @@ class RunConfig:
                 raise ValueError(f"{name} must name a file, got an empty string")
         for names, bound, holds in _BOUNDS:
             for name in names.split():
-                value = getattr(self, name)
-                if value is not None and not holds(value):
-                    raise ValueError(f"{name} must be {bound}, got {brief(value)}")
-        if self.iou_lo >= self.iou_hi:
-            raise ValueError(f"iou_lo must be below iou_hi, got {self.iou_lo} >= {self.iou_hi}")
+                terms = [getattr(self, key) for key in name.split("+")]
+                if None not in terms and not holds(sum(terms), self):
+                    values = {key: brief(value) for key, value in vars(self).items()}
+                    raise ValueError(
+                        f"{name.replace('+', ' + ')} must be {bound.format_map(values)}, "
+                        f"got {' + '.join(map(brief, terms))}"
+                    )
         for name, allowed in (("policy", sorted(_POLICIES)), ("llm", _LLM_MODES)):
             value = getattr(self, name)
             if value not in allowed:
@@ -201,7 +218,8 @@ def _workers(config: RunConfig) -> int:
 
 
 def _require(command: _Command, config: RunConfig) -> None:
-    missing = [name for name in command.requires.split() if not getattr(config, name[2:])]
+    field_of = {flag: flag[2:].replace("-", "_") for flag in command.requires.split()}
+    missing = [flag for flag, name in field_of.items() if getattr(config, name) is None]
     if missing:
         raise ValueError(f"missing required option(s): {', '.join(missing)}")
 
@@ -227,7 +245,6 @@ def _write_report(path: str | None, data: dict) -> None:
 
 
 def cmd_refine(config: RunConfig, args: argparse.Namespace) -> int:
-    config.refinement()  # bad options fail before any line is read
     provider = _make_provider(config)
     tally = _refine_in_chunks(config, provider)
     print(f"kept {tally['keep']}, removed {tally['remove']}, reclassified {tally['reclassify']}")
@@ -355,17 +372,6 @@ def cmd_solve_psl(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_balance(config: RunConfig, args: argparse.Namespace) -> int:
     from . import balancers
 
-    params = dict(
-        delta_phi=config.sbc_delta_phi,
-        d_bound=config.sbc_d_bound,
-        phi_lo=config.sbc_phi_lo,
-        phi_hi=config.sbc_phi_hi,
-        max_iters=config.sbc_max_iters,
-    )
-    # bad options fail before any line is read; with no class, only the
-    # checks that need none run
-    balancers.reflect_filter([], config.phi_clip)
-    balancers.SbcState.uniform([], **params)
     kb = _load_kb(config)
     pool = [label for labels in balancers.load_pseudo_labels(args.labels) for label in labels]
     pool = balancers.reflect_filter(pool, config.phi_clip)
@@ -381,7 +387,10 @@ def cmd_balance(config: RunConfig, args: argparse.Namespace) -> int:
             for cls in phi_by_class
         }
 
-    state = balancers.SbcState.uniform(classes, config.sbc_phi_init, **params)
+    state = balancers.SbcState.uniform(
+        classes, config.sbc_phi_init, delta_phi=config.sbc_delta_phi, d_bound=config.sbc_d_bound,
+        phi_lo=config.sbc_phi_lo, phi_hi=config.sbc_phi_hi, max_iters=config.sbc_max_iters,
+    )
     final, iterations = balancers.sbc_loop(source, state)
     print(f"converged after {iterations} iteration(s)")
     for cls in classes:
@@ -394,19 +403,14 @@ def cmd_balance(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_dbc_sim(config: RunConfig, args: argparse.Namespace) -> int:
     from . import balancers
 
-    params = dict(
-        update_interval=config.dbc_interval,
-        k=config.dbc_k,
-        delta_w=config.dbc_delta_w,
-        w_lo=config.dbc_w_lo,
-        w_hi=config.dbc_w_hi,
-    )
-    balancers.DbcState.initial([], **params)  # bad options fail before any line is read
     stream = balancers.load_loss_stream(args.losses)
     if not stream:
         raise ValueError("empty loss stream")
     classes = sorted({cls for record in stream for cls in record})
-    state = balancers.DbcState.initial(classes, **params)
+    state = balancers.DbcState.initial(
+        classes, update_interval=config.dbc_interval, k=config.dbc_k,
+        delta_w=config.dbc_delta_w, w_lo=config.dbc_w_lo, w_hi=config.dbc_w_hi,
+    )
     trace = []
     for iteration, record in enumerate(stream, start=1):
         before = dict(state.w_by_class)
@@ -429,9 +433,6 @@ def cmd_baol(config: RunConfig, args: argparse.Namespace) -> int:
     # `_numpy_process_pool`, before any worker process forks, so that the
     # workers inherit all three
     from . import balancers, processes  # noqa: F401
-
-    if config.lambda_baol is None:
-        raise ValueError("missing required option --lambda-baol (it has no default)")
 
     # read as the scenes are scored, so that no process holds the whole file
     jobs = (
@@ -623,7 +624,8 @@ _COMMANDS = {
     ),
     "baol": _Command(
         "compress proposals, assign labels, compute the loss",
-        "--proposals --lambda-baol --k-pro --workers", reads="--proposals",
+        "--proposals --lambda-baol --k-pro --workers", requires="--lambda-baol",
+        reads="--proposals",
     ),
     "eval": _Command(
         "mAP@0.25 of detections against ground truth", "--detections --gt --out",
@@ -666,6 +668,9 @@ def main(argv=None) -> int:
         # looked up when called, so that a replaced cmd_<name> runs
         return globals()["cmd_" + args.command.replace("-", "_")](config, args)
     except _INPUT_ERRORS as exc:
+        # a file that cannot be opened is named like every other refused input
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,6 @@ from .commonsense import (
 from .geometry import Box7DoF, iou3d, parse_box
 from .jsonl import ARRAY, brief, expect, is_number, number, parse_line, read_lines
 from .psl import ConstraintVector, Decision, SelectionPolicy, SolverOutput, decide, solve_decisions
-from .psl import _decision_rules
 
 # perfbench/tracecli.py wraps these by attribute on this module; they are not called here
 from .psl import build_decision_rules, solve  # noqa: F401
@@ -162,15 +161,6 @@ class RefinementConfig:
     phi_recls: float = 0.2
     size: SizeConstraintConfig = field(default_factory=SizeConstraintConfig)
     policy: SelectionPolicy = SelectionPolicy.SCENE_CONSERVATIVE
-
-    def __post_init__(self) -> None:
-        # the solver's and decide's checks, made up front: input without a
-        # novel detection reaches neither
-        _decision_rules(self.rule_weights)
-        for name in ("phi_keep", "phi_recls"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 # the classes a debate argues over: a detection's highest-scored ones

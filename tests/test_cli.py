@@ -178,7 +178,10 @@ class TestRefine:
         code = main(["refine", "--detections", case_files["detections"],
                      "--out", case_files["out"], "--config", str(config)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("input error: rule weights must sum to at most")
+        assert capsys.readouterr().err == (
+            f"input error: {config}: alpha1 + alpha2 + alpha3 must be at most 2.247e+307, "
+            "got 1e+308 + 1e+308 + 1e+308\n"
+        )
 
     def test_empty_detections(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -511,8 +514,8 @@ class TestSolvePsl:
     def test_weights_that_overflow_are_input_error(self, capsys):
         assert main(["solve-psl", "0.005", "1", "1", "--weights", "1e308", "1e308", "1e308"]) == 1
         assert capsys.readouterr() == ("", (
-            "input error: rule weights must sum to at most 2.247e+307, beyond which the "
-            "solver's sums overflow, got 1e+308, 1e+308, 1e+308\n"
+            "input error: alpha1 + alpha2 + alpha3 must be at most 2.247e+307, "
+            "got 1e+308 + 1e+308 + 1e+308\n"
         ))
 
 
@@ -616,8 +619,11 @@ class TestBalance:
         "options, message",
         [
             ({"phi_clip": 2.0}, "phi_clip must be in [0, 1], got 2.0"),
-            ({"sbc_delta_phi": 0.0}, "delta_phi must be positive and finite, got 0.0"),
-            ({"sbc_phi_lo": 0.95}, "phi_lo 0.95 exceeds phi_hi 0.9"),
+            ({"sbc_delta_phi": 0.0}, "sbc_delta_phi must be a finite number above 0, got 0.0"),
+            (
+                {"sbc_phi_lo": 0.95},
+                "sbc_phi_init must be in [sbc_phi_lo, sbc_phi_hi] = [0.95, 0.9], got 0.5",
+            ),
         ],
         ids=["phi_clip", "delta_phi", "phi_lo-above-phi_hi"],
     )
@@ -628,13 +634,12 @@ class TestBalance:
         config.write_text(json.dumps(options))
         missing = tmp_path / "missing.jsonl"
         assert main(["balance", "--labels", str(missing), "--config", str(config)]) == 1
-        assert capsys.readouterr() == ("", f"input error: {message}\n")
+        assert capsys.readouterr() == ("", f"input error: {config}: {message}\n")
 
     def test_missing_kb_is_reported_before_the_file_is_read(self, tmp_path, capsys):
         missing, kb = tmp_path / "missing.jsonl", tmp_path / "kb.json"
         assert main(["balance", "--labels", str(missing), "--kb", str(kb)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"input error: [Errno 2] No such file or directory: {str(kb)!r}\n"
+        assert capsys.readouterr() == ("", f"input error: {kb}: No such file or directory\n")
 
     def test_no_novel_labels(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -690,8 +695,8 @@ class TestDbcSim:
     @pytest.mark.parametrize(
         "options, message",
         [
-            ({"dbc_w_lo": 2.0}, "w_lo 2.0 exceeds w_hi 1.5"),
-            ({"dbc_delta_w": 0.0}, "delta_w must be positive and finite, got 0.0"),
+            ({"dbc_w_lo": 2.0}, "dbc_w_lo must be at most 1, got 2.0"),
+            ({"dbc_delta_w": 0.0}, "dbc_delta_w must be a finite number above 0, got 0.0"),
         ],
         ids=["w_lo-above-w_hi", "delta_w"],
     )
@@ -702,7 +707,7 @@ class TestDbcSim:
         config.write_text(json.dumps(options))
         missing = tmp_path / "missing.jsonl"
         assert main(["dbc-sim", "--losses", str(missing), "--config", str(config)]) == 1
-        assert capsys.readouterr() == ("", f"input error: {message}\n")
+        assert capsys.readouterr() == ("", f"input error: {config}: {message}\n")
 
     def test_trace_file(self, tmp_path):
         path = tmp_path / "losses.jsonl"
@@ -1035,6 +1040,20 @@ class TestBaol:
         path.write_text("{}\n")
         assert main(["baol", "--proposals", str(path)]) == 1
         assert "lambda" in capsys.readouterr().err
+
+    def test_lambda_zero_is_given(self, tmp_path, capsys):
+        # the background term drops out: only the foreground proposal's -log(0.9) / 2 is left
+        path = tmp_path / "proposals.jsonl"
+        path.write_text(json.dumps({
+            "boxes": [[0, 0, 0, 1, 1, 1, 0], [5, 5, 0, 1, 1, 1, 0]],
+            "class_scores": [[0.9], [0.3]],
+            "fg_scores": [0.9, 0.2],
+            "labels": [[0, 0, 0, 1, 1, 1, 0]],
+        }) + "\n")
+        assert main(["baol", "--proposals", str(path), "--lambda-baol", "0"]) == 0
+        assert capsys.readouterr() == (
+            "scene 0: kept 2/2 boxes, 1 foreground, loss 0.052680, 2 after soft-nms\n", ""
+        )
 
 
 class TestEval:
@@ -1459,8 +1478,8 @@ class TestConfigFile:
             ({"nms_sigma": -1}, "nms_sigma must be a finite number above 0, got -1"),
             ({"nms_floor": 7}, "nms_floor must be in [0, 1], got 7"),
             ({"nms_floor": -0.5}, "nms_floor must be in [0, 1], got -0.5"),
-            ({"iou_lo": 0.9, "iou_hi": 0.2}, "iou_lo must be below iou_hi, got 0.9 >= 0.2"),
-            ({"iou_lo": 0.5, "iou_hi": 0.5}, "iou_lo must be below iou_hi, got 0.5 >= 0.5"),
+            ({"iou_lo": 0.9, "iou_hi": 0.2}, "iou_lo must be below iou_hi = 0.2, got 0.9"),
+            ({"iou_lo": 0.5, "iou_hi": 0.5}, "iou_lo must be below iou_hi = 0.5, got 0.5"),
             ({"lambda_baol": -3}, "lambda_baol must be a finite number at least 0, got -3"),
             # the first key checked is named
             (
@@ -1509,7 +1528,9 @@ class TestConfigFile:
              "--out", str(out), "--workers", "1"]
         )
         assert code == 1
-        assert capsys.readouterr().err == f"input error: {key} must be in [0, 1], got {value}\n"
+        assert capsys.readouterr().err == (
+            f"input error: {config}: {key} must be in [0, 1], got {value}\n"
+        )
         assert not out.exists()
 
     def test_config_value_types_accepted(self, tmp_path, capsys):
@@ -1658,8 +1679,10 @@ class TestRequiredOptions:
             (["refine", "--out", "{dir}/out.jsonl", "--log", "{dir}/log.jsonl"], "--detections"),
             (["eval", "--detections", "{scenes}", "--out", "{dir}/report.json"], "--gt"),
             (["gen-synthetic", "--out", "{dir}/out.jsonl", "--scenes", "2"], "--gt"),
+            # it has no default
+            (["baol", "--proposals", "{scenes}", "--workers", "1"], "--lambda-baol"),
         ],
-        ids=["refine-out", "refine-detections", "eval-gt", "gen-synthetic-gt"],
+        ids=["refine-out", "refine-detections", "eval-gt", "gen-synthetic-gt", "baol-lambda-baol"],
     )
     def test_missing_option_is_input_error(self, tmp_path, capsys, argv, missing):
         scenes = tmp_path / "scenes.jsonl"
@@ -1670,14 +1693,25 @@ class TestRequiredOptions:
         )
         assert [child.name for child in tmp_path.iterdir()] == ["scenes.jsonl"]
 
-    def test_baol_without_lambda_names_it(self, tmp_path, capsys):
-        path = tmp_path / "proposals.jsonl"
-        write_lines(path, proposals_line())
-        assert main(["baol", "--proposals", str(path)]) == 1
-        assert capsys.readouterr() == (
-            "", "input error: missing required option --lambda-baol (it has no default)\n"
-        )
-        assert [child.name for child in tmp_path.iterdir()] == ["proposals.jsonl"]
+
+@pytest.mark.parametrize(
+    "argv, path, reason",
+    [
+        (["refine", "--detections", "{dir}/missing.jsonl", "--out", "{dir}/out.jsonl"],
+         "{dir}/missing.jsonl", "No such file or directory"),
+        (["refine", "--detections", "{scenes}", "--out", "{dir}/missing/out.jsonl"],
+         "{dir}/missing/out.jsonl", "No such file or directory"),
+        (["balance", "--labels", "{dir}"], "{dir}", "Is a directory"),
+    ],
+    ids=["missing-detections", "out-in-a-missing-directory", "labels-a-directory"],
+)
+def test_file_that_cannot_be_opened_is_named(tmp_path, capsys, argv, path, reason):
+    scenes = tmp_path / "scenes.jsonl"
+    write_lines(scenes, library_chair("s0"))
+    paths = {"scenes": scenes, "dir": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"input error: {path.format(**paths)}: {reason}\n")
+    assert [child.name for child in tmp_path.iterdir()] == ["scenes.jsonl"]
 
 
 class TestEmptyFileOptions:
@@ -1985,3 +2019,10 @@ def test_policy_names_are_the_selection_policies():
     from ovrefine.psl import SelectionPolicy
 
     assert list(_POLICIES) == [policy.value for policy in SelectionPolicy]
+
+
+def test_weight_sum_bound_is_the_solvers():
+    from ovrefine.cli import _MAX_WEIGHT_SUM
+    from ovrefine.psl import _MAX_WEIGHT_SUM as SOLVER_BOUND
+
+    assert _MAX_WEIGHT_SUM == SOLVER_BOUND

@@ -8,6 +8,9 @@ and no traceback. Where the file is JSON, that line keeps ``jsonl``'s contract:
 under 200 characters after the file's prefix, and every value from the file
 quoted as JSON writes it, never in a Python spelling.
 
+A config file means the same to every command: all seven refuse it alike,
+or none does.
+
 The generated values mix arbitrary JSON with objects that carry the fields
 each loader reads, so that they get past the first check and into the
 parsing behind it.
@@ -22,7 +25,8 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import case_study_scenes
@@ -271,3 +275,77 @@ def test_baol_accepts_only_scores_in_unit_interval(scenes):
         for value in [*(v for row in scene["class_scores"] for v in row), *scene["fg_scores"]]
     )
     assert (check(load_proposals, BAOL, text) == 0) == valid
+
+
+# every command, with each file it reads at a path that does not exist, and flags that
+# override a config's files, workers and LLM mode, so that no run reads, writes or starts
+# anything but the config
+COMMANDS = [
+    ["refine", "--detections", "{dir}/scenes.jsonl", "--kb", "{dir}/kb.json", "--llm", "off",
+     "--out", "{dir}/out.jsonl", "--log", "{dir}/log.jsonl", "--workers", "1"],
+    ["solve-psl", "0.9", "0.5", "1"],
+    ["balance", "--labels", "{dir}/labels.jsonl", "--kb", "{dir}/kb.json", "--out", "{dir}/o"],
+    ["dbc-sim", "--losses", "{dir}/losses.jsonl", "--out", "{dir}/out.jsonl"],
+    ["baol", "--proposals", "{dir}/proposals.jsonl", "--lambda-baol", "1", "--workers", "1"],
+    ["eval", "--detections", "{dir}/scenes.jsonl", "--gt", "{dir}/gt.jsonl", "--out", "{dir}/o"],
+    ["gen-synthetic", "--kb", "{dir}/kb.json", "--out", "{dir}/out.jsonl", "--gt", "{dir}/gt.jsonl"],
+]
+
+
+def run_commands(options):
+    """The config file's path, and each command's exit code, stdout and stderr run with it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(options), encoding="utf-8")
+        results = []
+        for argv in COMMANDS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([arg.format(dir=tmp) for arg in argv] + ["--config", str(config)])
+            results.append((code, stdout.getvalue(), stderr.getvalue()))
+            assert [path.name for path in Path(tmp).iterdir()] == ["config.json"]
+    return config, results
+
+
+@BOUNDARY
+@given(CONFIG)
+@example({"phi_clip": 5})
+def test_every_command_takes_or_refuses_a_config_alike(options):
+    """A config is refused by every command with one line naming its file, or
+    by none: then each fails only on its first input file, or succeeds."""
+    config, results = run_commands(options)
+    if any(err.startswith(f"input error: {config}: ") for _, _, err in results):
+        assert results == [(1, "", results[0][2])] * len(COMMANDS)
+        return
+    for (code, _, err), argv in zip(results, COMMANDS):
+        # no option, only one of its files, is named
+        paths = [arg.format(dir=config.parent) for arg in argv if arg.startswith("{dir}")]
+        missing = "No such file or directory" in err and any(path in err for path in paths)
+        assert (code, err) == (0, "") or (code, err.count("\n"), missing) == (1, 1, True), err
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"sbc_delta_phi": 0}, "sbc_delta_phi must be a finite number above 0, got 0"),
+        (
+            {"sbc_phi_lo": 0.9, "sbc_phi_hi": 0.1},
+            "sbc_phi_init must be in [sbc_phi_lo, sbc_phi_hi] = [0.9, 0.1], got 0.5",
+        ),
+        ({"sbc_phi_init": 2}, "sbc_phi_init must be in [0, 1], got 2"),
+        ({"dbc_w_lo": 1.2}, "dbc_w_lo must be at most 1, got 1.2"),
+        ({"sbc_d_bound": -1}, "sbc_d_bound must be a finite number at least 0, got -1"),
+        ({"iou_hi": 7}, "iou_hi must be in [0, 1], got 7"),
+        ({"phi_clip": 5}, "phi_clip must be in [0, 1], got 5"),
+        ({"phi_keep": 2}, "phi_keep must be in [0, 1], got 2"),
+        (
+            {"alpha1": 1e308, "alpha2": 1e308},
+            "alpha1 + alpha2 + alpha3 must be at most 2.247e+307, got 1e+308 + 1e+308 + 1.0",
+        ),
+    ],
+    ids=["sbc_delta_phi", "sbc_phi_lo-above-hi", "sbc_phi_init", "dbc_w_lo", "sbc_d_bound",
+         "iou_hi", "phi_clip", "phi_keep", "weight-sum"],
+)
+def test_option_is_refused_under_its_key_by_every_command(options, message):
+    config, results = run_commands(options)
+    assert results == [(1, "", f"input error: {config}: {message}\n")] * len(COMMANDS)

@@ -118,17 +118,20 @@ class TestDetection:
 
 
 class TestRefinementConfig:
+    """Bad thresholds or weights are refused where they act, by `decide` and
+    `solve_decisions`, once a scene with a novel detection reaches them."""
+
     @pytest.mark.parametrize("key", ["phi_keep", "phi_recls"])
     @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
-    def test_threshold_outside_unit_interval_rejected(self, key, value):
-        # decide's check, which base-class-only input never reaches
+    def test_threshold_outside_unit_interval_rejected(self, provider, key, value):
         with pytest.raises(ValueError) as err:
-            RefinementConfig(**{key: value})
+            refine_scenes([living_room_scene()], provider, RefinementConfig(**{key: value}))
         assert str(err.value) == f"{key} must be in [0, 1], got {value}"
 
-    def test_unit_interval_bounds_accepted(self):
-        RefinementConfig(phi_keep=0.0, phi_recls=1.0)
-        RefinementConfig(phi_keep=1, phi_recls=0)
+    def test_unit_interval_bounds_accepted(self, provider):
+        for cfg in (RefinementConfig(phi_keep=0.0, phi_recls=1.0),
+                    RefinementConfig(phi_keep=1, phi_recls=0)):
+            refine_scenes([living_room_scene()], provider, cfg)
 
     @pytest.mark.parametrize(
         "weights",
@@ -136,12 +139,12 @@ class TestRefinementConfig:
          (1e308, 1e308, 1e308), (1.0, 1.0)],
         ids=["negative", "inf", "nan", "int-beyond-float", "sum-overflows", "two-weights"],
     )
-    def test_rule_weights_rejected_as_the_solver_rejects_them(self, weights):
-        # the solver's check, which base-class-only input never reaches
+    def test_rule_weights_rejected_as_the_solver_rejects_them(self, provider, weights):
         with pytest.raises(ValueError) as solver:
             solve_decisions([(0.5, 1.0, 1.0)], weights)
+        cfg = RefinementConfig(rule_weights=weights)
         with pytest.raises(ValueError) as err:
-            RefinementConfig(rule_weights=weights)
+            refine_scenes([living_room_scene()], provider, cfg)
         assert str(err.value) == str(solver.value)
 
 

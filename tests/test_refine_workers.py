@@ -341,8 +341,8 @@ class RefineErrors:
             ({"phi_keep": 2.0}, "phi_keep must be in [0, 1], got 2.0"),
             (
                 {"alpha1": 1e308, "alpha2": 1e308, "alpha3": 1e308},
-                "rule weights must sum to at most 2.247e+307, beyond which the solver's sums "
-                "overflow, got 1e+308, 1e+308, 1e+308",
+                "alpha1 + alpha2 + alpha3 must be at most 2.247e+307, "
+                "got 1e+308 + 1e+308 + 1e+308",
             ),
         ):
             config.write_text(json.dumps(options))
@@ -351,7 +351,8 @@ class RefineErrors:
                 write_lines(path, lines + last)
                 for workers in WORKER_COUNTS:
                     run = refine(path, workers, "--config", str(config), refined_first=False)
-                    assert run == (1, ("", f"input error: {message}\n"), None, None)
+                    expected = f"input error: {config}: {message}\n"
+                    assert run == (1, ("", expected), None, None)
 
 
 class TestRefineCommand(RefineErrors):
