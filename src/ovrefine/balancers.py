@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .geometry import _MAX_FLOAT, Box7DoF, _circles_meet, footprint_circles, iou3d, parse_box
+from .geometry import _MAX_FLOAT, Box7DoF, footprint_neighbours, iou3d, parse_box
 from .jsonl import ARRAY, brief, expect, is_number, number, numbers, parse_line, read_lines
 
 # numpy is imported inside the proposal-scoring functions, the only code here
@@ -369,17 +369,14 @@ def assign_foreground_labels(
     if m == 0 or n == 0:
         return y
     # only pairs whose footprint circles meet can have nonzero IoU
-    iou = np.zeros((n, m))
-    pcx, pcy, pr = footprint_circles(proposals)
-    lcx, lcy, lr = footprint_circles(labels)
-    meet = _circles_meet(pcx[:, None] - lcx, pcy[:, None] - lcy, pr[:, None] + lr)
-    for i, j in zip(*(axis.tolist() for axis in np.nonzero(meet))):
-        iou[i, j] = iou3d(proposals[i], labels[j])
-    rows, cols = np.nonzero(iou > 0.0)
-    pairs = sorted(
-        zip(iou[rows, cols].tolist(), rows.tolist(), cols.tolist()),
-        key=lambda t: (-t[0], t[1], t[2]),
-    )
+    pairs, best = [], [0.0] * n
+    for i, near in enumerate(footprint_neighbours(proposals, labels)):
+        for j in near:
+            value = iou3d(proposals[i], labels[j])
+            if value > 0.0:
+                pairs.append((value, i, j))
+                best[i] = max(best[i], value)
+    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
     matched_iou: dict[int, float] = {}
     used_labels: set[int] = set()
     for value, i, j in pairs:
@@ -387,7 +384,6 @@ def assign_foreground_labels(
             continue
         matched_iou[i] = value
         used_labels.add(j)
-    best = iou.max(axis=1)
     for i in range(n):
         if i in matched_iou:
             y[i] = 1 if matched_iou[i] >= iou_lo else 0

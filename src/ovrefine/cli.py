@@ -377,7 +377,7 @@ def cmd_balance(config: RunConfig, args: argparse.Namespace) -> int:
     pool = balancers.reflect_filter(pool, config.phi_clip)
     classes = sorted({label.label for label in pool} & kb.novel_classes)
     if not classes:
-        raise ValueError("no novel-class labels in the pseudo-label file")
+        raise ValueError(f"{args.labels}: no novel-class labels in the pseudo-label file")
 
     def source(phi_by_class):
         return {
@@ -405,8 +405,10 @@ def cmd_dbc_sim(config: RunConfig, args: argparse.Namespace) -> int:
 
     stream = balancers.load_loss_stream(args.losses)
     if not stream:
-        raise ValueError("empty loss stream")
+        raise ValueError(f"{args.losses}: empty loss stream")
     classes = sorted({cls for record in stream for cls in record})
+    if not classes:
+        raise ValueError(f"{args.losses}: no class in the loss stream")
     state = balancers.DbcState.initial(
         classes, update_interval=config.dbc_interval, k=config.dbc_k,
         delta_w=config.dbc_delta_w, w_lo=config.dbc_w_lo, w_hi=config.dbc_w_hi,

@@ -12,17 +12,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .jsonl import brief, is_number
 
-# numpy is imported inside the functions that build arrays, so that commands
-# which never build one (``refine``, ``solve-psl``) start without loading it
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
-    "Box7DoF", "ScoredBox", "footprint_circles", "iou3d", "parse_box", "soft_nms",
+    "Box7DoF", "ScoredBox", "footprint_neighbours", "iou3d", "parse_box", "soft_nms",
 ]
 
 # Circles this far apart enclose footprints that the clip finds disjoint; the
@@ -38,8 +32,8 @@ _MAX_METERS = 1e5
 # of an int past it raises OverflowError
 _MAX_FLOAT = sys.float_info.max
 
-# Rows of a class's pair matrix that ``soft_nms`` tests at once, so that its
-# temporaries hold at most this many rows times the class size
+# Rows of a pair matrix that ``footprint_neighbours`` tests at once, so that its
+# temporaries hold at most this many rows times the number of other boxes
 _NEIGHBOUR_BLOCK_ROWS = 256
 
 
@@ -175,20 +169,6 @@ def _polygon_area(poly) -> float:
     return abs(area) / 2.0
 
 
-def footprint_circles(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centres ``(cx, cy)`` and radii of the boxes' footprint circles.
-
-    A footprint's circumscribed circle is centred on the box and has radius
-    ``hypot(l, w) / 2``; ``_circles_meet`` tests pair matrices of the arrays.
-    """
-    import numpy as np
-
-    cx = np.array([b.cx for b in boxes], dtype=float)
-    cy = np.array([b.cy for b in boxes], dtype=float)
-    radius = np.array([math.hypot(b.l, b.w) / 2.0 for b in boxes], dtype=float)
-    return cx, cy, radius
-
-
 def _circles_meet(dx, dy, radii):
     """The broad phase of ``iou3d``, elementwise on arrays.
 
@@ -202,31 +182,34 @@ def _circles_meet(dx, dy, radii):
     return dx * dx + dy * dy <= reach * reach
 
 
-def _neighbour_table(members, cx, cy, radius) -> list[list[int]]:
-    """For each box, the other boxes of its class whose footprint circles meet its own.
+def footprint_neighbours(boxes, others) -> list[list[int]]:
+    """For each box, the ascending indices of ``others`` whose footprint circles meet its own.
 
-    ``members`` maps each class to the ascending indices of its boxes, and
-    ``cx``, ``cy`` and ``radius`` come from ``footprint_circles``. Each
-    class's pair matrix is tested with ``_circles_meet``, so a box left out
-    of another's list has IoU exactly ``0.0`` with it. The matrix is built
-    ``_NEIGHBOUR_BLOCK_ROWS`` rows at a time, which bounds the temporaries.
+    A footprint's circumscribed circle is centred on the box and has radius
+    ``hypot(l, w) / 2``. Each pair is tested with ``_circles_meet``, so a box
+    of ``others`` left out of a list has IoU exactly ``0.0`` with that box.
+    The pair matrix is built ``_NEIGHBOUR_BLOCK_ROWS`` rows at a time, which
+    bounds the temporaries.
     """
+    # imported here, so that commands which build no array (``refine``,
+    # ``solve-psl``) start without loading numpy
     import numpy as np
 
-    table: list[list[int]] = [[] for _ in cx]
-    for indices in members.values():
-        idx = np.asarray(indices)
-        ccx, ccy, cr = cx[idx], cy[idx], radius[idx]
-        for lo in range(0, len(idx), _NEIGHBOUR_BLOCK_ROWS):
-            hi = min(lo + _NEIGHBOUR_BLOCK_ROWS, len(idx))
-            meet = _circles_meet(ccx - ccx[lo:hi, None], ccy - ccy[lo:hi, None], cr + cr[lo:hi, None])
-            rows = np.arange(hi - lo)
-            meet[rows, rows + lo] = False  # a box is not its own neighbour
-            found = idx[np.nonzero(meet)[1]].tolist()
-            start = 0
-            for i, count in zip(indices[lo:hi], meet.sum(axis=1).tolist()):
-                table[i] = found[start:start + count]
-                start += count
+    def circles(bs):
+        cx = np.array([b.cx for b in bs], dtype=float)
+        cy = np.array([b.cy for b in bs], dtype=float)
+        return cx, cy, np.array([math.hypot(b.l, b.w) / 2.0 for b in bs], dtype=float)
+
+    (bx, by, br), (ox, oy, orad) = circles(boxes), circles(others)
+    table: list[list[int]] = []
+    for lo in range(0, len(boxes), _NEIGHBOUR_BLOCK_ROWS):
+        hi = lo + _NEIGHBOUR_BLOCK_ROWS
+        meet = _circles_meet(ox - bx[lo:hi, None], oy - by[lo:hi, None], orad + br[lo:hi, None])
+        found = np.nonzero(meet)[1].tolist()
+        start = 0
+        for count in meet.sum(axis=1).tolist():
+            table.append(found[start:start + count])
+            start += count
     return table
 
 
@@ -279,8 +262,8 @@ def soft_nms(
     increase. ``sigma`` must be positive and finite, ``score_floor`` in
     [0, 1].
 
-    A table built once per call lists, for each box, the boxes of its class
-    whose footprint circles meet its own (``_neighbour_table``). A pick
+    A table built once per call lists, for each box, the other boxes of its
+    class whose footprint circles meet its own (``footprint_neighbours``). A pick
     passes only its remaining neighbours to ``iou3d``. For every other box of
     the class the IoU is exactly 0.0 and the factor exactly 1.0, so its
     score is left as it is, and the result is the same as rescaling all of
@@ -310,7 +293,12 @@ def soft_nms(
     members: dict = {}
     for i, sb in enumerate(boxes):
         members.setdefault(sb.class_id, []).append(i)
-    neighbours = _neighbour_table(members, *footprint_circles([sb.box for sb in boxes]))
+    neighbours: list[list[int]] = [[] for _ in boxes]
+    for indices in members.values():
+        class_boxes = [boxes[i].box for i in indices]
+        for k, near in enumerate(footprint_neighbours(class_boxes, class_boxes)):
+            # a box is not its own neighbour
+            neighbours[indices[k]] = [indices[j] for j in near if j != k]
     out: list[ScoredBox] = []
     while heap:
         negated, best = heapq.heappop(heap)

@@ -20,10 +20,9 @@ from ovrefine.balancers import assign_foreground_labels
 from ovrefine.geometry import (
     Box7DoF,
     ScoredBox,
-    _circles_meet,
     _clip_footprint,
     _polygon_area,
-    footprint_circles,
+    footprint_neighbours,
     iou3d,
     soft_nms,
 )
@@ -96,8 +95,7 @@ def oracle_assign_foreground_labels(proposals, labels, iou_lo=0.25, iou_hi=0.85)
 
 def rejected(a, b):
     """True when the broad phase rules the pair out."""
-    cx, cy, radius = footprint_circles([a, b])
-    return not _circles_meet(cx[1] - cx[0], cy[1] - cy[0], radius[1] + radius[0])
+    return footprint_neighbours([a], [b]) == [[]]
 
 
 def reach(a, b):
@@ -169,17 +167,27 @@ class TestIou3dEquivalence:
                 assert iou3d(a, b) == oracle_iou3d(a, b)
 
     def test_circle_matrix_agrees_with_iou3d_broad_phase(self):
-        # the pair matrix of 40 boxes against all 400, as the labelling and
-        # the Soft-NMS neighbour table build it, against the test pair by pair
+        # the neighbours of 40 boxes among all 400, as the labelling and
+        # Soft-NMS search them, against the test pair by pair; the 400 boxes'
+        # neighbours among the 40, in two blocks of rows, are the same pairs
         rng = np.random.default_rng(23)
         boxes = [random_box(rng, 6.0) for _ in range(400)]
-        cx, cy, radius = footprint_circles(boxes)
-        meet = _circles_meet(cx[:40, None] - cx, cy[:40, None] - cy, radius[:40, None] + radius)
+        near = footprint_neighbours(boxes[:40], boxes)
+        back = footprint_neighbours(boxes, boxes[:40])
         for i, a in enumerate(boxes[:40]):
+            assert near[i] == sorted(set(near[i]))
             for j, b in enumerate(boxes):
-                if not meet[i, j]:
+                meet = j in near[i]
+                if not meet:
                     assert iou3d(a, b) == 0.0 == oracle_iou3d(a, b)
-                assert meet[i, j] == (not rejected(a, b))
+                assert meet == (not rejected(a, b)) == (i in back[j])
+
+    def test_no_boxes_or_no_others_meet_nothing(self):
+        boxes = [Box7DoF(0.0, 0.0, 0.0, 1.0, 1.0, 1.0), Box7DoF(0.5, 0.0, 0.0, 1.0, 1.0, 1.0)]
+        assert footprint_neighbours([], boxes) == []
+        assert footprint_neighbours(boxes, []) == [[], []]
+        assert footprint_neighbours([], []) == []
+        assert footprint_neighbours(boxes, boxes) == [[0, 1], [0, 1]]
 
 
 def soft_nms_instance(rng):
@@ -295,27 +303,47 @@ class TestSoftNmsNeighbourTable:
         assert sum(want.values()) > 500
 
 
+def labelling_instance(rng):
+    """Up to 5 labels and up to 79 proposals, half of them jittered copies of a label."""
+    labels = [random_box(rng, 5.0) for _ in range(int(rng.integers(0, 6)))]
+    proposals = []
+    for _ in range(int(rng.integers(0, 80))):
+        if labels and rng.random() < 0.5:
+            gt = labels[int(rng.integers(len(labels)))]
+            jitter = rng.normal(0.0, 0.15, 7) * [1, 1, 1, 0.1, 0.1, 0.1, 1]
+            proposals.append(Box7DoF(
+                gt.cx + jitter[0], gt.cy + jitter[1], gt.cz + jitter[2],
+                gt.l * (1 + jitter[3]), gt.w * (1 + jitter[4]), gt.h * (1 + jitter[5]),
+                gt.theta + jitter[6],
+            ))
+        else:
+            proposals.append(random_box(rng, 5.0))
+    return proposals, labels
+
+
 class TestForegroundLabelEquivalence:
     def test_equals_full_matrix(self):
         rng = np.random.default_rng(30)
         for _ in range(60):
-            labels = [random_box(rng, 5.0) for _ in range(int(rng.integers(0, 6)))]
-            proposals = []
-            for _ in range(int(rng.integers(0, 80))):
-                if labels and rng.random() < 0.5:
-                    gt = labels[int(rng.integers(len(labels)))]
-                    jitter = rng.normal(0.0, 0.15, 7) * [1, 1, 1, 0.1, 0.1, 0.1, 1]
-                    proposals.append(Box7DoF(
-                        gt.cx + jitter[0], gt.cy + jitter[1], gt.cz + jitter[2],
-                        gt.l * (1 + jitter[3]), gt.w * (1 + jitter[4]), gt.h * (1 + jitter[5]),
-                        gt.theta + jitter[6],
-                    ))
-                else:
-                    proposals.append(random_box(rng, 5.0))
+            proposals, labels = labelling_instance(rng)
             for lo, hi in ((0.25, 0.85), (0.1, 0.3)):
                 got = assign_foreground_labels(proposals, labels, lo, hi)
                 want = oracle_assign_foreground_labels(proposals, labels, lo, hi)
                 assert np.array_equal(got, want)
+
+    def test_small_blocks_equal_full_matrix(self, monkeypatch):
+        # the proposals are searched 3 rows at a time, the last block often partial
+        monkeypatch.setattr(geometry, "_NEIGHBOUR_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(31)
+        partial = 0
+        for _ in range(60):
+            proposals, labels = labelling_instance(rng)
+            for lo, hi in ((0.25, 0.85), (0.1, 0.3)):
+                got = assign_foreground_labels(proposals, labels, lo, hi)
+                want = oracle_assign_foreground_labels(proposals, labels, lo, hi)
+                assert np.array_equal(got, want)
+            partial += bool(labels) and len(proposals) > 3 and len(proposals) % 3 > 0
+        assert partial >= 20
 
 
 coords = st.floats(-1e3, 1e3)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import json
 import math
 import multiprocessing
@@ -641,10 +642,13 @@ class TestBalance:
         assert main(["balance", "--labels", str(missing), "--kb", str(kb)]) == 1
         assert capsys.readouterr() == ("", f"input error: {kb}: No such file or directory\n")
 
-    def test_no_novel_labels(self, tmp_path):
-        path = tmp_path / "labels.jsonl"
+    def test_no_novel_labels(self, tmp_path, capsys):
+        path, out = tmp_path / "labels.jsonl", tmp_path / "out.json"
         path.write_text(json.dumps({"image_id": "i", "labels": []}) + "\n")
-        assert main(["balance", "--labels", str(path)]) == 1
+        assert main(["balance", "--labels", str(path), "--out", str(out)]) == 1
+        message = f"{path}: no novel-class labels in the pseudo-label file"
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+        assert not out.exists()
 
 
 class TestDbcSim:
@@ -708,6 +712,18 @@ class TestDbcSim:
         missing = tmp_path / "missing.jsonl"
         assert main(["dbc-sim", "--losses", str(missing), "--config", str(config)]) == 1
         assert capsys.readouterr() == ("", f"input error: {config}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty loss stream"), ("{}\n{}\n", "no class in the loss stream")],
+        ids=["empty", "no-class"],
+    )
+    def test_stream_without_a_class_names_the_file(self, tmp_path, capsys, text, message):
+        path, out = tmp_path / "losses.jsonl", tmp_path / "trace.jsonl"
+        path.write_text(text)
+        assert main(["dbc-sim", "--losses", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"input error: {path}: {message}\n")
+        assert not out.exists()
 
     def test_trace_file(self, tmp_path):
         path = tmp_path / "losses.jsonl"
@@ -2026,3 +2042,40 @@ def test_weight_sum_bound_is_the_solvers():
     from ovrefine.psl import _MAX_WEIGHT_SUM as SOLVER_BOUND
 
     assert _MAX_WEIGHT_SUM == SOLVER_BOUND
+
+
+def test_run_option_defaults_are_the_library_defaults():
+    """Each run option that restates a library default equals it."""
+    from ovrefine import balancers, commonsense, geometry, pipeline
+
+    def defaults(function, **names):
+        parameters = inspect.signature(function).parameters
+        return {key: parameters[name].default for key, name in names.items()}
+
+    refinement, size = pipeline.RefinementConfig(), commonsense.SizeConstraintConfig()
+    alpha1, alpha2, alpha3 = refinement.rule_weights
+    library = {
+        "alpha1": alpha1, "alpha2": alpha2, "alpha3": alpha3,
+        "phi_keep": refinement.phi_keep, "phi_recls": refinement.phi_recls,
+        "policy": refinement.policy.value,
+        "size_alpha": size.alpha, "phi_size": size.phi_size,
+        **defaults(
+            balancers.SbcState, sbc_delta_phi="delta_phi", sbc_d_bound="d_bound",
+            sbc_phi_lo="phi_lo", sbc_phi_hi="phi_hi", sbc_max_iters="max_iters",
+        ),
+        **defaults(balancers.SbcState.uniform, sbc_phi_init="phi_init"),
+        **defaults(
+            balancers.DbcState, dbc_interval="update_interval", dbc_k="k",
+            dbc_delta_w="delta_w", dbc_w_lo="w_lo", dbc_w_hi="w_hi",
+        ),
+        **defaults(balancers.assign_foreground_labels, iou_lo="iou_lo", iou_hi="iou_hi"),
+        **defaults(geometry.soft_nms, nms_sigma="sigma", nms_floor="score_floor"),
+        **defaults(
+            commonsense.LlmClient, llm_timeout="timeout", llm_retries="retries",
+            llm_max_in_flight="max_in_flight",
+        ),
+        **defaults(pipeline.generate_synthetic_scenes, scenes="n_scenes", corruption="corruption_rate"),
+    }
+    assert len(library) == 28
+    config = RunConfig()
+    assert {key: getattr(config, key) for key in library} == library

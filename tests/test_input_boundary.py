@@ -167,8 +167,9 @@ def check_message(err, path):
     assert not PYTHON_SPELLING.search(outside_strings(message)), message
 
 
-def check(load, argv, text):
-    """``load`` (if given) of a file holding ``text``, then ``main(argv)`` on that file."""
+def check(load, argv, text, names_file=False):
+    """``load`` (if given) of a file holding ``text``, then ``main(argv)`` on that file;
+    with ``names_file``, a refusal of ``main`` must start with the file's ``path:``."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path = tmp / "input.json"
@@ -187,6 +188,8 @@ def check(load, argv, text):
         assert code in (0, 1), err
         if code == 1:
             assert err.startswith("input error: ") and err.count("\n") == 1, err
+            if names_file:
+                assert err.startswith(f"input error: {path}:"), err
             if is_json(path):
                 check_message(err, path)
         return code
@@ -212,13 +215,13 @@ def test_knowledge_base_file(text):
 @BOUNDARY
 @given(lines(PSEUDO_LABELS))
 def test_pseudo_label_file(text):
-    check(load_pseudo_labels, ["balance", "--labels", "{input}"], text)
+    check(load_pseudo_labels, ["balance", "--labels", "{input}"], text, names_file=True)
 
 
 @BOUNDARY
 @given(lines(LOSSES))
 def test_loss_stream_file(text):
-    check(load_loss_stream, ["dbc-sim", "--losses", "{input}"], text)
+    check(load_loss_stream, ["dbc-sim", "--losses", "{input}"], text, names_file=True)
 
 
 @BOUNDARY
