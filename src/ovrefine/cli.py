@@ -217,21 +217,25 @@ def _workers(config: RunConfig) -> int:
     return config.workers if config.workers is not None else (os.cpu_count() or 1)
 
 
-def _require(command: _Command, config: RunConfig) -> None:
-    field_of = {flag: flag[2:].replace("-", "_") for flag in command.requires.split()}
-    missing = [flag for flag, name in field_of.items() if getattr(config, name) is None]
+def _check_options(command: _Command, config: RunConfig, args: argparse.Namespace) -> None:
+    """Refuse, in one pass, a required option not given, a file named by an
+    empty string and a file the command writes that is also another file it
+    writes or reads, --config among them, which it would overwrite."""
+    requires, writes = command.requires.split(), command.writes.split()
+    files = [*writes, "--config", *command.reads.split()]
+    # --config, --labels, --losses and --proposals are flags only, the others RunConfig fields
+    given = {
+        flag: getattr(config, flag[2:].replace("-", "_"), getattr(args, flag[2:], None))
+        for flag in requires + files
+    }
+    missing = [flag for flag in requires if given[flag] is None]
     if missing:
         raise ValueError(f"missing required option(s): {', '.join(missing)}")
-
-
-def _require_distinct(command: _Command, config: RunConfig, args: argparse.Namespace) -> None:
-    """Refuse a file the command writes that is also another file it writes
-    or reads, --config among them, which it would overwrite."""
-    writes, reads = command.writes.split(), ["--config", *command.reads.split()]
-    # --config, --labels, --losses and --proposals are flags only, the others RunConfig fields
-    paths = [(f, getattr(config, f[2:], getattr(args, f[2:], None))) for f in writes + reads]
-    for i, (first, a) in enumerate(paths[: len(writes)]):
-        for second, b in paths[i + 1 :]:
+    for i, first in enumerate(files):
+        if given[first] == "":
+            raise ValueError(f"{first} must name a file, got an empty string")
+        for second in files[i + 1 :] if i < len(writes) else ():
+            a, b = given[first], given[second]
             if a and b and os.path.realpath(a) == os.path.realpath(b):
                 raise ValueError(f"{first} {a} and {second} {b} name the same file")
 
@@ -404,8 +408,7 @@ def cmd_dbc_sim(config: RunConfig, args: argparse.Namespace) -> int:
     from . import balancers
 
     stream = balancers.load_loss_stream(args.losses)
-    if not stream:
-        raise ValueError(f"{args.losses}: empty loss stream")
+    # an empty stream names no class either
     classes = sorted({cls for record in stream for cls in record})
     if not classes:
         raise ValueError(f"{args.losses}: no class in the loss stream")
@@ -566,7 +569,7 @@ _ARGUMENTS = {
     "--gt": {"help": "ground-truth scenes file (JSONL)"},
     "--out": {"help": "output file"},
     "--log": {"help": "refinement log output file (JSONL)"},
-    "--policy": {"choices": sorted(_POLICIES)},
+    "--policy": {"help": f"decision policy: one of {', '.join(sorted(_POLICIES))}"},
     "--workers": {
         "type": int,
         "metavar": "N",
@@ -575,7 +578,7 @@ _ARGUMENTS = {
         "outputs are byte-identical for any N",
     },
     "--seed": {"type": int},
-    "--llm": {"choices": _LLM_MODES},
+    "--llm": {"help": f"LLM mode: one of {', '.join(_LLM_MODES)}"},
     # a tuple metavar on a positional breaks argparse's --help
     "x": {"type": float, "nargs": 3, "metavar": "X", "help": "x_conf x_size x_scene in [0, 1]"},
     "--weights": {
@@ -587,12 +590,12 @@ _ARGUMENTS = {
         "a weight below about 1e-12 of the largest acts as 0, and weights summing "
         "above 2.247e307 are refused",
     },
-    "--labels": {"required": True, "help": "pseudo-label file (JSONL)"},
+    "--labels": {"help": "pseudo-label file (JSONL)"},
     "--phi-init": {"dest": "sbc_phi_init", "type": float},
-    "--losses": {"required": True, "help": "loss-stream file (JSONL)"},
+    "--losses": {"help": "loss-stream file (JSONL)"},
     "--interval": {"dest": "dbc_interval", "type": int},
     "--top-k": {"dest": "dbc_k", "type": int},
-    "--proposals": {"required": True, "help": "proposal file (JSONL)"},
+    "--proposals": {"help": "proposal file (JSONL)"},
     "--lambda-baol": {"dest": "lambda_baol", "type": float},
     "--k-pro": {"dest": "k_pro", "type": int},
     "--scenes": {"type": int},
@@ -618,15 +621,15 @@ _COMMANDS = {
     "solve-psl": _Command("solve one constraint vector", "x --weights --policy"),
     "balance": _Command(
         "run the threshold circulation on pseudo labels", "--labels --phi-init --kb --out",
-        writes="--out", reads="--labels --kb",
+        requires="--labels", writes="--out", reads="--labels --kb",
     ),
     "dbc-sim": _Command(
         "replay a loss stream through the weight scheduler", "--losses --interval --top-k --out",
-        writes="--out", reads="--losses",
+        requires="--losses", writes="--out", reads="--losses",
     ),
     "baol": _Command(
         "compress proposals, assign labels, compute the loss",
-        "--proposals --lambda-baol --k-pro --workers", requires="--lambda-baol",
+        "--proposals --lambda-baol --k-pro --workers", requires="--proposals --lambda-baol",
         reads="--proposals",
     ),
     "eval": _Command(
@@ -658,15 +661,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        # RunConfig refuses an empty file of its own; a flag-only one would reach open()
-        for flag in ("--config", *command.reads.split()):
-            if not hasattr(RunConfig, flag[2:]) and getattr(args, flag[2:]) == "":
-                raise ValueError(f"{flag} must name a file, got an empty string")
+        # an empty --config would otherwise mean no config file
+        if args.config == "":
+            raise ValueError("--config must name a file, got an empty string")
         config = RunConfig.load(args.config) if args.config else RunConfig()
         config = config.override(args)
         # before any other input is read, or any output written
-        _require_distinct(command, config, args)
-        _require(command, config)
+        _check_options(command, config, args)
         # looked up when called, so that a replaced cmd_<name> runs
         return globals()["cmd_" + args.command.replace("-", "_")](config, args)
     except _INPUT_ERRORS as exc:

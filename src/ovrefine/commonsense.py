@@ -467,7 +467,7 @@ def size_constraint(box: Box7DoF, prior: SizePrior, cfg: SizeConstraintConfig) -
 def scene_constraint(label: str, scene_type: str, provider) -> int:
     """1 when the class is judged reasonable in the scene, else 0."""
     verdict = provider.scene_compatible(label, scene_type)
-    if verdict not in (0, 1):
+    if type(verdict) is not int or verdict not in (0, 1):
         raise ValueError(f"provider returned non-binary scene verdict {brief(verdict)}")
     return verdict
 

@@ -324,13 +324,11 @@ def eval_ap25(
         raise ValueError(f"predictions reference unknown scenes: {sorted(pred_ids - gt_ids)}")
 
     gt_boxes: dict[str, dict[str, list[Box7DoF]]] = {}
-    class_totals: dict[str, int] = {}
     for record in ground_truth:
         for detection in record.detections:
             gt_boxes.setdefault(detection.label, {}).setdefault(record.scene_id, []).append(
                 detection.box
             )
-            class_totals[detection.label] = class_totals.get(detection.label, 0) + 1
 
     preds: dict[str, list[tuple[float, str, Box7DoF]]] = {}
     for record in predictions:
@@ -340,22 +338,22 @@ def eval_ap25(
             )
 
     per_class: dict[str, float] = {}
-    for label, total in class_totals.items():
+    for label, boxes_by_scene in gt_boxes.items():
         entries = sorted(preds.get(label, []), key=lambda item: (-item[0], item[1]))
         matched: dict[str, list[bool]] = {
-            scene: [False] * len(boxes) for scene, boxes in gt_boxes[label].items()
+            scene: [False] * len(boxes) for scene, boxes in boxes_by_scene.items()
         }
         tp = [0.0] * len(entries)
         for rank, (_score, scene_id, box) in enumerate(entries):
             best_iou, best_j = -math.inf, -1
-            for j, gt in enumerate(gt_boxes[label].get(scene_id, [])):
+            for j, gt in enumerate(boxes_by_scene.get(scene_id, [])):
                 overlap = iou3d(box, gt)
                 if overlap > best_iou:
                     best_iou, best_j = overlap, j
             if best_iou > _AP_IOU_THRESHOLD and not matched[scene_id][best_j]:
                 matched[scene_id][best_j] = True
                 tp[rank] = 1.0
-        per_class[label] = _average_precision(tp, total)
+        per_class[label] = _average_precision(tp, sum(map(len, boxes_by_scene.values())))
 
     mean = sum(per_class.values()) / len(per_class) if per_class else 0.0
     return ApReport(per_class, mean)

@@ -198,11 +198,6 @@ class RuleSet:
             _expr_vars(rule.expr, acc)
         return acc
 
-    def total_value(self, assignment: Mapping[str, float]):
-        """Weighted sum of rule values at an assignment of y_keep and y_recls."""
-        env = {**self.bindings, **assignment}
-        return sum(rule.weight * eval_expr(rule.expr, env) for rule in self.rules)
-
 
 # --------------------------------------------------------------------------
 # Decision rules over (y_keep, y_recls)

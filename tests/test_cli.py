@@ -715,7 +715,8 @@ class TestDbcSim:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("", "empty loss stream"), ("{}\n{}\n", "no class in the loss stream")],
+        # an empty file names no class either
+        [("", "no class in the loss stream"), ("{}\n{}\n", "no class in the loss stream")],
         ids=["empty", "no-class"],
     )
     def test_stream_without_a_class_names_the_file(self, tmp_path, capsys, text, message):
@@ -1448,6 +1449,33 @@ class TestConfigFile:
         assert not Path(case_files["out"]).exists()
 
     @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["refine", "--detections", "{detections}", "--out", "{out}"], "policy"),
+            (["refine", "--detections", "{detections}", "--out", "{out}"], "llm"),
+            (["solve-psl", "0.9", "0.5", "1"], "policy"),
+        ],
+        ids=["refine-policy", "refine-llm", "solve-psl-policy"],
+    )
+    def test_bad_choice_flag_is_refused_as_from_the_config(
+        self, case_files, tmp_path, capsys, argv, key
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: "bad"}))
+        argv = [arg.format(**case_files) for arg in argv]
+        assert main([*argv, "--config", str(config)]) == 1
+        from_config = capsys.readouterr()
+        allowed = {
+            "policy": "max-keep-min-recls, min-keep, scene-conservative", "llm": "off, remote"
+        }
+        message = f'{key} must be one of {allowed[key]}, got "bad"'
+        assert from_config == ("", f"input error: {config}: {message}\n")
+        # one line, less the config file's name, where argparse printed its usage
+        assert main([*argv, f"--{key}", "bad"]) == 1
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+        assert not Path(case_files["out"]).exists()
+
+    @pytest.mark.parametrize(
         "key",
         [name for name, hint in typing.get_type_hints(RunConfig).items()
          if (typing.get_args(hint) or (hint,))[0] is float],
@@ -1697,8 +1725,13 @@ class TestRequiredOptions:
             (["gen-synthetic", "--out", "{dir}/out.jsonl", "--scenes", "2"], "--gt"),
             # it has no default
             (["baol", "--proposals", "{scenes}", "--workers", "1"], "--lambda-baol"),
+            # each command's input file, refused the same way
+            (["balance", "--out", "{dir}/out.json"], "--labels"),
+            (["dbc-sim", "--out", "{dir}/out.jsonl"], "--losses"),
+            (["baol", "--lambda-baol", "1", "--workers", "1"], "--proposals"),
         ],
-        ids=["refine-out", "refine-detections", "eval-gt", "gen-synthetic-gt", "baol-lambda-baol"],
+        ids=["refine-out", "refine-detections", "eval-gt", "gen-synthetic-gt", "baol-lambda-baol",
+             "balance-labels", "dbc-sim-losses", "baol-proposals"],
     )
     def test_missing_option_is_input_error(self, tmp_path, capsys, argv, missing):
         scenes = tmp_path / "scenes.jsonl"
@@ -1818,8 +1851,13 @@ class TestUsageErrors:
         assert err.value.code == 1
 
     def test_missing_required_subcommand_flag(self, capsys):
+        # refused as every missing option is, by flag or config, not by argparse
+        assert main(["balance"]) == 1
+        assert capsys.readouterr() == ("", "input error: missing required option(s): --labels\n")
+
+    def test_missing_positional_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["balance"])
+            main(["solve-psl", "0.5"])
         assert err.value.code == 1
 
 
@@ -1848,13 +1886,13 @@ COMMON_FLAGS = [
     "--config", "--detections", "--kb", "--gt", "--out", "--log", "--policy", "--workers",
     "--seed", "--llm",
 ]
-# what a subcommand needs to parse at all
+# what a subcommand needs to parse at all: every option parses without the others
 REQUIRED = {
     "refine": [],
     "solve-psl": ["0.9", "0.5", "1"],
-    "balance": ["--labels", "labels.jsonl"],
-    "dbc-sim": ["--losses", "losses.jsonl"],
-    "baol": ["--proposals", "proposals.jsonl"],
+    "balance": [],
+    "dbc-sim": [],
+    "baol": [],
     "eval": [],
     "gen-synthetic": [],
 }
@@ -1904,6 +1942,20 @@ class TestFlagsPerSubcommand:
         values = ["3"] * (3 if flag == "--weights" else 1)
         args = _build_parser().parse_args([command, *REQUIRED[command], flag, *values])
         assert getattr(args, dest) in ("3", 3, [3, 3, 3])
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("refine", ["max-keep-min-recls", "min-keep", "scene-conservative", "off", "remote"]),
+            ("solve-psl", ["max-keep-min-recls", "min-keep", "scene-conservative"]),
+        ],
+    )
+    def test_help_names_the_allowed_values(self, capsys, command, values):
+        # RunConfig checks them, so argparse lists no choices of its own
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args([command, "--help"])
+        words = set(re.findall(r"[a-z-]+", capsys.readouterr().out))
+        assert set(values) <= words
 
     @pytest.mark.parametrize("command", sorted(READ_FLAGS))
     def test_help_lists_only_the_flags_read(self, capsys, command):

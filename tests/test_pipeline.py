@@ -176,15 +176,25 @@ class TestDebate:
         b = debate(det, SceneContext("library"), provider)
         assert a == b
 
-    def test_scene_verdict_is_checked_as_in_assembly(self, kb):
+    @pytest.mark.parametrize(
+        "verdict, shown",
+        [(0.5, "0.5"), (True, "true"), (1.0, "1.0"), (np.int64(1), "int64")],
+        ids=["half", "bool", "float-one", "numpy-int"],
+    )
+    def test_scene_verdict_is_checked_as_in_assembly(self, kb, verdict, shown):
+        # only the int 0 or 1: True and 1.0 reached the log as `true` and `1.0`,
+        # and a numpy int made the log line fail to serialise
         det = library_scene().detections[0]
 
-        class HalfSure(StaticKnowledgeProvider):
+        class Unsure(StaticKnowledgeProvider):
             def scene_compatible(self, label, scene_type):
-                return 0.5 if label != det.label else super().scene_compatible(label, scene_type)
+                if label == det.label:
+                    return super().scene_compatible(label, scene_type)
+                return verdict
 
-        with pytest.raises(ValueError, match="^provider returned non-binary scene verdict 0.5$"):
-            debate(det, SceneContext("library"), HalfSure(kb))
+        message = f"^provider returned non-binary scene verdict {shown}$"
+        with pytest.raises(ValueError, match=message):
+            debate(det, SceneContext("library"), Unsure(kb))
 
     @staticmethod
     def remote_provider(kb, reply):

@@ -262,7 +262,7 @@ class TestSolve:
             assert a.y_keep == pytest.approx(b.y_keep, abs=1e-7)
             assert a.y_recls == pytest.approx(b.y_recls, abs=1e-7)
 
-    def test_matches_total_value(self):
+    def test_objective_is_the_weighted_rule_sum(self):
         rng = np.random.default_rng(31)
         for i in range(25):
             conf, size, scene = rng.uniform(0, 1, 3)
@@ -271,7 +271,8 @@ class TestSolve:
             rs = build_decision_rules(x, tuple(rng.uniform(0, 2, 3)))
             for policy in SelectionPolicy:
                 out = solve(rs, policy)
-                at_point = rs.total_value({"y_keep": out.y_keep, "y_recls": out.y_recls})
+                env = {**rs.bindings, "y_keep": out.y_keep, "y_recls": out.y_recls}
+                at_point = sum(rule.weight * eval_expr(rule.expr, env) for rule in rs.rules)
                 assert at_point == pytest.approx(out.objective, abs=1e-9)
 
 
