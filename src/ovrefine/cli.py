@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import errno
 import itertools
 import json
 import os
@@ -219,8 +220,8 @@ def _workers(config: RunConfig) -> int:
 
 def _check_options(command: _Command, config: RunConfig, args: argparse.Namespace) -> None:
     """Refuse, in one pass, a required option not given, a file named by an
-    empty string and a file the command writes that is also another file it
-    writes or reads, --config among them, which it would overwrite."""
+    empty string, and a file the command writes that ``open`` would refuse at the
+    end, or that is another file it writes or reads (--config too) and would overwrite."""
     requires, writes = command.requires.split(), command.writes.split()
     files = [*writes, "--config", *command.reads.split()]
     # --config, --labels, --losses and --proposals are flags only, the others RunConfig fields
@@ -232,20 +233,27 @@ def _check_options(command: _Command, config: RunConfig, args: argparse.Namespac
     if missing:
         raise ValueError(f"missing required option(s): {', '.join(missing)}")
     for i, first in enumerate(files):
-        if given[first] == "":
+        path = given[first]
+        if path == "":
             raise ValueError(f"{first} must name a file, got an empty string")
+        if path and i < len(writes):  # in a missing directory, or a directory, named as open would
+            try:
+                os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for second in files[i + 1 :] if i < len(writes) else ():
-            a, b = given[first], given[second]
-            if a and b and os.path.realpath(a) == os.path.realpath(b):
-                raise ValueError(f"{first} {a} and {second} {b} name the same file")
+            other = given[second]
+            if path and other and os.path.realpath(path) == os.path.realpath(other):
+                raise ValueError(f"{first} {path} and {second} {other} name the same file")
 
 
-def _write_report(path: str | None, data: dict) -> None:
-    """``data`` as indented JSON in ``path``, if the run names one."""
+def _write(path: str | None, lines: typing.Iterable[str] | dict) -> None:
+    """Write ``lines``, or a report dict as indented JSON, to ``path``, if the run names one."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            fh.writelines([json.dumps(lines, indent=2), "\n"] if isinstance(lines, dict) else lines)
 
 
 def cmd_refine(config: RunConfig, args: argparse.Namespace) -> int:
@@ -315,11 +323,8 @@ def _refine_in_chunks(config: RunConfig, provider) -> collections.Counter:
             out.append(chunk.out)
             log.append(chunk.log)
             tally.update(chunk.tally)
-    with open(config.out, "w", encoding="utf-8") as fh:
-        fh.writelines(out)
-    if config.log:
-        with open(config.log, "w", encoding="utf-8") as fh:
-            fh.writelines(log)
+    _write(config.out, out)
+    _write(config.log, log)
     return tally
 
 
@@ -400,7 +405,7 @@ def cmd_balance(config: RunConfig, args: argparse.Namespace) -> int:
     for cls in classes:
         print(f"phi[{cls}] = {final.phi_by_class[cls]:.4f}")
     phi_by_class = dict(sorted(final.phi_by_class.items()))
-    _write_report(config.out, {"iterations": iterations, "phi_by_class": phi_by_class})
+    _write(config.out, {"iterations": iterations, "phi_by_class": phi_by_class})
     return 0
 
 
@@ -427,9 +432,7 @@ def cmd_dbc_sim(config: RunConfig, args: argparse.Namespace) -> int:
         print(f"iter {entry['iteration']}: {weights}")
     final = " ".join(f"{cls}={state.w_by_class[cls]:.2f}" for cls in classes)
     print(f"final: {final}")
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(entry) + "\n" for entry in trace)
+    _write(config.out, (json.dumps(entry) + "\n" for entry in trace))
     return 0
 
 
@@ -519,9 +522,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
     for label in sorted(report.per_class):
         print(f"AP[{label}] = {report.per_class[label]:.4f}")
     print(f"mAP {report.mean:.4f}")
-    _write_report(
-        config.out, {"per_class": dict(sorted(report.per_class.items())), "mean": report.mean}
-    )
+    _write(config.out, {"per_class": dict(sorted(report.per_class.items())), "mean": report.mean})
     return 0
 
 
@@ -535,8 +536,8 @@ def cmd_gen_synthetic(config: RunConfig, args: argparse.Namespace) -> int:
         corruption_rate=config.corruption,
         size_cfg=commonsense.SizeConstraintConfig(config.size_alpha, config.phi_size),
     )
-    pipeline.save_scenes(detections, config.out)
-    pipeline.save_scenes(ground_truth, config.gt, include_scores=False)
+    _write(config.out, map(pipeline.scene_line, detections))
+    _write(config.gt, (pipeline.scene_line(r, include_scores=False) for r in ground_truth))
     n_objects = sum(len(r.detections) for r in ground_truth)
     n_detections = sum(len(r.detections) for r in detections)
     print(
@@ -588,7 +589,7 @@ _ARGUMENTS = {
         "help": "rule weights alpha1-alpha3 (default 1 1 1); the rules always hold together, "
         "so any positive weight gives the same decision and 0 switches its rule off; "
         "a weight below about 1e-12 of the largest acts as 0, and weights summing "
-        "above 2.247e307 are refused",
+        f"above {_MAX_WEIGHT_SUM:.4g} are refused",
     },
     "--labels": {"help": "pseudo-label file (JSONL)"},
     "--phi-init": {"dest": "sbc_phi_init", "type": float},

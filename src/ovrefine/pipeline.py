@@ -537,8 +537,7 @@ def scene_line(record: SceneRecord, include_scores: bool = True) -> str:
 def save_scenes(records: Sequence[SceneRecord], path, include_scores: bool = True) -> None:
     """Write scene records as line-delimited JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(scene_line(record, include_scores))
+        fh.writelines(scene_line(record, include_scores) for record in records)
 
 
 def scene_record(data: dict) -> SceneRecord:
@@ -614,5 +613,4 @@ def log_line(log: RefinementLog) -> str:
 def save_logs(logs: Sequence[RefinementLog], path) -> None:
     """Write refinement logs as line-delimited JSON, one record per scene."""
     with open(path, "w", encoding="utf-8") as fh:
-        for log in logs:
-            fh.write(log_line(log))
+        fh.writelines(map(log_line, logs))

@@ -440,6 +440,41 @@ class TestRefine:
         assert offline == (remote.out, "")
         assert remote_files == offline_files
 
+    def test_remote_run_refused_for_its_log_sends_no_request(
+        self, case_files, tmp_path, monkeypatch, capsys
+    ):
+        from ovrefine import commonsense
+
+        sent = []
+
+        def post(url, key, payload, timeout):
+            sent.append(payload["prompt"])
+            raise OSError("connection refused")
+
+        # the run's LlmClient takes its transport from the module when it is built
+        monkeypatch.setattr(commonsense, "_http_post", post)
+        monkeypatch.setenv("GLRD_LLM_ENDPOINT", "http://llm.test")
+        log = tmp_path / "missing" / "log.jsonl"
+        code = main(["refine", "--detections", case_files["detections"], "--out", case_files["out"],
+                     "--log", str(log), "--llm", "remote"])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"input error: {log}: No such file or directory\n")
+        assert sent == []
+        assert not Path(case_files["out"]).exists()
+
+    def test_out_may_be_dev_stdout(self, case_files):
+        # the check of each file a run writes lets a device through, as open does
+        argv = ["refine", "--detections", case_files["detections"]]
+        assert main([*argv, "--out", case_files["out"]]) == 0
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run(
+            [sys.executable, "-m", "ovrefine.cli", *argv, "--out", "/dev/stdout"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        refined = Path(case_files["out"]).read_text()
+        assert run.stdout == refined + "kept 2, removed 1, reclassified 1\n"
+
     def test_worker_count_determinism(self, tmp_path):
         kb = default_knowledge_base()
         _, detections = generate_synthetic_scenes(kb, seed=7, n_scenes=20)
@@ -1751,16 +1786,37 @@ class TestRequiredOptions:
         (["refine", "--detections", "{scenes}", "--out", "{dir}/missing/out.jsonl"],
          "{dir}/missing/out.jsonl", "No such file or directory"),
         (["balance", "--labels", "{dir}"], "{dir}", "Is a directory"),
+        # each output that open would refuse at the end is refused before any input is read
+        (["refine", "--detections", "{scenes}", "--out", "{dir}/out.jsonl",
+          "--log", "{dir}/missing/log.jsonl"], "{dir}/missing/log.jsonl", "No such file or directory"),
+        (["gen-synthetic", "--scenes", "1", "--out", "{dir}/out.jsonl",
+          "--gt", "{dir}/missing/gt.jsonl"], "{dir}/missing/gt.jsonl", "No such file or directory"),
+        (["eval", "--detections", "{scenes}", "--gt", "{gt}", "--out", "{dir}/missing/report.json"],
+         "{dir}/missing/report.json", "No such file or directory"),
+        (["dbc-sim", "--losses", "{losses}", "--out", "{dir}/missing/trace.jsonl"],
+         "{dir}/missing/trace.jsonl", "No such file or directory"),
+        (["balance", "--labels", "{labels}", "--out", "{dir}"], "{dir}", "Is a directory"),
+        (["eval", "--detections", "{scenes}", "--gt", "{gt}", "--out", "{scenes}/report.json"],
+         "{scenes}/report.json", "Not a directory"),
+        # an output that exists keeps its bytes
+        (["refine", "--detections", "{scenes}", "--out", "{earlier}",
+          "--log", "{dir}/missing/log.jsonl"], "{dir}/missing/log.jsonl", "No such file or directory"),
     ],
-    ids=["missing-detections", "out-in-a-missing-directory", "labels-a-directory"],
+    ids=["missing-detections", "out-in-a-missing-directory", "labels-a-directory",
+         "refine-log-in-a-missing-directory", "gen-synthetic-gt-in-a-missing-directory",
+         "eval-out-in-a-missing-directory", "dbc-sim-out-in-a-missing-directory",
+         "balance-out-a-directory", "eval-out-in-a-file", "existing-out-kept"],
 )
 def test_file_that_cannot_be_opened_is_named(tmp_path, capsys, argv, path, reason):
-    scenes = tmp_path / "scenes.jsonl"
-    write_lines(scenes, library_chair("s0"))
-    paths = {"scenes": scenes, "dir": tmp_path}
+    inputs = valid_inputs(tmp_path)
+    earlier = tmp_path / "earlier.jsonl"
+    earlier.write_text("earlier\n")
+    paths = {"scenes": inputs["--detections"], "gt": inputs["--gt"], "labels": inputs["--labels"],
+             "losses": inputs["--losses"], "earlier": earlier, "dir": tmp_path}
+    before = {child.name: child.read_bytes() for child in tmp_path.iterdir()}
     assert main([arg.format(**paths) for arg in argv]) == 1
     assert capsys.readouterr() == ("", f"input error: {path.format(**paths)}: {reason}\n")
-    assert [child.name for child in tmp_path.iterdir()] == ["scenes.jsonl"]
+    assert {child.name: child.read_bytes() for child in tmp_path.iterdir()} == before
 
 
 class TestEmptyFileOptions:
