@@ -238,10 +238,11 @@ def _check_options(command: _Command, config: RunConfig, args: argparse.Namespac
             raise ValueError(f"{first} must name a file, got an empty string")
         if path and i < len(writes):  # in a missing directory, or a directory, named as open would
             try:
-                os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+                os.stat(os.path.join(os.path.dirname(path.rstrip(os.sep)) or os.curdir, ""))
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
-            if os.path.isdir(path):
+            # a name that ends in a separator names a directory, whether or not it exists
+            if path.endswith(os.sep) or os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for second in files[i + 1 :] if i < len(writes) else ():
             other = given[second]

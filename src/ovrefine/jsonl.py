@@ -60,11 +60,14 @@ def _parse(where, text: str, parse: Callable[[object], T]) -> T:
     ``OverflowError`` (a number past the float range) from ``parse`` are input errors."""
     try:
         if not text.isascii():
-            # a UnicodeDecodeError is a ValueError
             text.encode("utf-8", "surrogateescape").decode("utf-8")
         return parse(json.loads(text))
     except KeyError as exc:
         raise ValueError(f"{where}: missing field {brief(exc.args[0])}") from None
+    except UnicodeDecodeError as exc:
+        # the byte and its offset in the text, without the codec's 'utf-8'
+        byte = exc.object[exc.start]
+        raise ValueError(f"{where}: not UTF-8: byte 0x{byte:02x} at position {exc.start}") from None
     except (ValueError, TypeError, RecursionError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 

@@ -1,9 +1,18 @@
 import json
+import math
+import threading
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
-from ovrefine.commonsense import SceneContext, StaticKnowledgeProvider, default_knowledge_base
+from ovrefine.commonsense import (
+    LlmClient,
+    RemoteKnowledgeProvider,
+    SceneContext,
+    StaticKnowledgeProvider,
+    default_knowledge_base,
+)
 from ovrefine.geometry import Box7DoF
 from ovrefine.pipeline import Detection, SceneRecord
 
@@ -72,6 +81,88 @@ def fail_reading_after(monkeypatch, last):
             yield lineno, line
 
     monkeypatch.setattr(cli, "read_lines", lines)
+
+
+def mc_iou(a, b, n_samples, seed):
+    """Monte-Carlo oracle: sample uniformly inside box a, test membership in b.
+
+    intersection = vol(a) * fraction; both box volumes are exact.
+    """
+    rng = np.random.default_rng(seed)
+    local = rng.uniform(-0.5, 0.5, (n_samples, 3)) * np.array([a.l, a.w, a.h])
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    x = a.cx + c * local[:, 0] - s * local[:, 1]
+    y = a.cy + s * local[:, 0] + c * local[:, 1]
+    z = a.cz + local[:, 2]
+    # membership in b via b's local frame
+    cb, sb = math.cos(b.theta), math.sin(b.theta)
+    dx, dy, dz = x - b.cx, y - b.cy, z - b.cz
+    u = cb * dx + sb * dy
+    v = -sb * dx + cb * dy
+    inside = (np.abs(u) <= b.l / 2) & (np.abs(v) <= b.w / 2) & (np.abs(dz) <= b.h / 2)
+    inter = a.volume * inside.mean()
+    return inter / (a.volume + b.volume - inter)
+
+
+class StubTransport:
+    """Canned-reply transport; records payloads, can fail first N calls."""
+
+    def __init__(self, replies=None, fail_first=0):
+        self.replies = dict(replies or {})
+        self.fail_first = fail_first
+        self.calls = []
+
+    def __call__(self, url, api_key, payload, timeout):
+        self.calls.append(payload)
+        if self.fail_first > 0:
+            self.fail_first -= 1
+            raise OSError("connection refused")
+        prompt = payload["prompt"]
+        for needle, text in self.replies.items():
+            if needle in prompt:
+                return {"text": text}
+        return {"text": "I cannot say."}
+
+
+def make_client(transport, retries=2):
+    return LlmClient(
+        endpoint="http://llm.test/generate",
+        api_key="secret",
+        retries=retries,
+        backoff=0.0,
+        transport=transport,
+    )
+
+
+def make_provider(transport, retries=2):
+    """A remote provider over the built-in KB that sends through ``transport``."""
+    return RemoteKnowledgeProvider(make_client(transport, retries), default_knowledge_base())
+
+
+def kb_model(kb, judge, prompts, failing=False):
+    """A transport whose model answers size and scene prompts from ``kb``, and a
+    judge's prompt with ``judge`` of its candidates. Each prompt is appended to
+    ``prompts`` as it is sent, from any thread; then, if ``failing``, its request fails."""
+    static = StaticKnowledgeProvider(kb)
+    lock = threading.Lock()
+
+    def transport(url, key, payload, timeout):
+        prompt = payload["prompt"]
+        with lock:
+            prompts.append(prompt)
+        if failing:
+            raise OSError("connection refused")
+        if prompt.startswith("What is the common size of a "):
+            # a class without a KB size fails the request
+            prior = kb.sizes[prompt.removeprefix("What is the common size of a ").split("?")[0]]
+            return {"text": f"{prior.length!r}*{prior.width!r}*{prior.height!r}"}
+        if prompt.startswith("Is it normal to see a "):
+            label, scene_type = prompt[len("Is it normal to see a ") : -1].split(" in a ")
+            return {"text": "Yes." if static.scene_compatible(label, scene_type) else "No."}
+        candidates = prompt.split("candidate classes ")[1].split(" of an object")[0]
+        return {"text": judge(candidates.split(", "))}
+
+    return transport
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import library_scene, living_room_scene
+from conftest import library_scene, living_room_scene, mc_iou
 from psl_reference import brute_force_solve
 from ovrefine.balancers import DbcState, SbcState, dbc_accumulate, sbc_loop, sbc_step
 from ovrefine.cli import main as cli_main
@@ -207,23 +207,6 @@ def test_c06_dbc_weight_schedule():
         assert updated.w_by_class == {"A": 1.05, "B": 0.95, "C": 1.0}
 
 
-def _mc_iou(a, b, n_samples, seed):
-    # independent Monte-Carlo oracle: sample inside box a, test membership in b
-    rng = np.random.default_rng(seed)
-    local = rng.uniform(-0.5, 0.5, (n_samples, 3)) * np.array([a.l, a.w, a.h])
-    ca, sa = math.cos(a.theta), math.sin(a.theta)
-    x = a.cx + ca * local[:, 0] - sa * local[:, 1]
-    y = a.cy + sa * local[:, 0] + ca * local[:, 1]
-    z = a.cz + local[:, 2]
-    cb, sb = math.cos(b.theta), math.sin(b.theta)
-    dx, dy, dz = x - b.cx, y - b.cy, z - b.cz
-    u = cb * dx + sb * dy
-    v = -sb * dx + cb * dy
-    inside = (np.abs(u) <= b.l / 2) & (np.abs(v) <= b.w / 2) & (np.abs(dz) <= b.h / 2)
-    inter = a.volume * float(inside.mean())
-    return inter / (a.volume + b.volume - inter)
-
-
 def test_c07_geometry():
     with criterion(7, "rotated IoU vs Monte-Carlo, analytic cases, soft-NMS decay"):
         cube = Box7DoF(0, 0, 0, 1, 1, 1)
@@ -239,7 +222,7 @@ def test_c07_geometry():
                 l, w, h = rng.uniform(0.4, 2.0, 3)
                 theta = float(rng.uniform(-math.pi, math.pi))
                 boxes.append(Box7DoF(cx, cy, cz, l, w, h, theta))
-            estimate = _mc_iou(boxes[0], boxes[1], 100_000, seed=9_000 + index)
+            estimate = mc_iou(boxes[0], boxes[1], 100_000, seed=9_000 + index)
             assert abs(iou3d(boxes[0], boxes[1]) - estimate) <= 5e-3
 
         out = soft_nms([ScoredBox(cube, 1.0), ScoredBox(cube, 1.0)], sigma=0.5)

@@ -104,7 +104,7 @@ SCENE_FILE_ROWS = {
     ),
     # written in Latin-1, where UTF-8 reads é as the start of a longer character
     "not-utf-8": (b'{"scene_id": "s1", "scene_type": "caf\xe9", "detections": []}',
-                  "'utf-8' codec can't decode byte 0xe9 in position 37: invalid continuation byte"),
+                  "not UTF-8: byte 0xe9 at position 37"),
 }
 
 # a book whose only class score names a class the KB has no size for
@@ -882,7 +882,7 @@ class TestBaol:
              'fg_scores must be a number, got {"a": 1}'),
             (b'{"boxes": [[0, 0, 0, 1, 1, 1, 0]], "class_scores": [[0.9]], "fg_scores": [0.9], '
              b'"note": "\xff"}',
-             "'utf-8' codec can't decode byte 0xff in position 89: invalid start byte"),
+             "not UTF-8: byte 0xff at position 89"),
         ],
         ids=[
             "json", "field", "class-scores-true", "fg-scores-false", "class-scores-string",
@@ -1005,10 +1005,9 @@ class TestBaol:
         for workers in ("1", "2"):
             argv = ["baol", "--proposals", str(path), "--lambda-baol", "1", "--workers", workers]
             assert main(argv) == 1
-            assert capsys.readouterr() == ("", (
-                f"input error: {path}:4: 'utf-8' codec can't decode byte 0xff in position 0: "
-                "invalid start byte\n"
-            ))
+            assert capsys.readouterr() == (
+                "", f"input error: {path}:4: not UTF-8: byte 0xff at position 0\n"
+            )
             assert not multiprocessing.active_children()
 
     def test_unreadable_line_is_reported_after_the_scenes_before_it(self, tmp_path, capsys):
@@ -1745,6 +1744,7 @@ class TestNumbersPastTheFloatRange:
             assert len(err) < 200, err
             assert "Traceback" not in err
             assert not multiprocessing.active_children()
+            assert sorted(child.name for child in tmp_path.iterdir()) == ["gt.jsonl", path]
 
 
 class TestRequiredOptions:
@@ -1801,11 +1801,19 @@ class TestRequiredOptions:
         # an output that exists keeps its bytes
         (["refine", "--detections", "{scenes}", "--out", "{earlier}",
           "--log", "{dir}/missing/log.jsonl"], "{dir}/missing/log.jsonl", "No such file or directory"),
+        (["refine", "--detections", "{scenes}", "--out", "{dir}/out.jsonl",
+          "--kb", "{dir}/missing.json"], "{dir}/missing.json", "No such file or directory"),
+        # a name that ends in a separator names a directory, once the one above it is found
+        (["gen-synthetic", "--scenes", "1", "--out", "{dir}/nodir/", "--gt", "{dir}/gt.jsonl"],
+         "{dir}/nodir/", "Is a directory"),
+        (["gen-synthetic", "--scenes", "1", "--out", "{dir}/missing/nodir/",
+          "--gt", "{dir}/gt.jsonl"], "{dir}/missing/nodir/", "No such file or directory"),
     ],
     ids=["missing-detections", "out-in-a-missing-directory", "labels-a-directory",
          "refine-log-in-a-missing-directory", "gen-synthetic-gt-in-a-missing-directory",
          "eval-out-in-a-missing-directory", "dbc-sim-out-in-a-missing-directory",
-         "balance-out-a-directory", "eval-out-in-a-file", "existing-out-kept"],
+         "balance-out-a-directory", "eval-out-in-a-file", "existing-out-kept", "missing-kb",
+         "out-ending-in-a-separator", "out-ending-in-a-separator-in-a-missing-directory"],
 )
 def test_file_that_cannot_be_opened_is_named(tmp_path, capsys, argv, path, reason):
     inputs = valid_inputs(tmp_path)
@@ -1860,19 +1868,29 @@ class TestEmptyFileOptions:
 
 
 class TestKnowledgeBaseClasses:
-    def test_class_name_that_is_no_string_is_input_error(self, tmp_path, capsys):
-        # the class 7 never matched a label, and refine exited 0
+    @pytest.mark.parametrize(
+        "field, classes, message",
+        [
+            # the class 7 never matched a label, and refine exited 0
+            ("compat", [7, None], 'compat["bedroom"] must hold class names, got 7'),
+            ("compat", [["chair"]], 'compat["bedroom"] must hold class names, got ["chair"]'),
+            ("novel_classes", [["chair"]], 'novel_classes must hold class names, got ["chair"]'),
+        ],
+        ids=["compat-int", "compat-array", "novel-classes-array"],
+    )
+    def test_class_name_that_is_no_string_is_input_error(
+        self, tmp_path, capsys, field, classes, message
+    ):
         kb = shipped_kb_data()
-        kb["compat"]["bedroom"] += [7, None]
+        # after the bedroom's compatible classes, or after the novel classes
+        (kb["compat"]["bedroom"] if field == "compat" else kb[field]).extend(classes)
         kb_path, scenes = tmp_path / "kb.json", tmp_path / "scenes.jsonl"
         kb_path.write_text(json.dumps(kb))
         write_lines(scenes, library_chair("s0"))
         out = tmp_path / "out.jsonl"
         argv = ["refine", "--kb", str(kb_path), "--detections", str(scenes), "--out", str(out)]
         assert main(argv) == 1
-        assert capsys.readouterr() == (
-            "", f'input error: {kb_path}: compat["bedroom"] must hold class names, got 7\n'
-        )
+        assert capsys.readouterr() == ("", f"input error: {kb_path}: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

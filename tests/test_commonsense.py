@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from conftest import SHIPPED_KB, shipped_kb_data
+from conftest import SHIPPED_KB, StubTransport, make_client, make_provider, shipped_kb_data
 from ovrefine import commonsense
 from ovrefine.commonsense import (
     KnowledgeBase,
@@ -297,41 +297,6 @@ class TestReplyParsing:
     )
     def test_affirmative_word_then_not_is_no(self, reply, verdict):
         assert parse_yes_no(reply) == verdict
-
-
-class StubTransport:
-    """Canned-reply transport; records payloads, can fail first N calls."""
-
-    def __init__(self, replies=None, fail_first=0):
-        self.replies = dict(replies or {})
-        self.fail_first = fail_first
-        self.calls = []
-
-    def __call__(self, url, api_key, payload, timeout):
-        self.calls.append(payload)
-        if self.fail_first > 0:
-            self.fail_first -= 1
-            raise OSError("connection refused")
-        prompt = payload["prompt"]
-        for needle, text in self.replies.items():
-            if needle in prompt:
-                return {"text": text}
-        return {"text": "I cannot say."}
-
-
-def make_client(transport, retries=2):
-    return LlmClient(
-        endpoint="http://llm.test/generate",
-        api_key="secret",
-        retries=retries,
-        backoff=0.0,
-        transport=transport,
-    )
-
-
-def make_provider(transport, retries=2):
-    """A remote provider over the built-in KB that sends through ``transport``."""
-    return RemoteKnowledgeProvider(make_client(transport, retries), default_knowledge_base())
 
 
 class TestLlmClient:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mc_iou
 from ovrefine.geometry import Box7DoF, ScoredBox, _polygon_area, iou3d, parse_box, soft_nms
 
 
@@ -17,30 +18,6 @@ def random_box(rng, spread=1.0):
     l, w, h = rng.uniform(0.3, 2.0, 3)
     theta = rng.uniform(-math.pi, math.pi)
     return Box7DoF(cx, cy, cz, l, w, h, theta)
-
-
-def mc_iou(a, b, n_samples, seed):
-    """Monte-Carlo oracle: sample uniformly inside box a, test membership in b.
-
-    intersection = vol(a) * fraction; both box volumes are exact.
-    """
-    rng = np.random.default_rng(seed)
-    local = rng.uniform(-0.5, 0.5, (n_samples, 3)) * np.array([a.l, a.w, a.h])
-    c, s = math.cos(a.theta), math.sin(a.theta)
-    x = a.cx + c * local[:, 0] - s * local[:, 1]
-    y = a.cy + s * local[:, 0] + c * local[:, 1]
-    z = a.cz + local[:, 2]
-    # membership in b via b's local frame
-    cb, sb = math.cos(b.theta), math.sin(b.theta)
-    dx, dy, dz = x - b.cx, y - b.cy, z - b.cz
-    u = cb * dx + sb * dy
-    v = -sb * dx + cb * dy
-    inside = (
-        (np.abs(u) <= b.l / 2) & (np.abs(v) <= b.w / 2) & (np.abs(dz) <= b.h / 2)
-    )
-    inter = a.volume * inside.mean()
-    union = a.volume + b.volume - inter
-    return inter / union
 
 
 class TestBox7DoF:

@@ -108,11 +108,20 @@ DEEP = st.integers(LIMIT, 3 * LIMIT).map(lambda depth: "[" * depth + "]" * depth
 
 
 def document(shape):
-    return st.one_of(shape.map(json.dumps), JSON.map(json.dumps), st.text(max_size=20), DEEP)
+    # the shape's strings as they are, so that a file in Latin-1 has bytes that are no UTF-8
+    written = shape.map(lambda value: json.dumps(value, ensure_ascii=False))
+    return st.one_of(written, JSON.map(json.dumps), st.text(max_size=20), DEEP)
 
 
 def lines(shape):
     return st.lists(document(shape), max_size=4).map(lambda ls: "".join(f"{l}\n" for l in ls))
+
+
+def encoded(text):
+    """``text`` in UTF-8, or in Latin-1, where UTF-8 reads a byte above 0x7f as
+    no character or as the start of a longer one."""
+    encoding = st.sampled_from(["utf-8", "latin-1"])
+    return st.tuples(text, encoding).map(lambda pair: pair[0].encode(pair[1], "replace"))
 
 
 # brief's mark of a value cut short: a string so cut has no closing quote
@@ -153,8 +162,8 @@ def parses(text):
 
 def is_json(path):
     """Whether the file ``path`` is one JSON value, or holds one on each line that
-    ``read_lines`` reads."""
-    return parses(path.read_text(encoding="utf-8")) or all(
+    ``read_lines`` reads, a byte that is no UTF-8 read as ``read_lines`` reads it."""
+    return parses(path.read_text(encoding="utf-8", errors="surrogateescape")) or all(
         parses(line) for _, line in read_lines(path)
     )
 
@@ -168,12 +177,13 @@ def check_message(err, path):
 
 
 def check(load, argv, text, names_file=False):
-    """``load`` (if given) of a file holding ``text``, then ``main(argv)`` on that file;
-    with ``names_file``, a refusal of ``main`` must start with the file's ``path:``."""
+    """``load`` (if given) of a file holding ``text``, in UTF-8 unless it is bytes, then
+    ``main(argv)`` on that file; with ``names_file``, a refusal of ``main`` must start
+    with the file's ``path:``."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path = tmp / "input.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         save_scenes(case_study_scenes(), tmp / "scenes.jsonl")
         try:
             if load is not None:
@@ -200,9 +210,10 @@ BOUNDARY = settings(max_examples=60, deadline=None, suppress_health_check=[Healt
 
 
 @BOUNDARY
-@given(lines(SCENE))
-def test_scenes_file(text):
-    check(load_scenes, ["refine", "--detections", "{input}", *REFINE], text)
+@given(encoded(lines(SCENE)))
+@example(b'{"scene_id": "s1", "scene_type": "caf\xe9", "detections": []}\n')
+def test_scenes_file(data):
+    check(load_scenes, ["refine", "--detections", "{input}", *REFINE], data)
 
 
 @BOUNDARY
@@ -341,13 +352,18 @@ def test_every_command_takes_or_refuses_a_config_alike(options):
         ({"iou_hi": 7}, "iou_hi must be in [0, 1], got 7"),
         ({"phi_clip": 5}, "phi_clip must be in [0, 1], got 5"),
         ({"phi_keep": 2}, "phi_keep must be in [0, 1], got 2"),
+        # a value from the file is quoted short, as JSON writes it
+        (
+            {"workers": list(range(1000))},
+            "workers must be an integer, got [0, 1, 2, 3, 4, 5, 6, 7, ... (1000 items)]",
+        ),
         (
             {"alpha1": 1e308, "alpha2": 1e308},
             "alpha1 + alpha2 + alpha3 must be at most 2.247e+307, got 1e+308 + 1e+308 + 1.0",
         ),
     ],
     ids=["sbc_delta_phi", "sbc_phi_lo-above-hi", "sbc_phi_init", "dbc_w_lo", "sbc_d_bound",
-         "iou_hi", "phi_clip", "phi_keep", "weight-sum"],
+         "iou_hi", "phi_clip", "phi_keep", "workers-1000-items", "weight-sum"],
 )
 def test_option_is_refused_under_its_key_by_every_command(options, message):
     config, results = run_commands(options)

@@ -16,9 +16,7 @@ def test_a_line_that_is_not_utf8_is_read_and_rejected_where_it_is_parsed(tmp_pat
     assert [lineno for lineno, _ in lines] == [1, 3]
     with pytest.raises(ValueError) as err:
         parse_line(path, *lines[0], dict)
-    assert str(err.value) == (
-        f"{path}:1: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
-    )
+    assert str(err.value) == f"{path}:1: not UTF-8: byte 0xff at position 0"
     assert parse_line(path, *lines[1], dict) == {}
 
 
@@ -50,8 +48,7 @@ def test_a_line_must_be_an_object_a_file_need_not(tmp_path):
     [
         (b'{"a": 1}', lambda data: data["b"], 'missing field "b"'),
         (b'{"a": 1', dict, "Expecting ',' delimiter: line 1 column 8 (char 7)"),
-        (b'{"a": "\xff"}', dict,
-         "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+        (b'{"a": "\xff"}', dict, "not UTF-8: byte 0xff at position 7"),
         (b'{"a": 1%s}' % (b"0" * 400), lambda data: number(data["a"], "a"),
          "a must be a number within the float range"),
         (b'{"a": true}', lambda data: number(data["a"], "a"), "a must be a number, got true"),

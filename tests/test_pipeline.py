@@ -1,5 +1,5 @@
 import hashlib
-import threading
+import math
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOOK_BOX, case_study_scenes, library_scene, living_room_scene
+from conftest import (
+    BOOK_BOX,
+    StubTransport,
+    case_study_scenes,
+    kb_model,
+    library_scene,
+    living_room_scene,
+    make_provider,
+)
 from ovrefine.commonsense import (
     SceneContext,
     StaticKnowledgeProvider,
@@ -196,29 +204,17 @@ class TestDebate:
         with pytest.raises(ValueError, match=message):
             debate(det, SceneContext("library"), Unsure(kb))
 
-    @staticmethod
-    def remote_provider(kb, reply):
-        from ovrefine.commonsense import LlmClient, RemoteKnowledgeProvider
-
-        prompts = []
-
-        def transport(url, key, payload, timeout):
-            prompts.append(payload["prompt"])
-            return {"text": reply}
-
+    def test_remote_judge_names_candidate(self):
         # the reply is no size and no yes/no, so lookups fall back to the KB
-        client = LlmClient(endpoint="http://llm.test", transport=transport, backoff=0.0)
-        return RemoteKnowledgeProvider(client, kb), prompts
-
-    def test_remote_judge_names_candidate(self, kb):
-        provider, prompts = self.remote_provider(kb, "Considering the size, it must be the stool.")
+        transport = StubTransport({"": "Considering the size, it must be the stool."})
         det = library_scene().detections[0]
-        outcome = debate(det, SceneContext("library"), provider)
+        outcome = debate(det, SceneContext("library"), make_provider(transport))
         assert outcome.winner == "stool"
-        assert prompts[-1].startswith("Debaters argue for the candidate classes book, stool, ")
+        prompt = transport.calls[-1]["prompt"]
+        assert prompt.startswith("Debaters argue for the candidate classes book, stool, ")
 
-    def test_remote_judge_naming_nothing_falls_back(self, kb):
-        provider, _ = self.remote_provider(kb, "Hard to say.")
+    def test_remote_judge_naming_nothing_falls_back(self):
+        provider = make_provider(StubTransport({"": "Hard to say."}))
         det = library_scene().detections[0]
         outcome = debate(det, SceneContext("library"), provider)
         assert outcome.winner == "coffee table"
@@ -428,29 +424,19 @@ class TestLogInvariants:
 
 
 class TestRemoteProviderPipeline:
-    def make_remote_provider(self, fail=False):
-        from ovrefine.commonsense import LlmClient, RemoteKnowledgeProvider
-
-        calls = []
-
-        def transport(url, key, payload, timeout):
-            calls.append(payload["prompt"])
-            if fail:
-                raise OSError("connection refused")
-            prompt = payload["prompt"]
-            if "common size of a book" in prompt:
-                return {"text": "Usually about 0.3*0.2*0.05 meters."}
-            if "common size of a" in prompt:
-                return {"text": "1.05*0.70*0.45"}
-            if "Is it normal" in prompt:
-                return {"text": "Yes, certainly."}
-            return {"text": "Which class is correct? coffee table."}
-
-        client = LlmClient(
-            endpoint="http://llm.test", transport=transport, backoff=0.0, retries=1
+    @staticmethod
+    def make_remote_provider(fail=False):
+        # the first needle that a prompt holds picks its reply
+        transport = StubTransport(
+            {
+                "common size of a book": "Usually about 0.3*0.2*0.05 meters.",
+                "common size of a": "1.05*0.70*0.45",
+                "Is it normal": "Yes, certainly.",
+                "": "Which class is correct? coffee table.",
+            },
+            fail_first=math.inf if fail else 0,
         )
-        kb = default_knowledge_base()
-        return RemoteKnowledgeProvider(client, kb), calls
+        return make_provider(transport, retries=1), transport.calls
 
     def test_refines_through_remote_answers(self):
         provider, calls = self.make_remote_provider()
@@ -465,7 +451,7 @@ class TestRemoteProviderPipeline:
     def test_remote_answers_cached_across_detections(self):
         provider, calls = self.make_remote_provider()
         refine_scene(library_scene(), provider)
-        size_queries = [p for p in calls if "common size of a chair" in p]
+        size_queries = [p for p in calls if "common size of a chair" in p["prompt"]]
         assert len(size_queries) == 1  # two chairs, one remote query
 
     def test_remote_failure_degrades_to_kb(self):
@@ -477,11 +463,8 @@ class TestRemoteProviderPipeline:
     def test_no_remote_answer_gives_the_static_run(self, kb, answer, monkeypatch):
         from ovrefine.commonsense import LlmClient, RemoteKnowledgeProvider
 
-        def transport(url, key, payload, timeout):
-            if answer == "request-fails":
-                raise OSError("connection refused")
-            return {"text": "I cannot say."}
-
+        # every request fails, or is answered "I cannot say."
+        transport = StubTransport(fail_first=math.inf if answer == "request-fails" else 0)
         monkeypatch.delenv("GLRD_LLM_ENDPOINT", raising=False)
         endpoint = None if answer == "no-endpoint" else "http://llm.test"
         client = LlmClient(endpoint=endpoint, transport=transport, backoff=0.0, retries=1)
@@ -500,23 +483,9 @@ class TestRemoteProviderPipeline:
         # provider: 85 size and scene prompts and 5 judge prompts
         from ovrefine.commonsense import LlmClient, RemoteKnowledgeProvider
 
-        static = StaticKnowledgeProvider(kb)
         prompts = []
-        lock = threading.Lock()
-
-        def transport(url, key, payload, timeout):
-            prompt = payload["prompt"]
-            with lock:
-                prompts.append(prompt)
-            if prompt.startswith("What is the common size of a "):
-                prior = kb.sizes[prompt.removeprefix("What is the common size of a ").split("?")[0]]
-                return {"text": f"{prior.length!r}*{prior.width!r}*{prior.height!r}"}
-            if prompt.startswith("Is it normal to see a "):
-                label, scene_type = prompt[len("Is it normal to see a ") : -1].split(" in a ")
-                return {"text": "Yes." if static.scene_compatible(label, scene_type) else "No."}
-            candidates = prompt.split("candidate classes ")[1].split(" of an object")[0]
-            return {"text": f"It is a {candidates.split(', ')[-1]}."}
-
+        # the judge names the last candidate the debaters argued for
+        transport = kb_model(kb, lambda candidates: f"It is a {candidates[-1]}.", prompts)
         _, records = generate_synthetic_scenes(kb, seed=7, n_scenes=60)
         client = LlmClient(endpoint="http://llm.test", transport=transport, backoff=0.0)
         refine_scenes(records, RemoteKnowledgeProvider(client, kb))

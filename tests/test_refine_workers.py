@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import READ_ERROR, fail_reading_after
+from conftest import READ_ERROR, fail_reading_after, kb_model
 from ovrefine import cli, pipeline
 from ovrefine.commonsense import (
     LlmClient,
@@ -77,28 +77,9 @@ class RemoteModel:
     def make(self, config):
         if config.llm != "remote":
             return self.make_offline(config)
-        static = StaticKnowledgeProvider(self.kb)
-        prompts, lock = [], threading.Lock()
+        prompts = []
         self.runs.append(prompts)
-
-        def transport(url, key, payload, timeout):
-            prompt = payload["prompt"]
-            with lock:
-                prompts.append(prompt)
-            if self.failing:
-                raise OSError("connection refused")
-            if prompt.startswith("What is the common size of a "):
-                # a class without a KB size fails the request
-                prior = self.kb.sizes[
-                    prompt.removeprefix("What is the common size of a ").split("?")[0]
-                ]
-                return {"text": f"{prior.length!r}*{prior.width!r}*{prior.height!r}"}
-            if prompt.startswith("Is it normal to see a "):
-                label, scene_type = prompt[len("Is it normal to see a ") : -1].split(" in a ")
-                return {"text": "Yes." if static.scene_compatible(label, scene_type) else "No."}
-            candidates = prompt.split("candidate classes ")[1].split(" of an object")[0]
-            return {"text": self.judge(candidates.split(", "))}
-
+        transport = kb_model(self.kb, self.judge, prompts, self.failing)
         client = LlmClient(endpoint="http://llm.test", transport=transport, backoff=0.0)
         self.clients.append(client)
         return self.provider(client, self.kb)
@@ -198,7 +179,7 @@ class Forgetful(StaticKnowledgeProvider):
 # a line that does not parse, and one that is not UTF-8, each with the start of its message
 BAD_LINES = {
     "json": ("{not json", "Expecting property name"),
-    "not-utf-8": (b'{"scene_id": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    "not-utf-8": (b'{"scene_id": "\xff"}', "not UTF-8: byte 0xff at position 14"),
 }
 
 
