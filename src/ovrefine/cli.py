@@ -663,9 +663,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        # an empty --config would otherwise mean no config file
-        if args.config == "":
-            raise ValueError("--config must name a file, got an empty string")
         config = RunConfig.load(args.config) if args.config else RunConfig()
         config = config.override(args)
         # before any other input is read, or any output written

@@ -68,6 +68,18 @@ def _parse(where, text: str, parse: Callable[[object], T]) -> T:
         # the byte and its offset in the text, without the codec's 'utf-8'
         byte = exc.object[exc.start]
         raise ValueError(f"{where}: not UTF-8: byte 0x{byte:02x} at position {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        # json's message quoted with " in place of ', at a column of a text of one line,
+        # as a JSONL line is (json would count its newline as a second line), else at
+        # the line and column of a text of several
+        message = exc.msg.removesuffix(" at").replace("'", '"')
+        if "\n" in text.rstrip():
+            at = f"line {exc.lineno} column {exc.colno}"
+        elif text[exc.pos :].strip():
+            at = f"column {exc.pos + 1}"
+        else:
+            at = "the end of the line"
+        raise ValueError(f"{where}: not JSON: {message} at {at}") from None
     except (ValueError, TypeError, RecursionError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 

@@ -66,6 +66,8 @@ def case_study_scenes():
 
 # what the commands report when reading their input file fails
 READ_ERROR = "input error: [Errno 5] Input/output error\n"
+# and the message after its ``path:line:`` of the line ``{not json``
+NOT_JSON = "not JSON: Expecting property name enclosed in double quotes at column 2"
 
 
 def fail_reading_after(monkeypatch, last):

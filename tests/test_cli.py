@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import READ_ERROR, case_study_scenes, fail_reading_after, shipped_kb_data
+from conftest import NOT_JSON, READ_ERROR, case_study_scenes, fail_reading_after, shipped_kb_data
 from ovrefine.cli import RunConfig, _build_parser, main
 from ovrefine.pipeline import (
     Detection,
@@ -1022,7 +1022,7 @@ class TestBaol:
             assert main(argv) == 1
             errors.append(capsys.readouterr())
             assert not multiprocessing.active_children()
-        assert errors[0].err.startswith(f"input error: {path}:2: Expecting property name")
+        assert errors[0].err == f"input error: {path}:2: {NOT_JSON}\n"
         assert errors[0] == errors[1] == errors[2]
 
     @pytest.mark.parametrize(
@@ -1051,7 +1051,7 @@ class TestBaol:
         if reported == "read":
             assert errors[0].err == READ_ERROR
         else:
-            assert errors[0].err.startswith(f"input error: {path}:{bad_at}: Expecting property name")
+            assert errors[0].err == f"input error: {path}:{bad_at}: {NOT_JSON}\n"
         assert errors == [errors[0]] * 3
 
     def test_config_error_is_the_same_at_any_worker_count(self, tmp_path, capsys):

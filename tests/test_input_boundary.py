@@ -4,9 +4,9 @@ For arbitrary JSON lines and documents, every loader raises only the errors
 that ``cli.main`` reports as input errors (``OSError``, ``ValueError``,
 ``LookupError``, ``TypeError``), and the message names the file. The command
 that reads the file exits 0 or 1, and on 1 prints one ``input error:`` line
-and no traceback. Where the file is JSON, that line keeps ``jsonl``'s contract:
-under 200 characters after the file's prefix, and every value from the file
-quoted as JSON writes it, never in a Python spelling.
+and no traceback. That line keeps ``jsonl``'s contract, whether or not the file
+is JSON: under 200 characters after the file's prefix, and every value from the
+file quoted as JSON writes it, never in a Python spelling.
 
 A config file means the same to every command: all seven refuse it alike,
 or none does.
@@ -152,22 +152,6 @@ def outside_strings(message):
     return "".join(out)
 
 
-def parses(text):
-    try:
-        json.loads(text)
-    except (ValueError, RecursionError):
-        return False
-    return True
-
-
-def is_json(path):
-    """Whether the file ``path`` is one JSON value, or holds one on each line that
-    ``read_lines`` reads, a byte that is no UTF-8 read as ``read_lines`` reads it."""
-    return parses(path.read_text(encoding="utf-8", errors="surrogateescape")) or all(
-        parses(line) for _, line in read_lines(path)
-    )
-
-
 def check_message(err, path):
     """The message of the ``input error:`` line ``err`` about ``path`` keeps the contract."""
     message = err.removeprefix("input error: ").rstrip("\n")
@@ -200,8 +184,7 @@ def check(load, argv, text, names_file=False):
             assert err.startswith("input error: ") and err.count("\n") == 1, err
             if names_file:
                 assert err.startswith(f"input error: {path}:"), err
-            if is_json(path):
-                check_message(err, path)
+            check_message(err, path)
         return code
 
 

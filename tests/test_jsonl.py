@@ -34,6 +34,24 @@ def test_a_number_past_the_float_range_names_the_line(tmp_path):
     assert str(err.value) == f"{path}:3: x must be a number within the float range"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"scene_id": "s1"\n', 'Expecting "," delimiter at the end of the line'),
+        ('{"a": 1,}\n', "Expecting property name enclosed in double quotes at column 9"),
+        ('{"a": 1} x\n', "Extra data at column 10"),
+        ('"\\q"', "Invalid \\escape at column 2"),
+    ],
+    ids=["truncated", "trailing-comma", "extra-data", "escape"],
+)
+def test_a_line_that_is_not_json_is_named_at_its_column(tmp_path, line, message):
+    # json counts the line's own newline as a second line, and quotes with '
+    path = tmp_path / "lines.jsonl"
+    with pytest.raises(ValueError) as err:
+        parse_line(path, 4, line, dict)
+    assert str(err.value) == f"{path}:4: not JSON: {message}"
+
+
 def test_a_line_must_be_an_object_a_file_need_not(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text("[1, 2]\n")
@@ -47,14 +65,15 @@ def test_a_line_must_be_an_object_a_file_need_not(tmp_path):
     "content, parse, message",
     [
         (b'{"a": 1}', lambda data: data["b"], 'missing field "b"'),
-        (b'{"a": 1', dict, "Expecting ',' delimiter: line 1 column 8 (char 7)"),
+        (b'{"a": 1', dict, 'not JSON: Expecting "," delimiter at the end of the line'),
+        (b'{\n  "a": ,\n}\n', dict, "not JSON: Expecting value at line 2 column 8"),
         (b'{"a": "\xff"}', dict, "not UTF-8: byte 0xff at position 7"),
         (b'{"a": 1%s}' % (b"0" * 400), lambda data: number(data["a"], "a"),
          "a must be a number within the float range"),
         (b'{"a": true}', lambda data: number(data["a"], "a"), "a must be a number, got true"),
         (b"[" * 5000 + b"]" * 5000, dict, "maximum recursion depth exceeded"),
     ],
-    ids=["key", "json", "not-utf-8", "overflow", "type", "recursion"],
+    ids=["key", "json", "json-of-lines", "not-utf-8", "overflow", "type", "recursion"],
 )
 def test_a_file_error_is_prefixed_with_its_path(tmp_path, content, parse, message):
     path = tmp_path / "doc.json"

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import READ_ERROR, fail_reading_after, kb_model
+from conftest import NOT_JSON, READ_ERROR, fail_reading_after, kb_model
 from ovrefine import cli, pipeline
 from ovrefine.commonsense import (
     LlmClient,
@@ -178,7 +178,7 @@ class Forgetful(StaticKnowledgeProvider):
 
 # a line that does not parse, and one that is not UTF-8, each with the start of its message
 BAD_LINES = {
-    "json": ("{not json", "Expecting property name"),
+    "json": ("{not json", NOT_JSON),
     "not-utf-8": (b'{"scene_id": "\xff"}', "not UTF-8: byte 0xff at position 14"),
 }
 
@@ -308,7 +308,7 @@ class RefineErrors:
         if reported == "read":
             assert errors[0] == READ_ERROR
         else:
-            assert errors[0].startswith(f"input error: {path}:{bad_at}: Expecting property name")
+            assert errors[0] == f"input error: {path}:{bad_at}: {NOT_JSON}\n"
         assert errors == [errors[0]] * len(WORKER_COUNTS)
 
     @pytest.mark.parametrize("scenes_in_file", [0, 3 * CHUNK], ids=["empty", "three-chunks"])
@@ -412,7 +412,7 @@ class TestRefineCommand(RefineErrors):
         for workers in WORKER_COUNTS:
             code, output, out, log = run_refine(tmp_path, capsys, path, workers)
             assert (code, output.out, out, log) == (1, "", None, None)
-            assert output.err.startswith(f"input error: {path}:3: Expecting")
+            assert output.err == f"input error: {path}:3: {NOT_JSON}\n"
 
 
 class TestRemoteRefineCommand(RefineErrors):
